@@ -15,7 +15,7 @@ from .simulation import (BrownianPair, ScenarioEnsemble, backward_integral,
                          random_initial_path, sample_drivers, save_ensemble,
                          simulate_forward)
 from .models import (Model, ModelRegistryEntry, get_entry, get_model,
-                     registry, running_integral, running_max, shifted_model,
+                     on_path, registry, running_integral, shifted_model,
                      validate)
 from .solver import (BackwardSolution, RegressionBasis, difference_quotient,
                      evaluate_u, frozen_noise_increments, solve_nested,

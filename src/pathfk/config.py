@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import Model, get_entry, running_integral, running_max
+from .models import Model, get_entry
 from .paths import Path, from_csv, make_grid
 from .solver import RegressionBasis
 
@@ -65,77 +65,59 @@ def _build_inline_model(spec: dict) -> Model:
     phi_kind = phi_spec.get("kind", "endpoint")
     shift = float(phi_spec.get("shift", 0.0))
     if phi_kind == "endpoint":
-        Phi = lambda p: p.endpoint[:1] + shift
-        phi_batch = lambda v, dt: v[:, -1, :1] + shift
+        Phi = lambda x, dt: x[:, -1, :1] + shift
     elif phi_kind == "endpoint_square":
-        Phi = lambda p: p.endpoint[:1] ** 2 + shift
-        phi_batch = lambda v, dt: v[:, -1, :1] ** 2 + shift
+        Phi = lambda x, dt: x[:, -1, :1] ** 2 + shift
     elif phi_kind == "endpoint_sin":
-        Phi = lambda p: np.sin(p.endpoint[:1]) + shift
-        phi_batch = lambda v, dt: np.sin(v[:, -1, :1]) + shift
+        Phi = lambda x, dt: np.sin(x[:, -1, :1]) + shift
     elif phi_kind == "running_integral":
-        Phi = lambda p: running_integral(p)[:1] + shift
-        phi_batch = lambda v, dt: v[:, :-1, :1].sum(axis=1) * dt + shift
+        Phi = lambda x, dt: x[:, :-1, :1].sum(axis=1) * dt + shift
     else:
         raise ConfigError(f"unknown terminal kind {phi_kind!r}")
 
     f_spec = spec.get("f", {"kind": "zero"})
     f_kind = f_spec.get("kind", "zero")
-    f_is_zero = f_kind == "zero"
     if f_kind == "zero":
-        f = lambda p, y, z: np.zeros(1)
-        f_batch = None
+        f = None
     elif f_kind == "linear":
         ay = float(f_spec.get("coef_y", 0.0))
         az = float(f_spec.get("coef_z", 0.0))
         c0 = float(f_spec.get("const", 0.0))
-        f = lambda p, y, z: c0 + ay * np.atleast_1d(y) + az * np.atleast_2d(z)[:, 0]
-        f_batch = lambda v, y, z, dt: c0 + ay * y + az * z[:, :, 0]
+        f = lambda x, y, z: c0 + ay * y + az * z[:, :, 0]
     elif f_kind == "cos_y_plus_half_z":
         fs = float(f_spec.get("shift", 0.0))
-        f = lambda p, y, z: fs + np.cos(np.atleast_1d(y)) + np.atleast_2d(z)[:, 0] / 2.0
-        f_batch = lambda v, y, z, dt: fs + np.cos(y) + z[:, :, 0] / 2.0
+        f = lambda x, y, z: fs + np.cos(y) + z[:, :, 0] / 2.0
     elif f_kind == "runmax_minus_y":
         fs = float(f_spec.get("shift", 0.0))
-        f = lambda p, y, z: fs + running_max(p)[:1] - np.atleast_1d(y)
-        f_batch = lambda v, y, z, dt: fs + v[:, :, :1].max(axis=1) - y
+        f = lambda x, y, z: fs + x[:, :, :1].max(axis=1) - y
     else:
         raise ConfigError(f"unknown time-driver kind {f_kind!r}")
 
     g_spec = spec.get("g", {"kind": "zero"})
     g_kind = g_spec.get("kind", "zero")
-    g_is_zero = g_kind == "zero"
     coef = float(g_spec.get("coef", 0.0))
     if g_kind == "zero":
-        g = lambda p, y, z: np.zeros((1, 1))
-        g_batch = None
+        g = None
     elif g_kind == "linear_y":
-        g = lambda p, y, z: coef * np.atleast_1d(y)[:, None]
-        g_batch = lambda v, y, z, dt: coef * y[:, :, None]
+        g = lambda x, y, z: coef * y[:, :, None]
     elif g_kind == "linear_z":
         if not abs(coef) < 1.0:
             raise ConfigError(
                 f"a z-linear backward driver needs |coef| < 1, got {coef}"
             )
-        g = lambda p, y, z: coef * np.atleast_2d(z)[:, :1]
-        g_batch = lambda v, y, z, dt: coef * z[:, :, :1]
+        g = lambda x, y, z: coef * z[:, :, :1]
     else:
         raise ConfigError(f"unknown backward-driver kind {g_kind!r}")
 
     return Model(
-        b=lambda p: np.array([b0 + b1 * p.endpoint[0]]),
-        sigma=lambda p: np.array([[s0 + s1 * p.endpoint[0]]]),
-        b_batch=lambda v: b0 + b1 * v[:, -1, :],
-        sigma_batch=lambda v: (s0 + s1 * v[:, -1, :1])[:, :, None],
-        Phi=Phi, phi_batch=phi_batch,
-        f=f, f_batch=f_batch, g=g, g_batch=g_batch,
+        b=lambda x: b0 + b1 * x[:, -1, :],
+        sigma=lambda x: (s0 + s1 * x[:, -1, :1])[:, :, None],
+        Phi=Phi, f=f, g=g,
         lip_C=float(spec.get("lip_C", max(2.0, abs(b1) + abs(s1)))),
         growth_m=float(spec.get("growth_m", 1.0)),
         alpha=float(spec.get("alpha", max(abs(coef), 0.5) if g_kind == "linear_z" else 0.5)),
         dims=(1, 1, 1),
         name=name,
-        f_is_zero=f_is_zero,
-        g_is_zero=g_is_zero,
         markovian_flag=f_kind != "runmax_minus_y" and phi_kind != "running_integral",
     )
 

@@ -3,14 +3,21 @@ and the registry of reference instances used as oracles.
 
 A model carries the forward drift b and diffusion sigma, the terminal
 functional Phi, and the two drivers f (time integral) and g (backward
-integral), all as path functionals.  Optional *_batch variants evaluate
-whole scenario blocks on raw value arrays; solvers use them when present,
-falling back to the per-path callables, which remain the contract.
+integral).  Each is one callable over a block of stopped histories
+x of shape (n, m, d), the value arrays of n paths up to a common time:
+
+    b(x) -> (n, d)                  sigma(x) -> (n, d, d)
+    Phi(x, dt) -> (n, k)            on full paths
+    f(x, y, z) -> (n, k)            g(x, y, z) -> (n, k, l)
+
+with y of shape (n, k) and z of shape (n, k, d).  f=None or g=None means
+the driver is zero; eval_f/eval_g apply that rule.  A single Path is
+evaluated as a block of one through on_path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,38 +34,45 @@ def running_integral(path: Path) -> np.ndarray:
     return path.values[:-1].sum(axis=0) * path.dt
 
 
-def running_max(path: Path) -> np.ndarray:
-    """Componentwise running maximum over [0, t]."""
-    return path.values.max(axis=0)
-
-
 @dataclass
 class Model:
-    b: Callable[[Path], np.ndarray]                       # -> (d,)
-    sigma: Callable[[Path], np.ndarray]                   # -> (d, d)
-    Phi: Callable[[Path], np.ndarray]                     # on full paths -> (k,)
-    f: Callable[[Path, np.ndarray, np.ndarray], np.ndarray]   # -> (k,)
-    g: Callable[[Path, np.ndarray, np.ndarray], np.ndarray]   # -> (k, l)
+    b: Callable[[np.ndarray], np.ndarray]
+    sigma: Callable[[np.ndarray], np.ndarray]
+    Phi: Callable[[np.ndarray, float], np.ndarray]
     lip_C: float
     growth_m: float
     alpha: float
+    f: Optional[Callable] = None
+    g: Optional[Callable] = None
     dims: tuple = (1, 1, 1)   # (d, k, l)
     markovian_flag: bool = True
     name: str = ""
-    f_is_zero: bool = False
-    g_is_zero: bool = False
-    # optional vectorized variants over scenario blocks
-    b_batch: Optional[Callable] = None        # (values[n,m,d]) -> (n, d)
-    sigma_batch: Optional[Callable] = None    # (values[n,m,d]) -> (n, d, d)
-    phi_batch: Optional[Callable] = None      # (values[n,N+1,d], dt) -> (n, k)
-    f_batch: Optional[Callable] = None        # (values, y[n,k], z[n,k,d], dt) -> (n, k)
-    g_batch: Optional[Callable] = None        # (values, y, z, dt) -> (n, k, l)
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"contraction constant must be in (0,1), got {self.alpha}")
         if self.lip_C < 0 or self.growth_m < 0:
             raise ValueError("lip_C and growth_m must be nonnegative")
+
+    def eval_f(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Time driver on a block, (n, k); zero when f is None."""
+        if self.f is None:
+            return np.zeros((x.shape[0], self.dims[1]))
+        return self.f(x, y, z)
+
+    def eval_g(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Backward driver on a block, (n, k, l); zero when g is None."""
+        if self.g is None:
+            return np.zeros((x.shape[0], *self.dims[1:]))
+        return self.g(x, y, z)
+
+
+def on_path(fn: Callable, path: Path, *args):
+    """Evaluate a block coefficient on one path: the path values and every
+    array argument gain a leading batch axis, which the result loses;
+    scalar arguments (such as dt) pass through."""
+    batched = [np.asarray(a)[None] if np.ndim(a) else a for a in args]
+    return fn(path.values[None], *batched)[0]
 
 
 @dataclass
@@ -121,21 +135,22 @@ def validate(model: Model, n_probes: int = 100, seed: int = 0,
         y1, y2 = rng.normal(size=(2, k))
         z1, z2 = rng.normal(size=(2, k, d))
         base = _lip_bound(C, m, pa, pb)
-        lhs_f = np.linalg.norm(model.f(pa, y1, z1) - model.f(pb, y2, z2))
+        lhs_f = np.linalg.norm(on_path(model.eval_f, pa, y1, z1)
+                               - on_path(model.eval_f, pb, y2, z2))
         rhs_f = base + C * (np.linalg.norm(y1 - y2) + np.linalg.norm(z1 - z2))
         if lhs_f > rhs_f + slack and bad_f is None:
             bad_f = f"|df|={lhs_f:.4g} > bound {rhs_f:.4g} at t_index={ti}"
-        lhs_g = np.linalg.norm(model.g(pa, y1, z1) - model.g(pb, y2, z2))
+        gv = on_path(model.eval_g, pa, y1, z1)
+        lhs_g = np.linalg.norm(gv - on_path(model.eval_g, pb, y2, z2))
         rhs_g = base + C * np.linalg.norm(y1 - y2) + a * np.linalg.norm(z1 - z2)
         if lhs_g > rhs_g + slack and bad_g is None:
             bad_g = f"|dg|={lhs_g:.4g} > bound {rhs_g:.4g} at t_index={ti}"
-        lhs_bs = (np.linalg.norm(model.b(pa) - model.b(pb))
-                  + np.linalg.norm(model.sigma(pa) - model.sigma(pb)))
+        lhs_bs = (np.linalg.norm(on_path(model.b, pa) - on_path(model.b, pb))
+                  + np.linalg.norm(on_path(model.sigma, pa) - on_path(model.sigma, pb)))
         if lhs_bs > base + slack and bad_bs is None:
             bad_bs = f"|db|+|dsigma|={lhs_bs:.4g} > bound {base:.4g}"
         # gg^T <= alpha zz^T + C (|g(.,0,0)|^2 + |y|^2) I, as symmetric matrices
-        gv = model.g(pa, y1, z1)
-        g00 = model.g(pa, np.zeros(k), np.zeros((k, d)))
+        g00 = on_path(model.eval_g, pa, np.zeros(k), np.zeros((k, d)))
         mat = (gv @ gv.T - a * (z1 @ z1.T)
                - C * (np.sum(g00 ** 2) + np.sum(y1 ** 2)) * np.eye(k))
         if np.max(np.linalg.eigvalsh(mat)) > slack and bad_gg is None:
@@ -150,31 +165,15 @@ def validate(model: Model, n_probes: int = 100, seed: int = 0,
 
 # -- registry ------------------------------------------------------------
 
-def _zero_f(path, y, z):
-    return np.zeros_like(np.atleast_1d(y))
-
-
-def _zero_g(path, y, z, l=1):
-    return np.zeros((len(np.atleast_1d(y)), l))
-
-
-def _scalar_base(name, Phi, phi_batch, f=None, g=None, **kw):
-    d = k = l = 1
+def _scalar_base(name, Phi, **kw):
     defaults = dict(
-        b=lambda p: np.zeros(1),
-        sigma=lambda p: np.eye(1),
-        b_batch=lambda vals: np.zeros((vals.shape[0], 1)),
-        sigma_batch=lambda vals: np.broadcast_to(np.eye(1), (vals.shape[0], 1, 1)),
+        b=lambda x: np.zeros((x.shape[0], 1)),
+        sigma=lambda x: np.broadcast_to(np.eye(1), (x.shape[0], 1, 1)),
         Phi=Phi,
-        phi_batch=phi_batch,
-        f=f or _zero_f,
-        g=g or (lambda p, y, z: _zero_g(p, y, z, l)),
-        f_is_zero=f is None,
-        g_is_zero=g is None,
         lip_C=2.0,
         growth_m=1.0,
         alpha=0.5,
-        dims=(d, k, l),
+        dims=(1, 1, 1),
         name=name,
     )
     defaults.update(kw)
@@ -192,12 +191,7 @@ def registry() -> list[ModelRegistryEntry]:
 
     # heat: terminal square of the endpoint.
     # u(gamma_t) = E[(gamma(t) + W_{T-t})^2] = gamma(t)^2 + (T - t).
-    m1 = _scalar_base(
-        "heat",
-        Phi=lambda p: np.array([p.endpoint[0] ** 2]),
-        phi_batch=lambda vals, dt: vals[:, -1, :1] ** 2,
-        f_is_zero=True, g_is_zero=True,
-    )
+    m1 = _scalar_base("heat", Phi=lambda x, dt: x[:, -1, :1] ** 2)
     entries.append(ModelRegistryEntry(
         "heat", m1,
         closed_form_u=lambda p: np.array([p.endpoint[0] ** 2 + (p.horizon - p.current_time)]),
@@ -208,15 +202,10 @@ def registry() -> list[ModelRegistryEntry]:
     # asian: integral of the path over the full horizon.
     # u(gamma_t) = int_0^t gamma + gamma(t) (T - t) since E[X(s)] = gamma(t),
     # exact for the left-endpoint integral convention.
-    def _phi_asian(p):
-        return np.array([running_integral(p)[0]])
-
     m2 = _scalar_base(
         "asian",
-        Phi=_phi_asian,
-        phi_batch=lambda vals, dt: vals[:, :-1, :1].sum(axis=1) * dt,
+        Phi=lambda x, dt: x[:, :-1, :1].sum(axis=1) * dt,
         markovian_flag=False,
-        f_is_zero=True, g_is_zero=True,
         lip_C=2.0, growth_m=0.0,
     )
 
@@ -234,10 +223,8 @@ def registry() -> list[ModelRegistryEntry]:
     beta = 0.3
     m3 = _scalar_base(
         "linear-g",
-        Phi=lambda p: p.endpoint[:1].copy(),
-        phi_batch=lambda vals, dt: vals[:, -1, :1].copy(),
-        g=lambda p, y, z: beta * np.atleast_1d(y)[:, None],
-        g_batch=lambda vals, y, z, dt: beta * y[:, :, None],
+        Phi=lambda x, dt: x[:, -1, :1].copy(),
+        g=lambda x, y, z: beta * y[:, :, None],
         lip_C=1.0, growth_m=0.0, alpha=0.5,
     )
     entries.append(ModelRegistryEntry("linear-g", m3, notes="oracle: nested engine"))
@@ -245,11 +232,8 @@ def registry() -> list[ModelRegistryEntry]:
     # nonlinear-f: classical-BSDE reduction.
     m4 = _scalar_base(
         "nonlinear-f",
-        Phi=lambda p: np.sin(p.endpoint[:1]),
-        phi_batch=lambda vals, dt: np.sin(vals[:, -1, :1]),
-        f=lambda p, y, z: np.cos(np.atleast_1d(y)) + np.atleast_2d(z)[:, 0] / 2.0,
-        f_batch=lambda vals, y, z, dt: np.cos(y) + z[:, :, 0] / 2.0,
-        g_is_zero=True,
+        Phi=lambda x, dt: np.sin(x[:, -1, :1]),
+        f=lambda x, y, z: np.cos(y) + z[:, :, 0] / 2.0,
         lip_C=1.0, growth_m=0.0,
     )
     entries.append(ModelRegistryEntry("nonlinear-f", m4, notes="oracle: nested engine"))
@@ -258,10 +242,8 @@ def registry() -> list[ModelRegistryEntry]:
     alpha0 = 0.5
     m5 = _scalar_base(
         "z-in-g",
-        Phi=lambda p: p.endpoint[:1].copy(),
-        phi_batch=lambda vals, dt: vals[:, -1, :1].copy(),
-        g=lambda p, y, z: alpha0 * np.atleast_2d(z)[:, :1],
-        g_batch=lambda vals, y, z, dt: alpha0 * z[:, :, :1],
+        Phi=lambda x, dt: x[:, -1, :1].copy(),
+        g=lambda x, y, z: alpha0 * z[:, :, :1],
         lip_C=1.0, growth_m=0.0, alpha=0.5,
     )
     entries.append(ModelRegistryEntry("z-in-g", m5, notes="oracle: nested engine"))
@@ -269,11 +251,8 @@ def registry() -> list[ModelRegistryEntry]:
     # path-f: genuinely non-Markovian time driver via the running maximum.
     m6 = _scalar_base(
         "path-f",
-        Phi=lambda p: p.endpoint[:1].copy(),
-        phi_batch=lambda vals, dt: vals[:, -1, :1].copy(),
-        f=lambda p, y, z: running_max(p)[:1] - np.atleast_1d(y),
-        f_batch=lambda vals, y, z, dt: vals[:, :, :1].max(axis=1) - y,
-        g_is_zero=True,
+        Phi=lambda x, dt: x[:, -1, :1].copy(),
+        f=lambda x, y, z: x[:, :, :1].max(axis=1) - y,
         markovian_flag=False,
         lip_C=1.0, growth_m=0.0,
     )
@@ -287,15 +266,8 @@ def shifted_model(model: Model, shift_phi: float = 0.0, shift_f: float = 0.0) ->
     return replace(
         model,
         name=f"{model.name}+shift",
-        Phi=lambda p: model.Phi(p) + shift_phi,
-        phi_batch=(lambda v, dt: model.phi_batch(v, dt) + shift_phi)
-        if model.phi_batch else None,
-        f=lambda p, y, z: model.f(p, y, z) + shift_f,
-        f_batch=(lambda v, y, z, dt: model.f_batch(v, y, z, dt) + shift_f)
-        if model.f_batch else (
-            (lambda v, y, z, dt: np.full_like(y, shift_f)) if model.f_is_zero else None
-        ),
-        f_is_zero=model.f_is_zero and shift_f == 0.0,
+        Phi=lambda x, dt: model.Phi(x, dt) + shift_phi,
+        f=lambda x, y, z: model.eval_f(x, y, z) + shift_f,
     )
 
 

@@ -10,7 +10,7 @@ is bit-identical regardless of batch size or worker scheduling.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,11 +40,6 @@ class BrownianPair:
     dW: np.ndarray  # (n_scenarios, N, d)
     dB: np.ndarray  # (n_scenarios, N, l)
     seed: int
-    stream_ids: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.stream_ids is None:
-            self.stream_ids = np.arange(self.dW.shape[0])
 
     @property
     def dt(self) -> float:
@@ -98,13 +93,6 @@ class ScenarioEnsemble:
     def excluded_count(self) -> int:
         return int((~self.valid_mask).sum())
 
-    def x_path(self, s: int) -> Path:
-        return Path(self.initial.grid_times, self.x_values[s])
-
-    @property
-    def x_paths(self):
-        return [self.x_path(s) for s in range(self.n_scenarios) if self.valid_mask[s]]
-
 
 def simulate_forward(model, initial: Path, drivers: BrownianPair) -> ScenarioEnsemble:
     """Euler scheme continuing the initial path; coefficients see the whole
@@ -125,17 +113,9 @@ def simulate_forward(model, initial: Path, drivers: BrownianPair) -> ScenarioEns
     X = np.empty((n, N + 1, d))
     X[:, : i_t + 1] = initial.values
     for i in range(i_t, N):
-        if model.b_batch is not None and model.sigma_batch is not None:
-            bv = model.b_batch(X[:, : i + 1])
-            sv = model.sigma_batch(X[:, : i + 1])
-        else:
-            bv = np.empty((n, d))
-            sv = np.empty((n, d, d))
-            for s in range(n):
-                prefix = Path(grid, X[s, : i + 1])
-                bv[s] = model.b(prefix)
-                sv[s] = model.sigma(prefix)
-        X[:, i + 1] = X[:, i] + bv * dt + np.einsum("nij,nj->ni", sv, drivers.dW[:, i])
+        prefix = X[:, : i + 1]
+        X[:, i + 1] = (X[:, i] + model.b(prefix) * dt
+                       + np.einsum("nij,nj->ni", model.sigma(prefix), drivers.dW[:, i]))
     valid = np.all(np.isfinite(X.reshape(n, -1)), axis=1)
     if not valid.all():
         X = np.where(valid[:, None, None], X, 0.0)

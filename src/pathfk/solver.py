@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetError, SolverError
-from .models import Model, running_integral, running_max
+from .models import Model
 from .paths import Path, make_grid
 from .simulation import (BrownianPair, ScenarioEnsemble, sample_drivers,
                          simulate_forward, _keyed_normals)
@@ -208,42 +208,6 @@ class BackwardSolution:
         return buf.getvalue()
 
 
-# -- shared driver evaluation -------------------------------------------
-
-
-def _eval_f(model: Model, grid, X, i_path, y, z, dt):
-    if model.f_is_zero:
-        return np.zeros_like(y)
-    if model.f_batch is not None:
-        return model.f_batch(X[:, : i_path + 1], y, z, dt)
-    out = np.empty_like(y)
-    for s in range(X.shape[0]):
-        out[s] = model.f(Path(grid, X[s, : i_path + 1]), y[s], z[s])
-    return out
-
-
-def _eval_g(model: Model, grid, X, i_path, y, z, dt):
-    d, k, l = model.dims
-    if model.g_is_zero:
-        return np.zeros((X.shape[0], k, l))
-    if model.g_batch is not None:
-        return model.g_batch(X[:, : i_path + 1], y, z, dt)
-    out = np.empty((X.shape[0], k, l))
-    for s in range(X.shape[0]):
-        out[s] = model.g(Path(grid, X[s, : i_path + 1]), y[s], z[s])
-    return out
-
-
-def _terminal(model: Model, grid, X, dt):
-    if model.phi_batch is not None:
-        return np.asarray(model.phi_batch(X, dt), dtype=np.float64)
-    k = model.dims[1]
-    out = np.empty((X.shape[0], k))
-    for s in range(X.shape[0]):
-        out[s] = model.Phi(Path(grid, X[s]))
-    return out
-
-
 # -- regression engine ---------------------------------------------------
 
 
@@ -271,11 +235,10 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     N = Np1 - 1
     i_t = ensemble.initial.t_index
     dt = ensemble.initial.dt
-    grid = ensemble.initial.grid_times
 
     use_noise = basis.include_future_noise
     if use_noise is None:
-        use_noise = not model.g_is_zero
+        use_noise = model.g is not None
     dB_feat = dB if use_noise else None
 
     # budget: every projection must stay overdetermined by a wide margin
@@ -287,12 +250,11 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
         )
 
     features = {i: basis.matrix(X, i, dt, dB_feat) for i in range(i_t, N)}
-    phi = _terminal(model, grid, X, dt)
+    phi = model.Phi(X, dt)
 
     Y = np.zeros((n, N + 1, k))
     Z = np.zeros((n, N + 1, k, d))
     Y[:, N] = phi
-    Y_prev = Z_prev = None
     update_norms = []
     rollout = None
     fit_se = np.zeros((n, N + 1, k)) if record_fit_se else None
@@ -309,8 +271,8 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
                 fy, fz = Y_new[:, i + 1], Z_new[:, i + 1]
             else:
                 fy, fz = Y[:, i], Z[:, i]
-            fv = _eval_f(model, grid, X, i + 1, fy, fz, dt)
-            gv = _eval_g(model, grid, X, i + 1, fy, fz, dt)
+            fv = model.eval_f(X[:, : i + 2], fy, fz)
+            gv = model.eval_g(X[:, : i + 2], fy, fz)
             gdB = np.einsum("nkl,nl->nk", gv, dB[:, i])
             A = features[i]
             # center the z-target with the fitted continuation value; the
@@ -329,7 +291,7 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
                                                      se_targets=rollout)
             else:
                 Y_new[:, i] = _project(A, y_target)
-        if Y_prev is not None:
+        if p > 0:
             diff = (np.sqrt(np.mean((Y_new - Y) ** 2))
                     + np.sqrt(np.mean((Z_new - Z) ** 2)))
             update_norms.append(diff)
@@ -340,14 +302,13 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
                     f"backward driver's z-coefficient {model.alpha} to act as "
                     "a contraction at this step size"
                 )
-        Y_prev, Z_prev = Y, Z
         Y, Z = Y_new, Z_new
 
     Y[:, :i_t] = Y[:, i_t][:, None]
     u_estimate = Y[:, i_t].mean(axis=0)
     u_stderr = rollout.std(axis=0, ddof=1) / np.sqrt(n)
     return BackwardSolution(
-        grid_times=grid,
+        grid_times=ensemble.initial.grid_times,
         t_index=i_t,
         y=Y,
         z=Z[:, :N],
@@ -384,12 +345,9 @@ def _tree_forward(model: Model, initial: Path, branching: int):
     weights.  The expansion is independent of the frozen second driver, so
     one tree serves every outer sample.
     """
-    d, k, l = model.dims
-    grid = initial.grid_times
+    d = model.dims[0]
     dt = initial.dt
-    i_t = initial.t_index
-    N = len(grid) - 1
-    n_rem = N - i_t
+    n_rem = len(initial.grid_times) - 1 - initial.t_index
     if n_rem > _MAX_TREE_DEPTH:
         raise BudgetError(
             f"{n_rem} remaining steps exceed the tree depth limit {_MAX_TREE_DEPTH}"
@@ -414,17 +372,8 @@ def _tree_forward(model: Model, initial: Path, branching: int):
     for j in range(n_rem):
         X = levels[-1]
         m = X.shape[0]
-        if model.b_batch is not None and model.sigma_batch is not None:
-            bv = model.b_batch(X)
-            sv = model.sigma_batch(X)
-        else:
-            bv = np.empty((m, d))
-            sv = np.empty((m, d, d))
-            for s in range(m):
-                p = Path(grid, X[s])
-                bv[s] = model.b(p)
-                sv[s] = model.sigma(p)
-        step = bv[:, None, :] * dt + np.einsum("mij,qj->mqi", sv, dw_nodes)
+        step = (model.b(X)[:, None, :] * dt
+                + np.einsum("mij,qj->mqi", model.sigma(X), dw_nodes))
         new_end = (X[:, -1][:, None, :] + step).reshape(m * per_step, d)
         hist = np.repeat(X, per_step, axis=0)
         levels.append(np.concatenate([hist, new_end[:, None, :]], axis=1))
@@ -446,18 +395,15 @@ def _tree_backward(model: Model, initial: Path, tree, dB: np.ndarray,
     """
     levels, dw_nodes, w_nodes, level_w = tree
     d, k, l = model.dims
-    grid = initial.grid_times
     dt = initial.dt
-    i_t = initial.t_index
     n_rem = len(levels) - 1
     per_step = dw_nodes.shape[0]
 
-    phi = _terminal(model, grid, levels[-1], dt)          # (leaves, k)
+    phi = model.Phi(levels[-1], dt)                        # (leaves, k)
     y_levels = [None] * (n_rem + 1)
     z_levels = [None] * (n_rem + 1)
     y_levels[n_rem] = phi
     z_levels[n_rem] = np.zeros((phi.shape[0], k, d))
-    prev_y = prev_z = None
 
     for p in range(picard_iters):
         new_y = [None] * (n_rem + 1)
@@ -474,8 +420,8 @@ def _tree_backward(model: Model, initial: Path, tree, dB: np.ndarray,
             else:
                 fy = np.repeat(y_levels[j], per_step, axis=0)
                 fz = np.repeat(z_levels[j], per_step, axis=0)
-            fv = _eval_f(model, grid, levels[j + 1], i_t + j + 1, fy, fz, dt)
-            gv = _eval_g(model, grid, levels[j + 1], i_t + j + 1, fy, fz, dt)
+            fv = model.eval_f(levels[j + 1], fy, fz)
+            gv = model.eval_g(levels[j + 1], fy, fz)
             gdB = np.einsum("nkl,l->nk", gv, dB[j]).reshape(m, per_step, k)
             fv = fv.reshape(m, per_step, k)
             integ = yc + gdB

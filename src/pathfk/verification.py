@@ -17,8 +17,8 @@ import numpy as np
 from .calculus import (DerivativeEstimate, PathFunctional, vertical_derivative,
                        vertical_hessian, horizontal_derivative)
 from .errors import PreconditionError
-from .models import Model, ModelRegistryEntry
-from .paths import (Path, discretize, make_grid, path_dist, restrict,
+from .models import Model, ModelRegistryEntry, on_path
+from .paths import (Path, make_grid, path_dist, restrict,
                     sup_norm, vertical_bump)
 from .reports import CheckReport
 from .simulation import (ScenarioEnsemble, random_initial_path, sample_drivers,
@@ -83,7 +83,10 @@ def spde_residual(u: PathFunctional, model: Model,
     res = np.zeros(n)
     for s in range(n):
         path = Path(grid, X[s])
-        total = u(restrict(path, grid[i_t]))[0] - u(path)[0]
+        # walking backward, the next step's field value and z are the
+        # previous iteration's; at the horizon they come from the full path
+        y_next = u(path)
+        total = u(restrict(path, grid[i_t]))[0] - y_next[0]
         z_next = None
         for i in range(N - 1, i_t - 1, -1):
             pi = restrict(path, grid[i])
@@ -93,24 +96,20 @@ def spde_residual(u: PathFunctional, model: Model,
             dxx = (u.d_xx(pi) if u.d_xx is not None
                    else vertical_hessian(u, pi).value).reshape(path.dimension,
                                                                path.dimension)
-            sig = model.sigma(pi)
+            sig = on_path(model.sigma, pi)
             y_i = u(pi)
             z_i = (sig.T @ dx)[None, :]
-            gen = float(model.b(pi) @ dx) + 0.5 * np.trace(sig @ sig.T @ dxx)
-            fv = 0.0 if model.f_is_zero else float(model.f(pi, y_i, z_i)[0])
-            if model.g_is_zero:
-                g_term = 0.0
-            else:
-                y_next = u(p_next)
-                if z_next is None:
-                    dx_n = (u.d_x(p_next) if u.d_x is not None
-                            else vertical_derivative(u, p_next).value).reshape(-1)
-                    z_next = (model.sigma(p_next).T @ dx_n)[None, :]
-                g_term = float(model.g(p_next, y_next, z_next)[0] @ dB[s, i])
+            gen = float(on_path(model.b, pi) @ dx) + 0.5 * np.trace(sig @ sig.T @ dxx)
+            fv = float(on_path(model.eval_f, pi, y_i, z_i)[0])
+            if z_next is None:
+                dx_n = (u.d_x(path) if u.d_x is not None
+                        else vertical_derivative(u, path).value).reshape(-1)
+                z_next = (on_path(model.sigma, path).T @ dx_n)[None, :]
+            g_term = float(on_path(model.eval_g, p_next, y_next, z_next)[0] @ dB[s, i])
             dX = X[s, i + 1] - X[s, i]
             total += (-(gen + fv) * dt - g_term + dx @ dX
                       + 0.5 * float(dX @ dxx @ dX))
-            z_next = z_i
+            y_next, z_next = y_i, z_i
         res[s] = total
     return res
 
@@ -164,7 +163,8 @@ def z_representation_check(model: Model, solution: BackwardSolution,
                 if not est.is_reliable(0.05 * (1.0 + float(np.abs(est.value).max()))):
                     excluded += 1
                     continue
-                z_ref = est.value.reshape(model.dims[1], model.dims[0]) @ model.sigma(pi)
+                z_ref = (est.value.reshape(model.dims[1], model.dims[0])
+                         @ on_path(model.sigma, pi))
             z_est = solution.z[s, i]
             rels.append(np.linalg.norm(z_est - z_ref)
                         / (1.0 + np.linalg.norm(z_ref)))
@@ -323,14 +323,15 @@ def _precondition_probes(m1: Model, m2: Model, grid, n_probes, seed):
         y = rng.normal(size=k)
         z = rng.normal(size=(k, d))
         if ti == N:
-            if np.any(m1.Phi(p) < m2.Phi(p) - _EPS):
+            phi1, phi2 = on_path(m1.Phi, p, p.dt), on_path(m2.Phi, p, p.dt)
+            if np.any(phi1 < phi2 - _EPS):
                 raise PreconditionError(
-                    f"terminal ordering fails at a probe path: "
-                    f"{m1.Phi(p)} < {m2.Phi(p)}"
+                    f"terminal ordering fails at a probe path: {phi1} < {phi2}"
                 )
-        if np.any(m1.f(p, y, z) < m2.f(p, y, z) - _EPS):
+        if np.any(on_path(m1.eval_f, p, y, z) < on_path(m2.eval_f, p, y, z) - _EPS):
             raise PreconditionError("time-driver ordering fails at a probe")
-        if np.any(np.abs(m1.g(p, y, z) - m2.g(p, y, z)) > _EPS):
+        if np.any(np.abs(on_path(m1.eval_g, p, y, z)
+                         - on_path(m2.eval_g, p, y, z)) > _EPS):
             raise PreconditionError(
                 "comparison requires identical backward drivers"
             )
@@ -420,25 +421,19 @@ def discretized_model(model: Model, n_nodes: int, anchor_t: float,
         )
     stride = total // n_nodes
 
-    def dz(p: Path) -> Path:
-        return discretize(p, n_nodes, anchor_t)
-
-    def dzv(vals):
-        return discretize_values(vals, anchor_idx, stride)
+    def frozen(fn):
+        if fn is None:
+            return None
+        return lambda x, *args: fn(discretize_values(x, anchor_idx, stride), *args)
 
     return replace(
         model,
         name=f"{model.name}@{n_nodes}nodes",
-        b=lambda p: model.b(dz(p)),
-        sigma=lambda p: model.sigma(dz(p)),
-        Phi=lambda p: model.Phi(dz(p)),
-        f=lambda p, y, z: model.f(dz(p), y, z),
-        g=lambda p, y, z: model.g(dz(p), y, z),
-        b_batch=(lambda v: model.b_batch(dzv(v))) if model.b_batch else None,
-        sigma_batch=(lambda v: model.sigma_batch(dzv(v))) if model.sigma_batch else None,
-        phi_batch=(lambda v, h: model.phi_batch(dzv(v), h)) if model.phi_batch else None,
-        f_batch=(lambda v, y, z, h: model.f_batch(dzv(v), y, z, h)) if model.f_batch else None,
-        g_batch=(lambda v, y, z, h: model.g_batch(dzv(v), y, z, h)) if model.g_batch else None,
+        b=frozen(model.b),
+        sigma=frozen(model.sigma),
+        Phi=frozen(model.Phi),
+        f=frozen(model.f),
+        g=frozen(model.g),
     )
 
 

@@ -105,12 +105,12 @@ def test_inline_model_grammar():
     cfg = load_config(base_config(model=spec))
     assert cfg.model_name == "ou-sin"
     m = cfg.model
-    from pathfk import Path, make_grid
+    from pathfk import Path, make_grid, on_path
     p = Path(make_grid(1.0, 8), np.array([[2.0]]))
-    assert m.b(p)[0] == pytest.approx(-1.0)
-    assert m.sigma(p)[0, 0] == pytest.approx(0.8)
+    assert on_path(m.b, p)[0] == pytest.approx(-1.0)
+    assert on_path(m.sigma, p)[0, 0] == pytest.approx(0.8)
     assert not m.markovian_flag or True  # endpoint terminal stays Markovian
-    assert m.g(p, np.array([1.0]), np.zeros((1, 1)))[0, 0] == pytest.approx(0.3)
+    assert on_path(m.g, p, np.array([1.0]), np.zeros((1, 1)))[0, 0] == pytest.approx(0.3)
 
 
 def test_inline_model_rejects_expansive_z_driver():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from pathfk import (Model, Path, get_entry, get_model, make_grid, registry,
-                    running_integral, running_max, shifted_model, validate)
+from pathfk import (Model, Path, get_entry, get_model, make_grid, on_path,
+                    registry, running_integral, shifted_model, validate)
 
 
 # -- helpers -------------------------------------------------------------
@@ -16,11 +16,6 @@ def test_running_integral_left_endpoint():
     assert running_integral(p)[0] == pytest.approx(0.75)
     single = Path(make_grid(1.0, 4), np.array([[5.0]]))
     assert running_integral(single)[0] == 0.0
-
-
-def test_running_max_componentwise():
-    p = Path(make_grid(1.0, 4), np.array([[1.0, -3.0], [0.5, 2.0]]))
-    assert np.allclose(running_max(p), [1.0, 2.0])
 
 
 # -- model construction --------------------------------------------------
@@ -52,9 +47,9 @@ def test_registry_flags():
     assert get_model("heat").markovian_flag
     assert not get_model("asian").markovian_flag
     assert not get_model("path-f").markovian_flag
-    assert get_model("heat").f_is_zero and get_model("heat").g_is_zero
-    assert not get_model("linear-g").g_is_zero
-    assert not get_model("nonlinear-f").f_is_zero
+    assert get_model("heat").f is None and get_model("heat").g is None
+    assert get_model("linear-g").g is not None
+    assert get_model("nonlinear-f").f is not None
 
 
 # -- closed forms --------------------------------------------------------
@@ -69,7 +64,7 @@ def test_heat_closed_form_consistency():
     # at the horizon the field reduces to the terminal functional
     full = Path(grid, np.ones((9, 1)) * 2.0)
     assert entry.closed_form_u(full)[0] == pytest.approx(
-        entry.model.Phi(full)[0])
+        on_path(entry.model.Phi, full, full.dt)[0])
 
 
 def test_asian_closed_form_consistency():
@@ -82,32 +77,40 @@ def test_asian_closed_form_consistency():
     assert entry.closed_form_Z(p)[0, 0] == pytest.approx(0.75)
     full = Path(grid, np.ones((9, 1)))
     assert entry.closed_form_u(full)[0] == pytest.approx(
-        entry.model.Phi(full)[0])
+        on_path(entry.model.Phi, full, full.dt)[0])
 
 
-def test_batch_variants_agree_with_scalar():
+def test_block_contract_shapes_and_on_path():
     grid = make_grid(1.0, 8)
     rng = np.random.default_rng(0)
-    vals = rng.normal(size=(6, 9, 1))
-    dt = 0.125
+    n, m, dt = 6, 5, 0.125
     for entry in registry():
-        m = entry.model
-        if m.phi_batch is not None:
-            batch = m.phi_batch(vals, dt)
-            scalar = np.array([m.Phi(Path(grid, v)) for v in vals])
-            assert np.allclose(batch, scalar), m.name
-        y = rng.normal(size=(6, 1))
-        z = rng.normal(size=(6, 1, 1))
-        if m.f_batch is not None:
-            batch = m.f_batch(vals[:, :5], y, z, dt)
-            scalar = np.array([m.f(Path(grid, v), y[s], z[s])
-                               for s, v in enumerate(vals[:, :5])])
-            assert np.allclose(batch, scalar), m.name
-        if m.g_batch is not None:
-            batch = m.g_batch(vals[:, :5], y, z, dt)
-            scalar = np.array([m.g(Path(grid, v), y[s], z[s])
-                               for s, v in enumerate(vals[:, :5])])
-            assert np.allclose(batch, scalar), m.name
+        model = entry.model
+        d, k, l = model.dims
+        x = rng.normal(size=(n, m, d))
+        full = rng.normal(size=(n, 9, d))
+        y = rng.normal(size=(n, k))
+        z = rng.normal(size=(n, k, d))
+        blocks = {
+            "b": (model.b(x), (n, d)),
+            "sigma": (model.sigma(x), (n, d, d)),
+            "Phi": (model.Phi(full, dt), (n, k)),
+            "f": (model.eval_f(x, y, z), (n, k)),
+            "g": (model.eval_g(x, y, z), (n, k, l)),
+        }
+        for coeff, (out, shape) in blocks.items():
+            assert out.shape == shape, (model.name, coeff)
+        for s in range(n):
+            p, pf = Path(grid, x[s]), Path(grid, full[s])
+            rows = {
+                "b": on_path(model.b, p),
+                "sigma": on_path(model.sigma, p),
+                "Phi": on_path(model.Phi, pf, dt),
+                "f": on_path(model.eval_f, p, y[s], z[s]),
+                "g": on_path(model.eval_g, p, y[s], z[s]),
+            }
+            for coeff, row in rows.items():
+                assert np.array_equal(row, blocks[coeff][0][s]), (model.name, coeff)
 
 
 # -- assumption probes ---------------------------------------------------
@@ -123,11 +126,10 @@ def test_validate_finds_contraction_violation():
     # a backward driver with unit z-slope but alpha declared 0.5: the
     # contraction probe must witness it
     bad = Model(
-        b=lambda p: np.zeros(1),
-        sigma=lambda p: np.eye(1),
-        Phi=lambda p: p.endpoint[:1],
-        f=lambda p, y, z: np.zeros(1),
-        g=lambda p, y, z: 1.0 * np.atleast_2d(z)[:, :1],
+        b=lambda x: np.zeros((x.shape[0], 1)),
+        sigma=lambda x: np.broadcast_to(np.eye(1), (x.shape[0], 1, 1)),
+        Phi=lambda x, dt: x[:, -1, :1],
+        g=lambda x, y, z: 1.0 * z[:, :, :1],
         lip_C=1.0, growth_m=0.0, alpha=0.5, name="bad",
     )
     rep = validate(bad, n_probes=100, seed=0)
@@ -137,11 +139,10 @@ def test_validate_finds_contraction_violation():
 
 def test_validate_finds_lipschitz_violation():
     bad = Model(
-        b=lambda p: np.zeros(1),
-        sigma=lambda p: np.eye(1),
-        Phi=lambda p: p.endpoint[:1],
-        f=lambda p, y, z: np.atleast_1d(y) ** 3,   # not globally Lipschitz
-        g=lambda p, y, z: np.zeros((1, 1)),
+        b=lambda x: np.zeros((x.shape[0], 1)),
+        sigma=lambda x: np.broadcast_to(np.eye(1), (x.shape[0], 1, 1)),
+        Phi=lambda x, dt: x[:, -1, :1],
+        f=lambda x, y, z: y ** 3,   # not globally Lipschitz
         lip_C=1.0, growth_m=0.0, alpha=0.5, name="bad-f",
     )
     rep = validate(bad, n_probes=200, seed=0)
@@ -159,19 +160,21 @@ def test_validate_input_checks():
 def test_shifted_model_dominates():
     grid = make_grid(1.0, 8)
     rng = np.random.default_rng(1)
-    base = get_model("heat")
-    up = shifted_model(base, shift_phi=1.0, shift_f=0.5)
-    for _ in range(10):
-        p = Path(grid, rng.normal(size=(5, 1)))
-        y = rng.normal(size=1)
-        z = rng.normal(size=(1, 1))
-        assert up.Phi(p)[0] == pytest.approx(base.Phi(p)[0] + 1.0)
-        assert up.f(p, y, z)[0] == pytest.approx(base.f(p, y, z)[0] + 0.5)
-        assert np.array_equal(up.g(p, y, z), base.g(p, y, z))
-    assert not up.f_is_zero
-    vals = rng.normal(size=(4, 9, 1))
-    y = rng.normal(size=(4, 1))
-    z = rng.normal(size=(4, 1, 1))
-    assert np.allclose(up.phi_batch(vals, 0.125),
-                       base.phi_batch(vals, 0.125) + 1.0)
-    assert np.allclose(up.f_batch(vals, y, z, 0.125), 0.5)
+    # heat has f=None (zero), nonlinear-f a nonzero time driver
+    for base in (get_model("heat"), get_model("nonlinear-f")):
+        up = shifted_model(base, shift_phi=1.0, shift_f=0.5)
+        for _ in range(10):
+            p = Path(grid, rng.normal(size=(5, 1)))
+            y = rng.normal(size=1)
+            z = rng.normal(size=(1, 1))
+            assert on_path(up.Phi, p, p.dt)[0] == pytest.approx(
+                on_path(base.Phi, p, p.dt)[0] + 1.0)
+            assert on_path(up.eval_f, p, y, z)[0] == pytest.approx(
+                on_path(base.eval_f, p, y, z)[0] + 0.5)
+            assert np.array_equal(on_path(up.eval_g, p, y, z),
+                                  on_path(base.eval_g, p, y, z))
+        vals = rng.normal(size=(4, 9, 1))
+        y = rng.normal(size=(4, 1))
+        z = rng.normal(size=(4, 1, 1))
+        assert np.allclose(up.Phi(vals, 0.125), base.Phi(vals, 0.125) + 1.0)
+        assert np.allclose(up.eval_f(vals, y, z), base.eval_f(vals, y, z) + 0.5)

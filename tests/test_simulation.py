@@ -94,17 +94,6 @@ def test_forward_grid_mismatch_rejected():
         simulate_forward(model, init, drv)
 
 
-def test_forward_scalar_fallback_matches_batch():
-    from dataclasses import replace
-    model = get_model("heat")
-    stripped = replace(model, b_batch=None, sigma_batch=None)
-    init = Path(GRID, np.array([[0.4]]))
-    drv = sample_drivers(GRID, 10, 2)
-    a = simulate_forward(model, init, drv)
-    b = simulate_forward(stripped, init, drv)
-    assert np.array_equal(a.x_values, b.x_values)
-
-
 def test_forward_moment_statistics():
     # E[X_T^2] = x0^2 + T for the driverless unit-diffusion state
     model = get_model("heat")

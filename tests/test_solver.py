@@ -18,12 +18,7 @@ T = 1.0
 def linear_terminal_model():
     from dataclasses import replace
     m = get_model("heat")
-    return replace(
-        m,
-        Phi=lambda p: p.endpoint[:1].copy(),
-        phi_batch=lambda vals, dt: vals[:, -1, :1].copy(),
-        name="linear",
-    )
+    return replace(m, Phi=lambda x, dt: x[:, -1, :1].copy(), name="linear")
 
 
 def ensemble(model, N=16, n=4000, seed=0, x0=0.0, t_index=0):
@@ -71,7 +66,7 @@ def test_terminal_row_is_phi_bit_exact():
     m = get_model("heat")
     ens = ensemble(m, N=8, n=500, seed=4)
     sol = solve_regression(m, ens)
-    phi = m.phi_batch(ens.x_values, ens.initial.dt)
+    phi = m.Phi(ens.x_values, ens.initial.dt)
     assert np.array_equal(sol.y[:, -1], phi)
 
 
@@ -113,16 +108,10 @@ def test_picard_validation_and_divergence():
                          picard_iters=0)
     # f = c*y with c*dt > 1 makes the pass-to-pass fixed-point map expansive
     runaway = Model(
-        b=lambda p: np.zeros(1),
-        sigma=lambda p: np.eye(1),
-        b_batch=lambda v: np.zeros((v.shape[0], 1)),
-        sigma_batch=lambda v: np.broadcast_to(np.eye(1), (v.shape[0], 1, 1)),
-        Phi=lambda p: p.endpoint[:1].copy(),
-        phi_batch=lambda v, dt: v[:, -1, :1].copy(),
-        f=lambda p, y, z: 20.0 * np.atleast_1d(y),
-        f_batch=lambda v, y, z, dt: 20.0 * y,
-        g=lambda p, y, z: np.zeros((1, 1)),
-        g_is_zero=True,
+        b=lambda x: np.zeros((x.shape[0], 1)),
+        sigma=lambda x: np.broadcast_to(np.eye(1), (x.shape[0], 1, 1)),
+        Phi=lambda x, dt: x[:, -1, :1].copy(),
+        f=lambda x, y, z: 20.0 * y,
         lip_C=20.0, growth_m=0.0, alpha=0.5, name="runaway",
     )
     ens = ensemble(runaway, N=4, n=500, seed=8)
@@ -229,8 +218,7 @@ def test_difference_quotient_of_closed_forms():
 def test_difference_quotient_zero_for_constant_terminal():
     from dataclasses import replace
     m = replace(get_model("heat"),
-                Phi=lambda p: np.array([5.0]),
-                phi_batch=lambda v, dt: np.full((v.shape[0], 1), 5.0))
+                Phi=lambda x, dt: np.full((x.shape[0], 1), 5.0))
     init = Path(make_grid(T, 4), np.array([[0.3]]))
     dq = difference_quotient(m, init, direction=0, h=0.25, engine="nested",
                              n_scenarios=1, branching=4)

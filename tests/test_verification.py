@@ -201,8 +201,7 @@ def test_discretized_model_full_resolution_identity():
     vals = rng.normal(size=(3, 9, 1))
     y = rng.normal(size=(3, 1))
     z = rng.normal(size=(3, 1, 1))
-    assert np.allclose(dm.f_batch(vals, y, z, 0.125),
-                       m.f_batch(vals, y, z, 0.125))
+    assert np.allclose(dm.f(vals, y, z), m.f(vals, y, z))
 
 
 def test_discretization_convergence_path_dependent():

@@ -11,9 +11,8 @@ from .calculus import (DerivativeEstimate, PathFunctional, SmoothMap,
                        horizontal_derivative, vertical_derivative,
                        vertical_hessian)
 from .simulation import (BrownianPair, ScenarioEnsemble, backward_integral,
-                         forward_integral, load_ensemble, moment_check,
-                         random_initial_path, sample_drivers, save_ensemble,
-                         simulate_forward)
+                         forward_integral, moment_check, random_initial_path,
+                         sample_drivers, simulate_forward)
 from .models import (Model, ModelRegistryEntry, get_entry, get_model,
                      on_path, registry, running_integral, shifted_model,
                      validate)

@@ -10,7 +10,7 @@ non-differentiability instead of silently returning garbage.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np

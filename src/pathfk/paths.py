@@ -177,6 +177,20 @@ def path_dist(a: Path, b: Path) -> PathDistance:
     return PathDistance(sup, time_part)
 
 
+def discretize_values(vals: np.ndarray, anchor_idx: int, stride: int) -> np.ndarray:
+    """The node-freezing rule on a block of histories (n, m, d): indices
+    from the anchor up to the second-to-last are held at the most recent
+    node, every stride steps from the anchor; the final entry is kept."""
+    m = vals.shape[1]
+    if m - 1 <= anchor_idx:
+        return vals
+    out = vals.copy()
+    idx = np.arange(anchor_idx, m - 1)
+    node = anchor_idx + ((idx - anchor_idx) // stride) * stride
+    out[:, idx] = vals[:, node]
+    return out
+
+
 def discretize(path: Path, n: int, anchor_t: float) -> Path:
     """Freeze the path at n equally spaced nodes between anchor_t and T.
 
@@ -198,12 +212,8 @@ def discretize(path: Path, n: int, anchor_t: float) -> Path:
             f"{n} subdivision nodes do not land on the grid "
             f"({total_steps} grid steps from anchor to horizon)"
         )
-    stride = total_steps // n
-    vals = path.values.copy()
-    for j in range(anchor_idx, path.t_index):
-        node = anchor_idx + ((j - anchor_idx) // stride) * stride
-        vals[j] = path.values[node]
-    return Path(path.grid_times, vals)
+    vals = discretize_values(path.values[None], anchor_idx, total_steps // n)
+    return Path(path.grid_times, vals[0])
 
 
 def restrict(path: Path, t: float) -> Path:

@@ -9,14 +9,12 @@ is bit-identical regardless of batch size or worker scheduling.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri
 
-from .paths import Path, make_grid
+from .paths import Path
 from .reports import CheckReport
 
 _TAG_W = 1
@@ -159,60 +157,6 @@ def moment_check(ensemble: ScenarioEnsemble, p: float, C_p: float, q: float) -> 
         details=[f"E[sup|X|^{p}]={moment:.6g}", f"bound={bound:.6g}"],
         samples=[("empirical_moment", moment), ("bound", bound)],
     )
-
-
-# -- persistence --------------------------------------------------------
-
-_MAGIC = b"PFK1"
-
-
-def save_ensemble(ensemble: ScenarioEnsemble, fileobj) -> None:
-    """Binary dump: magic, u32 d/l/N/t_index, u64 n/seed, f64 T, then the
-    little-endian float64 arrays x_values, dW, dB in C order."""
-    n, Np1, d = ensemble.x_values.shape
-    l = ensemble.drivers.dB.shape[2]
-    header = struct.pack(
-        "<4sIIIIQQd",
-        _MAGIC, d, l, Np1 - 1, ensemble.initial.t_index,
-        n, ensemble.drivers.seed & ((1 << 64) - 1),
-        ensemble.initial.horizon,
-    )
-    fileobj.write(header)
-    fileobj.write(ensemble.x_values.astype("<f8").tobytes())
-    fileobj.write(ensemble.drivers.dW.astype("<f8").tobytes())
-    fileobj.write(ensemble.drivers.dB.astype("<f8").tobytes())
-
-
-def load_ensemble(fileobj) -> ScenarioEnsemble:
-    header = fileobj.read(struct.calcsize("<4sIIIIQQd"))
-    magic, d, l, N, i_t, n, seed, T = struct.unpack("<4sIIIIQQd", header)
-    if magic != _MAGIC:
-        raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    grid = make_grid(T, N)
-
-    def read_arr(shape):
-        count = int(np.prod(shape))
-        return np.frombuffer(fileobj.read(count * 8), dtype="<f8").reshape(shape).copy()
-
-    X = read_arr((n, N + 1, d))
-    dW = read_arr((n, N, d))
-    dB = read_arr((n, N, l))
-    initial = Path(grid, X[0, : i_t + 1])
-    drivers = BrownianPair(grid, dW, dB, seed)
-    return ScenarioEnsemble(initial, drivers, X)
-
-
-def ensemble_summary_csv(ensemble: ScenarioEnsemble) -> str:
-    """Per-grid-time mean / std / min / max of the forward state norm."""
-    X = ensemble.x_values[ensemble.valid_mask]
-    norms = np.linalg.norm(X, axis=2)
-    lines = ["time,mean,std,min,max"]
-    for i, t in enumerate(ensemble.initial.grid_times):
-        col = norms[:, i]
-        lines.append(
-            f"{t!r},{col.mean()!r},{col.std()!r},{col.min()!r},{col.max()!r}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def random_initial_path(grid_times: np.ndarray, t_index: int, dim: int,

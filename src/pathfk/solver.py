@@ -29,9 +29,9 @@ import numpy as np
 
 from .errors import BudgetError, SolverError
 from .models import Model
-from .paths import Path, make_grid
-from .simulation import (BrownianPair, ScenarioEnsemble, sample_drivers,
-                         simulate_forward, _keyed_normals)
+from .paths import Path
+from .simulation import (ScenarioEnsemble, sample_drivers, simulate_forward,
+                         _keyed_normals)
 
 _MAX_TREE_NODES = 1_000_000
 _MAX_TREE_DEPTH = 8
@@ -97,30 +97,22 @@ class RegressionBasis:
         return np.concatenate(cols, axis=1)
 
 
-def _project(A: np.ndarray, targets: np.ndarray, with_se: bool = False,
-             se_targets: Optional[np.ndarray] = None):
-    """Least-squares fitted values, with a small ridge as the fallback when
-    the normal equations are rank deficient.  With with_se, also returns the
-    pointwise standard error of each fitted value; the residual variance
-    comes from se_targets when given (the step target understates the noise
-    carried by a backward-recursed fit, so callers pass the accumulated
-    value-to-go there)."""
-    coef, _, rank, _ = np.linalg.lstsq(A, targets, rcond=None)
-    G = A.T @ A
-    if rank < A.shape[1] or not np.all(np.isfinite(coef)):
-        lam = 1e-8 * np.trace(G) / G.shape[0]
-        G = G + lam * np.eye(G.shape[0])
-        coef = np.linalg.solve(G, A.T @ targets)
-    fitted = A @ coef
-    if not with_se:
-        return fitted
-    n, p = A.shape
-    ref = targets if se_targets is None else se_targets
-    ref_fit = fitted if se_targets is None else _project(A, se_targets)
-    resid_var = np.sum((ref - ref_fit) ** 2, axis=0) / max(n - p, 1)
-    leverage = np.einsum("ni,ij,nj->n", A, np.linalg.pinv(G), A)
-    se = np.sqrt(np.clip(leverage, 0.0, None)[:, None] * resid_var[None, :])
-    return fitted, se
+def _column_basis(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column space of a design matrix, (n, rank).
+
+    A thin SVD keeps the left singular vectors whose singular values clear
+    the usual least-squares rank cutoff s[0] * max(n, p) * eps, so collinear
+    columns drop out (at the initial time every history coincides and the
+    history monomials collapse onto the constant).
+    """
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    return U[:, s > s[0] * max(A.shape) * np.finfo(A.dtype).eps]
+
+
+def _project(U: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Least-squares fitted values: the orthogonal projection of the targets
+    onto the column space spanned by the orthonormal basis U."""
+    return U @ (U.T @ targets)
 
 
 # -- solutions -----------------------------------------------------------
@@ -217,11 +209,20 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
                      record_fit_se: bool = False) -> BackwardSolution:
     """Backward regression sweep over a simulated ensemble.
 
+    Each step's design matrix is built and factored once, by a rank-revealing
+    thin SVD, into an orthonormal basis of its column space; every
+    conditional expectation on that step (the centring term, z, y, and the
+    rollout behind fit_se) in every pass is the projection onto that basis.
+
     Pass 0 is the explicit scheme (drivers read the right-endpoint y/z);
     each further pass re-evaluates the drivers at the previous pass's
     current-step y/z.  If the pass-to-pass update norm grows on two
     consecutive passes the fixed point is diverging and a SolverError is
     raised.
+
+    With record_fit_se, fit_se holds the pointwise standard error of the
+    last pass's fitted y: the leverage of each scenario times the rollout's
+    residual variance over n - rank degrees of freedom.
     """
     if picard_iters < 1:
         raise ValueError(f"need at least one pass, got picard_iters={picard_iters}")
@@ -249,7 +250,8 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
             f"{probe_cols * _MIN_SCENARIOS_PER_FEATURE} scenarios, got {n}"
         )
 
-    features = {i: basis.matrix(X, i, dt, dB_feat) for i in range(i_t, N)}
+    features = {i: _column_basis(basis.matrix(X, i, dt, dB_feat))
+                for i in range(i_t, N)}
     phi = model.Phi(X, dt)
 
     Y = np.zeros((n, N + 1, k))
@@ -274,23 +276,26 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
             fv = model.eval_f(X[:, : i + 2], fy, fz)
             gv = model.eval_g(X[:, : i + 2], fy, fz)
             gdB = np.einsum("nkl,nl->nk", gv, dB[:, i])
-            A = features[i]
+            U = features[i]
             # center the z-target with the fitted continuation value; the
             # centering term is a function of the features, so it leaves the
             # conditional expectation unchanged while removing the dominant
             # 1/dt variance of the raw product
             cont = Y_new[:, i + 1] + gdB
-            center = _project(A, cont)
+            center = _project(U, cont)
             z_target = (cont - center)[:, :, None] * dW[:, i][:, None, :] / dt
-            Z_new[:, i] = _project(A, z_target.reshape(n, k * d)).reshape(n, k, d)
+            Z_new[:, i] = _project(U, z_target.reshape(n, k * d)).reshape(n, k, d)
             y_target = Y_new[:, i + 1] + fv * dt + gdB
+            Y_new[:, i] = _project(U, y_target)
             rollout = rollout + fv * dt + gdB
             if record_fit_se and p == picard_iters - 1:
-                Y_new[:, i], fit_se[:, i] = _project(A, y_target,
-                                                     with_se=True,
-                                                     se_targets=rollout)
-            else:
-                Y_new[:, i] = _project(A, y_target)
+                # hat-matrix diagonal times the residual variance of the
+                # rollout: the step target understates the noise carried by
+                # a backward-recursed fit, the accumulated value-to-go does not
+                resid = rollout - _project(U, rollout)
+                resid_var = np.sum(resid ** 2, axis=0) / max(n - U.shape[1], 1)
+                leverage = np.sum(U ** 2, axis=1)
+                fit_se[:, i] = np.sqrt(leverage[:, None] * resid_var[None, :])
         if p > 0:
             diff = (np.sqrt(np.mean((Y_new - Y) ** 2))
                     + np.sqrt(np.mean((Z_new - Z) ** 2)))

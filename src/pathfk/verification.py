@@ -14,17 +14,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import (DerivativeEstimate, PathFunctional, vertical_derivative,
-                       vertical_hessian, horizontal_derivative)
+from .calculus import PathFunctional, vertical_derivative, vertical_hessian
 from .errors import PreconditionError
 from .models import Model, ModelRegistryEntry, on_path
-from .paths import (Path, make_grid, path_dist, restrict,
-                    sup_norm, vertical_bump)
+from .paths import (Path, discretize_values, path_dist, restrict, sup_norm,
+                    vertical_bump)
 from .reports import CheckReport
 from .simulation import (ScenarioEnsemble, random_initial_path, sample_drivers,
                          simulate_forward)
 from .solver import (BackwardSolution, RegressionBasis, evaluate_u,
-                     difference_quotient, solve_nested, solve_regression)
+                     solve_regression)
 
 _EPS = 1e-12
 
@@ -389,20 +388,6 @@ def comparison_check(m1: Model, m2: Model, initial: Path,
 
 
 # -- coefficient discretization -----------------------------------------
-
-
-def discretize_values(vals: np.ndarray, anchor_idx: int, stride: int) -> np.ndarray:
-    """Vectorized node-freezing of history arrays (n, m, d): indices from the
-    anchor up to the second-to-last are held at the most recent node; the
-    final entry is kept."""
-    m = vals.shape[1]
-    if m - 1 <= anchor_idx:
-        return vals
-    out = vals.copy()
-    idx = np.arange(anchor_idx, m - 1)
-    node = anchor_idx + ((idx - anchor_idx) // stride) * stride
-    out[:, idx] = vals[:, node]
-    return out
 
 
 def discretized_model(model: Model, n_nodes: int, anchor_t: float,

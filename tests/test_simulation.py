@@ -1,14 +1,10 @@
-"""Driver sampling, forward simulation, discrete integrals, persistence."""
-
-import io
+"""Driver sampling, forward simulation, discrete integrals."""
 
 import numpy as np
 import pytest
 
 from pathfk import (Path, backward_integral, forward_integral, get_model,
-                    load_ensemble, make_grid, moment_check, sample_drivers,
-                    save_ensemble, simulate_forward)
-from pathfk.simulation import ensemble_summary_csv
+                    make_grid, moment_check, sample_drivers, simulate_forward)
 
 
 GRID = make_grid(1.0, 8)
@@ -140,34 +136,3 @@ def test_integral_shape_validation():
     with pytest.raises(ValueError):
         backward_integral(np.ones((5, 3, 1)), drv.dB)
 
-
-# -- persistence ---------------------------------------------------------
-
-
-def test_ensemble_binary_roundtrip():
-    model = get_model("heat")
-    init = Path(GRID, np.array([[0.3], [0.1]]))
-    ens = simulate_forward(model, init, sample_drivers(GRID, 25, 8, d=1, l=1))
-    buf = io.BytesIO()
-    save_ensemble(ens, buf)
-    buf.seek(0)
-    loaded = load_ensemble(buf)
-    assert np.array_equal(loaded.x_values, ens.x_values)
-    assert np.array_equal(loaded.drivers.dW, ens.drivers.dW)
-    assert np.array_equal(loaded.drivers.dB, ens.drivers.dB)
-    assert loaded.initial == ens.initial
-    assert loaded.drivers.seed == 8
-
-
-def test_ensemble_load_rejects_bad_magic():
-    with pytest.raises(ValueError):
-        load_ensemble(io.BytesIO(b"XXXX" + b"\x00" * 64))
-
-
-def test_ensemble_summary_csv_shape():
-    model = get_model("heat")
-    init = Path(GRID, np.zeros((1, 1)))
-    ens = simulate_forward(model, init, sample_drivers(GRID, 10, 0))
-    lines = ensemble_summary_csv(ens).strip().splitlines()
-    assert lines[0] == "time,mean,std,min,max"
-    assert len(lines) == len(GRID) + 1

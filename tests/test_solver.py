@@ -10,6 +10,7 @@ from pathfk import (BudgetError, Model, Path, RegressionBasis, SolverError,
                     get_entry, get_model, make_grid, sample_drivers,
                     simulate_forward, solve_nested, solve_regression)
 from pathfk.simulation import BrownianPair
+from pathfk.solver import _column_basis, _project
 
 
 T = 1.0
@@ -27,6 +28,29 @@ def ensemble(model, N=16, n=4000, seed=0, x0=0.0, t_index=0):
     init = Path(grid, vals)
     drv = sample_drivers(grid, n, seed, d=model.dims[0], l=model.dims[2])
     return simulate_forward(model, init, drv)
+
+
+# -- projection ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("design, rank", [("full", 6), ("duplicated_column", 6),
+                                          ("equal_rows", 1)])
+def test_projection_matches_minimum_norm_least_squares(design, rank):
+    rng = np.random.default_rng(11)
+    B = rng.normal(size=(200, 6))
+    A = {"full": B,
+         "duplicated_column": np.hstack([B, B[:, 2:3]]),
+         "equal_rows": np.tile(B[0], (200, 1))}[design]
+    T = rng.normal(size=(200, 3))
+    U = _column_basis(A)
+    fitted = _project(U, T)
+    assert U.shape[1] == rank
+    assert np.allclose(fitted, A @ np.linalg.lstsq(A, T, rcond=None)[0],
+                       rtol=0.0, atol=1e-10)
+    # the leverages (hat-matrix diagonal) sum to the rank
+    assert np.sum(U ** 2, axis=1).sum() == pytest.approx(rank, abs=1e-10)
+    if design == "equal_rows":
+        assert np.allclose(fitted, T.mean(axis=0), rtol=0.0, atol=1e-12)
 
 
 # -- regression engine oracles -------------------------------------------

@@ -23,8 +23,8 @@ from .verification import (comparison_check, discretization_convergence_check,
                            discretized_model, field_from_closed_form,
                            field_from_engine, feynman_kac_forward_check,
                            feynman_kac_reverse_check, flow_check,
-                           moment_envelope_check, regularity_check,
-                           spde_residual,
+                           moment_envelope_check, moment_envelope_score,
+                           moment_probes, regularity_check, spde_residual,
                            spde_residual_check, z_growth_check,
                            z_representation_check)
 from .config import ExperimentConfig, ConfigError, load_config

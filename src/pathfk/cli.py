@@ -32,9 +32,9 @@ from .simulation import sample_drivers, simulate_forward
 from .solver import solve_nested, solve_regression
 from .verification import (comparison_check, discretization_convergence_check,
                            field_from_closed_form, field_from_engine, flow_check,
-                           moment_envelope_check, regularity_check,
-                           spde_residual_check, z_growth_check,
-                           z_representation_check)
+                           moment_envelope_score, moment_probes,
+                           regularity_check, spde_residual_check,
+                           z_growth_check, z_representation_check)
 
 
 def _package_version() -> str:
@@ -159,14 +159,13 @@ def run_check(cfg: ExperimentConfig, name: str):
             n_probes=int(spec.get("n_probes", 100)), seed=seed)]
 
     if name == "moments":
-        return [
-            moment_envelope_check(
-                model, cfg.grid_times, p=float(p),
-                n_probes=int(spec.get("n_probes", 100)),
-                n_scenarios=int(spec.get("n_scenarios", 500)),
-                seed=seed, basis=cfg.basis)
-            for p in spec.get("p", (2, 4))
-        ]
+        probes = moment_probes(
+            model, cfg.grid_times,
+            n_probes=int(spec.get("n_probes", 100)),
+            n_scenarios=int(spec.get("n_scenarios", 500)),
+            seed=seed, basis=cfg.basis)
+        return [moment_envelope_score(probes, p=float(p))
+                for p in spec.get("p", (2, 4))]
 
     raise ValueError(f"unknown check {name!r}")
 

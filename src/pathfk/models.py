@@ -13,6 +13,10 @@ x of shape (n, m, d), the value arrays of n paths up to a common time:
 with y of shape (n, k) and z of shape (n, k, d).  f=None or g=None means
 the driver is zero; eval_f/eval_g apply that rule.  A single Path is
 evaluated as a block of one through on_path.
+
+The simulator and both engines store histories time-major and pass x as a
+read-only, possibly non-contiguous view: a coefficient must not write into
+x (copy it first).
 """
 
 from __future__ import annotations

@@ -24,10 +24,23 @@ _U_SCALE = 1.0 - 2.0 ** -52
 _U_SHIFT = 2.0 ** -53
 
 
-def _keyed_normals(seed: int, tag: int, shape) -> np.ndarray:
+def _keyed_normals(seed: int, tag: int, shape, skip: int = 0) -> np.ndarray:
+    """Normals of the (seed, tag) stream, one uniform each, after passing
+    over the first `skip` of them: Philox yields four uniforms per counter
+    step, so the jump is skip // 4 counter steps plus skip % 4 draws."""
     bitgen = np.random.Philox(key=(int(seed) & ((1 << 64) - 1)) + (tag << 64))
-    u = np.random.Generator(bitgen).random(shape)
-    return ndtri(u * _U_SCALE + _U_SHIFT)
+    bitgen.advance(skip // 4)
+    lead = skip % 4
+    u = np.random.Generator(bitgen).random(lead + int(np.prod(shape)))[lead:]
+    return ndtri(u.reshape(shape) * _U_SCALE + _U_SHIFT)
+
+
+def _history_view(buf: np.ndarray) -> np.ndarray:
+    """Read-only (n, time, d) view of a time-major (time, n, d) buffer: the
+    block that model coefficients read."""
+    view = buf.transpose(1, 0, 2)
+    view.flags.writeable = False
+    return view
 
 
 @dataclass
@@ -48,12 +61,13 @@ class BrownianPair:
         return self.dW.shape[0]
 
     def regenerate_scenario(self, s: int):
-        """Recompute (dW_s, dB_s) from scratch; bit-identical to the stored rows."""
+        """Recompute (dW_s, dB_s) from scratch, jumping the streams straight
+        to row s; bit-identical to the stored rows."""
         _, N, d = self.dW.shape
         l = self.dB.shape[2]
         sdt = np.sqrt(self.dt)
-        w = _keyed_normals(self.seed, _TAG_W, (s + 1, N, d))[s] * sdt
-        b = _keyed_normals(self.seed, _TAG_B, (s + 1, N, l))[s] * sdt
+        w = _keyed_normals(self.seed, _TAG_W, (N, d), skip=s * N * d) * sdt
+        b = _keyed_normals(self.seed, _TAG_B, (N, l), skip=s * N * l) * sdt
         return w, b
 
 
@@ -94,7 +108,12 @@ class ScenarioEnsemble:
 
 def simulate_forward(model, initial: Path, drivers: BrownianPair) -> ScenarioEnsemble:
     """Euler scheme continuing the initial path; coefficients see the whole
-    history built so far, including the prefix."""
+    history built so far, including the prefix.
+
+    The paths are filled into a time-major (N+1, n, d) buffer, so each step
+    writes one contiguous row; x_values is its (n, N+1, d) view and the
+    coefficients read read-only (n, i+1, d) views of it.
+    """
     grid = initial.grid_times
     if len(grid) != len(drivers.grid_times) or not np.allclose(grid, drivers.grid_times):
         raise ValueError("initial path and drivers must share the grid")
@@ -108,16 +127,17 @@ def simulate_forward(model, initial: Path, drivers: BrownianPair) -> ScenarioEns
     N = len(grid) - 1
     i_t = initial.t_index
     dt = initial.dt
-    X = np.empty((n, N + 1, d))
-    X[:, : i_t + 1] = initial.values
+    X = np.empty((N + 1, n, d))
+    X[: i_t + 1] = initial.values[:, None, :]
+    history = _history_view(X)
     for i in range(i_t, N):
-        prefix = X[:, : i + 1]
-        X[:, i + 1] = (X[:, i] + model.b(prefix) * dt
-                       + np.einsum("nij,nj->ni", model.sigma(prefix), drivers.dW[:, i]))
-    valid = np.all(np.isfinite(X.reshape(n, -1)), axis=1)
+        prefix = history[:, : i + 1]
+        X[i + 1] = (X[i] + model.b(prefix) * dt
+                    + np.einsum("nij,nj->ni", model.sigma(prefix), drivers.dW[:, i]))
+    valid = np.all(np.isfinite(X), axis=(0, 2))
     if not valid.all():
-        X = np.where(valid[:, None, None], X, 0.0)
-    return ScenarioEnsemble(initial, drivers, X, valid)
+        X = np.where(valid[None, :, None], X, 0.0)
+    return ScenarioEnsemble(initial, drivers, X.transpose(1, 0, 2), valid)
 
 
 def forward_integral(integrand: np.ndarray, dW: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from .errors import BudgetError, SolverError
 from .models import Model
 from .paths import Path
 from .simulation import (ScenarioEnsemble, sample_drivers, simulate_forward,
-                         _keyed_normals)
+                         _history_view, _keyed_normals)
 
 _MAX_TREE_NODES = 1_000_000
 _MAX_TREE_DEPTH = 8
@@ -70,20 +70,11 @@ class RegressionBasis:
         if not (1 <= self.degree <= 2):
             raise ValueError(f"degree must be 1 or 2, got {self.degree}")
 
-    def _raw(self, X: np.ndarray, i: int, dt: float) -> np.ndarray:
-        cols = [X[:, i, :]]
-        if self.feature_set == "endpoint+runmax+runint":
-            cols.append(X[:, : i + 1, :].max(axis=1))
-            if i == 0:
-                cols.append(np.zeros_like(X[:, 0, :]))
-            else:
-                cols.append(X[:, :i, :].sum(axis=1) * dt)
-        return np.concatenate(cols, axis=1)
-
-    def matrix(self, X: np.ndarray, i: int, dt: float,
-               dB: Optional[np.ndarray] = None) -> np.ndarray:
-        """Design matrix at step i: constant, monomials, optional noise sums."""
-        raw = self._raw(X, i, dt)
+    def matrix(self, raw: np.ndarray,
+               noise: Optional[np.ndarray] = None) -> np.ndarray:
+        """Design matrix of one step from its raw coordinates (n, r): the
+        constant, every monomial up to the degree, and the remaining noise
+        sums (n, l) when given."""
         n, r = raw.shape
         cols = [np.ones((n, 1))]
         for deg in range(1, self.degree + 1):
@@ -92,9 +83,35 @@ class RegressionBasis:
                 for c in combo:
                     prod = prod * raw[:, c]
                 cols.append(prod[:, None])
-        if dB is not None and i < dB.shape[1]:
-            cols.append(dB[:, i:, :].sum(axis=1))
+        if noise is not None:
+            cols.append(noise)
         return np.concatenate(cols, axis=1)
+
+    def designs(self, X: np.ndarray, t_index: int, dt: float,
+                dB: Optional[np.ndarray] = None):
+        """Yield (i, design matrix) for the steps i = t_index..N-1 in order.
+
+        X holds the histories time-major, (N+1, n, d); dB, when given, the
+        second driver's increments time-major, (N, n, l), for the
+        future-noise features.  One forward pass carries the running
+        maximum of X[:i+1], the running sum of X[:i] and the remaining
+        noise sum of dB[i:] from step to step, so a step costs the same
+        however long the history is.
+        """
+        N = X.shape[0] - 1
+        path = self.feature_set == "endpoint+runmax+runint"
+        if path:
+            runmax = X[: t_index + 1].max(axis=0)
+            runsum = X[:t_index].sum(axis=0)
+        rest = None if dB is None else dB[t_index:].sum(axis=0)
+        for i in range(t_index, N):
+            raw = np.concatenate([X[i], runmax, runsum * dt], axis=1) if path else X[i]
+            yield i, self.matrix(raw, rest)
+            if path:
+                runmax = np.maximum(runmax, X[i + 1])
+                runsum = runsum + X[i]
+            if rest is not None:
+                rest = rest - dB[i]
 
 
 def _column_basis(A: np.ndarray) -> np.ndarray:
@@ -125,6 +142,8 @@ class BackwardSolution:
 
     y has shape (n, N+1, k) and z has shape (n, N, k, d); entries before the
     initial time index repeat the initial-time value (y) or are zero (z).
+    The regression engine returns them (and fit_se) as views of time-major
+    arrays.
     For the nested engine n counts outer frozen-noise samples and the rows
     hold quadrature means over the tree.
     """
@@ -203,6 +222,15 @@ class BackwardSolution:
 # -- regression engine ---------------------------------------------------
 
 
+def _time_major(a: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """The valid scenarios of a scenario-major (n, time, .) array as a
+    contiguous time-major (time, n_valid, .) array, so every step reads
+    contiguous rows; no copy when every scenario is valid and the array is
+    already a view of time-major storage (as simulate_forward's x_values)."""
+    a = a.transpose(1, 0, 2)
+    return np.ascontiguousarray(a) if valid.all() else np.compress(valid, a, axis=1)
+
+
 def solve_regression(model: Model, ensemble: ScenarioEnsemble,
                      basis: Optional[RegressionBasis] = None,
                      picard_iters: int = 2,
@@ -228,11 +256,13 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
         raise ValueError(f"need at least one pass, got picard_iters={picard_iters}")
     basis = basis or RegressionBasis()
     d, k, l = model.dims
-    X = ensemble.x_values[ensemble.valid_mask]
     drivers = ensemble.drivers
-    dW = drivers.dW[ensemble.valid_mask]
-    dB = drivers.dB[ensemble.valid_mask]
-    n, Np1, _ = X.shape
+    valid = ensemble.valid_mask
+    X = _time_major(ensemble.x_values, valid)
+    dW = _time_major(drivers.dW, valid)
+    dB = _time_major(drivers.dB, valid)
+    history = _history_view(X)
+    Np1, n, _ = X.shape
     N = Np1 - 1
     i_t = ensemble.initial.t_index
     dt = ensemble.initial.dt
@@ -240,53 +270,51 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     use_noise = basis.include_future_noise
     if use_noise is None:
         use_noise = model.g is not None
-    dB_feat = dB if use_noise else None
 
-    # budget: every projection must stay overdetermined by a wide margin
-    probe_cols = basis.matrix(X[:2], i_t, dt, dB_feat[:2] if use_noise else None).shape[1]
-    if probe_cols * _MIN_SCENARIOS_PER_FEATURE > n:
-        raise BudgetError(
-            f"{probe_cols} features need at least "
-            f"{probe_cols * _MIN_SCENARIOS_PER_FEATURE} scenarios, got {n}"
-        )
+    features = {}
+    for i, A in basis.designs(X, i_t, dt, dB if use_noise else None):
+        # budget: every projection must stay overdetermined by a wide margin
+        if A.shape[1] * _MIN_SCENARIOS_PER_FEATURE > n:
+            raise BudgetError(
+                f"{A.shape[1]} features need at least "
+                f"{A.shape[1] * _MIN_SCENARIOS_PER_FEATURE} scenarios, got {n}"
+            )
+        features[i] = _column_basis(A)
+    phi = model.Phi(history, dt)
 
-    features = {i: _column_basis(basis.matrix(X, i, dt, dB_feat))
-                for i in range(i_t, N)}
-    phi = model.Phi(X, dt)
-
-    Y = np.zeros((n, N + 1, k))
-    Z = np.zeros((n, N + 1, k, d))
-    Y[:, N] = phi
+    Y = np.zeros((N + 1, n, k))
+    Z = np.zeros((N + 1, n, k, d))
+    Y[N] = phi
     update_norms = []
     rollout = None
-    fit_se = np.zeros((n, N + 1, k)) if record_fit_se else None
+    fit_se = np.zeros((N + 1, n, k)) if record_fit_se else None
 
     for p in range(picard_iters):
         Y_new = np.zeros_like(Y)
         Z_new = np.zeros_like(Z)
-        Y_new[:, N] = phi
+        Y_new[N] = phi
         # pathwise accumulation of the drivers; its mean equals the field
         # estimate and its spread carries the full sampling error
         rollout = phi.copy()
         for i in range(N - 1, i_t - 1, -1):
             if p == 0:
-                fy, fz = Y_new[:, i + 1], Z_new[:, i + 1]
+                fy, fz = Y_new[i + 1], Z_new[i + 1]
             else:
-                fy, fz = Y[:, i], Z[:, i]
-            fv = model.eval_f(X[:, : i + 2], fy, fz)
-            gv = model.eval_g(X[:, : i + 2], fy, fz)
-            gdB = np.einsum("nkl,nl->nk", gv, dB[:, i])
+                fy, fz = Y[i], Z[i]
+            fv = model.eval_f(history[:, : i + 2], fy, fz)
+            gv = model.eval_g(history[:, : i + 2], fy, fz)
+            gdB = np.einsum("nkl,nl->nk", gv, dB[i])
             U = features[i]
             # center the z-target with the fitted continuation value; the
             # centering term is a function of the features, so it leaves the
             # conditional expectation unchanged while removing the dominant
             # 1/dt variance of the raw product
-            cont = Y_new[:, i + 1] + gdB
+            cont = Y_new[i + 1] + gdB
             center = _project(U, cont)
-            z_target = (cont - center)[:, :, None] * dW[:, i][:, None, :] / dt
-            Z_new[:, i] = _project(U, z_target.reshape(n, k * d)).reshape(n, k, d)
-            y_target = Y_new[:, i + 1] + fv * dt + gdB
-            Y_new[:, i] = _project(U, y_target)
+            z_target = (cont - center)[:, :, None] * dW[i][:, None, :] / dt
+            Z_new[i] = _project(U, z_target.reshape(n, k * d)).reshape(n, k, d)
+            y_target = Y_new[i + 1] + fv * dt + gdB
+            Y_new[i] = _project(U, y_target)
             rollout = rollout + fv * dt + gdB
             if record_fit_se and p == picard_iters - 1:
                 # hat-matrix diagonal times the residual variance of the
@@ -295,7 +323,7 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
                 resid = rollout - _project(U, rollout)
                 resid_var = np.sum(resid ** 2, axis=0) / max(n - U.shape[1], 1)
                 leverage = np.sum(U ** 2, axis=1)
-                fit_se[:, i] = np.sqrt(leverage[:, None] * resid_var[None, :])
+                fit_se[i] = np.sqrt(leverage[:, None] * resid_var[None, :])
         if p > 0:
             diff = (np.sqrt(np.mean((Y_new - Y) ** 2))
                     + np.sqrt(np.mean((Z_new - Z) ** 2)))
@@ -309,14 +337,14 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
                 )
         Y, Z = Y_new, Z_new
 
-    Y[:, :i_t] = Y[:, i_t][:, None]
-    u_estimate = Y[:, i_t].mean(axis=0)
+    Y[:i_t] = Y[i_t]
+    u_estimate = Y[i_t].mean(axis=0)
     u_stderr = rollout.std(axis=0, ddof=1) / np.sqrt(n)
     return BackwardSolution(
         grid_times=ensemble.initial.grid_times,
         t_index=i_t,
-        y=Y,
-        z=Z[:, :N],
+        y=Y.transpose(1, 0, 2),
+        z=Z[:N].transpose(1, 0, 2, 3),
         u_estimate=u_estimate,
         u_stderr=u_stderr,
         engine_tag="regression",
@@ -330,7 +358,7 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
             "update_norms": [float(v) for v in update_norms],
         },
         rollout=rollout,
-        fit_se=fit_se,
+        fit_se=None if fit_se is None else fit_se.transpose(1, 0, 2),
     )
 
 
@@ -345,10 +373,10 @@ def _gauss_hermite(branching: int):
 def _tree_forward(model: Model, initial: Path, branching: int):
     """Expand the non-recombining quadrature tree of forward histories.
 
-    Returns (levels, dw_nodes, w_nodes, level_w): per-level history arrays,
-    the per-step increment abscissae and weights, and cumulative per-level
-    weights.  The expansion is independent of the frozen second driver, so
-    one tree serves every outer sample.
+    Returns (levels, dw_nodes, w_nodes, level_w): per-level histories
+    (nodes, time, d), the per-step increment abscissae and weights, and
+    cumulative per-level weights.  The expansion is independent of the
+    frozen second driver, so one tree serves every outer sample.
     """
     d = model.dims[0]
     dt = initial.dt
@@ -372,16 +400,18 @@ def _tree_forward(model: Model, initial: Path, branching: int):
         dw_nodes = np.array([[nodes1[c] for c in combo] for combo in combos]) * np.sqrt(dt)
         w_nodes = np.array([np.prod([weights1[c] for c in combo]) for combo in combos])
 
-    # forward expansion, level j holds per_step**j full histories
-    levels = [np.repeat(initial.values[None], 1, axis=0)]   # (1, i_t+1, d)
+    # forward expansion, level j holds per_step**j full histories; each
+    # level is stored time-major and handed out as its (nodes, time, d) view
+    buf = initial.values[:, None, :]                       # (i_t+1, 1, d)
+    levels = [_history_view(buf)]
     for j in range(n_rem):
         X = levels[-1]
         m = X.shape[0]
         step = (model.b(X)[:, None, :] * dt
                 + np.einsum("mij,qj->mqi", model.sigma(X), dw_nodes))
-        new_end = (X[:, -1][:, None, :] + step).reshape(m * per_step, d)
-        hist = np.repeat(X, per_step, axis=0)
-        levels.append(np.concatenate([hist, new_end[:, None, :]], axis=1))
+        new_end = (buf[-1][:, None, :] + step).reshape(m * per_step, d)
+        buf = np.concatenate([np.repeat(buf, per_step, axis=1), new_end[None]])
+        levels.append(_history_view(buf))
 
     # level weights for quadrature means
     level_w = [np.ones(1)]

@@ -540,28 +540,18 @@ def regularity_check(u: Callable[[Path], np.ndarray], grid_times: np.ndarray,
     )
 
 
-def moment_envelope_check(model: Model, grid_times: np.ndarray, p: float,
-                          n_probes: int = 100, n_scenarios: int = 500,
-                          seed: int = 0, headroom: float = 3.0,
-                          basis: Optional[RegressionBasis] = None,
-                          name: Optional[str] = None) -> CheckReport:
-    """Growth envelope for the backward pair: over random initial paths the
-    p-th moment of sup |y| plus the p/2 moment of the integrated squared z
-    must follow a power law in (1 + sup-norm of the initial path).
-
-    The constant and growth exponent are fitted in log-log on the
-    even-indexed probes; odd-indexed probes must stay below the fitted
-    envelope times the headroom plus three probe standard errors.
-    """
-    if name is None:
-        name = f"moment_envelope_p{int(p)}"
-    if p < 2:
-        raise ValueError(f"moment order must be >= 2, got {p}")
+def moment_probes(model: Model, grid_times: np.ndarray, n_probes: int = 100,
+                  n_scenarios: int = 500, seed: int = 0,
+                  basis: Optional[RegressionBasis] = None) -> list:
+    """Solve the backward pair from random initial paths; per probe the
+    per-scenario sup |y| and integrated squared z, and the probe's shape
+    1 + sup-norm of its initial path.  Every moment order is scored from
+    the same probes."""
     rng = np.random.default_rng(seed)
     N = len(grid_times) - 1
     dt = float(grid_times[1] - grid_times[0])
     d, k, l = model.dims
-    moments, ses, shapes = [], [], []
+    probes = []
     for j in range(n_probes):
         ti = int(rng.integers(0, N))
         init = random_initial_path(grid_times, ti, d, rng,
@@ -572,10 +562,30 @@ def moment_envelope_check(model: Model, grid_times: np.ndarray, p: float,
         sol = solve_regression(model, ens, basis=basis)
         sup_y = np.max(np.abs(sol.y[:, ti:]), axis=(1, 2))
         int_z2 = np.sum(sol.z[:, ti:] ** 2, axis=(1, 2, 3)) * dt
+        probes.append((sup_y, int_z2, 1.0 + sup_norm(init)))
+    return probes
+
+
+def moment_envelope_score(probes: list, p: float, headroom: float = 3.0,
+                          name: Optional[str] = None) -> CheckReport:
+    """Score one moment order on probes from moment_probes: the p-th moment
+    of sup |y| plus the p/2 moment of the integrated squared z must follow
+    a power law in the probe shape.
+
+    The constant and growth exponent are fitted in log-log on the
+    even-indexed probes; odd-indexed probes must stay below the fitted
+    envelope times the headroom plus three probe standard errors.
+    """
+    if name is None:
+        name = f"moment_envelope_p{int(p)}"
+    if p < 2:
+        raise ValueError(f"moment order must be >= 2, got {p}")
+    moments, ses, shapes = [], [], []
+    for sup_y, int_z2, shape in probes:
         vals = sup_y ** p + int_z2 ** (p / 2.0)
         moments.append(float(vals.mean()))
         ses.append(float(vals.std(ddof=1)) / np.sqrt(len(vals)))
-        shapes.append(1.0 + sup_norm(init))
+        shapes.append(shape)
     logm = np.log(np.asarray(moments))
     logs = np.log(np.asarray(shapes))
     A = np.stack([np.ones_like(logs[0::2]), logs[0::2]], axis=1)
@@ -589,9 +599,22 @@ def moment_envelope_check(model: Model, grid_times: np.ndarray, p: float,
     test_se = np.asarray(ses)[1::2]
     violations = int(np.sum(test_m > envelope + 3.0 * test_se))
     return CheckReport.make(
-        name, float(violations), 0.0, n_probes,
+        name, float(violations), 0.0, len(probes),
         details=[f"fitted envelope constant {C_fit:.4g}, exponent {q_fit:.3g}",
                  f"{violations} probes beyond {headroom}x envelope + 3 stderr"],
         samples=[("constant", C_fit), ("exponent", q_fit),
                  ("violations", float(violations))],
     )
+
+
+def moment_envelope_check(model: Model, grid_times: np.ndarray, p: float,
+                          n_probes: int = 100, n_scenarios: int = 500,
+                          seed: int = 0, headroom: float = 3.0,
+                          basis: Optional[RegressionBasis] = None,
+                          name: Optional[str] = None) -> CheckReport:
+    """Growth envelope for the backward pair at one moment order: the probes
+    of moment_probes scored by moment_envelope_score."""
+    if p < 2:   # before the probe solves
+        raise ValueError(f"moment order must be >= 2, got {p}")
+    probes = moment_probes(model, grid_times, n_probes, n_scenarios, seed, basis)
+    return moment_envelope_score(probes, p, headroom, name)

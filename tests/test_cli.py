@@ -104,3 +104,22 @@ def test_sweep_propagates_failure(tmp_path):
     out = str(tmp_path / "sw-fail")
     assert main(["sweep", cfg, "--axis", "grid.N", "--values", "8",
                  "--output", out]) == 2
+
+
+def test_moments_check_scores_every_order_from_one_probe_set():
+    # one probe set scored per order must give the reports of one
+    # moment_envelope_check call per order, byte for byte
+    from pathfk import load_config, moment_envelope_check
+    from pathfk.cli import _check_seed, run_check
+    spec = {"n_probes": 12, "n_scenarios": 300}
+    cfg = load_config({"model": "heat", "grid": {"T": 1.0, "N": 4},
+                       "mc": {"seed": 5, "n_scenarios": 300},
+                       "checks": {"moments": spec}})
+    reports = run_check(cfg, "moments")
+    assert [r.name for r in reports] == ["moment_envelope_p2", "moment_envelope_p4"]
+    for p, rep in zip((2.0, 4.0), reports):
+        alone = moment_envelope_check(cfg.model, cfg.grid_times, p,
+                                      seed=_check_seed(cfg.seed, "moments"),
+                                      basis=cfg.basis, **spec)
+        assert rep.to_json() == alone.to_json()
+        assert rep.samples_csv() == alone.samples_csv()

@@ -50,11 +50,15 @@ def test_scenario_prefix_stability():
 
 
 def test_regenerate_scenario_bit_identical():
-    drv = sample_drivers(GRID, 50, 9, d=2, l=1)
-    for s in (0, 17, 49):
-        w, b = drv.regenerate_scenario(s)
-        assert np.array_equal(w, drv.dW[s])
-        assert np.array_equal(b, drv.dB[s])
+    # with N=5 the stream offsets s*N*d and s*N*l (9990 and 14985 at s=999)
+    # are not multiples of the four uniforms one Philox counter step yields
+    for N, n, d, l, rows in ((8, 50, 2, 1, (0, 17, 49)),
+                             (5, 1000, 2, 3, (1, 998, 999))):
+        drv = sample_drivers(make_grid(1.0, N), n, 9, d=d, l=l)
+        for s in rows:
+            w, b = drv.regenerate_scenario(s)
+            assert np.array_equal(w, drv.dW[s])
+            assert np.array_equal(b, drv.dB[s])
 
 
 def test_sample_drivers_validation():

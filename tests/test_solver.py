@@ -9,8 +9,8 @@ from pathfk import (BudgetError, Model, Path, RegressionBasis, SolverError,
                     difference_quotient, evaluate_u, frozen_noise_increments,
                     get_entry, get_model, make_grid, sample_drivers,
                     simulate_forward, solve_nested, solve_regression)
-from pathfk.simulation import BrownianPair
-from pathfk.solver import _column_basis, _project
+from pathfk.simulation import BrownianPair, ScenarioEnsemble
+from pathfk.solver import _column_basis, _project, _tree_forward
 
 
 T = 1.0
@@ -157,6 +157,71 @@ def test_solution_time_accessors():
         sol.Y(0.3)
 
 
+@pytest.mark.parametrize("feature_set", ["endpoint", "endpoint+runmax+runint"])
+@pytest.mark.parametrize("noise", [False, True])
+def test_streamed_designs_match_definition(feature_set, noise):
+    # the streamed running max, running sum and remaining noise sum against
+    # their whole-history definitions, on random histories with t_index > 0
+    rng = np.random.default_rng(12)
+    N, n, d, l, i_t, dt = 9, 40, 2, 2, 3, 0.1
+    X = rng.normal(size=(N + 1, n, d))           # time-major
+    dB = rng.normal(size=(N, n, l))
+    basis = RegressionBasis(feature_set=feature_set)
+    xs, bs = X.transpose(1, 0, 2), dB.transpose(1, 0, 2)
+    steps = []
+    for i, A in basis.designs(X, i_t, dt, dB if noise else None):
+        raw = xs[:, i]
+        if feature_set != "endpoint":
+            raw = np.concatenate([raw, xs[:, : i + 1].max(axis=1),
+                                  xs[:, :i].sum(axis=1) * dt], axis=1)
+        direct = basis.matrix(raw, bs[:, i:].sum(axis=1) if noise else None)
+        assert np.allclose(A, direct, rtol=0.0, atol=1e-12)
+        steps.append(i)
+    assert steps == list(range(i_t, N))
+
+
+@pytest.mark.parametrize("name, feature_set", [("path-f", "endpoint+runmax+runint"),
+                                               ("linear-g", "endpoint")])
+def test_masked_solve_matches_valid_rows(name, feature_set):
+    # excluded scenarios take the masked-copy path; the solve must equal one
+    # on an ensemble holding only the valid rows
+    m = get_model(name)
+    basis = RegressionBasis(feature_set=feature_set)
+    ens = ensemble(m, N=8, n=3000, seed=13, x0=0.4, t_index=2)
+    valid = np.ones(ens.n_scenarios, dtype=bool)
+    valid[::7] = False
+    masked = ScenarioEnsemble(ens.initial, ens.drivers, ens.x_values, valid)
+    drv = ens.drivers
+    kept = ScenarioEnsemble(
+        ens.initial, BrownianPair(drv.grid_times, drv.dW[valid], drv.dB[valid], drv.seed),
+        ens.x_values[valid])
+    a = solve_regression(m, masked, basis=basis, record_fit_se=True)
+    b = solve_regression(m, kept, basis=basis, record_fit_se=True)
+    assert a.n_samples == b.n_samples == valid.sum()
+    for x, y in ((a.y, b.y), (a.z, b.z), (a.fit_se, b.fit_se), (a.rollout, b.rollout),
+                 (a.u_estimate, b.u_estimate), (a.u_stderr, b.u_stderr)):
+        assert x.shape == y.shape
+        assert np.allclose(x, y, rtol=0.0, atol=1e-12)
+
+
+def test_coefficients_receive_read_only_blocks():
+    from dataclasses import replace
+
+    def overwrite(x, y, z):
+        x[:, -1] = 0.0
+        return y
+
+    m = replace(get_model("heat"), f=overwrite)
+    ens = ensemble(m, N=4, n=500, seed=14, x0=0.5)
+    before = ens.x_values.copy()
+    with pytest.raises(ValueError):
+        solve_regression(m, ens)
+    assert np.array_equal(ens.x_values, before)
+    with pytest.raises(ValueError):
+        solve_nested(m, Path(make_grid(T, 2), np.array([[0.5]])), n_outer=1,
+                     seed=0, branching=2)
+
+
 # -- nested engine -------------------------------------------------------
 
 
@@ -276,3 +341,24 @@ def test_basis_validation():
         RegressionBasis(feature_set="fourier")
     with pytest.raises(ValueError):
         RegressionBasis(degree=3)
+
+
+def test_tree_levels_match_concatenated_histories():
+    # each level against the scenario-major expansion it replaces: repeat
+    # every history per quadrature node and append the new endpoints
+    from dataclasses import replace
+    m = replace(get_model("path-f"),
+                b=lambda x: 0.1 * x.max(axis=1),
+                sigma=lambda x: (1.0 + 0.2 * np.tanh(x[:, -1, :1]))[:, :, None])
+    branching, N, i_t = 3, 5, 2
+    init = Path(make_grid(T, N), np.array([[0.3], [-0.1], [0.6]]))
+    levels, dw_nodes, _, _ = _tree_forward(m, init, branching)
+    old = init.values[None].copy()
+    assert np.array_equal(levels[0], old)
+    for level in levels[1:]:
+        step = (m.b(old)[:, None, :] * init.dt
+                + np.einsum("mij,qj->mqi", m.sigma(old), dw_nodes))
+        ends = (old[:, -1][:, None, :] + step).reshape(-1, 1)
+        old = np.concatenate([np.repeat(old, branching, axis=0), ends[:, None, :]], axis=1)
+        assert np.array_equal(level, old)
+    assert levels[-1].shape == (branching ** (N - i_t), N + 1, 1)

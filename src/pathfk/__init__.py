@@ -16,9 +16,8 @@ from .simulation import (BrownianPair, ScenarioEnsemble, backward_integral,
 from .models import (Model, ModelRegistryEntry, get_entry, get_model,
                      on_path, registry, running_integral, shifted_model,
                      validate)
-from .solver import (BackwardSolution, RegressionBasis, difference_quotient,
-                     evaluate_u, frozen_noise_increments, solve_nested,
-                     solve_regression)
+from .solver import (BackwardSolution, RegressionBasis, evaluate_u,
+                     frozen_noise_increments, solve_nested, solve_regression)
 from .verification import (comparison_check, discretization_convergence_check,
                            discretized_model, field_from_closed_form,
                            field_from_engine, feynman_kac_forward_check,

@@ -4,7 +4,9 @@ Vertical derivatives bump the path endpoint; the horizontal derivative
 extends the path flat in time (one-sided, as the definition itself is).
 Every estimator returns a DerivativeEstimate carrying a halved-bump
 re-estimate, so that a large gap between the two flags likely
-non-differentiability instead of silently returning garbage.
+non-differentiability instead of silently returning garbage.  The
+residuals take one value per prefix from _gradient and _hessian: the
+attached derivative, else the estimator's value without the re-estimate.
 """
 
 from __future__ import annotations
@@ -82,10 +84,9 @@ def vertical_derivative(F: PathFunctional, p: Path, h: float | None = None) -> D
     return DerivativeEstimate(est, h, est_half, err)
 
 
-def _hessian_once(F: PathFunctional, p: Path, h: float) -> np.ndarray:
+def _hessian_once(F: PathFunctional, p: Path, h: float, f0: np.ndarray) -> np.ndarray:
     d = p.dimension
     eye = np.eye(d)
-    f0 = F(p)
     out = np.empty(F.output_shape + (d, d))
     for i in range(d):
         fp = F(vertical_bump(p, h * eye[i]))
@@ -109,8 +110,9 @@ def vertical_hessian(F: PathFunctional, p: Path, h: float | None = None) -> Deri
         h = 10.0 * default_bump(p)
     if h <= 0:
         raise ValueError(f"bump size must be positive, got {h}")
-    est = _hessian_once(F, p, h)
-    est_half = _hessian_once(F, p, h / 2.0)
+    f0 = F(p)
+    est = _hessian_once(F, p, h, f0)
+    est_half = _hessian_once(F, p, h / 2.0, f0)
     err = float(np.max(np.abs(est - est_half)))
     return DerivativeEstimate(est, h, est_half, err)
 
@@ -138,8 +140,19 @@ def horizontal_derivative(F: PathFunctional, p: Path, delta: float | None = None
     return DerivativeEstimate(est, delta, pair, err)
 
 
-def _deriv(fn, fd, p: Path):
-    return np.asarray(fn(p), dtype=np.float64) if fn is not None else fd(p)
+def _gradient(F: PathFunctional, p: Path) -> np.ndarray:
+    """The attached d_x, else vertical_derivative's value (no re-estimate)."""
+    if F.d_x is not None:
+        return np.asarray(F.d_x(p), dtype=np.float64)
+    return _central_vertical(F, p, default_bump(p))
+
+
+def _hessian(F: PathFunctional, p: Path, f0: np.ndarray | None = None) -> np.ndarray:
+    """The attached d_xx, else vertical_hessian's value (no re-estimate)
+    around the centre value f0 = F(p), evaluated here when not passed."""
+    if F.d_xx is not None:
+        return np.asarray(F.d_xx(p), dtype=np.float64)
+    return _hessian_once(F, p, 10.0 * default_bump(p), F(p) if f0 is None else f0)
 
 
 def functional_ito_residual(F: PathFunctional, x_path: Path, qv: np.ndarray) -> float:
@@ -156,9 +169,10 @@ def functional_ito_residual(F: PathFunctional, x_path: Path, qv: np.ndarray) -> 
     total = F(x_path) - F(restrict(x_path, 0.0))
     for i in range(m):
         pi = restrict(x_path, x_path.grid_times[i])
-        ds = _deriv(F.d_t, lambda q: horizontal_derivative(F, q).value, pi)
-        dx = _deriv(F.d_x, lambda q: vertical_derivative(F, q).value, pi)
-        dxx = _deriv(F.d_xx, lambda q: vertical_hessian(F, q).value, pi)
+        ds = (np.asarray(F.d_t(pi), dtype=np.float64) if F.d_t is not None
+              else horizontal_derivative(F, pi).value)
+        dx = _gradient(F, pi)
+        dxx = _hessian(F, pi)
         dX = x_path.values[i + 1] - x_path.values[i]
         total = total - ds * dt
         total = total - dx.reshape(x_path.dimension) @ dX

@@ -207,10 +207,16 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
     basis_spec = raw.get("basis")
     basis = None
     if basis_spec is not None:
+        degree = basis_spec.get("degree", 2)
+        future_noise = basis_spec.get("include_future_noise")
+        if type(degree) is not int or type(future_noise) not in (bool, type(None)):
+            raise ConfigError("basis.degree must be an integer and basis."
+                              "include_future_noise true, false or null, got "
+                              f"{degree!r} and {future_noise!r}")
         basis = RegressionBasis(
             feature_set=basis_spec.get("feature_set", "endpoint"),
-            degree=int(basis_spec.get("degree", 2)),
-            include_future_noise=basis_spec.get("include_future_noise"),
+            degree=degree,
+            include_future_noise=future_noise,
         )
     elif not model.markovian_flag:
         basis = RegressionBasis(feature_set="endpoint+runmax+runint")

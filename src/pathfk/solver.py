@@ -571,19 +571,3 @@ def evaluate_u(model: Model, initial: Path, engine: str = "regression",
         raise ValueError(f"unknown engine {engine!r}; use 'regression' or 'nested'")
     return sol.u_estimate, sol.u_stderr
 
-
-def difference_quotient(model: Model, initial: Path, direction: int, h: float,
-                        engine: str = "regression", **kwargs) -> np.ndarray:
-    """Central difference of the field under an endpoint bump, shape (k,).
-
-    Both bumped evaluations reuse the same seed, so the driver samples are
-    common and the sampling noise largely cancels in the quotient.
-    """
-    from .paths import vertical_bump
-    if h <= 0:
-        raise ValueError(f"bump size must be positive, got {h}")
-    e = np.zeros(initial.dimension)
-    e[direction] = h
-    up, _ = evaluate_u(model, vertical_bump(initial, e), engine=engine, **kwargs)
-    dn, _ = evaluate_u(model, vertical_bump(initial, -e), engine=engine, **kwargs)
-    return (up - dn) / (2.0 * h)

@@ -14,7 +14,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import PathFunctional, vertical_derivative, vertical_hessian
+from .calculus import (PathFunctional, _gradient, _hessian, vertical_derivative,
+                       vertical_hessian)
 from .errors import PreconditionError
 from .models import Model, ModelRegistryEntry, on_path
 from .paths import (Path, discretize_values, path_dist, restrict, sup_norm,
@@ -78,37 +79,33 @@ def spde_residual(u: PathFunctional, model: Model,
     N = len(grid) - 1
     X = ensemble.x_values[ensemble.valid_mask]
     dB = ensemble.drivers.dB[ensemble.valid_mask]
-    n = X.shape[0]
-    res = np.zeros(n)
-    for s in range(n):
+
+    def jet(p: Path, hessian: bool = True):
+        # a prefix's field value and derivatives, each computed once
+        y = u(p)
+        dx = _gradient(u, p).reshape(-1)
+        dxx = _hessian(u, p, y).reshape(p.dimension, p.dimension) if hessian else None
+        sig = on_path(model.sigma, p)
+        return p, y, dx, dxx, sig, (sig.T @ dx)[None, :]
+
+    # simulate_forward copies the initial path into every scenario, so the
+    # initial prefix's jet is shared
+    first = jet(ensemble.initial)
+    res = np.zeros(X.shape[0])
+    for s in range(X.shape[0]):
         path = Path(grid, X[s])
-        # walking backward, the next step's field value and z are the
-        # previous iteration's; at the horizon they come from the full path
-        y_next = u(path)
-        total = u(restrict(path, grid[i_t]))[0] - y_next[0]
-        z_next = None
+        jets = ([first] + [jet(restrict(path, grid[i])) for i in range(i_t + 1, N)]
+                + [jet(path, hessian=False)])
+        total = first[1][0] - jets[-1][1][0]     # u at t minus u at the horizon
         for i in range(N - 1, i_t - 1, -1):
-            pi = restrict(path, grid[i])
-            p_next = restrict(path, grid[i + 1]) if i + 1 < N else path
-            dx = (u.d_x(pi) if u.d_x is not None
-                  else vertical_derivative(u, pi).value).reshape(-1)
-            dxx = (u.d_xx(pi) if u.d_xx is not None
-                   else vertical_hessian(u, pi).value).reshape(path.dimension,
-                                                               path.dimension)
-            sig = on_path(model.sigma, pi)
-            y_i = u(pi)
-            z_i = (sig.T @ dx)[None, :]
+            pi, y_i, dx, dxx, sig, z_i = jets[i - i_t]
+            p_next, y_next, _, _, _, z_next = jets[i + 1 - i_t]
             gen = float(on_path(model.b, pi) @ dx) + 0.5 * np.trace(sig @ sig.T @ dxx)
             fv = float(on_path(model.eval_f, pi, y_i, z_i)[0])
-            if z_next is None:
-                dx_n = (u.d_x(path) if u.d_x is not None
-                        else vertical_derivative(u, path).value).reshape(-1)
-                z_next = (on_path(model.sigma, path).T @ dx_n)[None, :]
             g_term = float(on_path(model.eval_g, p_next, y_next, z_next)[0] @ dB[s, i])
             dX = X[s, i + 1] - X[s, i]
             total += (-(gen + fv) * dt - g_term + dx @ dX
                       + 0.5 * float(dX @ dxx @ dX))
-            y_next, z_next = y_i, z_i
         res[s] = total
     return res
 
@@ -510,14 +507,13 @@ def regularity_check(u: Callable[[Path], np.ndarray], grid_times: np.ndarray,
         if dist < 1e-9:
             continue
         weight = 1.0 + sup_norm(p1) ** growth_q + sup_norm(p2) ** growth_q
-        du = float(np.max(np.abs(np.asarray(u(p1)) - np.asarray(u(p2)))))
+        u1, u2 = np.asarray(u(p1)), np.asarray(u(p2))
+        du = float(np.max(np.abs(u1 - u2)))
         ratios_diff.append(max(du - noise_floor, 0.0) / (weight * dist))
         e = np.zeros(dim)
         e[0] = 1.0
-        q1 = (np.asarray(u(vertical_bump(p1, h1 * e)))
-              - np.asarray(u(p1))) / h1
-        q2 = (np.asarray(u(vertical_bump(p2, h2 * e)))
-              - np.asarray(u(p2))) / h2
+        q1 = (np.asarray(u(vertical_bump(p1, h1 * e))) - u1) / h1
+        q2 = (np.asarray(u(vertical_bump(p2, h2 * e))) - u2) / h2
         dq = float(np.max(np.abs(q1 - q2)))
         shape_q = weight * (abs(h1 - h2) + dist)
         ratios_quot.append(max(dq - 2.0 * noise_floor / min(h1, h2), 0.0)

@@ -73,6 +73,17 @@ def test_vertical_hessian_cross_terms():
                        atol=1e-5)
 
 
+def test_vertical_hessian_evaluates_the_centre_once():
+    # one centre value shared by both bump sizes; per size two bumps per
+    # direction and four per pair of directions
+    for d, count in ((1, 5), (2, 17)):
+        calls = []
+        F = PathFunctional(eval=lambda p: calls.append(p) or
+                           np.array([np.sum(p.endpoint ** 2)]))
+        vertical_hessian(F, Path(make_grid(1.0, 4), np.ones((1, d))))
+        assert len(calls) == count
+
+
 def test_bump_size_validation():
     p = Path(make_grid(1.0, 4), np.array([[0.0]]))
     with pytest.raises(ValueError):
@@ -159,6 +170,21 @@ def test_functional_residual_shrinks_with_step():
     assert r[0] > r[1] > r[2]
     slope = -np.polyfit(np.log([8, 32, 128]), np.log(r), 1)[0]
     assert 0.3 < slope < 0.8
+
+
+def test_functional_residual_with_attached_derivatives_evaluates_ends_only():
+    grid = make_grid(1.0, 16)
+    p = brownian_path(grid, seed=4)
+    calls = []
+    F = PathFunctional(
+        eval=lambda q: calls.append(q) or np.array([q.endpoint[0] ** 2]),
+        regularity_tag="C12",
+        d_t=lambda q: np.zeros(1),
+        d_x=lambda q: 2.0 * q.endpoint[:1],
+        d_xx=lambda q: np.array([[2.0]]),
+    )
+    functional_ito_residual(F, p, np.full((16, 1, 1), 1.0 / 16))
+    assert len(calls) == 2
 
 
 def test_functional_residual_uses_finite_differences_when_unspecified():

@@ -41,6 +41,20 @@ def test_path_dependent_model_gets_path_basis():
     assert cfg.basis.feature_set == "endpoint+runmax+runint"
 
 
+def test_basis_fields_are_typed():
+    cfg = load_config(base_config(
+        basis={"degree": 1, "include_future_noise": False}))
+    assert cfg.basis.degree == 1 and cfg.basis.include_future_noise is False
+    assert load_config(base_config(basis={})).basis.include_future_noise is None
+    for bad in ({"include_future_noise": "false"},
+                {"include_future_noise": 0},
+                {"degree": 2.7},
+                {"degree": "2"},
+                {"degree": True}):
+        with pytest.raises(ConfigError):
+            load_config(base_config(basis=bad))
+
+
 def test_seed_required_and_overridable():
     raw = base_config()
     del raw["mc"]["seed"]

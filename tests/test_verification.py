@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from pathfk import (Path, PreconditionError, RegressionBasis,
+from pathfk import (Path, PathFunctional, PreconditionError, RegressionBasis,
                     comparison_check, discretization_convergence_check,
                     discretized_model, field_from_closed_form,
                     field_from_engine, feynman_kac_forward_check,
                     feynman_kac_reverse_check, flow_check, get_entry,
-                    get_model, make_grid, moment_envelope_check,
-                    regularity_check, sample_drivers, shifted_model,
+                    get_model, make_grid, moment_envelope_check, on_path,
+                    regularity_check, restrict, sample_drivers, shifted_model,
                     simulate_forward, solve_regression, spde_residual,
-                    spde_residual_check, z_growth_check,
-                    z_representation_check)
+                    spde_residual_check, vertical_derivative,
+                    vertical_hessian, z_growth_check, z_representation_check)
 from pathfk.verification import discretize_values
 
 
@@ -79,6 +79,67 @@ def test_residual_flags_wrong_field():
     wrong.d_t = None
     rep = spde_residual_check(wrong, m, ens, tol=0.05)
     assert not rep.passed
+
+
+def late_start_ensemble(name, N=8, n=4, seed=5):
+    # t_index 2: the residual starts from a prefix shared by all scenarios
+    m = get_model(name)
+    init = Path(make_grid(T, N), np.array([[0.0], [0.3], [-0.2]]))
+    return m, simulate_forward(m, init, sample_drivers(init.grid_times, n, seed))
+
+
+def reference_residual(u, model, ens):
+    """The discrete field equation residual by its definition, with the
+    public finite-difference estimators at every prefix."""
+    grid, dt, i_t = ens.initial.grid_times, ens.initial.dt, ens.initial.t_index
+    N = len(grid) - 1
+    res = []
+    for x, dB in zip(ens.x_values, ens.drivers.dB):
+        path = Path(grid, x)
+        p = {i: restrict(path, grid[i]) for i in range(i_t, N + 1)}
+        y = {i: u(p[i]) for i in p}
+        dx = {i: vertical_derivative(u, p[i]).value.reshape(-1) for i in p}
+        sig = {i: on_path(model.sigma, p[i]) for i in p}
+        z = {i: (sig[i].T @ dx[i])[None, :] for i in p}
+        total = y[i_t][0] - y[N][0]
+        for i in range(N - 1, i_t - 1, -1):
+            dxx = vertical_hessian(u, p[i]).value.reshape(1, 1)
+            gen = (float(on_path(model.b, p[i]) @ dx[i])
+                   + 0.5 * np.trace(sig[i] @ sig[i].T @ dxx))
+            fv = float(on_path(model.eval_f, p[i], y[i], z[i])[0])
+            # the backward integral reads g at the right end of the step
+            g_term = float(on_path(model.eval_g, p[i + 1], y[i + 1], z[i + 1])[0]
+                           @ dB[i])
+            dX = x[i + 1] - x[i]
+            total += (-(gen + fv) * dt - g_term + dx[i] @ dX
+                      + 0.5 * float(dX @ dxx @ dX))
+        res.append(total)
+    return np.array(res)
+
+
+def test_residual_matches_its_definition():
+    # linear-g has g != 0, nonlinear-f has f depending on z; the field has
+    # no attached derivatives, so every derivative is a finite difference
+    u = PathFunctional(
+        eval=lambda p: np.array([np.sin(p.endpoint[0]) + 0.2 * p.values[:, 0].mean()
+                                 + (p.horizon - p.current_time)]),
+        regularity_tag="C12")
+    for name in ("linear-g", "nonlinear-f"):
+        m, ens = late_start_ensemble(name, N=6, n=3)
+        assert np.array_equal(spde_residual(u, m, ens), reference_residual(u, m, ens))
+
+
+def test_residual_evaluates_each_prefix_once():
+    # five evaluations per prefix (value, two gradient bumps, two Hessian
+    # bumps around that value), three at the horizon (no Hessian), and the
+    # shared initial prefix once per call
+    N, n, i_t = 8, 4, 2
+    m, ens = late_start_ensemble("heat", N=N, n=n)
+    calls = []
+    cf = get_entry("heat").closed_form_u
+    u = PathFunctional(eval=lambda p: calls.append(p) or cf(p), regularity_tag="C12")
+    spde_residual(u, m, ens)
+    assert len(calls) == 5 + n * (5 * (N - i_t - 1) + 3) == 117
 
 
 # -- z representation ----------------------------------------------------
@@ -226,6 +287,16 @@ def test_regularity_envelope_closed_form():
     rep = regularity_check(field_from_closed_form(entry), make_grid(T, 8), 1,
                            growth_q=2.0, n_probes=60, seed=19)
     assert rep.passed
+
+
+def test_regularity_evaluates_each_probe_path_once():
+    calls = []
+    cf = get_entry("heat").closed_form_u
+    u = PathFunctional(eval=lambda p: calls.append(p) or cf(p))
+    rep = regularity_check(u, make_grid(T, 8), 1, growth_q=2.0, n_probes=60,
+                           seed=19)
+    # two probe paths and one bump of each
+    assert len(calls) == 4 * rep.n_samples
 
 
 def test_regularity_probe_count_validation():

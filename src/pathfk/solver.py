@@ -22,6 +22,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -72,20 +73,23 @@ class RegressionBasis:
 
     def matrix(self, raw: np.ndarray,
                noise: Optional[np.ndarray] = None) -> np.ndarray:
-        """Design matrix of one step from its raw coordinates (n, r): the
-        constant, every monomial up to the degree, and the remaining noise
-        sums (n, l) when given."""
+        """Column-major design matrix of one step from its raw coordinates
+        (n, r): the constant, every monomial up to the degree, and the
+        remaining noise sums (n, l) when given."""
         n, r = raw.shape
-        cols = [np.ones((n, 1))]
+        l = 0 if noise is None else noise.shape[1]
+        A = np.empty((n, math.comb(r + self.degree, r) + l), order="F")
+        A[:, 0] = 1.0
+        j = 1
         for deg in range(1, self.degree + 1):
             for combo in itertools.combinations_with_replacement(range(r), deg):
-                prod = np.ones(n)
-                for c in combo:
-                    prod = prod * raw[:, c]
-                cols.append(prod[:, None])
-        if noise is not None:
-            cols.append(noise)
-        return np.concatenate(cols, axis=1)
+                A[:, j] = raw[:, combo[0]]
+                for c in combo[1:]:
+                    A[:, j] *= raw[:, c]
+                j += 1
+        if l:
+            A[:, j:] = noise
+        return A
 
     def designs(self, X: np.ndarray, t_index: int, dt: float,
                 dB: Optional[np.ndarray] = None):
@@ -117,13 +121,25 @@ class RegressionBasis:
 def _column_basis(A: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column space of a design matrix, (n, rank).
 
-    A thin SVD keeps the left singular vectors whose singular values clear
-    the usual least-squares rank cutoff s[0] * max(n, p) * eps, so collinear
-    columns drop out (at the initial time every history coincides and the
-    history monomials collapse onto the constant).
+    Householder QR factors A = QR in place (a column-major float64 A is
+    overwritten), and only the p x p triangle R takes an SVD: A shares R's
+    singular values, and its left singular vectors are Q times R's.  Those
+    that clear the least-squares rank cutoff s[0] * max(n, p) * eps (the
+    rule of lstsq and of a full SVD of A) are kept, so collinear columns
+    drop out (at the initial time every history coincides and the history
+    monomials collapse onto the constant).  Needs n >= p; a non-finite
+    design raises SolverError.
     """
-    U, s, _ = np.linalg.svd(A, full_matrices=False)
-    return U[:, s > s[0] * max(A.shape) * np.finfo(A.dtype).eps]
+    if not np.isfinite(A).all():
+        raise SolverError("the design matrix has non-finite entries")
+    # imported on first use: scipy.linalg adds about 50 ms to `import pathfk`
+    from scipy.linalg import lapack
+    qr, tau, _, _ = lapack.dgeqrf(A, overwrite_a=True)
+    Ur, s, _ = np.linalg.svd(np.triu(qr[: A.shape[1]]))
+    keep = s > s[0] * max(A.shape) * np.finfo(A.dtype).eps
+    Q, _, _ = lapack.dorgqr(qr, tau, overwrite_a=True)
+    # column-major U: the projections U (U^T T) read it faster
+    return np.matmul(Q, Ur[:, keep], order="F")
 
 
 def _project(U: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -237,10 +253,12 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
                      record_fit_se: bool = False) -> BackwardSolution:
     """Backward regression sweep over a simulated ensemble.
 
-    Each step's design matrix is built and factored once, by a rank-revealing
-    thin SVD, into an orthonormal basis of its column space; every
-    conditional expectation on that step (the centring term, z, y, and the
-    rollout behind fit_se) in every pass is the projection onto that basis.
+    Each step's design matrix is built column-major and factored once, in
+    place, by Householder QR and an SVD of the p x p triangle, into an
+    orthonormal basis of its column space (_column_basis; a non-finite
+    design raises SolverError); every conditional expectation on that step
+    (the centring term, z, y, and the rollout behind fit_se) in every pass
+    is the projection onto that basis.
 
     Pass 0 is the explicit scheme (drivers read the right-endpoint y/z);
     each further pass re-evaluates the drivers at the previous pass's
@@ -260,7 +278,6 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     valid = ensemble.valid_mask
     X = _time_major(ensemble.x_values, valid)
     dW = _time_major(drivers.dW, valid)
-    dB = _time_major(drivers.dB, valid)
     history = _history_view(X)
     Np1, n, _ = X.shape
     N = Np1 - 1
@@ -270,6 +287,8 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     use_noise = basis.include_future_noise
     if use_noise is None:
         use_noise = model.g is not None
+    # with g = None the g dB term is zero, so dB is read only by the features
+    dB = _time_major(drivers.dB, valid) if use_noise or model.g is not None else None
 
     features = {}
     for i, A in basis.designs(X, i_t, dt, dB if use_noise else None):
@@ -279,7 +298,11 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
                 f"{A.shape[1]} features need at least "
                 f"{A.shape[1] * _MIN_SCENARIOS_PER_FEATURE} scenarios, got {n}"
             )
-        features[i] = _column_basis(A)
+        try:
+            features[i] = _column_basis(A)
+        except SolverError as exc:
+            raise SolverError(f"step {i}: {exc} (a feature overflowed, or the "
+                              "second driver's increments are not finite)") from None
     phi = model.Phi(history, dt)
 
     Y = np.zeros((N + 1, n, k))
@@ -302,8 +325,8 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
             else:
                 fy, fz = Y[i], Z[i]
             fv = model.eval_f(history[:, : i + 2], fy, fz)
-            gv = model.eval_g(history[:, : i + 2], fy, fz)
-            gdB = np.einsum("nkl,nl->nk", gv, dB[i])
+            gdB = 0.0 if model.g is None else np.einsum(
+                "nkl,nl->nk", model.g(history[:, : i + 2], fy, fz), dB[i])
             U = features[i]
             # center the z-target with the fitted continuation value; the
             # centering term is a function of the features, so it leaves the

@@ -34,24 +34,97 @@ def ensemble(model, N=16, n=4000, seed=0, x0=0.0, t_index=0):
 # -- projection ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("design, rank", [("full", 6), ("duplicated_column", 6),
-                                          ("equal_rows", 1)])
-def test_projection_matches_minimum_norm_least_squares(design, rank):
-    rng = np.random.default_rng(11)
+def _svd_basis(A):
+    """Reference basis: the left singular vectors of a full thin SVD of A
+    that clear the least-squares rank cutoff."""
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    return U[:, s > s[0] * max(A.shape) * np.finfo(A.dtype).eps]
+
+
+def _designs(design, rng):
+    """The designs of one projection case: a single synthetic matrix, or
+    every step's design that RegressionBasis.designs streams for a model."""
+    streamed = {"path-f": "endpoint+runmax+runint", "heat": "endpoint",
+                "linear-g": "endpoint"}
+    if design in streamed:
+        m = get_model(design)
+        ens = ensemble(m, N=6, n=1500, seed=15)
+        dB = None if m.g is None else ens.drivers.dB.transpose(1, 0, 2)
+        basis = RegressionBasis(feature_set=streamed[design])
+        return [A for _, A in basis.designs(ens.x_values.transpose(1, 0, 2), 0,
+                                            ens.initial.dt, dB)]
     B = rng.normal(size=(200, 6))
-    A = {"full": B,
-         "duplicated_column": np.hstack([B, B[:, 2:3]]),
-         "equal_rows": np.tile(B[0], (200, 1))}[design]
-    T = rng.normal(size=(200, 3))
-    U = _column_basis(A)
-    fitted = _project(U, T)
-    assert U.shape[1] == rank
-    assert np.allclose(fitted, A @ np.linalg.lstsq(A, T, rcond=None)[0],
-                       rtol=0.0, atol=1e-10)
-    # the leverages (hat-matrix diagonal) sum to the rank
-    assert np.sum(U ** 2, axis=1).sum() == pytest.approx(rank, abs=1e-10)
+    if design.endswith("_cutoff"):
+        # six orthonormal columns and a seventh orthogonal to them, scaled
+        # to a singular value a quarter above or a fifth below the cutoff
+        Q = np.linalg.qr(np.hstack([B, rng.normal(size=(200, 1))]))[0]
+        factor = 1.25 if design == "above_cutoff" else 0.8
+        return [Q * np.r_[np.ones(6), factor * 200 * np.finfo(float).eps]]
+    return [{"full": B,
+             "duplicated_column": np.hstack([B, B[:, 2:3]]),
+             "equal_rows": np.tile(B[0], (200, 1))}[design]]
+
+
+@pytest.mark.parametrize("design, rank", [("full", 6), ("duplicated_column", 6),
+                                          ("equal_rows", 1), ("above_cutoff", 7),
+                                          ("below_cutoff", 6), ("path-f", 1),
+                                          ("heat", 1), ("linear-g", 2)])
+def test_projection_matches_minimum_norm_least_squares(design, rank):
+    # rank is that of the first design: for the streamed cases the initial
+    # step, where every history coincides
+    rng = np.random.default_rng(11)
+    designs = _designs(design, rng)
+    for step, A in enumerate(designs):
+        T = rng.normal(size=(A.shape[0], 3))
+        ref = _svd_basis(A)
+        U = _column_basis(A.copy(order="F"))     # factors its argument in place
+        fitted = _project(U, T)
+        assert U.shape[1] == ref.shape[1]
+        if step == 0:
+            assert U.shape[1] == rank
+        assert np.allclose(fitted, _project(ref, T), rtol=0.0, atol=1e-10)
+        if design != "above_cutoff":
+            # (there the least-squares coefficient of the tiny direction is
+            # about 1e13, and lstsq's fitted values carry eps times that)
+            assert np.allclose(fitted, A @ np.linalg.lstsq(A, T, rcond=None)[0],
+                               rtol=0.0, atol=1e-10)
+        # the leverages (hat-matrix diagonal) sum to the rank
+        assert np.sum(U ** 2, axis=1).sum() == pytest.approx(U.shape[1], abs=1e-10)
     if design == "equal_rows":
         assert np.allclose(fitted, T.mean(axis=0), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("entry", [np.inf, np.nan])
+def test_non_finite_design_raises(entry):
+    A = np.random.default_rng(17).normal(size=(200, 4))
+    A[37, 2] = entry
+    with pytest.raises(SolverError, match="non-finite"):
+        _column_basis(A)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_features_raise_naming_the_step():
+    # x0 = 1e160 keeps the histories finite, but the feature x^2 overflows
+    m = get_model("linear-g")
+    with pytest.raises(SolverError, match="step 0: .*non-finite"):
+        solve_regression(m, ensemble(m, N=4, n=600, seed=18, x0=1e160))
+
+
+def test_import_does_not_load_scipy_linalg():
+    # the factorization imports scipy.linalg on first use, which keeps its
+    # import time and memory out of `import pathfk`
+    import os
+    import subprocess
+    import sys
+
+    import pathfk
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pathfk.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, pathfk; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 # -- regression engine oracles -------------------------------------------
@@ -108,6 +181,17 @@ def test_second_driver_ignored_when_g_is_zero():
     sol_b = solve_regression(m, simulate_forward(m, init, swapped))
     assert np.max(np.abs(sol_a.y - sol_b.y)) <= 1e-12
     assert np.max(np.abs(sol_a.u_estimate - sol_b.u_estimate)) <= 1e-12
+    # without future-noise features dB is never read: all-NaN increments
+    # give the same solve bit for bit, and the features still reject them
+    nan = BrownianPair(grid, drv.dW, np.full_like(drv.dB, np.nan), drv.seed)
+    sol_c = solve_regression(m, simulate_forward(m, init, nan))
+    for x, y in ((sol_a.y, sol_c.y), (sol_a.z, sol_c.z),
+                 (sol_a.u_estimate, sol_c.u_estimate),
+                 (sol_a.u_stderr, sol_c.u_stderr)):
+        assert np.array_equal(x, y)
+    with pytest.raises(SolverError, match="non-finite"):
+        solve_regression(m, simulate_forward(m, init, nan),
+                         basis=RegressionBasis(include_future_noise=True))
 
 
 def test_future_noise_features_enabled_only_with_g():

@@ -1,6 +1,9 @@
 """Backward solvers: regression and nested quadrature engines."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -113,10 +116,6 @@ def test_overflowing_features_raise_naming_the_step():
 def test_import_does_not_load_scipy_linalg():
     # the factorization imports scipy.linalg on first use, which keeps its
     # import time and memory out of `import pathfk`
-    import os
-    import subprocess
-    import sys
-
     import pathfk
     src = os.path.dirname(os.path.dirname(os.path.abspath(pathfk.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

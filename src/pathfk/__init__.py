@@ -10,8 +10,7 @@ from .calculus import (DerivativeEstimate, PathFunctional, SmoothMap,
                        backward_ito_residual, functional_ito_residual,
                        horizontal_derivative, vertical_derivative,
                        vertical_hessian)
-from .simulation import (BrownianPair, ScenarioEnsemble, backward_integral,
-                         forward_integral, moment_check, random_initial_path,
+from .simulation import (BrownianPair, ScenarioEnsemble, random_initial_path,
                          sample_drivers, simulate_forward)
 from .models import (Model, ModelRegistryEntry, get_entry, get_model,
                      on_path, registry, running_integral, shifted_model,

@@ -1,21 +1,23 @@
-"""Two independent Brownian drivers, the forward Euler scheme, and the
-discrete forward / backward Ito integrals.
+"""Two independent Brownian drivers and the forward Euler scheme.
 
 Randomness is counter-based (Philox keyed by seed and a driver tag) with
 normals produced by inverse-CDF from fixed-consumption uniforms, so the
 increments of scenario s are a pure function of (seed, s) and regeneration
-is bit-identical regardless of batch size or worker scheduling.
+is bit-identical regardless of batch size or worker scheduling.  The
+streams are read scenario-major but stored time-major, (N, n, .), like the
+forward histories; the second driver is drawn on its first read, so solves
+of models without a backward integrand g never draw it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri
 
 from .paths import Path
-from .reports import CheckReport
 
 _TAG_W = 1
 _TAG_B = 2
@@ -24,15 +26,31 @@ _U_SCALE = 1.0 - 2.0 ** -52
 _U_SHIFT = 2.0 ** -53
 
 
-def _keyed_normals(seed: int, tag: int, shape, skip: int = 0) -> np.ndarray:
+def _keyed_normals(seed: int, tag: int, shape, skip: int = 0,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Normals of the (seed, tag) stream, one uniform each, after passing
     over the first `skip` of them: Philox yields four uniforms per counter
-    step, so the jump is skip // 4 counter steps plus skip % 4 draws."""
+    step, so the jump is skip // 4 counter steps plus skip % 4 draws.  The
+    normals go into `out` (any array of `shape`) or over the uniforms."""
     bitgen = np.random.Philox(key=(int(seed) & ((1 << 64) - 1)) + (tag << 64))
     bitgen.advance(skip // 4)
     lead = skip % 4
-    u = np.random.Generator(bitgen).random(lead + int(np.prod(shape)))[lead:]
-    return ndtri(u.reshape(shape) * _U_SCALE + _U_SHIFT)
+    u = np.random.Generator(bitgen).random(lead + int(np.prod(shape)))[lead:].reshape(shape)
+    u *= _U_SCALE
+    u += _U_SHIFT
+    return ndtri(u, out=u if out is None else out)
+
+
+def _increments(seed: int, tag: int, n: int, N: int, width: int,
+                sdt: float) -> np.ndarray:
+    """Read-only (n, N, width) view of the time-major increments of one
+    driver: scenario-major normals written straight into (N, n, width)
+    storage, then scaled by sqrt(dt) in place."""
+    buf = np.empty((N, n, width))
+    _keyed_normals(seed, tag, (n, N, width), out=buf.transpose(1, 0, 2))
+    buf *= sdt
+    buf.flags.writeable = False
+    return buf.transpose(1, 0, 2)
 
 
 def _history_view(buf: np.ndarray) -> np.ndarray:
@@ -43,14 +61,32 @@ def _history_view(buf: np.ndarray) -> np.ndarray:
     return view
 
 
-@dataclass
 class BrownianPair:
-    """Sampled increments of the two independent drivers on a shared grid."""
+    """Sampled increments of the two independent drivers on a shared grid.
 
-    grid_times: np.ndarray
-    dW: np.ndarray  # (n_scenarios, N, d)
-    dB: np.ndarray  # (n_scenarios, N, l)
-    seed: int
+    dW is (n_scenarios, N, d) and dB is (n_scenarios, N, l).  A pair built
+    by sample_drivers holds both as read-only views of time-major storage
+    and draws dB from the (seed, B) stream the first time it is read; a
+    pair built with an explicit dB keeps that array.  l is known either way,
+    so reading it never draws.
+    """
+
+    def __init__(self, grid_times: np.ndarray, dW: np.ndarray,
+                 dB: Optional[np.ndarray], seed: int, l: Optional[int] = None):
+        if dB is None and l is None:
+            raise ValueError("a pair without dB needs its width l")
+        self.grid_times = grid_times
+        self.dW = dW
+        self._dB = dB
+        self.seed = seed
+        self.l = dB.shape[2] if dB is not None else int(l)
+
+    @property
+    def dB(self) -> np.ndarray:
+        if self._dB is None:
+            n, N, _ = self.dW.shape
+            self._dB = _increments(self.seed, _TAG_B, n, N, self.l, np.sqrt(self.dt))
+        return self._dB
 
     @property
     def dt(self) -> float:
@@ -62,12 +98,11 @@ class BrownianPair:
 
     def regenerate_scenario(self, s: int):
         """Recompute (dW_s, dB_s) from scratch, jumping the streams straight
-        to row s; bit-identical to the stored rows."""
+        to row s; bit-identical to the stored rows, and draws no stored dB."""
         _, N, d = self.dW.shape
-        l = self.dB.shape[2]
         sdt = np.sqrt(self.dt)
         w = _keyed_normals(self.seed, _TAG_W, (N, d), skip=s * N * d) * sdt
-        b = _keyed_normals(self.seed, _TAG_B, (N, l), skip=s * N * l) * sdt
+        b = _keyed_normals(self.seed, _TAG_B, (N, self.l), skip=s * N * self.l) * sdt
         return w, b
 
 
@@ -77,11 +112,9 @@ def sample_drivers(grid_times: np.ndarray, n_scenarios: int, seed: int,
         raise ValueError(f"need at least one scenario, got {n_scenarios}")
     grid_times = np.asarray(grid_times, dtype=np.float64)
     N = len(grid_times) - 1
-    dt = grid_times[1] - grid_times[0]
-    sdt = np.sqrt(dt)
-    dW = _keyed_normals(seed, _TAG_W, (n_scenarios, N, d)) * sdt
-    dB = _keyed_normals(seed, _TAG_B, (n_scenarios, N, l)) * sdt
-    return BrownianPair(grid_times, dW, dB, int(seed))
+    sdt = np.sqrt(grid_times[1] - grid_times[0])
+    dW = _increments(seed, _TAG_W, n_scenarios, N, d, sdt)
+    return BrownianPair(grid_times, dW, None, int(seed), l)
 
 
 @dataclass
@@ -111,16 +144,16 @@ def simulate_forward(model, initial: Path, drivers: BrownianPair) -> ScenarioEns
     history built so far, including the prefix.
 
     The paths are filled into a time-major (N+1, n, d) buffer, so each step
-    writes one contiguous row; x_values is its (n, N+1, d) view and the
-    coefficients read read-only (n, i+1, d) views of it.
+    writes one contiguous row (and reads one of sampled dW); x_values is its
+    (n, N+1, d) view and the coefficients read read-only (n, i+1, d) views.
     """
     grid = initial.grid_times
     if len(grid) != len(drivers.grid_times) or not np.allclose(grid, drivers.grid_times):
         raise ValueError("initial path and drivers must share the grid")
     d, k, l = model.dims
-    if drivers.dW.shape[2] != d or drivers.dB.shape[2] != l:
+    if drivers.dW.shape[2] != d or drivers.l != l:
         raise ValueError(
-            f"driver dimensions {drivers.dW.shape[2]},{drivers.dB.shape[2]} "
+            f"driver dimensions {drivers.dW.shape[2]},{drivers.l} "
             f"do not match model dims {(d, l)}"
         )
     n = drivers.n_scenarios
@@ -138,45 +171,6 @@ def simulate_forward(model, initial: Path, drivers: BrownianPair) -> ScenarioEns
     if not valid.all():
         X = np.where(valid[None, :, None], X, 0.0)
     return ScenarioEnsemble(initial, drivers, X.transpose(1, 0, 2), valid)
-
-
-def forward_integral(integrand: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """Per-scenario sum of a(t_i) . dW_i (left-endpoint evaluation)."""
-    integrand = np.asarray(integrand, dtype=np.float64)
-    if integrand.shape != dW.shape:
-        raise ValueError(f"integrand shape {integrand.shape} != increments {dW.shape}")
-    return np.einsum("nid,nid->n", integrand, dW)
-
-
-def backward_integral(integrand: np.ndarray, dB: np.ndarray) -> np.ndarray:
-    """Per-scenario sum of a(t_{i+1}) . dB_i.
-
-    The integrand array must already hold right-endpoint values, i.e.
-    integrand[:, i] = a(t_{i+1}); this right-endpoint Riemann sum is the
-    single backward-integral convention used everywhere in the package.
-    """
-    integrand = np.asarray(integrand, dtype=np.float64)
-    if integrand.shape != dB.shape:
-        raise ValueError(f"integrand shape {integrand.shape} != increments {dB.shape}")
-    return np.einsum("nid,nid->n", integrand, dB)
-
-
-def moment_check(ensemble: ScenarioEnsemble, p: float, C_p: float, q: float) -> CheckReport:
-    """Empirical sup-moment of the forward path against C_p (1 + |gamma|^q)."""
-    if p < 2:
-        raise ValueError(f"moment order must be >= 2, got {p}")
-    i_t = ensemble.initial.t_index
-    X = ensemble.x_values[ensemble.valid_mask, i_t:]
-    sup_abs = np.max(np.linalg.norm(X, axis=2), axis=1)
-    moment = float(np.mean(sup_abs ** p))
-    from .paths import sup_norm
-    bound = C_p * (1.0 + sup_norm(ensemble.initial) ** q)
-    ratio = moment / bound
-    return CheckReport.make(
-        f"moment_p{p}", ratio, 1.0, X.shape[0],
-        details=[f"E[sup|X|^{p}]={moment:.6g}", f"bound={bound:.6g}"],
-        samples=[("empirical_moment", moment), ("bound", bound)],
-    )
 
 
 def random_initial_path(grid_times: np.ndarray, t_index: int, dim: int,

@@ -242,7 +242,8 @@ def _time_major(a: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """The valid scenarios of a scenario-major (n, time, .) array as a
     contiguous time-major (time, n_valid, .) array, so every step reads
     contiguous rows; no copy when every scenario is valid and the array is
-    already a view of time-major storage (as simulate_forward's x_values)."""
+    already a view of time-major storage (as simulate_forward's x_values
+    and sample_drivers' dW and dB)."""
     a = a.transpose(1, 0, 2)
     return np.ascontiguousarray(a) if valid.all() else np.compress(valid, a, axis=1)
 

@@ -78,7 +78,8 @@ def spde_residual(u: PathFunctional, model: Model,
     i_t = ensemble.initial.t_index
     N = len(grid) - 1
     X = ensemble.x_values[ensemble.valid_mask]
-    dB = ensemble.drivers.dB[ensemble.valid_mask]
+    # with g = None the g dB term is zero: dB is not read, so not drawn
+    dB = None if model.g is None else ensemble.drivers.dB[ensemble.valid_mask]
 
     def jet(p: Path, hessian: bool = True):
         # a prefix's field value and derivatives, each computed once
@@ -102,7 +103,8 @@ def spde_residual(u: PathFunctional, model: Model,
             p_next, y_next, _, _, _, z_next = jets[i + 1 - i_t]
             gen = float(on_path(model.b, pi) @ dx) + 0.5 * np.trace(sig @ sig.T @ dxx)
             fv = float(on_path(model.eval_f, pi, y_i, z_i)[0])
-            g_term = float(on_path(model.eval_g, p_next, y_next, z_next)[0] @ dB[s, i])
+            g_term = 0.0 if dB is None else float(
+                on_path(model.g, p_next, y_next, z_next)[0] @ dB[s, i])
             dX = X[s, i + 1] - X[s, i]
             total += (-(gen + fv) * dt - g_term + dx @ dX
                       + 0.5 * float(dX @ dxx @ dX))

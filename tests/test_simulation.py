@@ -1,13 +1,38 @@
-"""Driver sampling, forward simulation, discrete integrals."""
+"""Driver sampling and forward simulation."""
 
 import numpy as np
 import pytest
 
-from pathfk import (Path, backward_integral, forward_integral, get_model,
-                    make_grid, moment_check, sample_drivers, simulate_forward)
+from scipy.special import ndtri
+
+from pathfk import (Path, get_model, make_grid, sample_drivers,
+                    simulate_forward, solve_regression)
+from pathfk import simulation
+from pathfk.simulation import _keyed_normals
 
 
 GRID = make_grid(1.0, 8)
+
+
+def _reference_normals(seed, tag, shape):
+    """The (seed, tag) stream's normals written out with temporaries, one
+    operation per array: the reference the in-place draws must equal."""
+    bitgen = np.random.Philox(key=seed + (tag << 64))
+    u = np.random.Generator(bitgen).random(int(np.prod(shape)))
+    return ndtri(u.reshape(shape) * (1.0 - 2.0 ** -52) + 2.0 ** -53)
+
+
+def _record_draws(monkeypatch):
+    """(tag, shape) of every stream draw made from now on."""
+    calls = []
+    real = simulation._keyed_normals
+
+    def recording(seed, tag, shape, *args, **kwargs):
+        calls.append((tag, tuple(shape)))
+        return real(seed, tag, shape, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "_keyed_normals", recording)
+    return calls
 
 
 # -- driver sampling -----------------------------------------------------
@@ -49,16 +74,72 @@ def test_scenario_prefix_stability():
     assert np.array_equal(small.dB, large.dB[:10])
 
 
-def test_regenerate_scenario_bit_identical():
+def test_regenerate_scenario_bit_identical(monkeypatch):
     # with N=5 the stream offsets s*N*d and s*N*l (9990 and 14985 at s=999)
     # are not multiples of the four uniforms one Philox counter step yields
+    calls = _record_draws(monkeypatch)
     for N, n, d, l, rows in ((8, 50, 2, 1, (0, 17, 49)),
                              (5, 1000, 2, 3, (1, 998, 999))):
         drv = sample_drivers(make_grid(1.0, N), n, 9, d=d, l=l)
-        for s in rows:
-            w, b = drv.regenerate_scenario(s)
+        regenerated = {s: drv.regenerate_scenario(s) for s in rows}
+        # regeneration reads the stored width l, never the stored dB
+        assert (2, (n, N, l)) not in calls
+        for s, (w, b) in regenerated.items():
             assert np.array_equal(w, drv.dW[s])
             assert np.array_equal(b, drv.dB[s])
+        assert calls.count((2, (n, N, l))) == 1
+
+
+def test_lazy_second_driver_matches_eager_draw(monkeypatch):
+    calls = _record_draws(monkeypatch)
+    n, N, seed = 300, 8, 21
+    drv = sample_drivers(GRID, n, seed, d=2, l=3)
+    assert drv.l == 3 and calls == [(1, (n, N, 2))]
+    sdt = np.sqrt(drv.dt)
+    dB = drv.dB
+    assert calls == [(1, (n, N, 2)), (2, (n, N, 3))]
+    assert drv.dB is dB  # drawn once, then cached
+    assert np.array_equal(dB, _keyed_normals(seed, 2, (n, N, 3)) * sdt)
+    assert np.array_equal(dB, _reference_normals(seed, 2, (n, N, 3)) * sdt)
+    assert np.array_equal(drv.dW, _reference_normals(seed, 1, (n, N, 2)) * sdt)
+    # both drivers are (n, N, .) views of time-major (N, n, .) storage
+    for a in (drv.dW, dB):
+        assert a.transpose(1, 0, 2).flags.c_contiguous
+
+
+def test_explicit_second_driver_is_kept(monkeypatch):
+    calls = _record_draws(monkeypatch)
+    drv = sample_drivers(GRID, 10, 4, l=2)
+    dB = np.ones((10, 8, 2))
+    pair = simulation.BrownianPair(drv.grid_times, drv.dW, dB, drv.seed)
+    assert pair.dB is dB and pair.l == 2
+    assert calls == [(1, (10, 8, 1))]
+    with pytest.raises(ValueError):
+        simulation.BrownianPair(drv.grid_times, drv.dW, None, drv.seed)
+
+
+def test_sampled_increments_are_read_only():
+    # solves read the drivers' own time-major storage without a copy, so no
+    # write through any view may change the increments a later solve reads
+    drv = sample_drivers(GRID, 20, 5, l=2)
+    for a in (drv.dW, drv.dB, drv.dB[:, 3]):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("name, b_draws", [("heat", 0), ("asian", 0),
+                                            ("path-f", 0), ("linear-g", 1)])
+def test_second_driver_drawn_only_when_read(monkeypatch, name, b_draws):
+    # a solve reads dB only when the model has a backward integrand g
+    calls = _record_draws(monkeypatch)
+    m = get_model(name)
+    d, _, l = m.dims
+    grid = make_grid(1.0, 4)
+    drv = sample_drivers(grid, 600, 11, d=d, l=l)
+    ens = simulate_forward(m, Path(grid, np.full((1, d), 0.3)), drv)
+    solve_regression(m, ens)
+    tags = [tag for tag, _ in calls]
+    assert tags.count(1) == 1 and tags.count(2) == b_draws
 
 
 def test_sample_drivers_validation():
@@ -102,41 +183,3 @@ def test_forward_moment_statistics():
     ens = simulate_forward(model, init, drv)
     m2 = np.mean(ens.x_values[:, -1, 0] ** 2)
     assert m2 == pytest.approx(2.0, rel=0.05)
-
-
-def test_moment_check_envelope():
-    model = get_model("heat")
-    init = Path(GRID, np.array([[1.0]]))
-    ens = simulate_forward(model, init, sample_drivers(GRID, 2000, 4))
-    rep = moment_check(ens, p=2.0, C_p=10.0, q=2.0)
-    assert rep.passed
-    rep_tight = moment_check(ens, p=2.0, C_p=0.1, q=2.0)
-    assert not rep_tight.passed
-
-
-# -- discrete integrals --------------------------------------------------
-
-
-def test_forward_integral_telescopes_for_unit_integrand():
-    drv = sample_drivers(GRID, 50, 5)
-    total = forward_integral(np.ones_like(drv.dW), drv.dW)
-    assert np.allclose(total, drv.dW[:, :, 0].sum(axis=1))
-
-
-def test_backward_integral_telescoping_identity():
-    # sum W_{i+1} dW_i - sum W_i dW_i = sum (dW_i)^2, the discrete bracket:
-    # the right-endpoint and left-endpoint sums must differ by exactly it
-    drv = sample_drivers(GRID, 50, 6)
-    W = np.concatenate([np.zeros((50, 1, 1)), np.cumsum(drv.dW, axis=1)], axis=1)
-    left = forward_integral(W[:, :-1], drv.dW)
-    right = backward_integral(W[:, 1:], drv.dW)
-    assert np.allclose(right - left, (drv.dW[:, :, 0] ** 2).sum(axis=1))
-
-
-def test_integral_shape_validation():
-    drv = sample_drivers(GRID, 5, 0)
-    with pytest.raises(ValueError):
-        forward_integral(np.ones((5, 3, 1)), drv.dW)
-    with pytest.raises(ValueError):
-        backward_integral(np.ones((5, 3, 1)), drv.dB)
-

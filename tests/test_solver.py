@@ -14,7 +14,7 @@ from pathfk import (BudgetError, Model, Path, RegressionBasis, SolverError,
                     simulate_forward, solve_nested, solve_regression,
                     vertical_derivative)
 from pathfk.simulation import BrownianPair, ScenarioEnsemble
-from pathfk.solver import _column_basis, _project, _tree_forward
+from pathfk.solver import _column_basis, _project, _time_major, _tree_forward
 
 
 T = 1.0
@@ -304,6 +304,22 @@ def test_coefficients_receive_read_only_blocks():
     with pytest.raises(ValueError):
         solve_nested(m, Path(make_grid(T, 2), np.array([[0.5]])), n_outer=1,
                      seed=0, branching=2)
+
+
+def test_solves_read_the_drivers_without_a_copy():
+    # sampled increments are stored time-major, so with every scenario valid
+    # the solver's time-major dW and dB are the drivers' own read-only storage
+    m = get_model("linear-g")
+    ens = ensemble(m, N=4, n=500, seed=14, x0=0.5)
+    drv = ens.drivers
+    for inc in (drv.dW, drv.dB):
+        tm = _time_major(inc, ens.valid_mask)
+        assert np.shares_memory(tm, inc)
+        with pytest.raises(ValueError):
+            tm[0] = 0.0
+    valid = ens.valid_mask.copy()
+    valid[3] = False
+    assert not np.shares_memory(_time_major(drv.dW, valid), drv.dW)
 
 
 # -- nested engine -------------------------------------------------------

@@ -117,6 +117,20 @@ def reference_residual(u, model, ens):
     return np.array(res)
 
 
+def test_residual_reads_second_driver_only_with_g():
+    # heat has g = None, so its residual never reads dB: all-NaN increments
+    # leave it unchanged bit for bit, and a sampled pair never draws them
+    from pathfk.simulation import BrownianPair, ScenarioEnsemble
+    u = field_from_closed_form(get_entry("heat"))
+    m, ens = late_start_ensemble("heat", N=6, n=3)
+    drv = ens.drivers
+    nan = BrownianPair(drv.grid_times, drv.dW, np.full((3, 6, 1), np.nan), drv.seed)
+    res = spde_residual(u, m, ens)
+    assert drv._dB is None
+    nan_ens = ScenarioEnsemble(ens.initial, nan, ens.x_values, ens.valid_mask)
+    assert np.array_equal(spde_residual(u, m, nan_ens), res)
+
+
 def test_residual_matches_its_definition():
     # linear-g has g != 0, nonlinear-f has f depending on z; the field has
     # no attached derivatives, so every derivative is a finite difference

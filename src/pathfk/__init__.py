@@ -5,7 +5,7 @@ from .errors import (BudgetError, GridAlignmentError, PreconditionError,
                      SolverError)
 from .paths import (Path, PathDistance, discretize, from_csv, from_json,
                     horizontal_extend, make_grid, path_dist, restrict,
-                    sup_norm, to_csv, to_json, value_at, vertical_bump)
+                    sup_norm, to_csv, to_json, vertical_bump)
 from .calculus import (DerivativeEstimate, PathFunctional, SmoothMap,
                        backward_ito_residual, functional_ito_residual,
                        horizontal_derivative, vertical_derivative,
@@ -19,10 +19,10 @@ from .solver import (BackwardSolution, RegressionBasis, evaluate_u,
                      frozen_noise_increments, solve_nested, solve_regression)
 from .verification import (comparison_check, discretization_convergence_check,
                            discretized_model, field_from_closed_form,
-                           field_from_engine, feynman_kac_forward_check,
-                           feynman_kac_reverse_check, flow_check,
-                           moment_envelope_check, moment_envelope_score,
-                           moment_probes, regularity_check, spde_residual,
+                           field_from_engine, feynman_kac_reverse_check,
+                           flow_check, moment_envelope_check,
+                           moment_envelope_score, moment_probes,
+                           regularity_check, spde_residual,
                            spde_residual_check, z_growth_check,
                            z_representation_check)
 from .config import ExperimentConfig, ConfigError, load_config

@@ -130,14 +130,19 @@ def horizontal_derivative(F: PathFunctional, p: Path, delta: float | None = None
             f"no room to extend: t={p.current_time}, delta={delta}, horizon={p.horizon}"
         )
     f0 = F(p)
-    est = (F(horizontal_extend(p, p.current_time + delta)) - f0) / delta
+    est = _flat_quotient(F, p, delta, f0)
     pair = None
     err = 0.0
     if n_steps % 2 == 0:
-        half = delta / 2.0
-        pair = (F(horizontal_extend(p, p.current_time + half)) - f0) / half
+        pair = _flat_quotient(F, p, delta / 2.0, f0)
         err = float(np.max(np.abs(est - pair)))
     return DerivativeEstimate(est, delta, pair, err)
+
+
+def _flat_quotient(F: PathFunctional, p: Path, delta: float, f0: np.ndarray) -> np.ndarray:
+    """Forward quotient of F along the flat extension by delta, around the
+    base value f0 = F(p)."""
+    return (F(horizontal_extend(p, p.current_time + delta)) - f0) / delta
 
 
 def _gradient(F: PathFunctional, p: Path) -> np.ndarray:
@@ -166,13 +171,19 @@ def functional_ito_residual(F: PathFunctional, x_path: Path, qv: np.ndarray) -> 
     m = x_path.t_index
     qv = np.asarray(qv, dtype=np.float64).reshape(m, x_path.dimension, x_path.dimension)
     dt = x_path.dt
-    total = F(x_path) - F(restrict(x_path, 0.0))
+    # the start term is prefix 0's base value; later prefixes evaluate
+    # theirs only when a finite difference needs it
+    f0 = F(restrict(x_path, 0.0))
+    total = F(x_path) - f0
+    needs_value = F.d_t is None or F.d_xx is None
     for i in range(m):
         pi = restrict(x_path, x_path.grid_times[i])
+        if i > 0:
+            f0 = F(pi) if needs_value else None
         ds = (np.asarray(F.d_t(pi), dtype=np.float64) if F.d_t is not None
-              else horizontal_derivative(F, pi).value)
+              else _flat_quotient(F, pi, dt, f0))
         dx = _gradient(F, pi)
-        dxx = _hessian(F, pi)
+        dxx = _hessian(F, pi, f0)
         dX = x_path.values[i + 1] - x_path.values[i]
         total = total - ds * dt
         total = total - dx.reshape(x_path.dimension) @ dX

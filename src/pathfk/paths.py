@@ -124,17 +124,6 @@ class PathDistance:
         return self.sup_component + self.time_component
 
 
-def value_at(path: Path, r: float) -> np.ndarray:
-    """Cadlag evaluation: value at the greatest grid time <= r."""
-    if r < -_REL_TOL or r > path.current_time + _REL_TOL:
-        raise ValueError(
-            f"time {r} outside [0, current_time={path.current_time}]"
-        )
-    idx = int(np.searchsorted(path.grid_times, r + 1e-9 * path.dt, side="right")) - 1
-    idx = min(max(idx, 0), path.t_index)
-    return path.values[idx]
-
-
 def vertical_bump(path: Path, x) -> Path:
     """Shift the final value by x, leaving everything else unchanged."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))

@@ -309,14 +309,20 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     Y = np.zeros((N + 1, n, k))
     Z = np.zeros((N + 1, n, k, d))
     Y[N] = phi
+    # the passes alternate between two buffer pairs; a sweep writes rows
+    # t_index..N-1, so the rows it leaves keep the values set here, which
+    # the update norm reads
+    Y_new = np.empty_like(Y)
+    Z_new = np.empty_like(Z)
+    Y_new[:i_t] = 0.0
+    Y_new[N] = phi
+    Z_new[:i_t] = 0.0
+    Z_new[N] = 0.0
     update_norms = []
     rollout = None
     fit_se = np.zeros((N + 1, n, k)) if record_fit_se else None
 
     for p in range(picard_iters):
-        Y_new = np.zeros_like(Y)
-        Z_new = np.zeros_like(Z)
-        Y_new[N] = phi
         # pathwise accumulation of the drivers; its mean equals the field
         # estimate and its spread carries the full sampling error
         rollout = phi.copy()
@@ -359,7 +365,7 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
                     f"backward driver's z-coefficient {model.alpha} to act as "
                     "a contraction at this step size"
                 )
-        Y, Z = Y_new, Z_new
+        Y, Z, Y_new, Z_new = Y_new, Z_new, Y, Z
 
     Y[:i_t] = Y[i_t]
     u_estimate = Y[i_t].mean(axis=0)
@@ -444,19 +450,29 @@ def _tree_forward(model: Model, initial: Path, branching: int):
     return levels, dw_nodes, w_nodes, level_w
 
 
-def _tree_backward(model: Model, initial: Path, tree, dB: np.ndarray,
+def _by_children(a: np.ndarray, per_step: int) -> np.ndarray:
+    """A level's (m * per_step, k) values as an (m * k, per_step) matrix:
+    one row per parent node and component, one column per child, so a
+    single matrix product takes the quadrature over a whole level."""
+    k = a.shape[1]
+    return a.reshape(-1, per_step, k).transpose(0, 2, 1).reshape(-1, per_step)
+
+
+def _tree_backward(model: Model, initial: Path, tree, dB: Optional[np.ndarray],
                    picard_iters: int):
     """Backward sweep on an expanded tree for one frozen second driver.
 
-    Returns (y_root (k,), z_root (k,d), y_means (N_rem+1, k),
-    z_means (N_rem, k, d)) where the means are quadrature-weighted averages
-    over each tree level.
+    dB holds the frozen increments (N_rem, l); it is read only when the
+    model has a backward driver.  Returns (y_root (k,), z_root (k,d),
+    y_means (N_rem+1, k), z_means (N_rem, k, d)) where the means are
+    quadrature-weighted averages over each tree level.
     """
     levels, dw_nodes, w_nodes, level_w = tree
     d, k, l = model.dims
     dt = initial.dt
     n_rem = len(levels) - 1
     per_step = dw_nodes.shape[0]
+    z_weights = w_nodes[:, None] * dw_nodes / dt          # (per_step, d)
 
     phi = model.Phi(levels[-1], dt)                        # (leaves, k)
     y_levels = [None] * (n_rem + 1)
@@ -471,21 +487,23 @@ def _tree_backward(model: Model, initial: Path, tree, dB: np.ndarray,
         new_z[n_rem] = z_levels[n_rem]
         for j in range(n_rem - 1, -1, -1):
             m = levels[j].shape[0]
-            yc = new_y[j + 1].reshape(m, per_step, k)
-            zc = new_z[j + 1].reshape(m, per_step, k, d)
             if p == 0:
                 fy = new_y[j + 1]
                 fz = new_z[j + 1]
             else:
                 fy = np.repeat(y_levels[j], per_step, axis=0)
                 fz = np.repeat(z_levels[j], per_step, axis=0)
-            fv = model.eval_f(levels[j + 1], fy, fz)
-            gv = model.eval_g(levels[j + 1], fy, fz)
-            gdB = np.einsum("nkl,l->nk", gv, dB[j]).reshape(m, per_step, k)
-            fv = fv.reshape(m, per_step, k)
-            integ = yc + gdB
-            new_z[j] = np.einsum("q,mqk,qd->mkd", w_nodes, integ, dw_nodes) / dt
-            new_y[j] = np.einsum("q,mqk->mk", w_nodes, integ + fv * dt)
+            integ = new_y[j + 1]
+            if model.g is not None:
+                # einsum, not matmul: numpy's stacked matmul and BLAS gemv
+                # are several times slower on these one-column products
+                gv = model.g(levels[j + 1], fy, fz)
+                integ = integ + np.einsum("nkl,l->nk", gv, dB[j])
+            integ = _by_children(integ, per_step)
+            new_z[j] = (integ @ z_weights).reshape(m, k, d)
+            if model.f is not None:
+                integ = integ + _by_children(model.f(levels[j + 1], fy, fz), per_step) * dt
+            new_y[j] = (integ @ w_nodes).reshape(m, k)
         y_levels, z_levels = new_y, new_z
 
     y_means = np.array([
@@ -514,7 +532,10 @@ def solve_nested(model: Model, initial: Path, n_outer: int, seed: int,
 
     frozen_B, when given, must be the (N - t_index, l) increment array of the
     second driver; the solve then uses that single outer sample and reports a
-    zero spread.
+    zero spread.  A model without a backward driver never reads the frozen
+    noise, so every outer sample poses the same conditional problem: the
+    tree is swept once, each of the n_outer rows of y and z repeats that
+    sweep and the spread is zero.
     """
     d, k, l = model.dims
     grid = initial.grid_times
@@ -524,17 +545,20 @@ def solve_nested(model: Model, initial: Path, n_outer: int, seed: int,
     if frozen_B is not None:
         frozen_B = np.asarray(frozen_B, dtype=np.float64).reshape(n_rem, l)
         all_dB = frozen_B[None]
+    elif n_outer < 1:
+        raise ValueError(f"need at least one outer sample, got {n_outer}")
+    elif model.g is None:
+        all_dB = [None]
     else:
-        if n_outer < 1:
-            raise ValueError(f"need at least one outer sample, got {n_outer}")
         all_dB = frozen_noise_increments(grid, i_t, l, seed, n_outer)
-    n_used = all_dB.shape[0]
+    n_rows = n_outer if frozen_B is None else 1
+    n_sweeps = len(all_dB)
 
     tree = _tree_forward(model, initial, branching)
-    y = np.zeros((n_used, N + 1, k))
-    z = np.zeros((n_used, N, k, d))
-    roots = np.zeros((n_used, k))
-    for o in range(n_used):
+    y = np.zeros((n_sweeps, N + 1, k))
+    z = np.zeros((n_sweeps, N, k, d))
+    roots = np.zeros((n_sweeps, k))
+    for o in range(n_sweeps):
         y_root, z_root, y_means, z_means = _tree_backward(
             model, initial, tree, all_dB[o], picard_iters
         )
@@ -543,9 +567,12 @@ def solve_nested(model: Model, initial: Path, n_outer: int, seed: int,
         y[o, :i_t] = y_means[0]
         if n_rem:
             z[o, i_t:] = z_means
+    if n_sweeps < n_rows:
+        y = np.repeat(y, n_rows, axis=0)
+        z = np.repeat(z, n_rows, axis=0)
     u_estimate = roots.mean(axis=0)
-    if n_used > 1:
-        u_stderr = roots.std(axis=0, ddof=1) / np.sqrt(n_used)
+    if n_sweeps > 1:
+        u_stderr = roots.std(axis=0, ddof=1) / np.sqrt(n_sweeps)
     else:
         u_stderr = np.zeros(k)
     return BackwardSolution(
@@ -559,7 +586,8 @@ def solve_nested(model: Model, initial: Path, n_outer: int, seed: int,
         scheme_params={
             "picard_iters": picard_iters,
             "branching": int(branching),
-            "n_outer": int(n_used),
+            "n_outer": int(n_rows),
+            "outer_sweeps": int(n_sweeps),
             "seed": int(seed),
             "frozen_noise_supplied": frozen_B is not None,
         },

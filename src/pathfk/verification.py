@@ -198,38 +198,7 @@ def z_growth_check(solution: BackwardSolution, ensemble: ScenarioEnsemble,
     )
 
 
-# -- field identity in both directions ----------------------------------
-
-
-def feynman_kac_forward_check(model: Model, u: PathFunctional,
-                              initials: Sequence[Path], tol_rel: float,
-                              n_scenarios: int = 10_000, seed: int = 0,
-                              basis: Optional[RegressionBasis] = None,
-                              name: str = "field_identity_forward") -> CheckReport:
-    """Solver estimate of the field against a candidate field over probe
-    paths: each probe must sit within tol_rel relative error and within
-    three standard errors."""
-    if len(initials) < 1:
-        raise ValueError("need at least one probe path")
-    stats = []
-    details = []
-    for j, p in enumerate(initials):
-        drv = sample_drivers(p.grid_times, n_scenarios, seed + j,
-                             d=model.dims[0], l=model.dims[2])
-        ens = simulate_forward(model, p, drv)
-        sol = solve_regression(model, ens, basis=basis)
-        target = u(p)
-        err = np.abs(sol.u_estimate - target)
-        rel = float(np.max(err / (1.0 + np.abs(target))))
-        zscore = float(np.max(err / (3.0 * sol.u_stderr + _EPS)))
-        stats.append(max(rel / tol_rel, zscore))
-        details.append(
-            f"probe {j}: estimate {sol.u_estimate.tolist()} vs {target.tolist()}"
-            f" (rel {rel:.4g}, z/3 {zscore:.3g})"
-        )
-    return CheckReport.make(name, max(stats), 1.0, len(initials),
-                            details=details,
-                            samples=[(f"probe_{j}", s) for j, s in enumerate(stats)])
+# -- field identity, reverse direction ---------------------------------
 
 
 def feynman_kac_reverse_check(model: Model, initial: Path, tol: float,

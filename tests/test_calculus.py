@@ -187,6 +187,24 @@ def test_functional_residual_with_attached_derivatives_evaluates_ends_only():
     assert len(calls) == 2
 
 
+def test_functional_residual_evaluates_each_distinct_path_once():
+    # nothing attached: the start term doubles as prefix 0's base value and
+    # each prefix's base value serves both the time quotient and the
+    # Hessian, so the count is that of distinct paths (16 prefixes times
+    # base, flat extension, two gradient and two Hessian bumps, plus the
+    # end path)
+    grid = make_grid(1.0, 16)
+    p = brownian_path(grid, seed=4)
+    calls = []
+    F = PathFunctional(
+        eval=lambda q: calls.append((q.t_index, q.values.tobytes()))
+        or np.array([q.endpoint[0] ** 2]),
+        regularity_tag="C12",
+    )
+    functional_ito_residual(F, p, np.full((16, 1, 1), 1.0 / 16))
+    assert len(calls) == len(set(calls)) == 97
+
+
 def test_functional_residual_uses_finite_differences_when_unspecified():
     grid = make_grid(1.0, 16)
     p = brownian_path(grid, seed=3)

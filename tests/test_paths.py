@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathfk import (GridAlignmentError, Path, discretize, from_csv, from_json,
                     horizontal_extend, make_grid, path_dist, restrict,
-                    sup_norm, to_csv, to_json, value_at, vertical_bump)
+                    sup_norm, to_csv, to_json, vertical_bump)
 
 
 def walk(grid, t_index, dim=1, seed=0, scale=1.0):
@@ -63,19 +63,6 @@ def test_time_to_index_alignment():
     assert p.time_to_index(0.75) == 3
     with pytest.raises(GridAlignmentError):
         p.time_to_index(0.3)
-
-
-# -- cadlag evaluation ---------------------------------------------------
-
-
-def test_value_at_is_right_continuous_piecewise_constant():
-    p = Path(make_grid(1.0, 4), np.array([[1.0], [2.0], [3.0]]))
-    assert value_at(p, 0.0)[0] == 1.0
-    assert value_at(p, 0.1)[0] == 1.0    # holds the last grid value
-    assert value_at(p, 0.25)[0] == 2.0   # jumps exactly at the grid point
-    assert value_at(p, 0.5)[0] == 3.0
-    with pytest.raises(ValueError):
-        value_at(p, 0.75)                # beyond the current time
 
 
 # -- bump / extend -------------------------------------------------------

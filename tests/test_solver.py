@@ -14,7 +14,9 @@ from pathfk import (BudgetError, Model, Path, RegressionBasis, SolverError,
                     simulate_forward, solve_nested, solve_regression,
                     vertical_derivative)
 from pathfk.simulation import BrownianPair, ScenarioEnsemble
-from pathfk.solver import _column_basis, _project, _time_major, _tree_forward
+from pathfk import solver
+from pathfk.solver import (_column_basis, _project, _time_major, _tree_backward,
+                          _tree_forward)
 
 
 T = 1.0
@@ -368,6 +370,106 @@ def test_nested_frozen_noise_reproducibility():
     sol_all = solve_nested(m, init, n_outer=5, seed=3)
     # the conditional value for outer sample 2 must match the frozen solve
     assert sol_all.y[2, 0, 0] == pytest.approx(sol_one.u_estimate[0], abs=1e-12)
+
+
+def _count_sweeps(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _tree_backward(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_tree_backward", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, sweeps", [("heat", 1), ("asian", 1), ("path-f", 1),
+                                          ("linear-g", 8)])
+def test_nested_sweeps_once_without_backward_driver(monkeypatch, name, sweeps):
+    m = get_model(name)
+    init = Path(make_grid(T, 4), np.array([[0.2], [0.5]]))
+    calls = _count_sweeps(monkeypatch)
+    sol = solve_nested(m, init, n_outer=8, seed=2, branching=4)
+    assert len(calls) == sweeps
+    assert sol.scheme_params["outer_sweeps"] == sweeps
+    assert sol.scheme_params["n_outer"] == 8
+    assert sol.n_samples == 8 and sol.z.shape == (8, 4, 1, 1)
+    if sweeps == 1:
+        one = solve_nested(m, init, n_outer=1, seed=2, branching=4)
+        assert np.array_equal(sol.u_estimate, one.u_estimate)
+        assert np.all(sol.u_stderr == 0.0)
+        assert np.array_equal(sol.y, np.repeat(one.y, 8, axis=0))
+        assert np.array_equal(sol.z, np.repeat(one.z, 8, axis=0))
+    else:
+        assert np.all(sol.u_stderr > 0.0)
+
+
+def _einsum_tree_backward(model, initial, tree, dB, picard_iters):
+    """Reference sweep: every driver evaluated (zero when absent) and each
+    level contracted by einsum over (node, child, component) arrays."""
+    levels, dw_nodes, w_nodes, level_w = tree
+    d, k, l = model.dims
+    dt = initial.dt
+    n_rem = len(levels) - 1
+    q = dw_nodes.shape[0]
+    phi = model.Phi(levels[-1], dt)
+    y_lv = [None] * n_rem + [phi]
+    z_lv = [None] * n_rem + [np.zeros((phi.shape[0], k, d))]
+    for p in range(picard_iters):
+        new_y = [None] * n_rem + [phi]
+        new_z = [None] * n_rem + [z_lv[n_rem]]
+        for j in range(n_rem - 1, -1, -1):
+            m = levels[j].shape[0]
+            if p == 0:
+                fy, fz = new_y[j + 1], new_z[j + 1]
+            else:
+                fy = np.repeat(y_lv[j], q, axis=0)
+                fz = np.repeat(z_lv[j], q, axis=0)
+            fv = model.eval_f(levels[j + 1], fy, fz).reshape(m, q, k)
+            gdB = np.einsum("nkl,l->nk", model.eval_g(levels[j + 1], fy, fz),
+                            dB[j]).reshape(m, q, k)
+            integ = new_y[j + 1].reshape(m, q, k) + gdB
+            new_z[j] = np.einsum("q,mqk,qd->mkd", w_nodes, integ, dw_nodes) / dt
+            new_y[j] = np.einsum("q,mqk->mk", w_nodes, integ + fv * dt)
+        y_lv, z_lv = new_y, new_z
+    y_means = np.array([np.einsum("m,mk->k", level_w[j], y_lv[j])
+                        for j in range(n_rem + 1)])
+    z_means = np.array([np.einsum("m,mkd->kd", level_w[j], z_lv[j])
+                        for j in range(n_rem)])
+    return y_lv[0][0], z_lv[0][0], y_means, z_means
+
+
+def two_driver_model():
+    """d = k = l = 2, with both drivers nonzero and mixing components."""
+    mix = np.array([[1.0, 0.5], [-0.3, 0.8]])
+    return Model(
+        b=lambda x: 0.1 * x[:, -1, :],
+        sigma=lambda x: np.eye(2) * (1.0 + 0.2 * np.tanh(x[:, -1, :]))[:, :, None]
+        + 0.1 * mix,
+        Phi=lambda x, dt: np.stack([np.sin(x[:, -1, 0]) + x[:, -1, 1] ** 2,
+                                    x[:, :, 0].max(axis=1) * x[:, -1, 1]], axis=1),
+        lip_C=1.0, growth_m=1.0, alpha=0.5,
+        f=lambda x, y, z: 0.3 * np.cos(y) + 0.2 * z[:, :, 0] - 0.1 * z[:, :, 1]
+        + 0.1 * x[:, -1, :],
+        g=lambda x, y, z: 0.3 * y[:, :, None] * mix[None] + 0.2 * z,
+        dims=(2, 2, 2), markovian_flag=False, name="two-driver")
+
+
+@pytest.mark.parametrize("name", ["linear-g", "nonlinear-f", "path-f", "two-driver"])
+def test_tree_backward_matches_einsum_reference(name):
+    m = two_driver_model() if name == "two-driver" else get_model(name)
+    d, k, l = m.dims
+    branching = 3 if d == 2 else 5
+    init = Path(make_grid(T, 5), np.array([[0.2, -0.4], [0.5, 0.1]])[:, :d])
+    tree = _tree_forward(m, init, branching)
+    dB = frozen_noise_increments(init.grid_times, init.t_index, l, seed=4,
+                                 n_outer=1)[0]
+    for picard in (1, 2):
+        got = _tree_backward(m, init, tree, dB, picard)
+        ref = _einsum_tree_backward(m, init, tree, dB, picard)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape
+            assert np.allclose(a, b, rtol=1e-13, atol=1e-13 * np.abs(b).max())
 
 
 def test_frozen_noise_regenerates_bit_identical():

@@ -19,8 +19,7 @@ from .solver import (BackwardSolution, RegressionBasis, evaluate_u,
                      frozen_noise_increments, solve_nested, solve_regression)
 from .verification import (comparison_check, discretization_convergence_check,
                            discretized_model, field_from_closed_form,
-                           field_from_engine, feynman_kac_reverse_check,
-                           flow_check, moment_envelope_check,
+                           field_from_engine, flow_check, moment_envelope_check,
                            moment_envelope_score, moment_probes,
                            regularity_check, spde_residual,
                            spde_residual_check, z_growth_check,

@@ -266,12 +266,14 @@ def registry() -> list[ModelRegistryEntry]:
 
 def shifted_model(model: Model, shift_phi: float = 0.0, shift_f: float = 0.0) -> Model:
     """The same model with constants added to the terminal functional and the
-    time driver; with nonnegative shifts the result dominates the original."""
+    time driver; with nonnegative shifts the result dominates the original.
+    A zero shift_f keeps the original time driver, absent or not."""
     return replace(
         model,
         name=f"{model.name}+shift",
         Phi=lambda x, dt: model.Phi(x, dt) + shift_phi,
-        f=lambda x, y, z: model.eval_f(x, y, z) + shift_f,
+        f=(model.f if shift_f == 0.0
+           else lambda x, y, z: model.eval_f(x, y, z) + shift_f),
     )
 
 

@@ -19,6 +19,7 @@ on the driver's z-coefficient being strictly below one.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import json
@@ -238,6 +239,12 @@ class BackwardSolution:
 # -- regression engine ---------------------------------------------------
 
 
+def _refinement_passes(model: Model, picard_iters: int) -> int:
+    """Passes an engine runs: the drivers are the only terms that read
+    (y, z), so without either a second pass would repeat the first."""
+    return picard_iters if model.f is not None or model.g is not None else 1
+
+
 def _time_major(a: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """The valid scenarios of a scenario-major (n, time, .) array as a
     contiguous time-major (time, n_valid, .) array, so every step reads
@@ -259,13 +266,14 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     orthonormal basis of its column space (_column_basis; a non-finite
     design raises SolverError); every conditional expectation on that step
     (the centring term, z, y, and the rollout behind fit_se) in every pass
-    is the projection onto that basis.
+    is the projection onto that basis, and with f absent y is the centring term.
 
     Pass 0 is the explicit scheme (drivers read the right-endpoint y/z);
     each further pass re-evaluates the drivers at the previous pass's
-    current-step y/z.  If the pass-to-pass update norm grows on two
-    consecutive passes the fixed point is diverging and a SolverError is
-    raised.
+    current-step y/z; without drivers one pass runs whatever picard_iters
+    asks (scheme_params["picard_passes"]).  If the pass-to-pass update norm
+    grows on two consecutive passes the fixed point is diverging and a
+    SolverError is raised.
 
     With record_fit_se, fit_se holds the pointwise standard error of the
     last pass's fitted y: the leverage of each scenario times the rollout's
@@ -322,7 +330,8 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     rollout = None
     fit_se = np.zeros((N + 1, n, k)) if record_fit_se else None
 
-    for p in range(picard_iters):
+    passes = _refinement_passes(model, picard_iters)
+    for p in range(passes):
         # pathwise accumulation of the drivers; its mean equals the field
         # estimate and its spread carries the full sampling error
         rollout = phi.copy()
@@ -331,22 +340,28 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
                 fy, fz = Y_new[i + 1], Z_new[i + 1]
             else:
                 fy, fz = Y[i], Z[i]
-            fv = model.eval_f(history[:, : i + 2], fy, fz)
-            gdB = 0.0 if model.g is None else np.einsum(
-                "nkl,nl->nk", model.g(history[:, : i + 2], fy, fz), dB[i])
             U = features[i]
             # center the z-target with the fitted continuation value; the
             # centering term is a function of the features, so it leaves the
             # conditional expectation unchanged while removing the dominant
             # 1/dt variance of the raw product
-            cont = Y_new[i + 1] + gdB
+            cont = Y_new[i + 1]
+            if model.g is not None:
+                gdB = np.einsum("nkl,nl->nk", model.g(history[:, : i + 2], fy, fz), dB[i])
+                cont = cont + gdB
             center = _project(U, cont)
             z_target = (cont - center)[:, :, None] * dW[i][:, None, :] / dt
             Z_new[i] = _project(U, z_target.reshape(n, k * d)).reshape(n, k, d)
-            y_target = Y_new[i + 1] + fv * dt + gdB
-            Y_new[i] = _project(U, y_target)
-            rollout = rollout + fv * dt + gdB
-            if record_fit_se and p == picard_iters - 1:
+            if model.f is None:
+                Y_new[i] = center   # the y target is cont itself
+            else:
+                fdt = model.f(history[:, : i + 2], fy, fz) * dt
+                rollout = rollout + fdt
+                y_target = Y_new[i + 1] + fdt
+                Y_new[i] = _project(U, y_target if model.g is None else y_target + gdB)
+            if model.g is not None:
+                rollout = rollout + gdB
+            if record_fit_se and p == passes - 1:
                 # hat-matrix diagonal times the residual variance of the
                 # rollout: the step target understates the noise carried by
                 # a backward-recursed fit, the accumulated value-to-go does not
@@ -380,6 +395,7 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
         engine_tag="regression",
         scheme_params={
             "picard_iters": picard_iters,
+            "picard_passes": passes,
             "feature_set": basis.feature_set,
             "degree": basis.degree,
             "future_noise_features": bool(use_noise),
@@ -395,9 +411,13 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
 # -- nested quadrature engine -------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss_hermite(branching: int):
+    """Gauss-Hermite nodes and normalised weights, read-only, once per branching."""
     nodes, weights = np.polynomial.hermite_e.hermegauss(branching)
-    return nodes, weights / weights.sum()
+    weights = weights / weights.sum()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _tree_forward(model: Model, initial: Path, branching: int):
@@ -480,7 +500,7 @@ def _tree_backward(model: Model, initial: Path, tree, dB: Optional[np.ndarray],
     y_levels[n_rem] = phi
     z_levels[n_rem] = np.zeros((phi.shape[0], k, d))
 
-    for p in range(picard_iters):
+    for p in range(_refinement_passes(model, picard_iters)):
         new_y = [None] * (n_rem + 1)
         new_z = [None] * (n_rem + 1)
         new_y[n_rem] = phi
@@ -585,6 +605,7 @@ def solve_nested(model: Model, initial: Path, n_outer: int, seed: int,
         engine_tag="nested",
         scheme_params={
             "picard_iters": picard_iters,
+            "picard_passes": _refinement_passes(model, picard_iters),
             "branching": int(branching),
             "n_outer": int(n_rows),
             "outer_sweeps": int(n_sweeps),

@@ -14,8 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import (PathFunctional, _gradient, _hessian, vertical_derivative,
-                       vertical_hessian)
+from .calculus import PathFunctional, _gradient, _hessian, vertical_derivative
 from .errors import PreconditionError
 from .models import Model, ModelRegistryEntry, on_path
 from .paths import (Path, discretize_values, path_dist, restrict, sup_norm,
@@ -196,32 +195,6 @@ def z_growth_check(solution: BackwardSolution, ensemble: ScenarioEnsemble,
                  f"outlier fraction beyond {outlier_factor}x: {frac_out:.4g}"],
         samples=[("envelope_constant", C), ("max_ratio", float(ratios.max()))],
     )
-
-
-# -- field identity, reverse direction ---------------------------------
-
-
-def feynman_kac_reverse_check(model: Model, initial: Path, tol: float,
-                              n_check_paths: int = 10, seed: int = 0,
-                              engine_kwargs: Optional[dict] = None,
-                              name: str = "field_identity_reverse") -> CheckReport:
-    """The solver-defined field, differentiated numerically, must satisfy the
-    discrete field equation; the tolerance inflates with the reported
-    derivative error estimates."""
-    engine_kwargs = engine_kwargs or {}
-    u = field_from_engine(model, engine="nested", **engine_kwargs)
-    drv = sample_drivers(initial.grid_times, n_check_paths, seed,
-                         d=model.dims[0], l=model.dims[2])
-    ens = simulate_forward(model, initial, drv)
-    # derivative reliability probe at the initial path
-    d1 = vertical_derivative(u, initial)
-    d2 = vertical_hessian(u, initial)
-    inflation = 1.0 + 10.0 * (d1.est_error + d2.est_error)
-    rep = spde_residual_check(u, model, ens, tol * inflation, name=name)
-    rep.details.append(
-        f"tolerance inflated by derivative error estimates: x{inflation:.3g}"
-    )
-    return rep
 
 
 # -- flow (tower) consistency -------------------------------------------

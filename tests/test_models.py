@@ -157,6 +157,14 @@ def test_validate_input_checks():
 # -- ordering constructions ----------------------------------------------
 
 
+def test_zero_shift_keeps_the_time_driver():
+    # an absent driver stays absent, so the engines keep their short path
+    for name in ("heat", "nonlinear-f"):
+        base = get_model(name)
+        assert shifted_model(base, shift_phi=0.1).f is base.f
+    assert shifted_model(get_model("heat"), shift_f=0.5).f is not None
+
+
 def test_shifted_model_dominates():
     grid = make_grid(1.0, 8)
     rng = np.random.default_rng(1)

@@ -229,6 +229,68 @@ def test_picard_validation_and_divergence():
         solve_regression(runaway, ens, picard_iters=8)
 
 
+def _with_zero_drivers(model, f=False, g=False):
+    """The model with explicit all-zero drivers in place of absent ones."""
+    from dataclasses import replace
+    d, k, l = model.dims
+    zf = lambda x, y, z: np.zeros((x.shape[0], k))
+    zg = lambda x, y, z: np.zeros((x.shape[0], k, l))
+    return replace(model, f=zf if f else model.f, g=zg if g else model.g)
+
+
+@pytest.mark.parametrize("zero", ["f", "g"])
+def test_absent_drivers_match_explicit_zero_drivers(zero):
+    # an explicit zero driver runs every pass and every projection; the
+    # absent driver takes the short path and must land on the same floats
+    m = get_model("heat")
+    explicit = _with_zero_drivers(m, f=zero == "f", g=zero == "g")
+    ens = ensemble(m, N=6, n=800, seed=16, x0=0.3, t_index=1)
+    basis = RegressionBasis(include_future_noise=False)
+    a = solve_regression(m, ens, basis=basis, record_fit_se=True)
+    b = solve_regression(explicit, ens, basis=basis, record_fit_se=True)
+    assert a.scheme_params["picard_passes"] == 1
+    assert b.scheme_params["picard_passes"] == 2
+    for name in ("y", "z", "u_estimate", "u_stderr", "rollout", "fit_se"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_driverless_model_runs_one_pass():
+    m = get_model("heat")
+    ens = ensemble(m, N=6, n=800, seed=17)
+    one = solve_regression(m, ens, picard_iters=1, record_fit_se=True)
+    three = solve_regression(m, ens, picard_iters=3, record_fit_se=True)
+    for name in ("y", "z", "u_estimate", "u_stderr", "rollout", "fit_se"):
+        assert np.array_equal(getattr(one, name), getattr(three, name)), name
+    assert three.scheme_params["picard_iters"] == 3
+    assert three.scheme_params["picard_passes"] == 1
+    assert three.scheme_params["update_norms"] == []
+    init = Path(make_grid(T, 4), np.array([[0.4]]))
+    n1 = solve_nested(m, init, n_outer=1, seed=0, branching=4, picard_iters=1)
+    n3 = solve_nested(m, init, n_outer=1, seed=0, branching=4, picard_iters=3)
+    for name in ("y", "z", "u_estimate", "u_stderr"):
+        assert np.array_equal(getattr(n1, name), getattr(n3, name)), name
+    assert n3.scheme_params["picard_iters"] == 3
+    assert n3.scheme_params["picard_passes"] == 1
+
+
+@pytest.mark.parametrize("name, per_step", [("heat", 2), ("linear-g", 4),
+                                            ("path-f", 6)])
+def test_projections_per_step(monkeypatch, name, per_step):
+    # centring and z on every pass, y only with f, and a second pass only
+    # with a driver
+    m = get_model(name)
+    ens = ensemble(m, N=4, n=600, seed=18)
+    calls = []
+
+    def counted(U, targets):
+        calls.append(1)
+        return _project(U, targets)
+
+    monkeypatch.setattr(solver, "_project", counted)
+    solve_regression(m, ens)
+    assert len(calls) == 4 * per_step
+
+
 def test_solution_time_accessors():
     m = get_model("heat")
     grid = make_grid(T, 8)
@@ -402,6 +464,27 @@ def test_nested_sweeps_once_without_backward_driver(monkeypatch, name, sweeps):
         assert np.array_equal(sol.z, np.repeat(one.z, 8, axis=0))
     else:
         assert np.all(sol.u_stderr > 0.0)
+
+
+def test_gauss_hermite_rule_computed_once(monkeypatch):
+    calls = []
+    original = np.polynomial.hermite_e.hermegauss
+
+    def counted(deg):
+        calls.append(deg)
+        return original(deg)
+
+    monkeypatch.setattr(np.polynomial.hermite_e, "hermegauss", counted)
+    solver._gauss_hermite.cache_clear()
+    m = get_model("heat")
+    init = Path(make_grid(T, 3), np.array([[0.1]]))
+    first = _tree_forward(m, init, 5)
+    second = _tree_forward(m, init, 5)
+    assert calls == [5]
+    assert np.array_equal(first[2], second[2])
+    nodes, weights = solver._gauss_hermite(5)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    solver._gauss_hermite.cache_clear()
 
 
 def _einsum_tree_backward(model, initial, tree, dB, picard_iters):

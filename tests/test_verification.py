@@ -6,8 +6,7 @@ import pytest
 from pathfk import (Path, PathFunctional, PreconditionError, RegressionBasis,
                     comparison_check, discretization_convergence_check,
                     discretized_model, field_from_closed_form,
-                    field_from_engine, feynman_kac_reverse_check,
-                    flow_check, get_entry, get_model, make_grid,
+                    field_from_engine, flow_check, get_entry, get_model, make_grid,
                     moment_envelope_check, on_path,
                     regularity_check, restrict, sample_drivers, shifted_model,
                     simulate_forward, solve_regression, spde_residual,
@@ -184,18 +183,6 @@ def test_z_representation_needs_a_reference():
 def test_z_growth_envelope():
     m, ens, sol = solved("heat", N=8, n=2000, seed=7)
     rep = z_growth_check(sol, ens)
-    assert rep.passed
-
-
-# -- field identity, reverse direction ----------------------------------
-
-
-def test_reverse_identity_via_engine_field():
-    m = get_model("nonlinear-f")
-    init = origin(4)
-    rep = feynman_kac_reverse_check(
-        m, init, tol=0.1, n_check_paths=5, seed=10,
-        engine_kwargs={"n_scenarios": 1, "branching": 6})
     assert rep.passed
 
 

@@ -3,9 +3,8 @@ Brownian motions, and verification of the induced path-field identities."""
 
 from .errors import (BudgetError, GridAlignmentError, PreconditionError,
                      SolverError)
-from .paths import (Path, PathDistance, discretize, from_csv, from_json,
-                    horizontal_extend, make_grid, path_dist, restrict,
-                    sup_norm, to_csv, to_json, vertical_bump)
+from .paths import (Path, PathDistance, horizontal_extend, make_grid,
+                    path_dist, restrict, sup_norm, vertical_bump)
 from .calculus import (DerivativeEstimate, PathFunctional, SmoothMap,
                        backward_ito_residual, functional_ito_residual,
                        horizontal_derivative, vertical_derivative,

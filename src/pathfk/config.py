@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .models import Model, get_entry
-from .paths import Path, from_csv, make_grid
+from .paths import Path, make_grid
 from .solver import RegressionBasis
 
 _ENGINES = ("regression", "nested")
@@ -198,8 +198,13 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
     if init_spec is None:
         initial = Path(grid, np.zeros((1, model.dims[0])))
     elif "file" in init_spec:
-        with open(init_spec["file"]) as fh:
-            initial = from_csv(fh.read(), horizon=T, dt=T / N)
+        # a header line, then one row per grid time from 0: time, x_1..x_d
+        rows = np.loadtxt(init_spec["file"], delimiter=",", skiprows=1, ndmin=2)
+        if not 1 <= rows.shape[0] <= N + 1 or not np.allclose(
+                rows[:, 0], grid[: rows.shape[0]], rtol=0.0, atol=1e-9 * T / N):
+            raise ConfigError(f"the times in {init_spec['file']} are not the "
+                              f"grid times 0, {T / N:g}, ... of grid.N = {N}")
+        initial = Path(grid, rows[:, 1:])
     else:
         vals = np.asarray(init_spec["values"], dtype=np.float64)
         initial = Path(grid, vals)

@@ -9,8 +9,6 @@ operations below are pure.
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,40 +167,17 @@ def path_dist(a: Path, b: Path) -> PathDistance:
 def discretize_values(vals: np.ndarray, anchor_idx: int, stride: int) -> np.ndarray:
     """The node-freezing rule on a block of histories (n, m, d): indices
     from the anchor up to the second-to-last are held at the most recent
-    node, every stride steps from the anchor; the final entry is kept."""
+    node, every stride steps from the anchor; the final entry is kept.
+    One gather, laid out like vals (the block itself when nothing is held),
+    so a frozen coefficient reduces over time in the same order as the
+    unfrozen one."""
     m = vals.shape[1]
     if m - 1 <= anchor_idx:
         return vals
-    out = vals.copy()
-    idx = np.arange(anchor_idx, m - 1)
-    node = anchor_idx + ((idx - anchor_idx) // stride) * stride
-    out[:, idx] = vals[:, node]
-    return out
-
-
-def discretize(path: Path, n: int, anchor_t: float) -> Path:
-    """Freeze the path at n equally spaced nodes between anchor_t and T.
-
-    On [0, anchor_t) the path is unchanged; on each node interval it is held
-    at the most recent node value; the endpoint at the current time is kept.
-    """
-    if n < 1:
-        raise ValueError(f"need a positive number of nodes, got n={n}")
-    anchor_idx = path.time_to_index(anchor_t)
-    if anchor_idx > path.t_index:
-        raise ValueError(
-            f"anchor {anchor_t} after current time {path.current_time}"
-        )
-    total_steps = len(path.grid_times) - 1 - anchor_idx
-    if total_steps == 0:
-        return path
-    if total_steps % n != 0:
-        raise GridAlignmentError(
-            f"{n} subdivision nodes do not land on the grid "
-            f"({total_steps} grid steps from anchor to horizon)"
-        )
-    vals = discretize_values(path.values[None], anchor_idx, total_steps // n)
-    return Path(path.grid_times, vals[0])
+    idx = np.arange(m)
+    held = idx[anchor_idx : m - 1]  # a view: moves each held index to its node
+    held -= (held - anchor_idx) % stride
+    return vals[:, idx]
 
 
 def restrict(path: Path, t: float) -> Path:
@@ -211,56 +186,3 @@ def restrict(path: Path, t: float) -> Path:
     if idx > path.t_index:
         raise ValueError(f"cannot restrict to {t} > current time {path.current_time}")
     return Path(path.grid_times, path.values[: idx + 1])
-
-
-# -- serialization ------------------------------------------------------
-
-
-def to_json(path: Path) -> str:
-    return json.dumps(
-        {
-            "dt": path.dt,
-            "t": path.current_time,
-            "values": path.values.tolist(),
-        }
-    )
-
-
-def from_json(text: str, horizon: float | None = None) -> Path:
-    """Rebuild a path from its JSON form.
-
-    The schema carries dt, t and the realized values only; pass horizon to
-    place the path on a longer grid (defaults to the current time).
-    """
-    obj = json.loads(text)
-    dt = float(obj["dt"])
-    t = float(obj["t"])
-    T = t if horizon is None else horizon
-    N = int(round(T / dt))
-    return Path(make_grid(T, N), np.asarray(obj["values"], dtype=np.float64))
-
-
-def to_csv(path: Path) -> str:
-    d = path.dimension
-    buf = io.StringIO()
-    buf.write("time," + ",".join(f"x_{i+1}" for i in range(d)) + "\n")
-    for i in range(path.t_index + 1):
-        row = [repr(float(path.grid_times[i]))]
-        row += [repr(float(v)) for v in path.values[i]]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
-
-
-def from_csv(text: str, horizon: float | None = None, dt: float | None = None) -> Path:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
-    times = np.array([r[0] for r in rows])
-    vals = np.array([r[1:] for r in rows])
-    if dt is None:
-        if len(times) == 1:
-            raise ValueError("pass dt explicitly to load a single-row path")
-        dt = times[1] - times[0]
-    t = times[-1]
-    T = t if horizon is None else horizon
-    N = int(round(T / dt))
-    return Path(make_grid(T, N), vals)

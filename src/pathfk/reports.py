@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass, field
 
 
@@ -27,19 +26,6 @@ class CheckReport:
             details = [f"statistic {statistic:.6g} exceeds threshold {threshold:.6g}"]
         return cls(name, statistic, threshold, passed, int(n_samples),
                    details, list(samples or []))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "statistic": self.statistic,
-                "threshold": self.threshold,
-                "passed": self.passed,
-                "n_samples": self.n_samples,
-                "details": self.details,
-            },
-            sort_keys=True,
-        )
 
     def samples_csv(self) -> str:
         buf = io.StringIO()

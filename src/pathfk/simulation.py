@@ -2,11 +2,11 @@
 
 Randomness is counter-based (Philox keyed by seed and a driver tag) with
 normals produced by inverse-CDF from fixed-consumption uniforms, so the
-increments of scenario s are a pure function of (seed, s) and regeneration
-is bit-identical regardless of batch size or worker scheduling.  The
-streams are read scenario-major but stored time-major, (N, n, .), like the
-forward histories; the second driver is drawn on its first read, so solves
-of models without a backward integrand g never draw it.
+increments of scenario s are a pure function of (seed, s), bit-identical
+regardless of batch size or worker scheduling.  The streams are read
+scenario-major but stored time-major, (N, n, .), like the forward
+histories; the second driver is drawn on its first read, so solves of
+models without a backward integrand g never draw it.
 """
 
 from __future__ import annotations
@@ -26,16 +26,12 @@ _U_SCALE = 1.0 - 2.0 ** -52
 _U_SHIFT = 2.0 ** -53
 
 
-def _keyed_normals(seed: int, tag: int, shape, skip: int = 0,
+def _keyed_normals(seed: int, tag: int, shape,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Normals of the (seed, tag) stream, one uniform each, after passing
-    over the first `skip` of them: Philox yields four uniforms per counter
-    step, so the jump is skip // 4 counter steps plus skip % 4 draws.  The
-    normals go into `out` (any array of `shape`) or over the uniforms."""
+    """Normals of the (seed, tag) stream, one uniform each, into `out` (any
+    array of `shape`) or over the uniforms."""
     bitgen = np.random.Philox(key=(int(seed) & ((1 << 64) - 1)) + (tag << 64))
-    bitgen.advance(skip // 4)
-    lead = skip % 4
-    u = np.random.Generator(bitgen).random(lead + int(np.prod(shape)))[lead:].reshape(shape)
+    u = np.random.Generator(bitgen).random(shape)
     u *= _U_SCALE
     u += _U_SHIFT
     return ndtri(u, out=u if out is None else out)
@@ -95,15 +91,6 @@ class BrownianPair:
     @property
     def n_scenarios(self) -> int:
         return self.dW.shape[0]
-
-    def regenerate_scenario(self, s: int):
-        """Recompute (dW_s, dB_s) from scratch, jumping the streams straight
-        to row s; bit-identical to the stored rows, and draws no stored dB."""
-        _, N, d = self.dW.shape
-        sdt = np.sqrt(self.dt)
-        w = _keyed_normals(self.seed, _TAG_W, (N, d), skip=s * N * d) * sdt
-        b = _keyed_normals(self.seed, _TAG_B, (N, self.l), skip=s * N * self.l) * sdt
-        return w, b
 
 
 def sample_drivers(grid_times: np.ndarray, n_scenarios: int, seed: int,

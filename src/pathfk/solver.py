@@ -20,9 +20,7 @@ on the driver's z-coefficient being strictly below one.
 from __future__ import annotations
 
 import functools
-import io
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -179,61 +177,6 @@ class BackwardSolution:
     @property
     def n_samples(self) -> int:
         return self.y.shape[0]
-
-    def _index(self, s: float) -> int:
-        dt = float(self.grid_times[1] - self.grid_times[0])
-        idx = int(round(s / dt))
-        if idx < 0 or idx >= len(self.grid_times) or abs(self.grid_times[idx] - s) > 1e-9:
-            raise ValueError(f"time {s} is not on the grid")
-        return idx
-
-    def Y(self, s: float) -> np.ndarray:
-        """Per-sample y at time s; times before the initial time return the
-        initial-time value."""
-        return self.y[:, max(self._index(s), self.t_index)]
-
-    def Z(self, s: float) -> np.ndarray:
-        idx = self._index(s)
-        if idx >= self.z.shape[1]:
-            raise ValueError(f"z is defined on steps, not at the horizon {s}")
-        if idx < self.t_index:
-            return np.zeros_like(self.z[:, self.t_index])
-        return self.z[:, idx]
-
-    def summary_json(self) -> str:
-        return json.dumps(
-            {
-                "u": self.u_estimate.tolist(),
-                "stderr": self.u_stderr.tolist(),
-                "engine": self.engine_tag,
-                "params": self.scheme_params,
-                "seed": self.scheme_params.get("seed"),
-            },
-            sort_keys=True,
-        )
-
-    def to_csv(self, max_scenarios: Optional[int] = None) -> str:
-        """Long-format dump: scenario,step,t,y_1..y_k,z_11..z_kd (z omitted
-        at the horizon step, where it is undefined)."""
-        n, Np1, k = self.y.shape
-        d = self.z.shape[3]
-        if max_scenarios is not None:
-            n = min(n, max_scenarios)
-        buf = io.StringIO()
-        head = ["scenario", "step", "t"]
-        head += [f"y_{j+1}" for j in range(k)]
-        head += [f"z_{j+1}{m+1}" for j in range(k) for m in range(d)]
-        buf.write(",".join(head) + "\n")
-        for s in range(n):
-            for i in range(Np1):
-                row = [str(s), str(i), repr(float(self.grid_times[i]))]
-                row += [repr(float(v)) for v in self.y[s, i]]
-                if i < Np1 - 1:
-                    row += [repr(float(v)) for v in self.z[s, i].ravel()]
-                else:
-                    row += [""] * (k * d)
-                buf.write(",".join(row) + "\n")
-        return buf.getvalue()
 
 
 # -- regression engine ---------------------------------------------------

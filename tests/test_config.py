@@ -107,6 +107,28 @@ def test_initial_path_from_csv_file(tmp_path):
     assert cfg.initial.values[:, 0] == pytest.approx([0.3, 0.6])
 
 
+def test_initial_path_file_single_row(tmp_path):
+    f = tmp_path / "init.csv"
+    f.write_text("time,x_1\n0.0,1.5\n")
+    cfg = load_config(base_config(initial_path={"file": str(f)}))
+    assert cfg.initial.t_index == 0 and cfg.initial.values.tolist() == [[1.5]]
+    assert cfg.initial.horizon == 1.0 and cfg.initial.dt == 0.125
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param("0.0,1.0\n0.5,2.0\n", id="coarser-grid"),
+    pytest.param("0.125,1.0\n", id="late-start"),
+    pytest.param("".join(f"{i / 8},0.0\n" for i in range(10)), id="past-horizon"),
+    pytest.param("", id="empty", marks=pytest.mark.filterwarnings(
+        "ignore:loadtxt. input contained no data")),
+])
+def test_initial_path_file_times_must_be_grid_times(tmp_path, rows):
+    f = tmp_path / "init.csv"
+    f.write_text("time,x_1\n" + rows)
+    with pytest.raises(ConfigError, match="grid times"):
+        load_config(base_config(initial_path={"file": str(f)}))
+
+
 def test_inline_model_grammar():
     spec = {
         "name": "ou-sin",

@@ -1,14 +1,13 @@
 """Path container, metric, and the elementary path operations."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathfk import (GridAlignmentError, Path, discretize, from_csv, from_json,
+from pathfk import (GridAlignmentError, Path, discretized_model, get_model,
                     horizontal_extend, make_grid, path_dist, restrict,
-                    sup_norm, to_csv, to_json, vertical_bump)
+                    sup_norm, vertical_bump)
+from pathfk.paths import discretize_values
 
 
 def walk(grid, t_index, dim=1, seed=0, scale=1.0):
@@ -155,62 +154,47 @@ def test_sup_norm_uses_euclidean_norm_per_time():
 
 
 def test_discretize_freezes_between_nodes():
-    grid = make_grid(1.0, 4)
-    p = Path(grid, np.array([[0.0], [1.0], [2.0], [3.0], [4.0]]))
-    q = discretize(p, 2, 0.0)
+    vals = np.array([[[0.0], [1.0], [2.0], [3.0], [4.0]]])
+    q = discretize_values(vals, 0, 2)
     # nodes at steps 0 and 2; values held at the last node, endpoint kept
-    assert q.values[:, 0] == pytest.approx([0.0, 0.0, 2.0, 2.0, 4.0])
+    assert q[0, :, 0].tolist() == [0.0, 0.0, 2.0, 2.0, 4.0]
+    # from a later anchor, the prefix before it is untouched
+    q = discretize_values(np.arange(6.0)[None, :, None], 1, 2)
+    assert q[0, :, 0].tolist() == [0.0, 1.0, 1.0, 3.0, 3.0, 5.0]
 
 
 def test_discretize_full_resolution_is_identity():
-    grid = make_grid(1.0, 8)
-    p = walk(grid, 8, seed=5)
-    assert discretize(p, 8, 0.0) == p
+    vals = np.random.default_rng(5).normal(size=(3, 9, 2))
+    assert np.array_equal(discretize_values(vals, 0, 1), vals)
+    # at full resolution a frozen model is the model, bit for bit, also on
+    # the time-major histories the engines pass and for a terminal that
+    # sums over time (the freeze keeps the layout it is given)
+    x = vals[:, :, :1].transpose(1, 0, 2).copy().transpose(1, 0, 2)
+    y, z = np.ones((3, 1)), np.zeros((3, 1, 1))
+    for name in ("path-f", "asian"):
+        m = get_model(name)
+        dm = discretized_model(m, 8, 0.0, make_grid(1.0, 8))
+        assert np.array_equal(dm.Phi(x, 0.125), m.Phi(x, 0.125))
+        if m.f is not None:
+            assert np.array_equal(dm.f(x, y, z), m.f(x, y, z))
 
 
 def test_discretize_idempotent():
-    grid = make_grid(1.0, 8)
-    p = walk(grid, 8, seed=6)
-    q = discretize(p, 2, 0.0)
-    assert discretize(q, 2, 0.0) == q
+    vals = np.random.default_rng(6).normal(size=(3, 9, 1))
+    q = discretize_values(vals, 0, 4)
+    assert np.array_equal(discretize_values(q, 0, 4), q)
 
 
 def test_discretize_refinement_consistency():
-    # a path frozen at 4 nodes, refrozen at 2 nodes, equals the direct
-    # 2-node freeze (node sets are nested)
-    grid = make_grid(1.0, 8)
-    p = walk(grid, 8, seed=7)
-    assert discretize(discretize(p, 4, 0.0), 2, 0.0) == discretize(p, 2, 0.0)
+    # histories frozen at 4 nodes, refrozen at 2 nodes, equal the direct
+    # 2-node freeze (node sets are nested), from any anchor
+    vals = np.random.default_rng(7).normal(size=(3, 9, 1))
+    for anchor, stride in ((0, 2), (4, 1)):
+        twice = discretize_values(discretize_values(vals, anchor, stride),
+                                  anchor, 2 * stride)
+        assert np.array_equal(twice, discretize_values(vals, anchor, 2 * stride))
 
 
 def test_discretize_misaligned_counts_rejected():
-    p = walk(make_grid(1.0, 8), 8, seed=8)
     with pytest.raises(GridAlignmentError):
-        discretize(p, 3, 0.0)
-
-
-# -- serialization -------------------------------------------------------
-
-
-def test_json_roundtrip():
-    p = walk(make_grid(1.0, 8), 5, dim=2, seed=9)
-    q = from_json(to_json(p), horizon=1.0)
-    assert q == p
-    payload = json.loads(to_json(p))
-    assert set(payload) == {"dt", "t", "values"}
-
-
-def test_csv_roundtrip():
-    p = walk(make_grid(1.0, 8), 5, dim=2, seed=10)
-    q = from_csv(to_csv(p), horizon=1.0)
-    assert q == p
-    header = to_csv(p).splitlines()[0]
-    assert header == "time,x_1,x_2"
-
-
-def test_csv_single_row_needs_dt():
-    p = Path(make_grid(1.0, 4), np.array([[1.5]]))
-    with pytest.raises(ValueError):
-        from_csv(to_csv(p), horizon=1.0)
-    q = from_csv(to_csv(p), horizon=1.0, dt=0.25)
-    assert q == p
+        discretized_model(get_model("heat"), 3, 0.0, make_grid(1.0, 8))

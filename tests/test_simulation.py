@@ -74,22 +74,6 @@ def test_scenario_prefix_stability():
     assert np.array_equal(small.dB, large.dB[:10])
 
 
-def test_regenerate_scenario_bit_identical(monkeypatch):
-    # with N=5 the stream offsets s*N*d and s*N*l (9990 and 14985 at s=999)
-    # are not multiples of the four uniforms one Philox counter step yields
-    calls = _record_draws(monkeypatch)
-    for N, n, d, l, rows in ((8, 50, 2, 1, (0, 17, 49)),
-                             (5, 1000, 2, 3, (1, 998, 999))):
-        drv = sample_drivers(make_grid(1.0, N), n, 9, d=d, l=l)
-        regenerated = {s: drv.regenerate_scenario(s) for s in rows}
-        # regeneration reads the stored width l, never the stored dB
-        assert (2, (n, N, l)) not in calls
-        for s, (w, b) in regenerated.items():
-            assert np.array_equal(w, drv.dW[s])
-            assert np.array_equal(b, drv.dB[s])
-        assert calls.count((2, (n, N, l))) == 1
-
-
 def test_lazy_second_driver_matches_eager_draw(monkeypatch):
     calls = _record_draws(monkeypatch)
     n, N, seed = 300, 8, 21

@@ -1,6 +1,5 @@
 """Backward solvers: regression and nested quadrature engines."""
 
-import json
 import os
 import subprocess
 import sys
@@ -297,12 +296,11 @@ def test_solution_time_accessors():
     init = Path(grid, np.array([[0.0], [0.2]]))  # starts at t = 0.125
     drv = sample_drivers(grid, 500, 9)
     sol = solve_regression(m, simulate_forward(m, init, drv))
-    assert np.array_equal(sol.Y(0.0), sol.Y(0.125))
-    assert np.array_equal(sol.Z(0.0), np.zeros_like(sol.Z(0.125)))
-    with pytest.raises(ValueError):
-        sol.Z(1.0)
-    with pytest.raises(ValueError):
-        sol.Y(0.3)
+    assert sol.t_index == 1
+    # before the initial time y repeats its initial-time value and z is zero
+    assert np.array_equal(sol.y[:, 0], sol.y[:, 1])
+    assert not sol.z[:, 0].any() and sol.z[:, 1].any()
+    assert sol.y.shape == (500, 9, 1) and sol.z.shape == (500, 8, 1, 1)
 
 
 @pytest.mark.parametrize("feature_set", ["endpoint", "endpoint+runmax+runint"])
@@ -601,28 +599,6 @@ def test_engine_field_quotient_zero_for_constant_terminal():
     init = Path(make_grid(T, 4), np.array([[0.3]]))
     dq = engine_quotient(m, init, h=0.25, n_scenarios=1, branching=4)
     assert abs(dq[0]) < 1e-12
-
-
-# -- solution export -----------------------------------------------------
-
-
-def test_summary_json_schema():
-    m = get_model("heat")
-    sol = solve_regression(m, ensemble(m, N=4, n=500, seed=10))
-    payload = json.loads(sol.summary_json())
-    assert set(payload) == {"u", "stderr", "engine", "params", "seed"}
-    assert payload["engine"] == "regression"
-    assert payload["seed"] == 10
-
-
-def test_csv_export_layout():
-    m = get_model("heat")
-    sol = solve_regression(m, ensemble(m, N=4, n=500, seed=11))
-    lines = sol.to_csv(max_scenarios=2).strip().splitlines()
-    assert lines[0] == "scenario,step,t,y_1,z_11"
-    assert len(lines) == 1 + 2 * 5
-    # the z column is empty at the horizon, where it is undefined
-    assert lines[5].endswith(",")
 
 
 def test_basis_validation():

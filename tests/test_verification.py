@@ -12,7 +12,6 @@ from pathfk import (Path, PathFunctional, PreconditionError, RegressionBasis,
                     simulate_forward, solve_regression, spde_residual,
                     spde_residual_check, vertical_derivative,
                     vertical_hessian, z_growth_check, z_representation_check)
-from pathfk.verification import discretize_values
 
 
 T = 1.0
@@ -230,17 +229,6 @@ def test_comparison_rejects_mismatched_g():
 
 
 # -- discretization ------------------------------------------------------
-
-
-def test_discretize_values_matches_path_discretizer():
-    from pathfk import discretize
-    grid = make_grid(T, 8)
-    rng = np.random.default_rng(15)
-    vals = rng.normal(size=(5, 9, 1))
-    out = discretize_values(vals, anchor_idx=0, stride=4)  # 2 nodes
-    for s in range(5):
-        p = discretize(Path(grid, vals[s]), 2, 0.0)
-        assert np.allclose(out[s], p.values)
 
 
 def test_discretized_model_full_resolution_identity():

@@ -5,15 +5,18 @@ extends the path flat in time (one-sided, as the definition itself is).
 Every estimator returns a DerivativeEstimate carrying a halved-bump
 re-estimate, so that a large gap between the two flags likely
 non-differentiability instead of silently returning garbage.  The
-residuals take one value per prefix from _gradient and _hessian: the
-attached derivative, else the estimator's value without the re-estimate.
+residuals take one value per prefix from _jet: the attached derivative,
+else the estimator's value without the re-estimate.  Every vertical
+estimate sends its whole set of bumped paths to PathFunctional.batch in
+one call, so a field that can share work across paths of one depth does.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -38,8 +41,17 @@ class PathFunctional:
     d_xx: Optional[Callable[[Path], np.ndarray]] = None
 
     def __call__(self, p: Path) -> np.ndarray:
-        out = np.asarray(self.eval(p), dtype=np.float64)
-        out = out.reshape(self.output_shape)
+        return self._checked(self.eval(p), self.output_shape)
+
+    def batch(self, paths: Sequence[Path]) -> np.ndarray:
+        """Values at several paths, (len(paths),) + output_shape: one call
+        per path here; a field that shares work across paths overrides it."""
+        return np.array([self(p) for p in paths]).reshape(
+            (len(paths),) + self.output_shape)
+
+    @staticmethod
+    def _checked(values, shape: tuple) -> np.ndarray:
+        out = np.asarray(values, dtype=np.float64).reshape(shape)
         if not np.all(np.isfinite(out)):
             raise ValueError("functional returned a non-finite value")
         return out
@@ -61,14 +73,48 @@ def default_bump(p: Path) -> float:
     return 1e-4 * (1.0 + float(np.max(np.abs(p.endpoint))))
 
 
-def _central_vertical(F: PathFunctional, p: Path, h: float) -> np.ndarray:
-    d = p.dimension
-    out = np.empty(F.output_shape + (d,))
+def _stencil(d: int, h: float, second: bool) -> np.ndarray:
+    """Endpoint bumps of one central-difference stencil, (n, d): +h e_i and
+    -h e_i for each coordinate i, then, for a second-order stencil, the
+    cross bumps h(e_i + e_j), h(e_i - e_j), h(e_j - e_i), -h(e_i + e_j) of
+    each pair i < j."""
     eye = np.eye(d)
+    rows = [s * eye[i] for i in range(d) for s in (1.0, -1.0)]
+    if second:
+        for i, j in itertools.combinations(range(d), 2):
+            rows += [eye[i] + eye[j], eye[i] - eye[j], eye[j] - eye[i],
+                     -(eye[i] + eye[j])]
+    return h * np.array(rows)
+
+
+def _bumped(F: PathFunctional, p: Path, stencils, value: bool):
+    """F at p (when value) and at p's endpoint moved by every row of the
+    stencils, from one batch call: (F(p) or None, one value block per
+    stencil)."""
+    bumps = [vertical_bump(p, x) for s in stencils for x in s]
+    vals = F.batch(([p] if value else []) + bumps)
+    f0, vals = (vals[0], vals[1:]) if value else (None, vals)
+    return f0, np.split(vals, np.cumsum([len(s) for s in stencils])[:-1])
+
+
+def _first(vals: np.ndarray, h: float) -> np.ndarray:
+    """Central differences from a stencil's values: output_shape + (d,)."""
+    return np.moveaxis((vals[0::2] - vals[1::2]) / (2.0 * h), 0, -1)
+
+
+def _second(vals: np.ndarray, f0: np.ndarray, h: float, d: int) -> np.ndarray:
+    """Second differences from a second-order stencil's values around the
+    centre value f0: output_shape + (d, d)."""
+    out = np.empty(f0.shape + (d, d))
+    diag = (vals[0:2 * d:2] - 2.0 * f0 + vals[1:2 * d:2]) / (h * h)
     for i in range(d):
-        fp = F(vertical_bump(p, h * eye[i]))
-        fm = F(vertical_bump(p, -h * eye[i]))
-        out[..., i] = (fp - fm) / (2.0 * h)
+        out[..., i, i] = diag[i]
+    pairs = itertools.combinations(range(d), 2)
+    for (i, j), (fpp, fpm, fmp, fmm) in zip(pairs, vals[2 * d:].reshape(
+            (-1, 4) + f0.shape)):
+        cross = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
+        out[..., i, j] = cross
+        out[..., j, i] = cross
     return out
 
 
@@ -78,30 +124,13 @@ def vertical_derivative(F: PathFunctional, p: Path, h: float | None = None) -> D
         h = default_bump(p)
     if h <= 0:
         raise ValueError(f"bump size must be positive, got {h}")
-    est = _central_vertical(F, p, h)
-    est_half = _central_vertical(F, p, h / 2.0)
+    d = p.dimension
+    _, (full, half) = _bumped(F, p, [_stencil(d, h, False),
+                                     _stencil(d, h / 2.0, False)], False)
+    est = _first(full, h)
+    est_half = _first(half, h / 2.0)
     err = float(np.max(np.abs(est - est_half)))
     return DerivativeEstimate(est, h, est_half, err)
-
-
-def _hessian_once(F: PathFunctional, p: Path, h: float, f0: np.ndarray) -> np.ndarray:
-    d = p.dimension
-    eye = np.eye(d)
-    out = np.empty(F.output_shape + (d, d))
-    for i in range(d):
-        fp = F(vertical_bump(p, h * eye[i]))
-        fm = F(vertical_bump(p, -h * eye[i]))
-        out[..., i, i] = (fp - 2.0 * f0 + fm) / (h * h)
-    for i in range(d):
-        for j in range(i + 1, d):
-            fpp = F(vertical_bump(p, h * (eye[i] + eye[j])))
-            fpm = F(vertical_bump(p, h * (eye[i] - eye[j])))
-            fmp = F(vertical_bump(p, h * (eye[j] - eye[i])))
-            fmm = F(vertical_bump(p, -h * (eye[i] + eye[j])))
-            cross = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-            out[..., i, j] = cross
-            out[..., j, i] = cross
-    return out
 
 
 def vertical_hessian(F: PathFunctional, p: Path, h: float | None = None) -> DerivativeEstimate:
@@ -110,9 +139,11 @@ def vertical_hessian(F: PathFunctional, p: Path, h: float | None = None) -> Deri
         h = 10.0 * default_bump(p)
     if h <= 0:
         raise ValueError(f"bump size must be positive, got {h}")
-    f0 = F(p)
-    est = _hessian_once(F, p, h, f0)
-    est_half = _hessian_once(F, p, h / 2.0, f0)
+    d = p.dimension
+    f0, (full, half) = _bumped(F, p, [_stencil(d, h, True),
+                                      _stencil(d, h / 2.0, True)], True)
+    est = _second(full, f0, h, d)
+    est_half = _second(half, f0, h / 2.0, d)
     err = float(np.max(np.abs(est - est_half)))
     return DerivativeEstimate(est, h, est_half, err)
 
@@ -145,19 +176,29 @@ def _flat_quotient(F: PathFunctional, p: Path, delta: float, f0: np.ndarray) -> 
     return (F(horizontal_extend(p, p.current_time + delta)) - f0) / delta
 
 
-def _gradient(F: PathFunctional, p: Path) -> np.ndarray:
-    """The attached d_x, else vertical_derivative's value (no re-estimate)."""
-    if F.d_x is not None:
-        return np.asarray(F.d_x(p), dtype=np.float64)
-    return _central_vertical(F, p, default_bump(p))
-
-
-def _hessian(F: PathFunctional, p: Path, f0: np.ndarray | None = None) -> np.ndarray:
-    """The attached d_xx, else vertical_hessian's value (no re-estimate)
-    around the centre value f0 = F(p), evaluated here when not passed."""
-    if F.d_xx is not None:
-        return np.asarray(F.d_xx(p), dtype=np.float64)
-    return _hessian_once(F, p, 10.0 * default_bump(p), F(p) if f0 is None else f0)
+def _jet(F: PathFunctional, p: Path, value: bool = True, hessian: bool = True):
+    """F at p with its vertical gradient and, when hessian, its vertical
+    Hessian, from one batch call: the value, the gradient bumps +-h and the
+    Hessian bumps +-10h (with the cross bumps when d > 1), h =
+    default_bump(p), i.e. vertical_derivative's and vertical_hessian's
+    values without the re-estimate.  An attached d_x or d_xx replaces its
+    bumps; the value is evaluated when asked for or when the Hessian
+    difference needs it.  Returns (value or None, gradient, Hessian or None).
+    """
+    d = p.dimension
+    h = default_bump(p)
+    grad_fd = F.d_x is None
+    hess_fd = hessian and F.d_xx is None
+    stencils = (([_stencil(d, h, False)] if grad_fd else [])
+                + ([_stencil(d, 10.0 * h, True)] if hess_fd else []))
+    f0, vals = _bumped(F, p, stencils, value or hess_fd)
+    dx = _first(vals[0], h) if grad_fd else np.asarray(F.d_x(p), dtype=np.float64)
+    dxx = None
+    if hess_fd:
+        dxx = _second(vals[-1], f0, 10.0 * h, d)
+    elif hessian:
+        dxx = np.asarray(F.d_xx(p), dtype=np.float64)
+    return f0, dx, dxx
 
 
 def functional_ito_residual(F: PathFunctional, x_path: Path, qv: np.ndarray) -> float:
@@ -171,19 +212,18 @@ def functional_ito_residual(F: PathFunctional, x_path: Path, qv: np.ndarray) -> 
     m = x_path.t_index
     qv = np.asarray(qv, dtype=np.float64).reshape(m, x_path.dimension, x_path.dimension)
     dt = x_path.dt
-    # the start term is prefix 0's base value; later prefixes evaluate
-    # theirs only when a finite difference needs it
-    f0 = F(restrict(x_path, 0.0))
-    total = F(x_path) - f0
-    needs_value = F.d_t is None or F.d_xx is None
+    total = F(x_path)
+    if m == 0:
+        return 0.0      # the path is its own start
     for i in range(m):
         pi = restrict(x_path, x_path.grid_times[i])
-        if i > 0:
-            f0 = F(pi) if needs_value else None
+        # the start term is prefix 0's value; later prefixes evaluate
+        # theirs only when a finite difference needs it
+        f0, dx, dxx = _jet(F, pi, value=i == 0 or F.d_t is None)
+        if i == 0:
+            total = total - f0
         ds = (np.asarray(F.d_t(pi), dtype=np.float64) if F.d_t is not None
               else _flat_quotient(F, pi, dt, f0))
-        dx = _gradient(F, pi)
-        dxx = _hessian(F, pi, f0)
         dX = x_path.values[i + 1] - x_path.values[i]
         total = total - ds * dt
         total = total - dx.reshape(x_path.dimension) @ dX

@@ -145,6 +145,35 @@ class ExperimentConfig:
         return self.initial.grid_times
 
 
+def _check_restart_and_nodes(checks: dict, initial: Path) -> None:
+    """Reject, before any solve, a flow restart time and discretization
+    node counts that the checks would refuse only after the headline solve:
+    flow.s must be a grid time strictly between the initial time and the
+    horizon, and every node count must divide the grid steps left after
+    the initial path."""
+    N = len(initial.grid_times) - 1
+    if "flow" in checks:
+        s = (checks["flow"] or {}).get("s")
+        try:
+            s_idx = initial.time_to_index(float(s))
+        except (TypeError, ValueError, OverflowError):
+            s_idx = None
+        if s_idx is None or not initial.t_index < s_idx < N:
+            raise ConfigError(
+                "flow.s must be a grid time strictly between the initial time "
+                f"{initial.current_time:g} and the horizon {initial.horizon:g}, "
+                f"got {s!r}")
+    if "discretization" in checks:
+        counts = (checks["discretization"] or {}).get("node_counts", (2, 4, 8, 16))
+        remaining = N - initial.t_index
+        bad = [n for n in counts
+               if type(n) is not int or n < 1 or remaining % n]
+        if bad:
+            raise ConfigError(
+                f"discretization.node_counts {bad} do not divide the {remaining} "
+                "grid steps left after the initial path")
+
+
 def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig:
     """Parse and validate a configuration from a JSON string, dict, or file
     path; seed_override (e.g. from the environment) replaces the configured
@@ -234,6 +263,7 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
             )
     if "closed_form" in checks and closed_u is None:
         raise ConfigError(f"model {model_name!r} has no closed form to check against")
+    _check_restart_and_nodes(checks, initial)
 
     return ExperimentConfig(
         model_name=model_name,

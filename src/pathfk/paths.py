@@ -110,6 +110,17 @@ class Path:
         )
 
 
+def _derived(path: Path, values: np.ndarray) -> Path:
+    """A Path on path's grid holding values derived from path's own: a
+    read-only C-contiguous float64 (m, d) block, m <= len(grid), whose
+    entries are finite.  The grid was validated when path was built, so
+    nothing is checked again."""
+    out = object.__new__(Path)
+    object.__setattr__(out, "grid_times", path.grid_times)
+    object.__setattr__(out, "values", values)
+    return out
+
+
 @dataclass(frozen=True)
 class PathDistance:
     """Decomposition of the path distance into sup part and sqrt-time part."""
@@ -131,7 +142,10 @@ def vertical_bump(path: Path, x) -> Path:
         )
     vals = path.values.copy()
     vals[-1] = vals[-1] + x
-    return Path(path.grid_times, vals)
+    if not np.all(np.isfinite(vals[-1])):
+        raise ValueError("path values must be finite")
+    vals.flags.writeable = False
+    return _derived(path, vals)
 
 
 def horizontal_extend(path: Path, s: float) -> Path:
@@ -143,7 +157,8 @@ def horizontal_extend(path: Path, s: float) -> Path:
         return path
     n_new = s_idx - path.t_index
     vals = np.vstack([path.values, np.tile(path.endpoint, (n_new, 1))])
-    return Path(path.grid_times, vals)
+    vals.flags.writeable = False
+    return _derived(path, vals)
 
 
 def sup_norm(path: Path) -> float:
@@ -185,4 +200,4 @@ def restrict(path: Path, t: float) -> Path:
     idx = path.time_to_index(t)
     if idx > path.t_index:
         raise ValueError(f"cannot restrict to {t} > current time {path.current_time}")
-    return Path(path.grid_times, path.values[: idx + 1])
+    return _derived(path, path.values[: idx + 1])

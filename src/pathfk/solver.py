@@ -23,7 +23,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,9 @@ from .simulation import (ScenarioEnsemble, sample_drivers, simulate_forward,
                          _history_view, _keyed_normals)
 
 _MAX_TREE_NODES = 1_000_000
+# roots stacked into one tree together hold at most this many leaves; a
+# root whose own subtree is larger gets a tree to itself
+_MAX_STACKED_LEAVES = 6 ** 6
 _MAX_TREE_DEPTH = 8
 _TAG_FROZEN_B = 3
 _MIN_SCENARIOS_PER_FEATURE = 50
@@ -363,17 +366,22 @@ def _gauss_hermite(branching: int):
     return nodes, weights
 
 
-def _tree_forward(model: Model, initial: Path, branching: int):
-    """Expand the non-recombining quadrature tree of forward histories.
+def _tree_forward(model: Model, roots: Sequence[Path], branching: int):
+    """Expand one non-recombining quadrature tree of forward histories from
+    root paths of equal depth on one grid.
 
     Returns (levels, dw_nodes, w_nodes, level_w): per-level histories
-    (nodes, time, d), the per-step increment abscissae and weights, and
-    cumulative per-level weights.  The expansion is independent of the
-    frozen second driver, so one tree serves every outer sample.
+    (nodes, time, d), the per-step increment abscissae and weights, and the
+    cumulative per-level weights of one root's subtree.  Level 0 holds the
+    roots and level j the R * per_step**j descendants, root-major, so every
+    per-node operation acts on each root's subtree as it would on a tree of
+    its own.  The expansion is independent of the frozen second driver, so
+    one tree serves every outer sample.
     """
     d = model.dims[0]
-    dt = initial.dt
-    n_rem = len(initial.grid_times) - 1 - initial.t_index
+    first = roots[0]
+    dt = first.dt
+    n_rem = len(first.grid_times) - 1 - first.t_index
     if n_rem > _MAX_TREE_DEPTH:
         raise BudgetError(
             f"{n_rem} remaining steps exceed the tree depth limit {_MAX_TREE_DEPTH}"
@@ -393,9 +401,9 @@ def _tree_forward(model: Model, initial: Path, branching: int):
         dw_nodes = np.array([[nodes1[c] for c in combo] for combo in combos]) * np.sqrt(dt)
         w_nodes = np.array([np.prod([weights1[c] for c in combo]) for combo in combos])
 
-    # forward expansion, level j holds per_step**j full histories; each
-    # level is stored time-major and handed out as its (nodes, time, d) view
-    buf = initial.values[:, None, :]                       # (i_t+1, 1, d)
+    # forward expansion; each level is stored time-major and handed out as
+    # its (nodes, time, d) view
+    buf = np.stack([p.values for p in roots], axis=1)      # (i_t+1, R, d)
     levels = [_history_view(buf)]
     for j in range(n_rem):
         X = levels[-1]
@@ -426,11 +434,11 @@ def _tree_backward(model: Model, initial: Path, tree, dB: Optional[np.ndarray],
     """Backward sweep on an expanded tree for one frozen second driver.
 
     dB holds the frozen increments (N_rem, l); it is read only when the
-    model has a backward driver.  Returns (y_root (k,), z_root (k,d),
-    y_means (N_rem+1, k), z_means (N_rem, k, d)) where the means are
-    quadrature-weighted averages over each tree level.
+    model has a backward driver.  Returns the per-level values (y_levels,
+    z_levels): y_levels[j] (nodes_j, k) and z_levels[j] (nodes_j, k, d),
+    level 0 holding the roots and level N_rem the leaves (z zero there).
     """
-    levels, dw_nodes, w_nodes, level_w = tree
+    levels, dw_nodes, w_nodes, _ = tree
     d, k, l = model.dims
     dt = initial.dt
     n_rem = len(levels) - 1
@@ -469,13 +477,7 @@ def _tree_backward(model: Model, initial: Path, tree, dB: Optional[np.ndarray],
             new_y[j] = (integ @ w_nodes).reshape(m, k)
         y_levels, z_levels = new_y, new_z
 
-    y_means = np.array([
-        np.einsum("m,mk->k", level_w[j], y_levels[j]) for j in range(n_rem + 1)
-    ])
-    z_means = np.array([
-        np.einsum("m,mkd->kd", level_w[j], z_levels[j]) for j in range(n_rem)
-    ]) if n_rem else np.zeros((0, k, d))
-    return y_levels[0][0], z_levels[0][0], y_means, z_means
+    return y_levels, z_levels
 
 
 def frozen_noise_increments(grid_times: np.ndarray, t_index: int, l: int,
@@ -486,6 +488,40 @@ def frozen_noise_increments(grid_times: np.ndarray, t_index: int, l: int,
     dt = float(grid_times[1] - grid_times[0])
     z = _keyed_normals(seed, _TAG_FROZEN_B, (n_outer, N - t_index, l))
     return z * np.sqrt(dt)
+
+
+def _nested_sweeps(model: Model, roots: Sequence[Path], n_outer: int,
+                   seed: int, branching: int, picard_iters: int,
+                   frozen_B: Optional[np.ndarray], keep) -> list:
+    """Grow one tree from root paths of equal depth on one grid and sweep it
+    once per outer sample; returns keep(tree, y_levels, z_levels) per sweep,
+    so each sweep's levels are released before the next one runs.  The
+    outer samples depend only on (seed, depth), so every root shares them;
+    see solve_nested."""
+    first = roots[0]
+    l = model.dims[2]
+    n_rem = len(first.grid_times) - 1 - first.t_index
+    if frozen_B is not None:
+        all_dB = np.asarray(frozen_B, dtype=np.float64).reshape(1, n_rem, l)
+    elif n_outer < 1:
+        raise ValueError(f"need at least one outer sample, got {n_outer}")
+    elif model.g is None:
+        all_dB = [None]
+    else:
+        all_dB = frozen_noise_increments(first.grid_times, first.t_index, l,
+                                         seed, n_outer)
+    tree = _tree_forward(model, roots, branching)
+    return [keep(tree, *_tree_backward(model, first, tree, dB, picard_iters))
+            for dB in all_dB]
+
+
+def _root_and_means(tree, y_levels, z_levels):
+    """The root value of a one-root sweep and the quadrature-weighted mean
+    of y and z over each tree level."""
+    level_w = tree[3]
+    return (y_levels[0][0],
+            [np.einsum("m,mk->k", w, y) for w, y in zip(level_w, y_levels)],
+            [np.einsum("m,mkd->kd", w, z) for w, z in zip(level_w, z_levels[:-1])])
 
 
 def solve_nested(model: Model, initial: Path, n_outer: int, seed: int,
@@ -500,39 +536,25 @@ def solve_nested(model: Model, initial: Path, n_outer: int, seed: int,
     tree is swept once, each of the n_outer rows of y and z repeats that
     sweep and the spread is zero.
     """
-    d, k, l = model.dims
+    d, k, _ = model.dims
     grid = initial.grid_times
     N = len(grid) - 1
     i_t = initial.t_index
-    n_rem = N - i_t
-    if frozen_B is not None:
-        frozen_B = np.asarray(frozen_B, dtype=np.float64).reshape(n_rem, l)
-        all_dB = frozen_B[None]
-    elif n_outer < 1:
-        raise ValueError(f"need at least one outer sample, got {n_outer}")
-    elif model.g is None:
-        all_dB = [None]
-    else:
-        all_dB = frozen_noise_increments(grid, i_t, l, seed, n_outer)
+    roots, y_means, z_means = zip(*_nested_sweeps(
+        model, [initial], n_outer, seed, branching, picard_iters, frozen_B,
+        _root_and_means))
     n_rows = n_outer if frozen_B is None else 1
-    n_sweeps = len(all_dB)
-
-    tree = _tree_forward(model, initial, branching)
+    n_sweeps = len(roots)
     y = np.zeros((n_sweeps, N + 1, k))
     z = np.zeros((n_sweeps, N, k, d))
-    roots = np.zeros((n_sweeps, k))
-    for o in range(n_sweeps):
-        y_root, z_root, y_means, z_means = _tree_backward(
-            model, initial, tree, all_dB[o], picard_iters
-        )
-        roots[o] = y_root
-        y[o, i_t:] = y_means
-        y[o, :i_t] = y_means[0]
-        if n_rem:
-            z[o, i_t:] = z_means
+    y[:, i_t:] = y_means
+    y[:, :i_t] = y[:, i_t:i_t + 1]
+    if i_t < N:
+        z[:, i_t:] = z_means
     if n_sweeps < n_rows:
         y = np.repeat(y, n_rows, axis=0)
         z = np.repeat(z, n_rows, axis=0)
+    roots = np.array(roots)
     u_estimate = roots.mean(axis=0)
     if n_sweeps > 1:
         u_stderr = roots.std(axis=0, ddof=1) / np.sqrt(n_sweeps)
@@ -556,6 +578,38 @@ def solve_nested(model: Model, initial: Path, n_outer: int, seed: int,
             "frozen_noise_supplied": frozen_B is not None,
         },
     )
+
+
+def _nested_estimates(model: Model, paths: Sequence[Path],
+                     n_scenarios: int = 4000, seed: int = 0,
+                     branching: int = 8, picard_iters: int = 2,
+                     frozen_B: Optional[np.ndarray] = None) -> np.ndarray:
+    """solve_nested's u_estimate at the tip of every path, (len(paths), k),
+    with n_scenarios outer samples.
+
+    Paths of equal depth on one grid grow one tree from their stacked
+    histories, in groups of at most _MAX_STACKED_LEAVES leaves (a root with
+    more leaves than that alone), and share each outer sweep.  Every value
+    equals the path's own solve up to round-off.
+    """
+    out = np.empty((len(paths), model.dims[1]))
+    groups = {}
+    for r, p in enumerate(paths):
+        groups.setdefault((p.t_index, p.grid_times.tobytes()), []).append(r)
+    per_step = branching ** model.dims[0]
+    for members in groups.values():
+        first = paths[members[0]]
+        n_rem = len(first.grid_times) - 1 - first.t_index
+        size = max(1, _MAX_STACKED_LEAVES // per_step ** n_rem)
+        for start in range(0, len(members), size):
+            chunk = members[start:start + size]
+            tips = np.array(_nested_sweeps(                 # (S, R, k)
+                model, [paths[r] for r in chunk], n_scenarios, seed, branching,
+                picard_iters, frozen_B, lambda tree, y_levels, z_levels: y_levels[0]))
+            # per root, the mean solve_nested takes, so one root reproduces it
+            for j, r in enumerate(chunk):
+                out[r] = tips[:, j].mean(axis=0)
+    return out
 
 
 # -- field evaluation ----------------------------------------------------

@@ -10,11 +10,12 @@ pass threshold is 1.0 unless stated otherwise.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import PathFunctional, _gradient, _hessian, vertical_derivative
+from .calculus import PathFunctional, _jet, vertical_derivative
 from .errors import PreconditionError
 from .models import Model, ModelRegistryEntry, on_path
 from .paths import (Path, discretize_values, path_dist, restrict, sup_norm,
@@ -22,8 +23,8 @@ from .paths import (Path, discretize_values, path_dist, restrict, sup_norm,
 from .reports import CheckReport
 from .simulation import (ScenarioEnsemble, random_initial_path, sample_drivers,
                          simulate_forward)
-from .solver import (BackwardSolution, RegressionBasis, evaluate_u,
-                     solve_regression)
+from .solver import (BackwardSolution, RegressionBasis, _nested_estimates,
+                     evaluate_u, solve_regression)
 
 _EPS = 1e-12
 
@@ -44,16 +45,32 @@ def field_from_closed_form(entry: ModelRegistryEntry) -> PathFunctional:
                           regularity_tag="C12", d_x=d_x)
 
 
+@dataclass
+class _StackedField(PathFunctional):
+    """A field whose batch is one stacked evaluation of all its paths."""
+
+    stacked: Optional[Callable[[Sequence[Path]], np.ndarray]] = None
+
+    def batch(self, paths: Sequence[Path]) -> np.ndarray:
+        return self._checked(self.stacked(paths), (len(paths),) + self.output_shape)
+
+
 def field_from_engine(model: Model, engine: str = "nested",
                       **engine_kwargs) -> PathFunctional:
-    """The solver-defined field as a path functional (estimates only)."""
+    """The solver-defined field as a path functional (estimates only).  The
+    nested engine's field evaluates a batch of paths by stacking those of
+    equal depth into shared trees (solver._nested_estimates)."""
     k = model.dims[1]
 
     def _eval(p: Path) -> np.ndarray:
         u, _ = evaluate_u(model, p, engine=engine, **engine_kwargs)
         return u
 
-    return PathFunctional(eval=_eval, output_shape=(k,), regularity_tag="C12")
+    if engine != "nested":
+        return PathFunctional(eval=_eval, output_shape=(k,), regularity_tag="C12")
+    return _StackedField(
+        eval=_eval, output_shape=(k,), regularity_tag="C12",
+        stacked=lambda paths: _nested_estimates(model, paths, **engine_kwargs))
 
 
 # -- field equation residual --------------------------------------------
@@ -81,10 +98,11 @@ def spde_residual(u: PathFunctional, model: Model,
     dB = None if model.g is None else ensemble.drivers.dB[ensemble.valid_mask]
 
     def jet(p: Path, hessian: bool = True):
-        # a prefix's field value and derivatives, each computed once
-        y = u(p)
-        dx = _gradient(u, p).reshape(-1)
-        dxx = _hessian(u, p, y).reshape(p.dimension, p.dimension) if hessian else None
+        # a prefix's field value and derivatives from one batch of paths
+        y, dx, dxx = _jet(u, p, hessian=hessian)
+        dx = dx.reshape(-1)
+        if hessian:
+            dxx = dxx.reshape(p.dimension, p.dimension)
         sig = on_path(model.sigma, p)
         return p, y, dx, dxx, sig, (sig.T @ dx)[None, :]
 
@@ -151,8 +169,9 @@ def z_representation_check(model: Model, solution: BackwardSolution,
     rels = []
     excluded = 0
     for s in range(n_sub):
+        path = Path(grid, X[s])
         for i in range(i_t, N):
-            pi = Path(grid, X[s, : i + 1])
+            pi = restrict(path, grid[i])
             if z_reference is not None:
                 z_ref = np.asarray(z_reference(pi), dtype=np.float64)
             else:

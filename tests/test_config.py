@@ -162,3 +162,41 @@ def test_inline_model_rejects_unknown_kinds():
         load_config(base_config(model={"f": {"kind": "exotic"}}))
     with pytest.raises(ConfigError):
         load_config(base_config(model={"b": {"cubic": 1.0}}))
+
+
+@pytest.mark.parametrize("flow", [
+    pytest.param({}, id="missing"),
+    pytest.param({"s": 0.3}, id="off-grid"),
+    pytest.param({"s": 0.0}, id="at-initial-time"),
+    pytest.param({"s": 1.0}, id="at-horizon"),
+    pytest.param({"s": 1.5}, id="past-horizon"),
+    pytest.param({"s": "half"}, id="not-a-number"),
+])
+def test_flow_restart_time_validated_before_any_solve(flow):
+    with pytest.raises(ConfigError, match="flow.s"):
+        load_config(base_config(checks={"flow": flow}))
+    assert load_config(base_config(checks={"flow": {"s": 0.5}})).checks["flow"]
+
+
+def test_flow_restart_time_after_a_late_initial_path():
+    late = {"values": [[0.0], [0.1], [0.2], [0.3], [0.4]]}    # t = 0.5 on N = 8
+    with pytest.raises(ConfigError, match="flow.s"):
+        load_config(base_config(initial_path=late, checks={"flow": {"s": 0.5}}))
+    load_config(base_config(initial_path=late, checks={"flow": {"s": 0.625}}))
+
+
+def test_discretization_nodes_must_divide_the_remaining_steps(tmp_path):
+    # N = 16 from a two-row initial path leaves 15 steps: the default node
+    # counts (2, 4, 8, 16) do not divide them
+    f = tmp_path / "init.csv"
+    f.write_text("time,x_1\n0.0,0.0\n0.0625,0.1\n")
+    raw = base_config(grid={"T": 1.0, "N": 16}, initial_path={"file": str(f)})
+    with pytest.raises(ConfigError, match="15 grid steps"):
+        load_config(dict(raw, checks={"discretization": {"noise_only": True}}))
+    for counts in ([3, 6], [0, 5], [2.5]):
+        with pytest.raises(ConfigError, match="node_counts"):
+            load_config(dict(raw, checks={"discretization": {"node_counts": counts}}))
+    cfg = load_config(dict(raw, checks={"discretization": {"node_counts": [3, 5, 15]}}))
+    assert cfg.initial.t_index == 1
+    assert load_config(base_config(grid={"T": 1.0, "N": 16},
+                                   checks={"discretization": None})).checks

@@ -11,7 +11,7 @@ from pathfk import (BudgetError, Model, Path, RegressionBasis, SolverError,
                     evaluate_u, field_from_engine, frozen_noise_increments,
                     get_entry, get_model, make_grid, sample_drivers,
                     simulate_forward, solve_nested, solve_regression,
-                    vertical_derivative)
+                    vertical_bump, vertical_derivative)
 from pathfk.simulation import BrownianPair, ScenarioEnsemble
 from pathfk import solver
 from pathfk.solver import (_column_basis, _project, _time_major, _tree_backward,
@@ -476,8 +476,8 @@ def test_gauss_hermite_rule_computed_once(monkeypatch):
     solver._gauss_hermite.cache_clear()
     m = get_model("heat")
     init = Path(make_grid(T, 3), np.array([[0.1]]))
-    first = _tree_forward(m, init, 5)
-    second = _tree_forward(m, init, 5)
+    first = _tree_forward(m, [init], 5)
+    second = _tree_forward(m, [init], 5)
     assert calls == [5]
     assert np.array_equal(first[2], second[2])
     nodes, weights = solver._gauss_hermite(5)
@@ -488,7 +488,7 @@ def test_gauss_hermite_rule_computed_once(monkeypatch):
 def _einsum_tree_backward(model, initial, tree, dB, picard_iters):
     """Reference sweep: every driver evaluated (zero when absent) and each
     level contracted by einsum over (node, child, component) arrays."""
-    levels, dw_nodes, w_nodes, level_w = tree
+    levels, dw_nodes, w_nodes, _ = tree
     d, k, l = model.dims
     dt = initial.dt
     n_rem = len(levels) - 1
@@ -513,11 +513,7 @@ def _einsum_tree_backward(model, initial, tree, dB, picard_iters):
             new_z[j] = np.einsum("q,mqk,qd->mkd", w_nodes, integ, dw_nodes) / dt
             new_y[j] = np.einsum("q,mqk->mk", w_nodes, integ + fv * dt)
         y_lv, z_lv = new_y, new_z
-    y_means = np.array([np.einsum("m,mk->k", level_w[j], y_lv[j])
-                        for j in range(n_rem + 1)])
-    z_means = np.array([np.einsum("m,mkd->kd", level_w[j], z_lv[j])
-                        for j in range(n_rem)])
-    return y_lv[0][0], z_lv[0][0], y_means, z_means
+    return y_lv, z_lv
 
 
 def two_driver_model():
@@ -542,15 +538,76 @@ def test_tree_backward_matches_einsum_reference(name):
     d, k, l = m.dims
     branching = 3 if d == 2 else 5
     init = Path(make_grid(T, 5), np.array([[0.2, -0.4], [0.5, 0.1]])[:, :d])
-    tree = _tree_forward(m, init, branching)
+    tree = _tree_forward(m, [init], branching)
     dB = frozen_noise_increments(init.grid_times, init.t_index, l, seed=4,
                                  n_outer=1)[0]
     for picard in (1, 2):
         got = _tree_backward(m, init, tree, dB, picard)
         ref = _einsum_tree_backward(m, init, tree, dB, picard)
-        for a, b in zip(got, ref):
-            assert a.shape == b.shape
-            assert np.allclose(a, b, rtol=1e-13, atol=1e-13 * np.abs(b).max())
+        for got_levels, ref_levels in zip(got, ref):
+            assert len(got_levels) == len(ref_levels)
+            for a, b in zip(got_levels, ref_levels):
+                assert a.shape == b.shape
+                assert np.allclose(a, b, rtol=1e-13, atol=1e-13 * np.abs(b).max())
+
+
+def _bumped_roots(d, t_index, n_roots, seed, N=4):
+    """n_roots paths of one depth that differ only at the endpoint, as the
+    bumps of a derivative stencil do."""
+    rng = np.random.default_rng(seed)
+    base = Path(make_grid(T, N), 0.5 * rng.normal(size=(t_index + 1, d)))
+    return [vertical_bump(base, x) for x in 0.1 * rng.normal(size=(n_roots, d))]
+
+
+@pytest.mark.parametrize("name", ["linear-g", "path-f", "nonlinear-f", "two-driver"])
+def test_stacked_roots_match_their_own_solves(name):
+    m = two_driver_model() if name == "two-driver" else get_model(name)
+    d = m.dims[0]
+    branching = 3 if d == 2 else 4
+    # depths 0, 2 and the horizon in one batch: grouped by depth
+    paths = [p for t_index in (0, 2, 4) for p in _bumped_roots(d, t_index, 5, t_index)]
+    got = solver._nested_estimates(m, paths, n_scenarios=3, seed=9,
+                                   branching=branching)
+    assert got.shape == (len(paths), m.dims[1])
+    for p, g in zip(paths, got):
+        ref = solve_nested(m, p, n_outer=3, seed=9, branching=branching).u_estimate
+        assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name", ["linear-g", "two-driver"])
+def test_one_root_batch_is_solve_nested(name):
+    m = two_driver_model() if name == "two-driver" else get_model(name)
+    d, _, l = m.dims
+    (p,) = _bumped_roots(d, 1, 1, seed=3)
+    for kwargs in ({"n_scenarios": 4, "seed": 2},
+                   {"frozen_B": np.full((3, l), 0.2), "picard_iters": 1}):
+        got = solver._nested_estimates(m, [p], branching=3, **kwargs)
+        ref = solve_nested(m, p, n_outer=kwargs.get("n_scenarios", 1),
+                           seed=kwargs.get("seed", 0), branching=3,
+                           picard_iters=kwargs.get("picard_iters", 2),
+                           frozen_B=kwargs.get("frozen_B"))
+        assert np.array_equal(got[0], ref.u_estimate)
+
+
+def test_stacked_trees_stay_within_the_leaf_limit(monkeypatch):
+    # 3**4 = 81 leaves per root at depth 4, 27 at depth 3, 243 at depth 5
+    monkeypatch.setattr(solver, "_MAX_STACKED_LEAVES", 100)
+    trees = []
+
+    def recorded(model, roots, branching):
+        tree = _tree_forward(model, roots, branching)
+        trees.append((len(roots), tree[0][-1].shape[0]))
+        return tree
+
+    monkeypatch.setattr(solver, "_tree_forward", recorded)
+    m = get_model("path-f")
+    paths = [p for t_index in (0, 1, 2) for p in _bumped_roots(1, t_index, 5, 1, N=5)]
+    got = solver._nested_estimates(m, paths, n_scenarios=1, branching=3)
+    assert sorted(trees) == sorted([(1, 243)] * 5 + [(1, 81)] * 5 + [(3, 81), (2, 54)])
+    assert all(leaves <= 100 or roots == 1 for roots, leaves in trees)
+    for p, g in zip(paths, got):
+        ref = solve_nested(m, p, n_outer=1, seed=0, branching=3).u_estimate
+        assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_frozen_noise_regenerates_bit_identical():
@@ -617,7 +674,7 @@ def test_tree_levels_match_concatenated_histories():
                 sigma=lambda x: (1.0 + 0.2 * np.tanh(x[:, -1, :1]))[:, :, None])
     branching, N, i_t = 3, 5, 2
     init = Path(make_grid(T, N), np.array([[0.3], [-0.1], [0.6]]))
-    levels, dw_nodes, _, _ = _tree_forward(m, init, branching)
+    levels, dw_nodes, _, _ = _tree_forward(m, [init], branching)
     old = init.values[None].copy()
     assert np.array_equal(levels[0], old)
     for level in levels[1:]:

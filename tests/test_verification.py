@@ -154,6 +154,27 @@ def test_residual_evaluates_each_prefix_once():
     assert len(calls) == 5 + n * (5 * (N - i_t - 1) + 3) == 117
 
 
+def test_residual_sends_one_batch_per_jet(monkeypatch):
+    # N = 6 from t = 0, one scenario: six prefixes with the value, two
+    # gradient and two Hessian bumps each, and the horizon's value and two
+    # gradient bumps; every jet is one batch call and, at this size, one tree
+    from pathfk import solver
+    m, ens = sampled("path-f", N=6, n=1, seed=3)
+    u = field_from_engine(m, "nested", n_scenarios=1, branching=3, seed=5)
+    batches, trees = [], []
+    stacked = u.batch
+    u.batch = lambda paths: batches.append(len(paths)) or stacked(paths)
+    grow = solver._tree_forward
+    monkeypatch.setattr(solver, "_tree_forward",
+                        lambda *a: trees.append(1) or grow(*a))
+    res = spde_residual(u, m, ens)
+    assert len(batches) == len(trees) == 7 and sum(batches) == 33
+    # the same residual from one solve per path, to round-off
+    one_by_one = PathFunctional(eval=u.eval, output_shape=u.output_shape,
+                                regularity_tag="C12")
+    assert np.allclose(res, spde_residual(one_by_one, m, ens), rtol=0, atol=1e-9)
+
+
 # -- z representation ----------------------------------------------------
 
 

@@ -410,8 +410,12 @@ def _tree_forward(model: Model, roots: Sequence[Path], branching: int):
         m = X.shape[0]
         step = (model.b(X)[:, None, :] * dt
                 + np.einsum("mij,qj->mqi", model.sigma(X), dw_nodes))
-        new_end = (buf[-1][:, None, :] + step).reshape(m * per_step, d)
-        buf = np.concatenate([np.repeat(buf, per_step, axis=1), new_end[None]])
+        # every history repeated once per child, then the children's new
+        # endpoints, written into one fresh buffer (no repeated temporary)
+        nxt = np.empty((buf.shape[0] + 1, m * per_step, d))
+        nxt[:-1].reshape(buf.shape[0], m, per_step, d)[...] = buf[:, :, None, :]
+        nxt[-1] = (buf[-1][:, None, :] + step).reshape(m * per_step, d)
+        buf = nxt
         levels.append(_history_view(buf))
 
     # level weights for quadrature means

@@ -219,6 +219,7 @@ def run_experiment(raw: dict, output_dir: str, workers: int = 1,
         "t": float(cfg.initial.current_time),
         "u_estimate": sol.u_estimate.tolist(),
         "u_stderr": sol.u_stderr.tolist(),
+        "excluded_scenarios": sol.scheme_params.get("excluded_scenarios", 0),
         "checks": {
             r.name: {"statistic": r.statistic, "threshold": r.threshold,
                      "passed": r.passed, "n_samples": r.n_samples}

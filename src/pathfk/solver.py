@@ -95,29 +95,28 @@ class RegressionBasis:
 
     def designs(self, X: np.ndarray, t_index: int, dt: float,
                 dB: Optional[np.ndarray] = None):
-        """Yield (i, design matrix) for the steps i = t_index..N-1 in order.
+        """Yield (i, design matrix) for the steps i = N-1 down to t_index.
 
         X holds the histories time-major, (N+1, n, d); dB, when given, the
         second driver's increments time-major, (N, n, l), for the
-        future-noise features.  One forward pass carries the running
-        maximum of X[:i+1], the running sum of X[:i] and the remaining
-        noise sum of dB[i:] from step to step, so a step costs the same
-        however long the history is.
+        future-noise features.  The running maximum of X[:i+1] and the
+        running sum of X[:i] come from one accumulation over the history,
+        and the remaining noise sum of dB[i:] is carried backward from step
+        to step, so a step costs the same however long the history is.
         """
         N = X.shape[0] - 1
         path = self.feature_set == "endpoint+runmax+runint"
         if path:
-            runmax = X[: t_index + 1].max(axis=0)
-            runsum = X[:t_index].sum(axis=0)
-        rest = None if dB is None else dB[t_index:].sum(axis=0)
-        for i in range(t_index, N):
-            raw = np.concatenate([X[i], runmax, runsum * dt], axis=1) if path else X[i]
+            runmax = np.maximum.accumulate(X[:N], axis=0)
+            # row i holds the sum of X[:i]; the first is zero
+            runsum = np.zeros_like(runmax)
+            np.cumsum(X[: N - 1], axis=0, out=runsum[1:])
+        rest = None
+        for i in range(N - 1, t_index - 1, -1):
+            if dB is not None:
+                rest = dB[i] if rest is None else rest + dB[i]
+            raw = np.concatenate([X[i], runmax[i], runsum[i] * dt], axis=1) if path else X[i]
             yield i, self.matrix(raw, rest)
-            if path:
-                runmax = np.maximum(runmax, X[i + 1])
-                runsum = runsum + X[i]
-            if rest is not None:
-                rest = rest - dB[i]
 
 
 def _column_basis(A: np.ndarray) -> np.ndarray:
@@ -207,19 +206,23 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
                      record_fit_se: bool = False) -> BackwardSolution:
     """Backward regression sweep over a simulated ensemble.
 
-    Each step's design matrix is built column-major and factored once, in
-    place, by Householder QR and an SVD of the p x p triangle, into an
-    orthonormal basis of its column space (_column_basis; a non-finite
-    design raises SolverError); every conditional expectation on that step
-    (the centring term, z, y, and the rollout behind fit_se) in every pass
-    is the projection onto that basis, and with f absent y is the centring term.
+    One sweep runs from the last step to the initial one.  Each step's
+    design matrix is built column-major and factored once, in place, by
+    Householder QR and an SVD of the p x p triangle, into an orthonormal
+    basis of its column space (_column_basis; a non-finite design raises
+    SolverError); every pass's update on that step (the centring term, z,
+    y, and the rollout behind fit_se) is a projection onto that basis,
+    which is dropped before the next step.  With f absent y is the
+    centring term.
 
     Pass 0 is the explicit scheme (drivers read the right-endpoint y/z);
     each further pass re-evaluates the drivers at the previous pass's
-    current-step y/z; without drivers one pass runs whatever picard_iters
-    asks (scheme_params["picard_passes"]).  If the pass-to-pass update norm
-    grows on two consecutive passes the fixed point is diverging and a
-    SolverError is raised.
+    current-step y/z, so pass p on step i needs only pass p on step i+1
+    and pass p-1 on step i: the earlier passes carry one row each, and
+    only the last pass's y and z are kept whole.  Without drivers one pass
+    runs whatever picard_iters asks (scheme_params["picard_passes"]).  If
+    the pass-to-pass update norm grows on two consecutive passes the fixed
+    point is diverging and a SolverError is raised.
 
     With record_fit_se, fit_se holds the pointwise standard error of the
     last pass's fitted y: the leverage of each scenario times the rollout's
@@ -245,7 +248,20 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     # with g = None the g dB term is zero, so dB is read only by the features
     dB = _time_major(drivers.dB, valid) if use_noise or model.g is not None else None
 
-    features = {}
+    phi = model.Phi(history, dt)
+    passes = _refinement_passes(model, picard_iters)
+    # the last pass's values; rows before t_index are filled at the end
+    Y = np.empty((N + 1, n, k))
+    Z = np.zeros((N, n, k, d))
+    Y[N] = phi
+    # each pass's (y, z) on the step it swept last, the terminal one first
+    rows = [(phi, np.zeros((n, k, d)))] * passes
+    sq_diffs = np.zeros((passes, 2))
+    # pathwise accumulation of the last pass's drivers; its mean equals the
+    # field estimate and its spread carries the full sampling error
+    rollout = phi.copy()
+    fit_se = np.zeros((N + 1, n, k)) if record_fit_se else None
+
     for i, A in basis.designs(X, i_t, dt, dB if use_noise else None):
         # budget: every projection must stay overdetermined by a wide margin
         if A.shape[1] * _MIN_SCENARIOS_PER_FEATURE > n:
@@ -254,80 +270,61 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
                 f"{A.shape[1] * _MIN_SCENARIOS_PER_FEATURE} scenarios, got {n}"
             )
         try:
-            features[i] = _column_basis(A)
+            U = _column_basis(A)
         except SolverError as exc:
             raise SolverError(f"step {i}: {exc} (a feature overflowed, or the "
                               "second driver's increments are not finite)") from None
-    phi = model.Phi(history, dt)
-
-    Y = np.zeros((N + 1, n, k))
-    Z = np.zeros((N + 1, n, k, d))
-    Y[N] = phi
-    # the passes alternate between two buffer pairs; a sweep writes rows
-    # t_index..N-1, so the rows it leaves keep the values set here, which
-    # the update norm reads
-    Y_new = np.empty_like(Y)
-    Z_new = np.empty_like(Z)
-    Y_new[:i_t] = 0.0
-    Y_new[N] = phi
-    Z_new[:i_t] = 0.0
-    Z_new[N] = 0.0
-    update_norms = []
-    rollout = None
-    fit_se = np.zeros((N + 1, n, k)) if record_fit_se else None
-
-    passes = _refinement_passes(model, picard_iters)
-    for p in range(passes):
-        # pathwise accumulation of the drivers; its mean equals the field
-        # estimate and its spread carries the full sampling error
-        rollout = phi.copy()
-        for i in range(N - 1, i_t - 1, -1):
-            if p == 0:
-                fy, fz = Y_new[i + 1], Z_new[i + 1]
-            else:
-                fy, fz = Y[i], Z[i]
-            U = features[i]
+        x = history[:, : i + 2]
+        for p in range(passes):
+            y_next = rows[p][0]
+            # the drivers read pass 0's right endpoint, or pass p-1 on step i
+            fy, fz = rows[p - 1] if p else rows[p]
             # center the z-target with the fitted continuation value; the
             # centering term is a function of the features, so it leaves the
             # conditional expectation unchanged while removing the dominant
             # 1/dt variance of the raw product
-            cont = Y_new[i + 1]
+            cont = y_next
             if model.g is not None:
-                gdB = np.einsum("nkl,nl->nk", model.g(history[:, : i + 2], fy, fz), dB[i])
+                gdB = np.einsum("nkl,nl->nk", model.g(x, fy, fz), dB[i])
                 cont = cont + gdB
             center = _project(U, cont)
             z_target = (cont - center)[:, :, None] * dW[i][:, None, :] / dt
-            Z_new[i] = _project(U, z_target.reshape(n, k * d)).reshape(n, k, d)
+            z = _project(U, z_target.reshape(n, k * d)).reshape(n, k, d)
             if model.f is None:
-                Y_new[i] = center   # the y target is cont itself
+                y = center   # the y target is cont itself
             else:
-                fdt = model.f(history[:, : i + 2], fy, fz) * dt
-                rollout = rollout + fdt
-                y_target = Y_new[i + 1] + fdt
-                Y_new[i] = _project(U, y_target if model.g is None else y_target + gdB)
-            if model.g is not None:
-                rollout = rollout + gdB
-            if record_fit_se and p == passes - 1:
-                # hat-matrix diagonal times the residual variance of the
-                # rollout: the step target understates the noise carried by
-                # a backward-recursed fit, the accumulated value-to-go does not
-                resid = rollout - _project(U, rollout)
-                resid_var = np.sum(resid ** 2, axis=0) / max(n - U.shape[1], 1)
-                leverage = np.sum(U ** 2, axis=1)
-                fit_se[i] = np.sqrt(leverage[:, None] * resid_var[None, :])
-        if p > 0:
-            diff = (np.sqrt(np.mean((Y_new - Y) ** 2))
-                    + np.sqrt(np.mean((Z_new - Z) ** 2)))
-            update_norms.append(diff)
-            if len(update_norms) >= 3 and update_norms[-1] > update_norms[-2] > update_norms[-3]:
-                raise SolverError(
-                    "refinement passes are diverging (update norms "
-                    f"{update_norms}); the scheme's fixed point requires the "
-                    f"backward driver's z-coefficient {model.alpha} to act as "
-                    "a contraction at this step size"
-                )
-        Y, Z, Y_new, Z_new = Y_new, Z_new, Y, Z
+                fdt = model.f(x, fy, fz) * dt
+                y_target = y_next + fdt
+                y = _project(U, y_target if model.g is None else y_target + gdB)
+            if p:
+                sq_diffs[p] += (np.sum((y - fy) ** 2), np.sum((z - fz) ** 2))
+            rows[p] = y, z
+        Y[i], Z[i] = y, z
+        if model.f is not None:
+            rollout = rollout + fdt
+        if model.g is not None:
+            rollout = rollout + gdB
+        if record_fit_se:
+            # hat-matrix diagonal times the residual variance of the
+            # rollout: the step target understates the noise carried by
+            # a backward-recursed fit, the accumulated value-to-go does not
+            resid = rollout - _project(U, rollout)
+            resid_var = np.sum(resid ** 2, axis=0) / max(n - U.shape[1], 1)
+            leverage = np.sum(U ** 2, axis=1)
+            fit_se[i] = np.sqrt(leverage[:, None] * resid_var[None, :])
 
+    # root-mean-square updates over the whole (N+1)-row y and z arrays
+    update_norms = [float(np.sqrt(sy / ((N + 1) * n * k))
+                          + np.sqrt(sz / ((N + 1) * n * k * d)))
+                    for sy, sz in sq_diffs[1:]]
+    for j in range(2, len(update_norms)):
+        if update_norms[j] > update_norms[j - 1] > update_norms[j - 2]:
+            raise SolverError(
+                "refinement passes are diverging (update norms "
+                f"{update_norms[: j + 1]}); the scheme's fixed point requires the "
+                f"backward driver's z-coefficient {model.alpha} to act as "
+                "a contraction at this step size"
+            )
     Y[:i_t] = Y[i_t]
     u_estimate = Y[i_t].mean(axis=0)
     u_stderr = rollout.std(axis=0, ddof=1) / np.sqrt(n)
@@ -335,7 +332,7 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
         grid_times=ensemble.initial.grid_times,
         t_index=i_t,
         y=Y.transpose(1, 0, 2),
-        z=Z[:N].transpose(1, 0, 2, 3),
+        z=Z.transpose(1, 0, 2, 3),
         u_estimate=u_estimate,
         u_stderr=u_stderr,
         engine_tag="regression",
@@ -346,8 +343,9 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
             "degree": basis.degree,
             "future_noise_features": bool(use_noise),
             "n_scenarios": int(n),
+            "excluded_scenarios": ensemble.excluded_count,
             "seed": int(drivers.seed),
-            "update_norms": [float(v) for v in update_norms],
+            "update_norms": update_norms,
         },
         rollout=rollout,
         fit_se=None if fit_se is None else fit_se.transpose(1, 0, 2),

@@ -124,3 +124,38 @@ def test_moments_check_scores_every_order_from_one_probe_set():
                                       basis=cfg.basis, **spec)
         assert rep == alone
         assert rep.samples_csv() == alone.samples_csv()
+
+
+def test_summary_counts_excluded_scenarios(tmp_path, monkeypatch):
+    # a drift that explodes once a path leaves [-1.5, 1.5] overflows a
+    # share of the scenarios; summary.json says how many the headline solve
+    # left out, the same on a rerun and at any worker count
+    from dataclasses import replace
+
+    import numpy as np
+
+    from pathfk import config, get_model
+    from pathfk.models import ModelRegistryEntry
+
+    killed = replace(get_model("heat"), name="killed",
+                     b=lambda x: np.where(np.abs(x[:, -1, :]) > 1.5, np.inf, 0.0))
+    known = config.get_entry
+    monkeypatch.setattr(config, "get_entry", lambda name: (
+        ModelRegistryEntry("killed", killed) if name == "killed" else known(name)))
+    cfg = write_config(tmp_path, model="killed", checks={"z_growth": {}})
+    runs = {}
+    for out, workers in (("a", "1"), ("b", "1"), ("w3", "3")):
+        main(["run", cfg, "--output", str(tmp_path / out), "--workers", workers])
+        runs[out] = (tmp_path / out / "summary.json").read_bytes()
+    assert runs["a"] == runs["b"] == runs["w3"]
+    excluded = json.loads(runs["a"])["excluded_scenarios"]
+    assert 0 < excluded < 2000
+
+    for out, engine in (("heat", {}), ("nested", {
+            "engine": "nested", "grid": {"T": 1.0, "N": 4},
+            "mc": {"seed": 11, "n_scenarios": 4},
+            "engine_options": {"branching": 4}})):
+        main(["run", write_config(tmp_path, checks={}, **engine),
+              "--output", str(tmp_path / out)])
+        summary = json.loads((tmp_path / out / "summary.json").read_text())
+        assert summary["excluded_scenarios"] == 0

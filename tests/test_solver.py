@@ -46,8 +46,9 @@ def _svd_basis(A):
 
 
 def _designs(design, rng):
-    """The designs of one projection case: a single synthetic matrix, or
-    every step's design that RegressionBasis.designs streams for a model."""
+    """The (step, design) pairs of one projection case: a single synthetic
+    matrix as step 0, or every step's design that RegressionBasis.designs
+    streams for a model, last step first."""
     streamed = {"path-f": "endpoint+runmax+runint", "heat": "endpoint",
                 "linear-g": "endpoint"}
     if design in streamed:
@@ -55,18 +56,18 @@ def _designs(design, rng):
         ens = ensemble(m, N=6, n=1500, seed=15)
         dB = None if m.g is None else ens.drivers.dB.transpose(1, 0, 2)
         basis = RegressionBasis(feature_set=streamed[design])
-        return [A for _, A in basis.designs(ens.x_values.transpose(1, 0, 2), 0,
-                                            ens.initial.dt, dB)]
+        return list(basis.designs(ens.x_values.transpose(1, 0, 2), 0,
+                                  ens.initial.dt, dB))
     B = rng.normal(size=(200, 6))
     if design.endswith("_cutoff"):
         # six orthonormal columns and a seventh orthogonal to them, scaled
         # to a singular value a quarter above or a fifth below the cutoff
         Q = np.linalg.qr(np.hstack([B, rng.normal(size=(200, 1))]))[0]
         factor = 1.25 if design == "above_cutoff" else 0.8
-        return [Q * np.r_[np.ones(6), factor * 200 * np.finfo(float).eps]]
-    return [{"full": B,
-             "duplicated_column": np.hstack([B, B[:, 2:3]]),
-             "equal_rows": np.tile(B[0], (200, 1))}[design]]
+        return [(0, Q * np.r_[np.ones(6), factor * 200 * np.finfo(float).eps])]
+    return [(0, {"full": B,
+                 "duplicated_column": np.hstack([B, B[:, 2:3]]),
+                 "equal_rows": np.tile(B[0], (200, 1))}[design])]
 
 
 @pytest.mark.parametrize("design, rank", [("full", 6), ("duplicated_column", 6),
@@ -74,11 +75,12 @@ def _designs(design, rng):
                                           ("below_cutoff", 6), ("path-f", 1),
                                           ("heat", 1), ("linear-g", 2)])
 def test_projection_matches_minimum_norm_least_squares(design, rank):
-    # rank is that of the first design: for the streamed cases the initial
-    # step, where every history coincides
+    # rank is that of the design at i = t_index = 0: for the streamed cases
+    # the initial step, where every history coincides
     rng = np.random.default_rng(11)
     designs = _designs(design, rng)
-    for step, A in enumerate(designs):
+    assert designs[-1][0] == 0
+    for step, A in designs:
         T = rng.normal(size=(A.shape[0], 3))
         ref = _svd_basis(A)
         U = _column_basis(A.copy(order="F"))     # factors its argument in place
@@ -108,9 +110,10 @@ def test_non_finite_design_raises(entry):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflowing_features_raise_naming_the_step():
-    # x0 = 1e160 keeps the histories finite, but the feature x^2 overflows
+    # x0 = 1e160 keeps the histories finite, but the feature x^2 overflows;
+    # the backward sweep factors the last step, 3, first
     m = get_model("linear-g")
-    with pytest.raises(SolverError, match="step 0: .*non-finite"):
+    with pytest.raises(SolverError, match="step 3: .*non-finite"):
         solve_regression(m, ensemble(m, N=4, n=600, seed=18, x0=1e160))
 
 
@@ -203,12 +206,16 @@ def test_future_noise_features_enabled_only_with_g():
     assert sol_g.scheme_params["future_noise_features"] is True
 
 
-def test_feature_budget_guard():
+def test_feature_budget_guard(monkeypatch):
     m = get_model("asian")
     basis = RegressionBasis(feature_set="endpoint+runmax+runint")
     ens = ensemble(m, N=4, n=300, seed=7)
+    factored = []
+    monkeypatch.setattr(solver, "_column_basis", factored.append)
     with pytest.raises(BudgetError):
         solve_regression(m, ens, basis=basis)
+    # the guard reads the first design's width, before any factorization
+    assert factored == []
 
 
 def test_picard_validation_and_divergence():
@@ -323,7 +330,146 @@ def test_streamed_designs_match_definition(feature_set, noise):
         direct = basis.matrix(raw, bs[:, i:].sum(axis=1) if noise else None)
         assert np.allclose(A, direct, rtol=0.0, atol=1e-12)
         steps.append(i)
-    assert steps == list(range(i_t, N))
+    assert steps == list(range(N - 1, i_t - 1, -1))
+
+
+def _forward_designs(basis, X, t_index, dt, dB):
+    """Every step's design, first step first, with the running maximum,
+    the running sum and the remaining noise sum carried forward."""
+    N = X.shape[0] - 1
+    path = basis.feature_set == "endpoint+runmax+runint"
+    if path:
+        runmax = X[: t_index + 1].max(axis=0)
+        runsum = X[:t_index].sum(axis=0)
+    rest = None if dB is None else dB[t_index:].sum(axis=0)
+    for i in range(t_index, N):
+        raw = np.concatenate([X[i], runmax, runsum * dt], axis=1) if path else X[i]
+        yield i, basis.matrix(raw, rest)
+        if path:
+            runmax = np.maximum(runmax, X[i + 1])
+            runsum = runsum + X[i]
+        if rest is not None:
+            rest = rest - dB[i]
+
+
+def _pass_after_pass(model, ens, basis, picard_iters):
+    """The regression scheme run one whole pass after another over stored
+    per-step bases: the arrays solve_regression returns, and the update
+    norms as root-mean-square differences of whole passes."""
+    d, k, l = model.dims
+    X = _time_major(ens.x_values, ens.valid_mask)
+    dW = _time_major(ens.drivers.dW, ens.valid_mask)
+    dB = _time_major(ens.drivers.dB, ens.valid_mask)
+    history = X.transpose(1, 0, 2)
+    N, n = X.shape[0] - 1, X.shape[1]
+    i_t, dt = ens.initial.t_index, ens.initial.dt
+    noise = basis.include_future_noise
+    noise = model.g is not None if noise is None else noise
+    bases = {i: _column_basis(A) for i, A in
+             _forward_designs(basis, X, i_t, dt, dB if noise else None)}
+    phi = model.Phi(history, dt)
+    prev, norms = None, []
+    for _ in range(solver._refinement_passes(model, picard_iters)):
+        Y, Z = np.zeros((N + 1, n, k)), np.zeros((N + 1, n, k, d))
+        Y[N] = phi
+        rollout, fit_se = phi.copy(), np.zeros((N + 1, n, k))
+        for i in range(N - 1, i_t - 1, -1):
+            U, x = bases[i], history[:, : i + 2]
+            fy, fz = (Y[i + 1], Z[i + 1]) if prev is None else (prev[0][i], prev[1][i])
+            cont = Y[i + 1]
+            if model.g is not None:
+                gdB = np.einsum("nkl,nl->nk", model.g(x, fy, fz), dB[i])
+                cont = cont + gdB
+            center = _project(U, cont)
+            z_target = (cont - center)[:, :, None] * dW[i][:, None, :] / dt
+            Z[i] = _project(U, z_target.reshape(n, k * d)).reshape(n, k, d)
+            if model.f is None:
+                Y[i] = center
+            else:
+                fdt = model.f(x, fy, fz) * dt
+                rollout = rollout + fdt
+                y_target = Y[i + 1] + fdt
+                Y[i] = _project(U, y_target if model.g is None else y_target + gdB)
+            if model.g is not None:
+                rollout = rollout + gdB
+            resid_var = (np.sum((rollout - _project(U, rollout)) ** 2, axis=0)
+                         / max(n - U.shape[1], 1))
+            fit_se[i] = np.sqrt(np.sum(U ** 2, axis=1)[:, None] * resid_var[None, :])
+        if prev is not None:
+            norms.append(np.sqrt(np.mean((Y - prev[0]) ** 2))
+                         + np.sqrt(np.mean((Z - prev[1]) ** 2)))
+        prev = Y, Z
+    Y[:i_t] = Y[i_t]
+    out = {"y": Y.transpose(1, 0, 2), "z": Z[:N].transpose(1, 0, 2, 3),
+           "rollout": rollout, "fit_se": fit_se.transpose(1, 0, 2),
+           "u_stderr": rollout.std(axis=0, ddof=1) / np.sqrt(n)}
+    return out, norms
+
+
+@pytest.mark.parametrize("name", ["path-f", "nonlinear-f", "linear-g", "z-in-g"])
+@pytest.mark.parametrize("picard_iters", [1, 2, 3])
+@pytest.mark.parametrize("t_index", [0, 2])
+def test_backward_sweep_matches_pass_after_pass(name, picard_iters, t_index):
+    # the sweep runs every pass on a step before it moves on; the reference
+    # stores every step's basis and runs one pass after another.  The
+    # arithmetic of a step is the same, so without future-noise features
+    # the outputs agree bit for bit; the remaining noise sum is carried
+    # backward in the sweep and forward in the reference, which moves
+    # round-off only
+    m = get_model(name)
+    feature_set = "endpoint+runmax+runint" if name == "path-f" else "endpoint"
+    basis = RegressionBasis(feature_set=feature_set)
+    ens = ensemble(m, N=8, n=1500, seed=19, x0=0.4, t_index=t_index)
+    sol = solve_regression(m, ens, basis=basis, picard_iters=picard_iters,
+                           record_fit_se=True)
+    ref, norms = _pass_after_pass(m, ens, basis, picard_iters)
+    noise = sol.scheme_params["future_noise_features"]
+    assert noise is (m.g is not None)
+    for key, want in ref.items():
+        got = getattr(sol, key)
+        assert got.shape == want.shape
+        if noise:
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12), key
+        else:
+            assert np.array_equal(got, want), key
+    assert np.allclose(sol.scheme_params["update_norms"], norms, rtol=1e-12, atol=0.0)
+    assert len(norms) == sol.scheme_params["picard_passes"] - 1
+
+
+def test_sweep_keeps_no_per_step_bases():
+    # quadrupling the steps of a path-f solve grows its traced peak by the
+    # per-step arrays it returns, far less than storing one (n, 10) basis
+    # per extra step would add
+    import tracemalloc
+    m = get_model("path-f")
+    basis = RegressionBasis(feature_set="endpoint+runmax+runint")
+    n, peaks = 4000, []
+    for N in (16, 64):
+        ens = ensemble(m, N=N, n=n, seed=20)
+        tracemalloc.start()
+        try:
+            solve_regression(m, ens, basis=basis)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 48 * n * 10 * 8 / 2
+
+
+def test_excluded_scenarios_are_recorded():
+    # a drift that explodes once a path leaves [-1.5, 1.5] overflows a
+    # share of the scenarios; the solve runs on the rest and says how many
+    from dataclasses import replace
+    m = replace(get_model("heat"),
+                b=lambda x: np.where(np.abs(x[:, -1, :]) > 1.5, np.inf, 0.0))
+    ens = ensemble(m, N=8, n=2000, seed=21)
+    assert 0 < ens.excluded_count < 2000
+    sol = solve_regression(m, ens)
+    assert sol.scheme_params["excluded_scenarios"] == ens.excluded_count
+    assert sol.n_samples == 2000 - ens.excluded_count
+    assert np.isfinite(sol.u_estimate).all() and np.isfinite(sol.u_stderr).all()
+    heat = get_model("heat")
+    assert solve_regression(heat, ensemble(heat, N=8, n=2000, seed=21)
+                            ).scheme_params["excluded_scenarios"] == 0
 
 
 @pytest.mark.parametrize("name, feature_set", [("path-f", "endpoint+runmax+runint"),

@@ -140,6 +140,7 @@ def test_summary_counts_excluded_scenarios(tmp_path, monkeypatch):
     killed = replace(get_model("heat"), name="killed",
                      b=lambda x: np.where(np.abs(x[:, -1, :]) > 1.5, np.inf, 0.0))
     known = config.get_entry
+    # the check workers are forked, so they load the same patched registry
     monkeypatch.setattr(config, "get_entry", lambda name: (
         ModelRegistryEntry("killed", killed) if name == "killed" else known(name)))
     cfg = write_config(tmp_path, model="killed", checks={"z_growth": {}})

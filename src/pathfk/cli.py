@@ -20,13 +20,11 @@ import json
 import os
 import sys
 import zlib
-from concurrent.futures import ProcessPoolExecutor
-from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .models import shifted_model
+from .models import get_entry, shifted_model
 from .reports import CheckReport
 from .simulation import sample_drivers, simulate_forward
 from .solver import solve_nested, solve_regression
@@ -38,6 +36,7 @@ from .verification import (comparison_check, discretization_convergence_check,
 
 
 def _package_version() -> str:
+    from importlib.metadata import PackageNotFoundError, version
     try:
         return version("pathfk")
     except PackageNotFoundError:
@@ -60,16 +59,14 @@ def _solve(cfg: ExperimentConfig):
     drivers = sample_drivers(cfg.grid_times, cfg.n_scenarios, cfg.seed,
                              d=cfg.model.dims[0], l=cfg.model.dims[2])
     ens = simulate_forward(cfg.model, cfg.initial, drivers)
-    sol = solve_regression(
+    return solve_regression(
         cfg.model, ens, basis=cfg.basis,
         picard_iters=cfg.engine_options.get("picard_iters", 2),
     )
-    return sol
 
 
 def _candidate_field(cfg: ExperimentConfig):
     if cfg.closed_form_u is not None:
-        from .models import get_entry
         return field_from_closed_form(get_entry(cfg.model_name))
     return field_from_engine(
         cfg.model, engine="nested",
@@ -184,6 +181,8 @@ def _config_hash(raw: dict) -> str:
 
 def run_experiment(raw: dict, output_dir: str, workers: int = 1,
                    seed_override=None) -> int:
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     cfg = load_config(raw, seed_override=seed_override)
     os.makedirs(output_dir, exist_ok=True)
     sol = _solve(cfg)
@@ -193,8 +192,10 @@ def run_experiment(raw: dict, output_dir: str, workers: int = 1,
     if "closed_form" in cfg.checks:
         reports["closed_form"] = [_closed_form_report(cfg, sol)]
     if workers > 1 and names:
+        # serial runs never load multiprocessing; fork starts every worker
+        from concurrent.futures import ProcessPoolExecutor
         tasks = [(cfg.raw, seed_override, n) for n in names]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(names))) as pool:
             for name, reps in pool.map(_check_worker, tasks):
                 reports[name] = reps
     else:

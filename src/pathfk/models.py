@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .paths import Path, sup_norm, path_dist
+from .paths import Path, make_grid, path_dist, sup_norm
 from .simulation import random_initial_path
 
 
@@ -122,7 +122,6 @@ def validate(model: Model, n_probes: int = 100, seed: int = 0,
         raise ValueError("need at least one probe")
     d, k, l = model.dims
     rng = np.random.default_rng(seed)
-    from .paths import make_grid
     grid = make_grid(horizon, grid_steps)
     probes = []
 

@@ -6,7 +6,8 @@ increments of scenario s are a pure function of (seed, s), bit-identical
 regardless of batch size or worker scheduling.  The streams are read
 scenario-major but stored time-major, (N, n, .), like the forward
 histories; the second driver is drawn on its first read, so solves of
-models without a backward integrand g never draw it.
+models without a backward integrand g never draw it.  scipy.special (ndtri)
+is imported at the first draw: `import pathfk` loads numpy only.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .paths import Path
 
@@ -30,6 +30,8 @@ def _keyed_normals(seed: int, tag: int, shape,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Normals of the (seed, tag) stream, one uniform each, into `out` (any
     array of `shape`) or over the uniforms."""
+    # imported on first use: scipy.special adds about 0.4 s to `import pathfk`
+    from scipy.special import ndtri
     bitgen = np.random.Philox(key=(int(seed) & ((1 << 64) - 1)) + (tag << 64))
     u = np.random.Generator(bitgen).random(shape)
     u *= _U_SCALE

@@ -133,7 +133,7 @@ def _column_basis(A: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(A).all():
         raise SolverError("the design matrix has non-finite entries")
-    # imported on first use: scipy.linalg adds about 50 ms to `import pathfk`
+    # imported on first use: about 90 ms on top of scipy.special (first draw)
     from scipy.linalg import lapack
     qr, tau, _, _ = lapack.dgeqrf(A, overwrite_a=True)
     Ur, s, _ = np.linalg.svd(np.triu(qr[: A.shape[1]]))

@@ -10,13 +10,13 @@ pass threshold is 1.0 unless stated otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .calculus import PathFunctional, _jet, vertical_derivative
-from .errors import PreconditionError
+from .errors import GridAlignmentError, PreconditionError
 from .models import Model, ModelRegistryEntry, on_path
 from .paths import (Path, discretize_values, path_dist, restrict, sup_norm,
                     vertical_bump)
@@ -354,13 +354,11 @@ def discretized_model(model: Model, n_nodes: int, anchor_t: float,
                       grid_times: np.ndarray) -> Model:
     """The same model with every path argument frozen at n_nodes equally
     spaced nodes between the anchor time and the horizon."""
-    from dataclasses import replace
     N = len(grid_times) - 1
     dt = float(grid_times[1] - grid_times[0])
     anchor_idx = int(round(anchor_t / dt))
     total = N - anchor_idx
     if total % n_nodes != 0:
-        from .errors import GridAlignmentError
         raise GridAlignmentError(
             f"{n_nodes} nodes do not divide the {total} remaining grid steps"
         )

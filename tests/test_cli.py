@@ -1,7 +1,9 @@
 """Command-line interface: run / sweep, artifacts, exit codes, determinism."""
 
+import concurrent.futures
 import json
 import os
+from importlib.metadata import PackageNotFoundError, version
 
 from pathfk.cli import main
 
@@ -31,6 +33,11 @@ def test_run_writes_artifacts_and_passes(tmp_path):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["seed"] == 11
     assert manifest["config_sha256"] == summary["config_sha256"]
+    try:
+        installed = version("pathfk")
+    except PackageNotFoundError:
+        installed = "unknown"
+    assert manifest["package_version"] == installed
     checks = os.listdir(tmp_path / "out" / "checks")
     assert sorted(checks) == ["closed_form.csv", "z_growth_envelope.csv"]
     head = (tmp_path / "out" / "checks" / "closed_form.csv").read_text()
@@ -51,6 +58,53 @@ def test_workers_do_not_change_results(tmp_path):
     main(["run", cfg, "--output", str(tmp_path / "w3"), "--workers", "3"])
     assert ((tmp_path / "w1" / "summary.json").read_bytes()
             == (tmp_path / "w3" / "summary.json").read_bytes())
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for
+    and maps in this process, so no worker is started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_check_pool_is_sized_to_the_checks(tmp_path, monkeypatch):
+    # fork starts every worker of the pool at once, so a pool wider than
+    # the number of checks would start idle processes
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    cfg = write_config(tmp_path, checks={"z_growth": {}, "z_representation": {}})
+    codes = {workers: main(["run", cfg, "--output", str(tmp_path / workers),
+                            "--workers", workers])
+             for workers in ("64", "2", "1")}
+    # one pool per parallel run, of one worker per check; none when serial
+    assert SerialPool.sizes == [2, 2]
+    assert codes["64"] == codes["2"] == codes["1"]
+    assert ((tmp_path / "64" / "summary.json").read_bytes()
+            == (tmp_path / "1" / "summary.json").read_bytes())
+
+
+def test_workers_below_one_is_an_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    cfg = write_config(tmp_path)
+    for workers in ("0", "-2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["run", cfg, "--output", str(out), "--workers", workers]) == 1
+        assert f"error: need at least one worker, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+    assert SerialPool.sizes == []
 
 
 def test_failing_check_exits_2(tmp_path):

@@ -1,5 +1,6 @@
 """Backward solvers: regression and nested quadrature engines."""
 
+import json
 import os
 import subprocess
 import sys
@@ -118,16 +119,30 @@ def test_overflowing_features_raise_naming_the_step():
 
 
 def test_import_does_not_load_scipy_linalg():
-    # the factorization imports scipy.linalg on first use, which keeps its
-    # import time and memory out of `import pathfk`
+    # the factorization imports scipy.linalg and the first draw scipy.special
+    # on first use, the CLI importlib.metadata and its process pool only when
+    # it needs them: `import pathfk` loads numpy and the standard library
     import pathfk
     src = os.path.dirname(os.path.dirname(os.path.abspath(pathfk.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = "import sys, pathfk; print('scipy.linalg' in sys.modules)"
+    code = """if True:
+        import json, sys
+        import pathfk, pathfk.cli
+        heavy = ("scipy", "importlib.metadata", "multiprocessing")
+        cold = sorted(m for m in sys.modules
+                      if m in heavy or m.startswith(tuple(h + "." for h in heavy)))
+        pathfk.sample_drivers(pathfk.make_grid(1.0, 4), 3, seed=0)
+        print(json.dumps({"cold": cold,
+                          "special": "scipy.special" in sys.modules,
+                          "linalg": "scipy.linalg" in sys.modules}))
+    """
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    loaded = json.loads(out.stdout)
+    assert loaded["cold"] == []
+    assert loaded["special"] is True
+    assert loaded["linalg"] is False
 
 
 # -- regression engine oracles -------------------------------------------

@@ -5,6 +5,8 @@ import json
 import os
 from importlib.metadata import PackageNotFoundError, version
 
+import pytest
+
 from pathfk.cli import main
 
 
@@ -60,51 +62,51 @@ def test_workers_do_not_change_results(tmp_path):
             == (tmp_path / "w3" / "summary.json").read_bytes())
 
 
-class SerialPool:
-    """Stands in for ProcessPoolExecutor: records the pool size asked for
-    and maps in this process, so no worker is started."""
-
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces ProcessPoolExecutor with a stand-in that records the pool
+    size asked for and maps in this process, so no worker is started."""
     sizes = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
+        def __enter__(self):
+            return self
 
-    def __exit__(self, *exc):
-        return False
+        def __exit__(self, *exc):
+            return False
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes
 
 
-def test_check_pool_is_sized_to_the_checks(tmp_path, monkeypatch):
+def test_check_pool_is_sized_to_the_checks(tmp_path, pool_sizes):
     # fork starts every worker of the pool at once, so a pool wider than
     # the number of checks would start idle processes
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(SerialPool, "sizes", [])
     cfg = write_config(tmp_path, checks={"z_growth": {}, "z_representation": {}})
     codes = {workers: main(["run", cfg, "--output", str(tmp_path / workers),
                             "--workers", workers])
              for workers in ("64", "2", "1")}
     # one pool per parallel run, of one worker per check; none when serial
-    assert SerialPool.sizes == [2, 2]
+    assert pool_sizes == [2, 2]
     assert codes["64"] == codes["2"] == codes["1"]
     assert ((tmp_path / "64" / "summary.json").read_bytes()
             == (tmp_path / "1" / "summary.json").read_bytes())
 
 
-def test_workers_below_one_is_an_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(SerialPool, "sizes", [])
+def test_workers_below_one_is_an_error(tmp_path, pool_sizes, capsys):
     cfg = write_config(tmp_path)
     for workers in ("0", "-2"):
         out = tmp_path / f"w{workers}"
         assert main(["run", cfg, "--output", str(out), "--workers", workers]) == 1
         assert f"error: need at least one worker, got {workers}" in capsys.readouterr().err
         assert not out.exists()
-    assert SerialPool.sizes == []
+    assert pool_sizes == []
 
 
 def test_failing_check_exits_2(tmp_path):

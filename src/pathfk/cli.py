@@ -191,8 +191,8 @@ def run_experiment(raw: dict, output_dir: str, workers: int = 1,
     reports = {}
     if "closed_form" in cfg.checks:
         reports["closed_form"] = [_closed_form_report(cfg, sol)]
-    if workers > 1 and names:
-        # serial runs never load multiprocessing; fork starts every worker
+    if min(workers, len(names)) > 1:
+        # a lone check or worker runs here; fork starts every pool worker at once
         from concurrent.futures import ProcessPoolExecutor
         tasks = [(cfg.raw, seed_override, n) for n in names]
         with ProcessPoolExecutor(max_workers=min(workers, len(names))) as pool:

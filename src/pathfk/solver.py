@@ -364,7 +364,8 @@ def _gauss_hermite(branching: int):
     return nodes, weights
 
 
-def _tree_forward(model: Model, roots: Sequence[Path], branching: int):
+def _tree_forward(model: Model, roots: Sequence[Path], branching: int,
+                  scratch: Optional[list] = None):
     """Expand one non-recombining quadrature tree of forward histories from
     root paths of equal depth on one grid.
 
@@ -374,7 +375,9 @@ def _tree_forward(model: Model, roots: Sequence[Path], branching: int):
     roots and level j the R * per_step**j descendants, root-major, so every
     per-node operation acts on each root's subtree as it would on a tree of
     its own.  The expansion is independent of the frozen second driver, so
-    one tree serves every outer sample.
+    one tree serves every outer sample.  Every level is a read-only strided
+    view of one time-major (time, leaves, d) buffer, levels[-1] all of it; a
+    scratch list keeps that buffer, and a later tree no larger overwrites it.
     """
     d = model.dims[0]
     first = roots[0]
@@ -399,22 +402,25 @@ def _tree_forward(model: Model, roots: Sequence[Path], branching: int):
         dw_nodes = np.array([[nodes1[c] for c in combo] for combo in combos]) * np.sqrt(dt)
         w_nodes = np.array([np.prod([weights1[c] for c in combo]) for combo in combos])
 
-    # forward expansion; each level is stored time-major and handed out as
-    # its (nodes, time, d) view
-    buf = np.stack([p.values for p in roots], axis=1)      # (i_t+1, R, d)
-    levels = [_history_view(buf)]
+    # forward expansion, each row written once over its node's descendants:
+    # the first descendant leaf of a level-j node carries its history
+    n_leaves, i_t = len(roots) * per_step ** n_rem, first.t_index
+    size = len(first.grid_times) * n_leaves * d
+    scratch = [] if scratch is None else scratch
+    if not scratch or scratch[0].size < size:
+        scratch.clear()                  # free the old buffer before the new one
+        scratch.append(np.empty(size))
+    buf = scratch[0][:size].reshape(-1, n_leaves, d)
+    buf[:i_t + 1].reshape(i_t + 1, len(roots), -1, d)[...] = np.stack(
+        [p.values for p in roots], axis=1)[:, :, None]
+    levels = [_history_view(buf[:i_t + 1, ::per_step ** n_rem])]
     for j in range(n_rem):
         X = levels[-1]
-        m = X.shape[0]
         step = (model.b(X)[:, None, :] * dt
                 + np.einsum("mij,qj->mqi", model.sigma(X), dw_nodes))
-        # every history repeated once per child, then the children's new
-        # endpoints, written into one fresh buffer (no repeated temporary)
-        nxt = np.empty((buf.shape[0] + 1, m * per_step, d))
-        nxt[:-1].reshape(buf.shape[0], m, per_step, d)[...] = buf[:, :, None, :]
-        nxt[-1] = (buf[-1][:, None, :] + step).reshape(m * per_step, d)
-        buf = nxt
-        levels.append(_history_view(buf))
+        ends = (X[:, -1][:, None, :] + step).reshape(-1, 1, d)
+        buf[i_t + 1 + j].reshape(ends.shape[0], -1, d)[...] = ends
+        levels.append(_history_view(buf[:i_t + 2 + j, ::per_step ** (n_rem - 1 - j)]))
 
     # level weights for quadrature means
     level_w = [np.ones(1)]
@@ -494,12 +500,12 @@ def frozen_noise_increments(grid_times: np.ndarray, t_index: int, l: int,
 
 def _nested_sweeps(model: Model, roots: Sequence[Path], n_outer: int,
                    seed: int, branching: int, picard_iters: int,
-                   frozen_B: Optional[np.ndarray], keep) -> list:
+                   frozen_B: Optional[np.ndarray], keep, scratch=None) -> list:
     """Grow one tree from root paths of equal depth on one grid and sweep it
     once per outer sample; returns keep(tree, y_levels, z_levels) per sweep,
     so each sweep's levels are released before the next one runs.  The
     outer samples depend only on (seed, depth), so every root shares them;
-    see solve_nested."""
+    see solve_nested.  The tree grows in scratch (see _tree_forward)."""
     first = roots[0]
     l = model.dims[2]
     n_rem = len(first.grid_times) - 1 - first.t_index
@@ -512,7 +518,7 @@ def _nested_sweeps(model: Model, roots: Sequence[Path], n_outer: int,
     else:
         all_dB = frozen_noise_increments(first.grid_times, first.t_index, l,
                                          seed, n_outer)
-    tree = _tree_forward(model, roots, branching)
+    tree = _tree_forward(model, roots, branching, scratch)
     return [keep(tree, *_tree_backward(model, first, tree, dB, picard_iters))
             for dB in all_dB]
 
@@ -592,10 +598,11 @@ def _nested_estimates(model: Model, paths: Sequence[Path],
     Paths of equal depth on one grid grow one tree from their stacked
     histories, in groups of at most _MAX_STACKED_LEAVES leaves (a root with
     more leaves than that alone), and share each outer sweep.  Every value
-    equals the path's own solve up to round-off.
+    equals the path's own solve up to round-off.  The trees grow in turn in
+    one history buffer, which lives for the call.
     """
     out = np.empty((len(paths), model.dims[1]))
-    groups = {}
+    scratch, groups = [], {}
     for r, p in enumerate(paths):
         groups.setdefault((p.t_index, p.grid_times.tobytes()), []).append(r)
     per_step = branching ** model.dims[0]
@@ -607,7 +614,8 @@ def _nested_estimates(model: Model, paths: Sequence[Path],
             chunk = members[start:start + size]
             tips = np.array(_nested_sweeps(                 # (S, R, k)
                 model, [paths[r] for r in chunk], n_scenarios, seed, branching,
-                picard_iters, frozen_B, lambda tree, y_levels, z_levels: y_levels[0]))
+                picard_iters, frozen_B, lambda tree, y_levels, z_levels: y_levels[0],
+                scratch))
             # per root, the mean solve_nested takes, so one root reproduces it
             for j, r in enumerate(chunk):
                 out[r] = tips[:, j].mean(axis=0)

@@ -97,6 +97,11 @@ def test_check_pool_is_sized_to_the_checks(tmp_path, pool_sizes):
     assert codes["64"] == codes["2"] == codes["1"]
     assert ((tmp_path / "64" / "summary.json").read_bytes()
             == (tmp_path / "1" / "summary.json").read_bytes())
+    # a lone check runs in this process at any worker count
+    lone = write_config(tmp_path, checks={"z_growth": {}})
+    assert main(["run", lone, "--output", str(tmp_path / "lone"),
+                 "--workers", "3"]) == 0
+    assert pool_sizes == [2, 2]
 
 
 def test_workers_below_one_is_an_error(tmp_path, pool_sizes, capsys):
@@ -196,10 +201,12 @@ def test_summary_counts_excluded_scenarios(tmp_path, monkeypatch):
     killed = replace(get_model("heat"), name="killed",
                      b=lambda x: np.where(np.abs(x[:, -1, :]) > 1.5, np.inf, 0.0))
     known = config.get_entry
-    # the check workers are forked, so they load the same patched registry
+    # with two checks, --workers 3 forks one worker per check, and the
+    # forked workers load the same patched registry
     monkeypatch.setattr(config, "get_entry", lambda name: (
         ModelRegistryEntry("killed", killed) if name == "killed" else known(name)))
-    cfg = write_config(tmp_path, model="killed", checks={"z_growth": {}})
+    cfg = write_config(tmp_path, model="killed", checks={
+        "z_growth": {}, "flow": {"s": 0.5, "n_resolve": 2}})
     runs = {}
     for out, workers in (("a", "1"), ("b", "1"), ("w3", "3")):
         main(["run", cfg, "--output", str(tmp_path / out), "--workers", workers])

@@ -755,8 +755,8 @@ def test_stacked_trees_stay_within_the_leaf_limit(monkeypatch):
     monkeypatch.setattr(solver, "_MAX_STACKED_LEAVES", 100)
     trees = []
 
-    def recorded(model, roots, branching):
-        tree = _tree_forward(model, roots, branching)
+    def recorded(model, roots, branching, *rest):
+        tree = _tree_forward(model, roots, branching, *rest)
         trees.append((len(roots), tree[0][-1].shape[0]))
         return tree
 
@@ -826,22 +826,66 @@ def test_basis_validation():
         RegressionBasis(degree=3)
 
 
-def test_tree_levels_match_concatenated_histories():
-    # each level against the scenario-major expansion it replaces: repeat
-    # every history per quadrature node and append the new endpoints
+def _path_f_variant():
     from dataclasses import replace
-    m = replace(get_model("path-f"),
-                b=lambda x: 0.1 * x.max(axis=1),
-                sigma=lambda x: (1.0 + 0.2 * np.tanh(x[:, -1, :1]))[:, :, None])
-    branching, N, i_t = 3, 5, 2
-    init = Path(make_grid(T, N), np.array([[0.3], [-0.1], [0.6]]))
-    levels, dw_nodes, _, _ = _tree_forward(m, [init], branching)
-    old = init.values[None].copy()
+    return replace(get_model("path-f"),
+                   b=lambda x: 0.1 * x.max(axis=1),
+                   sigma=lambda x: (1.0 + 0.2 * np.tanh(x[:, -1, :1]))[:, :, None])
+
+
+@pytest.mark.parametrize("name", ["path-f", "two-driver"])
+@pytest.mark.parametrize("i_t", [0, 2])
+def test_tree_levels_match_concatenated_histories(name, i_t):
+    # each level against the scenario-major expansion it replaces: repeat
+    # every history per quadrature node and append the new endpoints; two
+    # stacked roots, so every root's subtree is checked
+    m = two_driver_model() if name == "two-driver" else _path_f_variant()
+    d = m.dims[0]
+    branching, N = 3, 4
+    rng = np.random.default_rng(i_t)
+    roots = [Path(make_grid(T, N), rng.normal(size=(i_t + 1, d))) for _ in range(2)]
+    levels, dw_nodes, _, _ = _tree_forward(m, roots, branching)
+    old = np.stack([p.values for p in roots])
     assert np.array_equal(levels[0], old)
     for level in levels[1:]:
-        step = (m.b(old)[:, None, :] * init.dt
+        step = (m.b(old)[:, None, :] * roots[0].dt
                 + np.einsum("mij,qj->mqi", m.sigma(old), dw_nodes))
-        ends = (old[:, -1][:, None, :] + step).reshape(-1, 1)
-        old = np.concatenate([np.repeat(old, branching, axis=0), ends[:, None, :]], axis=1)
+        ends = (old[:, -1][:, None, :] + step).reshape(-1, 1, d)
+        old = np.concatenate([np.repeat(old, branching ** d, axis=0), ends], axis=1)
         assert np.array_equal(level, old)
-    assert levels[-1].shape == (branching ** (N - i_t), N + 1, 1)
+        # every level is a read-only view of the leaf level's buffer
+        assert not level.flags.writeable and np.shares_memory(level, levels[-1])
+    assert levels[-1].shape == (2 * branching ** (d * (N - i_t)), N + 1, d)
+
+
+def test_trees_of_one_batch_share_one_history_buffer(monkeypatch):
+    # a terminal that returns a view of the leaf histories, and paths at the
+    # horizon, whose root value is that terminal: every estimate must still
+    # be copied out before the next tree overwrites the buffer
+    from dataclasses import replace
+    m = replace(get_model("linear-g"), Phi=lambda x, dt: x[:, -1, :1])
+    monkeypatch.setattr(solver, "_MAX_STACKED_LEAVES", 100)
+    leaves = []
+
+    def recorded(*args, **kwargs):
+        tree = _tree_forward(*args, **kwargs)
+        leaves.append(tree[0][-1])
+        return tree
+
+    monkeypatch.setattr(solver, "_tree_forward", recorded)
+    # the deepest tree first, so no later tree needs a larger buffer
+    paths = [p for t_index in (0, 2, 5) for p in _bumped_roots(1, t_index, 5, 1, N=5)]
+    got = solver._nested_estimates(m, paths, n_scenarios=2, branching=3)
+    assert len(leaves) == 5 + 2 + 1
+    assert all(np.shares_memory(leaf, leaves[0]) for leaf in leaves[1:])
+    assert not np.shares_memory(got, leaves[0])
+    for p, g in zip(paths, got):
+        ref = solve_nested(m, p, n_outer=2, seed=0, branching=3)
+        assert np.abs(g - ref.u_estimate).max() <= 1e-12 * np.abs(ref.u_estimate).max()
+        for a in (ref.y, ref.z, ref.u_estimate, ref.u_stderr):
+            assert not np.shares_memory(a, leaves[-1])
+    # the buffer lives only for its call: a second call holds another one
+    # while the first call's trees are still referenced here
+    first_call = leaves[:8]
+    solver._nested_estimates(m, paths[:1], n_scenarios=2, branching=3)
+    assert not any(np.shares_memory(leaves[-1], leaf) for leaf in first_call)

@@ -166,7 +166,7 @@ def test_residual_sends_one_batch_per_jet(monkeypatch):
     u.batch = lambda paths: batches.append(len(paths)) or stacked(paths)
     grow = solver._tree_forward
     monkeypatch.setattr(solver, "_tree_forward",
-                        lambda *a: trees.append(1) or grow(*a))
+                        lambda *a, **kw: trees.append(1) or grow(*a, **kw))
     res = spde_residual(u, m, ens)
     assert len(batches) == len(trees) == 7 and sum(batches) == 33
     # the same residual from one solve per path, to round-off

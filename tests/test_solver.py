@@ -826,36 +826,31 @@ def test_basis_validation():
         RegressionBasis(degree=3)
 
 
-def _path_f_variant():
-    from dataclasses import replace
-    return replace(get_model("path-f"),
-                   b=lambda x: 0.1 * x.max(axis=1),
-                   sigma=lambda x: (1.0 + 0.2 * np.tanh(x[:, -1, :1]))[:, :, None])
-
-
-@pytest.mark.parametrize("name", ["path-f", "two-driver"])
-@pytest.mark.parametrize("i_t", [0, 2])
-def test_tree_levels_match_concatenated_histories(name, i_t):
+def test_tree_levels_match_concatenated_histories():
     # each level against the scenario-major expansion it replaces: repeat
     # every history per quadrature node and append the new endpoints; two
     # stacked roots, so every root's subtree is checked
-    m = two_driver_model() if name == "two-driver" else _path_f_variant()
-    d = m.dims[0]
+    from dataclasses import replace
+    path_f = replace(get_model("path-f"), b=lambda x: 0.1 * x.max(axis=1),
+                     sigma=lambda x: (1.0 + 0.2 * np.tanh(x[:, -1, :1]))[:, :, None])
     branching, N = 3, 4
-    rng = np.random.default_rng(i_t)
-    roots = [Path(make_grid(T, N), rng.normal(size=(i_t + 1, d))) for _ in range(2)]
-    levels, dw_nodes, _, _ = _tree_forward(m, roots, branching)
-    old = np.stack([p.values for p in roots])
-    assert np.array_equal(levels[0], old)
-    for level in levels[1:]:
-        step = (m.b(old)[:, None, :] * roots[0].dt
-                + np.einsum("mij,qj->mqi", m.sigma(old), dw_nodes))
-        ends = (old[:, -1][:, None, :] + step).reshape(-1, 1, d)
-        old = np.concatenate([np.repeat(old, branching ** d, axis=0), ends], axis=1)
-        assert np.array_equal(level, old)
-        # every level is a read-only view of the leaf level's buffer
-        assert not level.flags.writeable and np.shares_memory(level, levels[-1])
-    assert levels[-1].shape == (2 * branching ** (d * (N - i_t)), N + 1, d)
+    for m in (path_f, two_driver_model()):
+        d = m.dims[0]
+        for i_t in (0, 2):
+            rng = np.random.default_rng(i_t)
+            roots = [Path(make_grid(T, N), rng.normal(size=(i_t + 1, d))) for _ in range(2)]
+            levels, dw_nodes, _, _ = _tree_forward(m, roots, branching)
+            old = np.stack([p.values for p in roots])
+            assert np.array_equal(levels[0], old)
+            for level in levels[1:]:
+                step = (m.b(old)[:, None, :] * roots[0].dt
+                        + np.einsum("mij,qj->mqi", m.sigma(old), dw_nodes))
+                ends = (old[:, -1][:, None, :] + step).reshape(-1, 1, d)
+                old = np.concatenate([np.repeat(old, branching ** d, axis=0), ends], axis=1)
+                assert np.array_equal(level, old)
+                # every level is a read-only view of the leaf level's buffer
+                assert not level.flags.writeable and np.shares_memory(level, levels[-1])
+            assert levels[-1].shape == (2 * branching ** (d * (N - i_t)), N + 1, d)
 
 
 def test_trees_of_one_batch_share_one_history_buffer(monkeypatch):

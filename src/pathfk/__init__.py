@@ -14,8 +14,8 @@ from .simulation import (BrownianPair, ScenarioEnsemble, random_initial_path,
 from .models import (Model, ModelRegistryEntry, get_entry, get_model,
                      on_path, registry, running_integral, shifted_model,
                      validate)
-from .solver import (BackwardSolution, RegressionBasis, evaluate_u,
-                     frozen_noise_increments, solve_nested, solve_regression)
+from .solver import (BackwardSolution, RegressionBasis, frozen_noise_increments,
+                     solve_nested, solve_regression)
 from .verification import (comparison_check, discretization_convergence_check,
                            discretized_model, field_from_closed_form,
                            field_from_engine, flow_check, moment_envelope_check,

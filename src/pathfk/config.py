@@ -35,6 +35,8 @@ from .paths import Path, make_grid
 from .solver import RegressionBasis
 
 _ENGINES = ("regression", "nested")
+# the engine options and the least value of each
+_ENGINE_OPTIONS = {"n_outer": 1, "branching": 2, "picard_iters": 1}
 _KNOWN_CHECKS = (
     "closed_form", "z_representation", "z_growth", "flow", "field_equation",
     "comparison", "discretization", "regularity", "moments",
@@ -137,7 +139,6 @@ class ExperimentConfig:
     initial: Path
     basis: Optional[RegressionBasis]
     checks: dict
-    output_dir: str
     raw: dict
 
     @property
@@ -216,6 +217,12 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
     engine = raw.get("engine", "regression")
     if engine not in _ENGINES:
         raise ConfigError(f"engine must be one of {_ENGINES}, got {engine!r}")
+    options = raw.get("engine_options", {})
+    if not isinstance(options, dict) or not all(
+            key in _ENGINE_OPTIONS and type(v) is int and v >= _ENGINE_OPTIONS[key]
+            for key, v in options.items()):
+        raise ConfigError("engine_options takes the integers n_outer >= 1, "
+                          f"branching >= 2 and picard_iters >= 1, got {options!r}")
     n_scenarios = int(mc.get("n_scenarios", 10_000 if engine == "regression" else 32))
     if engine == "regression" and n_scenarios < 100:
         raise ConfigError(
@@ -274,10 +281,9 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
         n_scenarios=n_scenarios,
         seed=seed,
         engine=engine,
-        engine_options=dict(raw.get("engine_options", {})),
+        engine_options=dict(options),
         initial=initial,
         basis=basis,
         checks=checks,
-        output_dir=raw.get("output_dir", "pathfk-out"),
         raw=raw,
     )

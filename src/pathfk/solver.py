@@ -30,8 +30,7 @@ import numpy as np
 from .errors import BudgetError, SolverError
 from .models import Model
 from .paths import Path
-from .simulation import (ScenarioEnsemble, sample_drivers, simulate_forward,
-                         _history_view, _keyed_normals)
+from .simulation import ScenarioEnsemble, _history_view, _keyed_normals
 
 _MAX_TREE_NODES = 1_000_000
 # roots stacked into one tree together hold at most this many leaves; a
@@ -171,7 +170,6 @@ class BackwardSolution:
     z: np.ndarray
     u_estimate: np.ndarray       # (k,)
     u_stderr: np.ndarray         # (k,)
-    engine_tag: str
     scheme_params: dict = field(default_factory=dict)
     rollout: Optional[np.ndarray] = field(default=None, repr=False)   # (n, k)
     fit_se: Optional[np.ndarray] = field(default=None, repr=False)    # (n, N+1, k)
@@ -186,7 +184,10 @@ class BackwardSolution:
 
 def _refinement_passes(model: Model, picard_iters: int) -> int:
     """Passes an engine runs: the drivers are the only terms that read
-    (y, z), so without either a second pass would repeat the first."""
+    (y, z), so without either a second pass would repeat the first.  Both
+    engines ask before any work, so picard_iters < 1 raises ValueError."""
+    if picard_iters < 1:
+        raise ValueError(f"need at least one pass, got picard_iters={picard_iters}")
     return picard_iters if model.f is not None or model.g is not None else 1
 
 
@@ -228,8 +229,7 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     last pass's fitted y: the leverage of each scenario times the rollout's
     residual variance over n - rank degrees of freedom.
     """
-    if picard_iters < 1:
-        raise ValueError(f"need at least one pass, got picard_iters={picard_iters}")
+    passes = _refinement_passes(model, picard_iters)
     basis = basis or RegressionBasis()
     d, k, l = model.dims
     drivers = ensemble.drivers
@@ -249,7 +249,6 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     dB = _time_major(drivers.dB, valid) if use_noise or model.g is not None else None
 
     phi = model.Phi(history, dt)
-    passes = _refinement_passes(model, picard_iters)
     # the last pass's values; rows before t_index are filled at the end
     Y = np.empty((N + 1, n, k))
     Z = np.zeros((N, n, k, d))
@@ -267,7 +266,9 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
         if A.shape[1] * _MIN_SCENARIOS_PER_FEATURE > n:
             raise BudgetError(
                 f"{A.shape[1]} features need at least "
-                f"{A.shape[1] * _MIN_SCENARIOS_PER_FEATURE} scenarios, got {n}"
+                f"{A.shape[1] * _MIN_SCENARIOS_PER_FEATURE} scenarios, got {n} "
+                f"of {ensemble.n_scenarios} ({ensemble.excluded_count} excluded "
+                "as non-finite)"
             )
         try:
             U = _column_basis(A)
@@ -335,7 +336,6 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
         z=Z.transpose(1, 0, 2, 3),
         u_estimate=u_estimate,
         u_stderr=u_stderr,
-        engine_tag="regression",
         scheme_params={
             "picard_iters": picard_iters,
             "picard_passes": passes,
@@ -369,16 +369,21 @@ def _tree_forward(model: Model, roots: Sequence[Path], branching: int,
     """Expand one non-recombining quadrature tree of forward histories from
     root paths of equal depth on one grid.
 
-    Returns (levels, dw_nodes, w_nodes, level_w): per-level histories
-    (nodes, time, d), the per-step increment abscissae and weights, and the
-    cumulative per-level weights of one root's subtree.  Level 0 holds the
-    roots and level j the R * per_step**j descendants, root-major, so every
-    per-node operation acts on each root's subtree as it would on a tree of
-    its own.  The expansion is independent of the frozen second driver, so
-    one tree serves every outer sample.  Every level is a read-only strided
-    view of one time-major (time, leaves, d) buffer, levels[-1] all of it; a
-    scratch list keeps that buffer, and a later tree no larger overwrites it.
+    Returns (levels, dw_nodes, w_nodes): per-level histories (nodes, time,
+    d) and the per-step increment abscissae and weights of the d-fold
+    Gauss-Hermite product rule, the last coordinate varying fastest; a
+    branching below 2 raises ValueError (one node drops the diffusion).
+    Level 0 holds the roots and level j the R * per_step**j descendants,
+    root-major, so every per-node operation acts on each root's subtree as
+    it would on a tree of its own.  The expansion is independent of the
+    frozen second driver, so one tree serves every outer sample.  Every
+    level is a read-only strided view of one time-major (time, leaves, d)
+    buffer, levels[-1] all of it; a scratch list keeps that buffer, and a
+    later tree no larger overwrites it.
     """
+    if branching < 2:
+        raise ValueError(
+            f"need at least two nodes per coordinate, got branching={branching}")
     d = model.dims[0]
     first = roots[0]
     dt = first.dt
@@ -394,13 +399,9 @@ def _tree_forward(model: Model, roots: Sequence[Path], branching: int,
             f"{_MAX_TREE_NODES} budget; lower the branching or the depth"
         )
     nodes1, weights1 = _gauss_hermite(branching)
-    if d == 1:
-        dw_nodes = nodes1[:, None] * np.sqrt(dt)       # (per_step, d)
-        w_nodes = weights1
-    else:
-        combos = list(itertools.product(range(branching), repeat=d))
-        dw_nodes = np.array([[nodes1[c] for c in combo] for combo in combos]) * np.sqrt(dt)
-        w_nodes = np.array([np.prod([weights1[c] for c in combo]) for combo in combos])
+    dw_nodes = np.stack(np.meshgrid(*[nodes1] * d, indexing="ij"),
+                        axis=-1).reshape(per_step, d) * np.sqrt(dt)
+    w_nodes = functools.reduce(np.multiply.outer, [weights1] * d).ravel()
 
     # forward expansion, each row written once over its node's descendants:
     # the first descendant leaf of a level-j node carries its history
@@ -421,12 +422,7 @@ def _tree_forward(model: Model, roots: Sequence[Path], branching: int,
         ends = (X[:, -1][:, None, :] + step).reshape(-1, 1, d)
         buf[i_t + 1 + j].reshape(ends.shape[0], -1, d)[...] = ends
         levels.append(_history_view(buf[:i_t + 2 + j, ::per_step ** (n_rem - 1 - j)]))
-
-    # level weights for quadrature means
-    level_w = [np.ones(1)]
-    for j in range(n_rem):
-        level_w.append((level_w[-1][:, None] * w_nodes[None, :]).ravel())
-    return levels, dw_nodes, w_nodes, level_w
+    return levels, dw_nodes, w_nodes
 
 
 def _by_children(a: np.ndarray, per_step: int) -> np.ndarray:
@@ -438,15 +434,16 @@ def _by_children(a: np.ndarray, per_step: int) -> np.ndarray:
 
 
 def _tree_backward(model: Model, initial: Path, tree, dB: Optional[np.ndarray],
-                   picard_iters: int):
-    """Backward sweep on an expanded tree for one frozen second driver.
+                   passes: int):
+    """Backward sweep of the given number of passes on an expanded tree for
+    one frozen second driver.
 
     dB holds the frozen increments (N_rem, l); it is read only when the
     model has a backward driver.  Returns the per-level values (y_levels,
     z_levels): y_levels[j] (nodes_j, k) and z_levels[j] (nodes_j, k, d),
     level 0 holding the roots and level N_rem the leaves (z zero there).
     """
-    levels, dw_nodes, w_nodes, _ = tree
+    levels, dw_nodes, w_nodes = tree
     d, k, l = model.dims
     dt = initial.dt
     n_rem = len(levels) - 1
@@ -459,7 +456,7 @@ def _tree_backward(model: Model, initial: Path, tree, dB: Optional[np.ndarray],
     y_levels[n_rem] = phi
     z_levels[n_rem] = np.zeros((phi.shape[0], k, d))
 
-    for p in range(_refinement_passes(model, picard_iters)):
+    for p in range(passes):
         new_y = [None] * (n_rem + 1)
         new_z = [None] * (n_rem + 1)
         new_y[n_rem] = phi
@@ -506,6 +503,7 @@ def _nested_sweeps(model: Model, roots: Sequence[Path], n_outer: int,
     so each sweep's levels are released before the next one runs.  The
     outer samples depend only on (seed, depth), so every root shares them;
     see solve_nested.  The tree grows in scratch (see _tree_forward)."""
+    passes = _refinement_passes(model, picard_iters)
     first = roots[0]
     l = model.dims[2]
     n_rem = len(first.grid_times) - 1 - first.t_index
@@ -519,14 +517,18 @@ def _nested_sweeps(model: Model, roots: Sequence[Path], n_outer: int,
         all_dB = frozen_noise_increments(first.grid_times, first.t_index, l,
                                          seed, n_outer)
     tree = _tree_forward(model, roots, branching, scratch)
-    return [keep(tree, *_tree_backward(model, first, tree, dB, picard_iters))
+    return [keep(tree, *_tree_backward(model, first, tree, dB, passes))
             for dB in all_dB]
 
 
 def _root_and_means(tree, y_levels, z_levels):
     """The root value of a one-root sweep and the quadrature-weighted mean
-    of y and z over each tree level."""
-    level_w = tree[3]
+    of y and z over each tree level, from the cumulative node weights of
+    each level."""
+    w_nodes = tree[2]
+    level_w = [np.ones(1)]
+    for _ in y_levels[1:]:
+        level_w.append((level_w[-1][:, None] * w_nodes[None, :]).ravel())
     return (y_levels[0][0],
             [np.einsum("m,mk->k", w, y) for w, y in zip(level_w, y_levels)],
             [np.einsum("m,mkd->kd", w, z) for w, z in zip(level_w, z_levels[:-1])])
@@ -575,7 +577,6 @@ def solve_nested(model: Model, initial: Path, n_outer: int, seed: int,
         z=z,
         u_estimate=u_estimate,
         u_stderr=u_stderr,
-        engine_tag="nested",
         scheme_params={
             "picard_iters": picard_iters,
             "picard_passes": _refinement_passes(model, picard_iters),
@@ -620,34 +621,3 @@ def _nested_estimates(model: Model, paths: Sequence[Path],
             for j, r in enumerate(chunk):
                 out[r] = tips[:, j].mean(axis=0)
     return out
-
-
-# -- field evaluation ----------------------------------------------------
-
-
-def evaluate_u(model: Model, initial: Path, engine: str = "regression",
-               n_scenarios: int = 4000, seed: int = 0,
-               basis: Optional[RegressionBasis] = None,
-               branching: int = 8, picard_iters: int = 2,
-               frozen_B: Optional[np.ndarray] = None):
-    """Field value at the tip of the given path: (estimate (k,), stderr (k,)).
-
-    frozen_B conditions on a fixed remaining second driver and is only
-    meaningful for the nested engine.
-    """
-    if engine == "regression":
-        if frozen_B is not None:
-            raise ValueError(
-                "conditioning on a frozen second driver needs the nested engine"
-            )
-        d, k, l = model.dims
-        drivers = sample_drivers(initial.grid_times, n_scenarios, seed, d=d, l=l)
-        ens = simulate_forward(model, initial, drivers)
-        sol = solve_regression(model, ens, basis=basis, picard_iters=picard_iters)
-    elif engine == "nested":
-        sol = solve_nested(model, initial, n_scenarios, seed, branching=branching,
-                           picard_iters=picard_iters, frozen_B=frozen_B)
-    else:
-        raise ValueError(f"unknown engine {engine!r}; use 'regression' or 'nested'")
-    return sol.u_estimate, sol.u_stderr
-

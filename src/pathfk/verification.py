@@ -24,7 +24,7 @@ from .reports import CheckReport
 from .simulation import (ScenarioEnsemble, random_initial_path, sample_drivers,
                          simulate_forward)
 from .solver import (BackwardSolution, RegressionBasis, _nested_estimates,
-                     evaluate_u, solve_regression)
+                     solve_regression)
 
 _EPS = 1e-12
 
@@ -57,20 +57,16 @@ class _StackedField(PathFunctional):
 
 def field_from_engine(model: Model, engine: str = "nested",
                       **engine_kwargs) -> PathFunctional:
-    """The solver-defined field as a path functional (estimates only).  The
-    nested engine's field evaluates a batch of paths by stacking those of
-    equal depth into shared trees (solver._nested_estimates)."""
-    k = model.dims[1]
-
-    def _eval(p: Path) -> np.ndarray:
-        u, _ = evaluate_u(model, p, engine=engine, **engine_kwargs)
-        return u
-
+    """The nested engine's field as a path functional (estimates only): a
+    batch of paths stacks those of equal depth into shared trees
+    (solver._nested_estimates), and a single value is its batch of one.
+    Any other engine raises ValueError."""
     if engine != "nested":
-        return PathFunctional(eval=_eval, output_shape=(k,), regularity_tag="C12")
-    return _StackedField(
-        eval=_eval, output_shape=(k,), regularity_tag="C12",
-        stacked=lambda paths: _nested_estimates(model, paths, **engine_kwargs))
+        raise ValueError(f"only the nested engine defines a field, got {engine!r}")
+    stacked = lambda paths: _nested_estimates(model, paths, **engine_kwargs)
+    return _StackedField(eval=lambda p: stacked([p])[0],
+                         output_shape=(model.dims[1],), regularity_tag="C12",
+                         stacked=stacked)
 
 
 # -- field equation residual --------------------------------------------

@@ -82,6 +82,18 @@ def test_engine_and_budget_validation():
         load_config(raw)
 
 
+def test_engine_options_are_typed():
+    cfg = load_config(base_config(engine_options={"n_outer": 3, "branching": 2,
+                                                  "picard_iters": 1}))
+    assert cfg.engine_options == {"n_outer": 3, "branching": 2, "picard_iters": 1}
+    assert load_config(base_config()).engine_options == {}
+    for options in ({"picard_itres": 5}, {"branching": 1}, {"n_outer": 0},
+                    {"picard_iters": 0}, {"picard_iters": 2.0},
+                    {"n_outer": "4"}, {"branching": True}, [["n_outer", 4]]):
+        with pytest.raises(ConfigError, match="engine_options"):
+            load_config(base_config(engine_options=options))
+
+
 def test_unknown_check_rejected():
     with pytest.raises(ConfigError):
         load_config(base_config(checks={"telepathy": {}}))

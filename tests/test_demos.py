@@ -51,7 +51,7 @@ PUBLIC_NAMES = [
     "PathDistance", "PathFunctional", "PreconditionError", "RegressionBasis",
     "ScenarioEnsemble", "SmoothMap", "SolverError", "backward_ito_residual",
     "comparison_check", "discretization_convergence_check",
-    "discretized_model", "evaluate_u", "field_from_closed_form",
+    "discretized_model", "field_from_closed_form",
     "field_from_engine", "flow_check", "frozen_noise_increments",
     "functional_ito_residual", "get_entry", "get_model",
     "horizontal_derivative", "horizontal_extend", "load_config", "make_grid",

@@ -41,6 +41,8 @@ def test_tracer_binds_and_restores_every_traced_name():
         pathfk.spde_residual_check(engine, path_f.model, ens, tol=0.05)
         pathfk.spde_residual_check(closed, heat.model, ens, tol=0.05)
         engine(init)
+        # a field value is a batch of one; the one-root solve is its own call
+        pathfk.solve_nested(path_f.model, init, n_outer=1, seed=0, branching=3)
         pathfk.vertical_derivative(closed, init)
         pathfk.vertical_hessian(closed, init)
         pathfk.solve_regression(heat.model, big)
@@ -52,9 +54,9 @@ def test_tracer_binds_and_restores_every_traced_name():
                  "calculus.vertical_hessian"):
         assert spans[name]["calls"] > 0, name
     # one tree per residual jet: the shared initial prefix's, then the two
-    # later prefixes and the horizon of each of two scenarios; and one for
-    # the single evaluation
-    assert counts["solver.tree_expansions"] == 1 + 2 * 3 + 1
+    # later prefixes and the horizon of each of two scenarios; one for the
+    # single evaluation and one for the one-root solve
+    assert counts["solver.tree_expansions"] == 1 + 2 * 3 + 1 + 1
     assert counts["solver.projections"] > 0
     assert (solver.solve_nested, solver._tree_forward, calculus.vertical_derivative,
             calculus.vertical_hessian, calculus.PathFunctional.__call__) == traced

@@ -1,5 +1,6 @@
 """Backward solvers: regression and nested quadrature engines."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -9,10 +10,10 @@ import numpy as np
 import pytest
 
 from pathfk import (BudgetError, Model, Path, RegressionBasis, SolverError,
-                    evaluate_u, field_from_engine, frozen_noise_increments,
-                    get_entry, get_model, make_grid, sample_drivers,
-                    simulate_forward, solve_nested, solve_regression,
-                    vertical_bump, vertical_derivative)
+                    field_from_engine, frozen_noise_increments, get_entry,
+                    get_model, make_grid, sample_drivers, simulate_forward,
+                    solve_nested, solve_regression, vertical_bump,
+                    vertical_derivative)
 from pathfk.simulation import BrownianPair, ScenarioEnsemble
 from pathfk import solver
 from pathfk.solver import (_column_basis, _project, _time_major, _tree_backward,
@@ -221,6 +222,18 @@ def test_future_noise_features_enabled_only_with_g():
     assert sol_g.scheme_params["future_noise_features"] is True
 
 
+def test_budget_error_names_the_excluded_scenarios():
+    # the drift of test_excluded_scenarios_are_recorded overflows 28 of 160
+    # scenarios; the budget counts the 132 left and says where the rest went
+    from dataclasses import replace
+    m = replace(get_model("heat"),
+                b=lambda x: np.where(np.abs(x[:, -1, :]) > 1.5, np.inf, 0.0))
+    ens = ensemble(m, N=16, n=160, seed=21)
+    assert ens.excluded_count == 28
+    with pytest.raises(BudgetError, match=r"got 132 of 160 \(28 excluded as non-finite\)"):
+        solve_regression(m, ens)
+
+
 def test_feature_budget_guard(monkeypatch):
     m = get_model("asian")
     basis = RegressionBasis(feature_set="endpoint+runmax+runint")
@@ -233,10 +246,15 @@ def test_feature_budget_guard(monkeypatch):
     assert factored == []
 
 
-def test_picard_validation_and_divergence():
-    with pytest.raises(ValueError):
-        solve_regression(get_model("heat"), ensemble(get_model("heat"), n=500),
-                         picard_iters=0)
+def test_picard_validation_and_divergence(monkeypatch):
+    factored = []
+    with monkeypatch.context() as patched:
+        patched.setattr(solver, "_column_basis", factored.append)
+        with pytest.raises(ValueError, match="picard_iters=0"):
+            solve_regression(get_model("heat"), ensemble(get_model("heat"), n=500),
+                             picard_iters=0)
+    # the pass count is checked before any design is factored
+    assert factored == []
     # f = c*y with c*dt > 1 makes the pass-to-pass fixed-point map expansive
     runaway = Model(
         b=lambda x: np.zeros((x.shape[0], 1)),
@@ -646,10 +664,58 @@ def test_gauss_hermite_rule_computed_once(monkeypatch):
     solver._gauss_hermite.cache_clear()
 
 
+def _diffusion_model(d):
+    """Driftless unit diffusion in d dimensions with a sum-of-squares terminal."""
+    return Model(
+        b=lambda x: np.zeros((x.shape[0], d)),
+        sigma=lambda x: np.broadcast_to(np.eye(d), (x.shape[0], d, d)),
+        Phi=lambda x, dt: np.sum(x[:, -1, :] ** 2, axis=1, keepdims=True),
+        lip_C=1.0, growth_m=2.0, alpha=0.5, dims=(d, 1, 1), name=f"diffusion-{d}")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tree_product_rule_matches_itertools(d):
+    # the d-fold product rule, written out node by node in itertools order
+    branching, N = 3, 2
+    init = Path(make_grid(T, N), np.full((1, d), 0.2))
+    _, dw_nodes, w_nodes = _tree_forward(_diffusion_model(d), [init], branching)
+    nodes1, weights1 = solver._gauss_hermite(branching)
+    combos = list(itertools.product(range(branching), repeat=d))
+    ref_dw = np.array([[nodes1[c] for c in combo] for combo in combos]) * np.sqrt(T / N)
+    ref_w = np.array([np.prod([weights1[c] for c in combo]) for combo in combos])
+    assert dw_nodes.shape == (branching ** d, d) and w_nodes.shape == (branching ** d,)
+    assert np.array_equal(dw_nodes, ref_dw)
+    assert np.array_equal(w_nodes, ref_w)
+    # the rule integrates the quadratic terminal exactly: |x|^2 + d (T - t)
+    u = solve_nested(_diffusion_model(d), init, n_outer=1, seed=0, branching=branching)
+    assert u.u_estimate[0] == pytest.approx(d * (0.04 + T), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["heat", "nonlinear-f"])
+def test_nested_pass_count_and_branching_validated_before_any_tree(monkeypatch, name):
+    m = get_model(name)
+    init = Path(make_grid(T, 4), np.array([[0.5]]))
+    grown = []
+    grow = solver._tree_forward
+    monkeypatch.setattr(solver, "_tree_forward",
+                        lambda *a, **kw: grown.append(1) or grow(*a, **kw))
+    with pytest.raises(ValueError, match="picard_iters=0"):
+        solve_nested(m, init, n_outer=2, seed=0, branching=3, picard_iters=0)
+    with pytest.raises(ValueError, match="picard_iters=0"):
+        solver._nested_estimates(m, [init], n_scenarios=2, branching=3, picard_iters=0)
+    assert grown == []
+    # one node per step drops the diffusion: heat would return x0^2 = 0.25
+    # where the field is x0^2 + T = 1.25
+    for branching in (0, 1):
+        with pytest.raises(ValueError, match="branching"):
+            solve_nested(m, init, n_outer=1, seed=0, branching=branching)
+
+
+
 def _einsum_tree_backward(model, initial, tree, dB, picard_iters):
     """Reference sweep: every driver evaluated (zero when absent) and each
     level contracted by einsum over (node, child, component) arrays."""
-    levels, dw_nodes, w_nodes, _ = tree
+    levels, dw_nodes, w_nodes = tree
     d, k, l = model.dims
     dt = initial.dt
     n_rem = len(levels) - 1
@@ -781,13 +847,31 @@ def test_frozen_noise_regenerates_bit_identical():
 # -- engine-level field evaluation ---------------------------------------
 
 
-def test_evaluate_u_engine_validation():
+def test_field_from_engine_engine_validation():
     m = get_model("heat")
-    init = Path(make_grid(T, 4), np.array([[0.0]]))
-    with pytest.raises(ValueError):
-        evaluate_u(m, init, engine="magic")
-    with pytest.raises(ValueError):
-        evaluate_u(m, init, engine="regression", frozen_B=np.zeros((4, 1)))
+    for engine in ("magic", "regression"):
+        with pytest.raises(ValueError):
+            field_from_engine(m, engine=engine)
+
+
+@pytest.mark.parametrize("name", ["linear-g", "path-f", "two-driver"])
+def test_field_value_is_its_batch_of_one(monkeypatch, name):
+    # one path's value grows its tree through the batch route, and equals
+    # both that batch and the path's own solve, bit for bit
+    m = two_driver_model() if name == "two-driver" else get_model(name)
+    d = m.dims[0]
+    (p,) = _bumped_roots(d, 1, 1, seed=6)
+    kwargs = {"n_scenarios": 3, "seed": 4, "branching": 3}
+    u = field_from_engine(m, "nested", **kwargs)
+    ref = solve_nested(m, p, n_outer=3, seed=4, branching=3).u_estimate
+    batch = u.batch([p])[0]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a field value reached solve_nested")
+
+    monkeypatch.setattr(solver, "solve_nested", unreachable)
+    value = u(p)
+    assert np.array_equal(value, batch) and np.array_equal(value, ref)
 
 
 def engine_quotient(model, initial, h, **engine_kwargs):
@@ -839,7 +923,7 @@ def test_tree_levels_match_concatenated_histories():
         for i_t in (0, 2):
             rng = np.random.default_rng(i_t)
             roots = [Path(make_grid(T, N), rng.normal(size=(i_t + 1, d))) for _ in range(2)]
-            levels, dw_nodes, _, _ = _tree_forward(m, roots, branching)
+            levels, dw_nodes, _ = _tree_forward(m, roots, branching)
             old = np.stack([p.values for p in roots])
             assert np.array_equal(levels[0], old)
             for level in levels[1:]:

@@ -26,7 +26,7 @@ import numpy as np
 from .config import ExperimentConfig, load_config
 from .models import get_entry, shifted_model
 from .reports import CheckReport
-from .simulation import sample_drivers, simulate_forward
+from .simulation import sample_drivers, simulate_forward, stream_seed
 from .solver import solve_nested, solve_regression
 from .verification import (comparison_check, discretization_convergence_check,
                            field_from_closed_form, field_from_engine, flow_check,
@@ -44,7 +44,7 @@ def _package_version() -> str:
 
 
 def _check_seed(base_seed: int, name: str) -> int:
-    return base_seed + (zlib.crc32(name.encode()) % 100_000)
+    return stream_seed(base_seed, zlib.crc32(name.encode()))
 
 
 def _solve(cfg: ExperimentConfig):

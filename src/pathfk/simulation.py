@@ -1,13 +1,13 @@
 """Two independent Brownian drivers and the forward Euler scheme.
 
-Randomness is counter-based (Philox keyed by seed and a driver tag) with
-normals produced by inverse-CDF from fixed-consumption uniforms, so the
-increments of scenario s are a pure function of (seed, s), bit-identical
-regardless of batch size or worker scheduling.  The streams are read
-scenario-major but stored time-major, (N, n, .), like the forward
-histories; the second driver is drawn on its first read, so solves of
-models without a backward integrand g never draw it.  scipy.special (ndtri)
-is imported at the first draw: `import pathfk` loads numpy only.
+Every stream is a PCG64 generator keyed by a seed and a tag through
+numpy's SeedSequence, and stream_seed derives the seed of any sub-stream
+(a check, a role, an index) by the same hashing, never by adding offsets.
+Normals are numpy's ziggurat, drawn scenario-major in chunks and stored
+time-major, (N, n, .), like the forward histories; the chunks continue one
+sequential draw, so enlarging a batch keeps its earlier scenarios.  The
+second driver is drawn on its first read, so solves of models without a
+backward integrand g never draw it.  `import pathfk` loads numpy only.
 """
 
 from __future__ import annotations
@@ -21,32 +21,49 @@ from .paths import Path
 
 _TAG_W = 1
 _TAG_B = 2
-# map [0,1) uniforms strictly inside (0,1) before ndtri
-_U_SCALE = 1.0 - 2.0 ** -52
-_U_SHIFT = 2.0 ** -53
+_MASK64 = (1 << 64) - 1
+# scenarios per chunk of a draw into strided storage
+_CHUNK = 2048
+
+
+def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
+    """The one key derivation: the SeedSequence of `key` under `seed`."""
+    return np.random.SeedSequence(int(seed) & _MASK64, spawn_key=key)
+
+
+def stream_seed(seed: int, *key: int) -> int:
+    """63-bit seed of the sub-stream `key` of `seed`, hashed through
+    SeedSequence: distinct keys give independent streams."""
+    return int(_seed_sequence(seed, *key).generate_state(1, np.uint64)[0] >> 1)
 
 
 def _keyed_normals(seed: int, tag: int, shape,
-                   out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Normals of the (seed, tag) stream, one uniform each, into `out` (any
-    array of `shape`) or over the uniforms."""
-    # imported on first use: scipy.special adds about 0.4 s to `import pathfk`
-    from scipy.special import ndtri
-    bitgen = np.random.Philox(key=(int(seed) & ((1 << 64) - 1)) + (tag << 64))
-    u = np.random.Generator(bitgen).random(shape)
-    u *= _U_SCALE
-    u += _U_SHIFT
-    return ndtri(u, out=u if out is None else out)
+                   out: Optional[np.ndarray] = None,
+                   scale: float = 1.0) -> np.ndarray:
+    """Standard normals of the (seed, tag) stream in the C order of `shape`.
+    With `out` (any array of `shape`) they are drawn in chunks of _CHUNK
+    along the first axis through one contiguous buffer and written into it
+    times `scale`; the chunks continue one draw, so `out` equals the
+    one-shot draw times `scale` bit for bit."""
+    rng = np.random.Generator(np.random.PCG64(_seed_sequence(seed, tag)))
+    if out is None:
+        return rng.standard_normal(shape)
+    buf = np.empty((min(shape[0], _CHUNK),) + tuple(shape[1:]))
+    for s in range(0, shape[0], _CHUNK):
+        chunk = buf[: min(_CHUNK, shape[0] - s)]
+        rng.standard_normal(out=chunk)
+        np.multiply(chunk, scale, out=out[s: s + len(chunk)])
+    return out
 
 
 def _increments(seed: int, tag: int, n: int, N: int, width: int,
                 sdt: float) -> np.ndarray:
     """Read-only (n, N, width) view of the time-major increments of one
-    driver: scenario-major normals written straight into (N, n, width)
-    storage, then scaled by sqrt(dt) in place."""
+    driver: scenario-major normals scaled by sqrt(dt) on their way into
+    (N, n, width) storage."""
     buf = np.empty((N, n, width))
-    _keyed_normals(seed, tag, (n, N, width), out=buf.transpose(1, 0, 2))
-    buf *= sdt
+    _keyed_normals(seed, tag, (n, N, width), out=buf.transpose(1, 0, 2),
+                   scale=sdt)
     buf.flags.writeable = False
     return buf.transpose(1, 0, 2)
 
@@ -137,7 +154,9 @@ def simulate_forward(model, initial: Path, drivers: BrownianPair) -> ScenarioEns
     (n, N+1, d) view and the coefficients read read-only (n, i+1, d) views.
     """
     grid = initial.grid_times
-    if len(grid) != len(drivers.grid_times) or not np.allclose(grid, drivers.grid_times):
+    if grid is not drivers.grid_times and (
+            len(grid) != len(drivers.grid_times)
+            or not np.allclose(grid, drivers.grid_times)):
         raise ValueError("initial path and drivers must share the grid")
     d, k, l = model.dims
     if drivers.dW.shape[2] != d or drivers.l != l:

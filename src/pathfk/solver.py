@@ -132,7 +132,7 @@ def _column_basis(A: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(A).all():
         raise SolverError("the design matrix has non-finite entries")
-    # imported on first use: about 90 ms on top of scipy.special (first draw)
+    # imported on first use: about 90 ms of `import pathfk` otherwise
     from scipy.linalg import lapack
     qr, tau, _, _ = lapack.dgeqrf(A, overwrite_a=True)
     Ur, s, _ = np.linalg.svd(np.triu(qr[: A.shape[1]]))
@@ -488,7 +488,8 @@ def _tree_backward(model: Model, initial: Path, tree, dB: Optional[np.ndarray],
 def frozen_noise_increments(grid_times: np.ndarray, t_index: int, l: int,
                             seed: int, n_outer: int) -> np.ndarray:
     """Remaining-horizon increments of the second driver, (n_outer, N-t, l),
-    reproducible from (seed, outer index) alone."""
+    from the (seed, frozen B) stream; a larger n_outer keeps the earlier
+    outer samples."""
     N = len(grid_times) - 1
     dt = float(grid_times[1] - grid_times[0])
     z = _keyed_normals(seed, _TAG_FROZEN_B, (n_outer, N - t_index, l))

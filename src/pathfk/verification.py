@@ -22,11 +22,16 @@ from .paths import (Path, discretize_values, path_dist, restrict, sup_norm,
                     vertical_bump)
 from .reports import CheckReport
 from .simulation import (ScenarioEnsemble, random_initial_path, sample_drivers,
-                         simulate_forward)
+                         simulate_forward, stream_seed)
 from .solver import (BackwardSolution, RegressionBasis, _nested_estimates,
                      solve_regression)
 
 _EPS = 1e-12
+# stream_seed roles under a check's seed, apart from the driver tags 1-3
+_FLOW_RESTARTS = 11
+_COMPARISON_PATHS = 12
+_COMPARISON_DRIVERS = 13
+_MOMENT_DRIVERS = 14
 
 
 # -- field functionals ---------------------------------------------------
@@ -245,7 +250,8 @@ def flow_check(model: Model, initial: Path, s: float,
     samples = []
     for j in range(min(n_resolve, X.shape[0])):
         prefix = Path(grid, X[j, : s_idx + 1])
-        drv_j = sample_drivers(grid, n_resolve_scenarios, seed + 1000 + j,
+        drv_j = sample_drivers(grid, n_resolve_scenarios,
+                               stream_seed(seed, _FLOW_RESTARTS, j),
                                d=model.dims[0], l=model.dims[2])
         ens_j = simulate_forward(model, prefix, drv_j)
         sol_j = solve_regression(model, ens_j, basis=basis)
@@ -319,12 +325,13 @@ def comparison_check(m1: Model, m2: Model, initial: Path,
     margin = 3.0 * float(np.max(s1.u_stderr + s2.u_stderr)) + 1e-9
     worst = float((s2.y[:, i_t:] - s1.y[:, i_t:]).max())
 
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(stream_seed(seed, _COMPARISON_PATHS))
     mean_stats = []
     for j in range(n_initials):
         p = random_initial_path(initial.grid_times, i_t, m1.dims[0], rng)
         drv_j = sample_drivers(initial.grid_times, n_initial_scenarios,
-                               seed + 2000 + j, d=m1.dims[0], l=m1.dims[2])
+                               stream_seed(seed, _COMPARISON_DRIVERS, j),
+                               d=m1.dims[0], l=m1.dims[2])
         e1 = simulate_forward(m1, p, drv_j)
         e2 = simulate_forward(m2, p, drv_j)
         r1 = solve_regression(m1, e1, basis=basis)
@@ -509,8 +516,8 @@ def moment_probes(model: Model, grid_times: np.ndarray, n_probes: int = 100,
         ti = int(rng.integers(0, N))
         init = random_initial_path(grid_times, ti, d, rng,
                                    scale=float(rng.uniform(0.3, 3.0)))
-        drv = sample_drivers(grid_times, n_scenarios, seed + 31 * j + 1,
-                             d=d, l=l)
+        drv = sample_drivers(grid_times, n_scenarios,
+                             stream_seed(seed, _MOMENT_DRIVERS, j), d=d, l=l)
         ens = simulate_forward(model, init, drv)
         sol = solve_regression(model, ens, basis=basis)
         sup_y = np.max(np.abs(sol.y[:, ti:]), axis=(1, 2))

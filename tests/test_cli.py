@@ -3,10 +3,14 @@
 import concurrent.futures
 import json
 import os
+import tempfile
 from importlib.metadata import PackageNotFoundError, version
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pathfk import cli, simulation, solver, verification
 from pathfk.cli import main
 
 
@@ -223,3 +227,71 @@ def test_summary_counts_excluded_scenarios(tmp_path, monkeypatch):
               "--output", str(tmp_path / out)])
         summary = json.loads((tmp_path / out / "summary.json").read_text())
         assert summary["excluded_scenarios"] == 0
+
+
+def _stream_keys(raw):
+    """(seed, spawn key, inside frozen_noise_increments) of every key derived
+    in one `pathfk run` of raw: each SeedSequence of the package's streams
+    and hashes, and each seed given to np.random.default_rng.  Every driver
+    pair's second driver is read, so its key is derived too."""
+    keys, frozen = [], []
+    real_seq, real_rng = simulation._seed_sequence, np.random.default_rng
+    real_frozen, real_sample = solver.frozen_noise_increments, simulation.sample_drivers
+
+    def seq(seed, *key):
+        keys.append((int(seed) & simulation._MASK64, key, bool(frozen)))
+        return real_seq(seed, *key)
+
+    def rng(seed):
+        keys.append((int(seed), (), bool(frozen)))
+        return real_rng(seed)
+
+    def frozen_noise(*args):
+        frozen.append(True)
+        try:
+            return real_frozen(*args)
+        finally:
+            frozen.pop()
+
+    def sample(*args, **kwargs):
+        pair = real_sample(*args, **kwargs)
+        pair.dB
+        return pair
+
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
+        mp.setattr(simulation, "_seed_sequence", seq)
+        mp.setattr(np.random, "default_rng", rng)
+        mp.setattr(solver, "frozen_noise_increments", frozen_noise)
+        for module in (cli, verification):
+            mp.setattr(module, "sample_drivers", sample)
+        cli.run_experiment(raw, out)
+    return keys
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(-2 ** 63, 2 ** 64 - 1))
+def test_no_two_streams_of_a_run_share_a_key(seed):
+    # every stream and hash of a seven-check run on heat is keyed once: W and
+    # B of each pair, each check's seed, each role and each index; the
+    # nested field of linear-g redraws its frozen B stream for every path it
+    # evaluates, and no other stream takes that key
+    heat = {"model": "heat", "grid": {"T": 1.0, "N": 4},
+            "mc": {"seed": seed, "n_scenarios": 300},
+            "checks": {"closed_form": {}, "z_representation": {},
+                       "z_growth": {}, "flow": {"s": 0.5}, "comparison": {},
+                       "discretization": {"node_counts": [2, 4]},
+                       "moments": {"n_probes": 10, "n_scenarios": 200}}}
+    nested = {"model": "linear-g", "grid": {"T": 1.0, "N": 4},
+              "mc": {"seed": seed, "n_scenarios": 300},
+              "checks": {"field_equation": {"n_paths": 2}}}
+    heat_keys, nested_keys = _stream_keys(heat), _stream_keys(nested)
+    for keys, n_frozen in ((heat_keys, 0), (nested_keys, 1)):
+        outside = [k[:2] for k in keys if not k[2]]
+        inside = {k[:2] for k in keys if k[2]}
+        assert len(outside) == len(set(outside))
+        assert len(inside) == n_frozen and not inside & set(outside)
+    roles = {key[0] for _, key, _ in heat_keys + nested_keys if key}
+    assert {simulation._TAG_W, simulation._TAG_B, solver._TAG_FROZEN_B,
+            verification._FLOW_RESTARTS, verification._COMPARISON_PATHS,
+            verification._COMPARISON_DRIVERS,
+            verification._MOMENT_DRIVERS} <= roles

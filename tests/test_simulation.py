@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from scipy.special import ndtri
-
 from pathfk import (Path, get_model, make_grid, sample_drivers,
                     simulate_forward, solve_regression)
 from pathfk import simulation
@@ -15,11 +13,10 @@ GRID = make_grid(1.0, 8)
 
 
 def _reference_normals(seed, tag, shape):
-    """The (seed, tag) stream's normals written out with temporaries, one
-    operation per array: the reference the in-place draws must equal."""
-    bitgen = np.random.Philox(key=seed + (tag << 64))
-    u = np.random.Generator(bitgen).random(int(np.prod(shape)))
-    return ndtri(u.reshape(shape) * (1.0 - 2.0 ** -52) + 2.0 ** -53)
+    """The (seed, tag) stream's normals in one sequential draw of the keyed
+    generator: the reference the chunked draws must equal."""
+    key = np.random.SeedSequence(seed, spawn_key=(tag,))
+    return np.random.Generator(np.random.PCG64(key)).standard_normal(shape)
 
 
 def _record_draws(monkeypatch):
@@ -66,12 +63,33 @@ def test_two_drivers_are_distinct_streams():
 
 
 def test_scenario_prefix_stability():
-    # scenario s is a pure function of (seed, s): enlarging the batch must
-    # not change earlier scenarios
+    # the chunks of a draw continue one sequential stream: enlarging the
+    # batch must not change earlier scenarios
     small = sample_drivers(GRID, 10, 7)
     large = sample_drivers(GRID, 1000, 7)
     assert np.array_equal(small.dW, large.dW[:10])
     assert np.array_equal(small.dB, large.dB[:10])
+
+
+@pytest.mark.parametrize("n", [1, simulation._CHUNK - 1, simulation._CHUNK,
+                               simulation._CHUNK + 1, 5000])
+def test_chunked_increments_equal_one_draw(n):
+    # the chunks continue one sequential draw of the keyed generator, so the
+    # time-major increments equal its one-shot draw times sqrt(dt) bit for
+    # bit, and a batch is the prefix of a larger one across chunk boundaries
+    N, seed, sdt = 3, 17, 0.25
+    inc = simulation._increments(seed, 1, n, N, 2, sdt)
+    assert np.array_equal(inc, _reference_normals(seed, 1, (n, N, 2)) * sdt)
+    assert np.array_equal(inc, simulation._increments(seed, 1, 5001, N, 2, sdt)[:n])
+
+
+def test_increments_are_standard_normal():
+    # 200k normalised increments, drawn across 7 chunks, against N(0, 1)
+    from scipy import stats
+    drv = sample_drivers(make_grid(1.0, 16), 12_500, 2024)
+    z = drv.dW.ravel() / np.sqrt(drv.dt)
+    assert z.size == 200_000
+    assert stats.kstest(z, "norm").pvalue > 1e-3
 
 
 def test_lazy_second_driver_matches_eager_draw(monkeypatch):

@@ -132,7 +132,7 @@ def _column_basis(A: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(A).all():
         raise SolverError("the design matrix has non-finite entries")
-    # imported on first use: about 90 ms of `import pathfk` otherwise
+    # imported on first use: about 0.3 s of `import pathfk` otherwise
     from scipy.linalg import lapack
     qr, tau, _, _ = lapack.dgeqrf(A, overwrite_a=True)
     Ur, s, _ = np.linalg.svd(np.triu(qr[: A.shape[1]]))

@@ -48,7 +48,7 @@ def _keyed_normals(seed: int, tag: int, shape,
     rng = np.random.Generator(np.random.PCG64(_seed_sequence(seed, tag)))
     if out is None:
         return rng.standard_normal(shape)
-    buf = np.empty((min(shape[0], _CHUNK),) + tuple(shape[1:]))
+    buf = np.empty((min(shape[0], _CHUNK), *shape[1:]))
     for s in range(0, shape[0], _CHUNK):
         chunk = buf[: min(_CHUNK, shape[0] - s)]
         rng.standard_normal(out=chunk)

@@ -75,21 +75,17 @@ class RegressionBasis:
     def matrix(self, raw: np.ndarray,
                noise: Optional[np.ndarray] = None) -> np.ndarray:
         """Column-major design matrix of one step from its raw coordinates
-        (n, r): the constant, every monomial up to the degree, and the
-        remaining noise sums (n, l) when given."""
+        (n, r): the constant, the raw columns, their pairwise products when
+        the degree is 2, and the remaining noise sums (n, l) when given."""
         n, r = raw.shape
         l = 0 if noise is None else noise.shape[1]
         A = np.empty((n, math.comb(r + self.degree, r) + l), order="F")
-        A[:, 0] = 1.0
-        j = 1
-        for deg in range(1, self.degree + 1):
-            for combo in itertools.combinations_with_replacement(range(r), deg):
-                A[:, j] = raw[:, combo[0]]
-                for c in combo[1:]:
-                    A[:, j] *= raw[:, c]
-                j += 1
+        A[:, 0], A[:, 1:r + 1] = 1.0, raw
+        pairs = itertools.combinations_with_replacement(range(1, r + 1), 2)
+        for j, (a, b) in enumerate(pairs if self.degree == 2 else (), r + 1):
+            np.multiply(A[:, a], A[:, b], out=A[:, j])
         if l:
-            A[:, j:] = noise
+            A[:, -l:] = noise
         return A
 
     def designs(self, X: np.ndarray, t_index: int, dt: float,
@@ -99,47 +95,60 @@ class RegressionBasis:
         X holds the histories time-major, (N+1, n, d); dB, when given, the
         second driver's increments time-major, (N, n, l), for the
         future-noise features.  The running maximum of X[:i+1] and the
-        running sum of X[:i] come from one accumulation over the history,
-        and the remaining noise sum of dB[i:] is carried backward from step
-        to step, so a step costs the same however long the history is.
+        running sum of X[:i] are carried forward one contiguous step at a
+        time, each step's raw coordinates fill one reused column-major
+        buffer, and the remaining noise sum of dB[i:] is carried backward,
+        so a step costs the same however long the history is.
         """
-        N = X.shape[0] - 1
+        N, n, d = X.shape[0] - 1, X.shape[1], X.shape[2]
         path = self.feature_set == "endpoint+runmax+runint"
         if path:
-            runmax = np.maximum.accumulate(X[:N], axis=0)
-            # row i holds the sum of X[:i]; the first is zero
-            runsum = np.zeros_like(runmax)
-            np.cumsum(X[: N - 1], axis=0, out=runsum[1:])
+            runmax, runsum = np.empty((N, n, d)), np.empty((N, n, d))
+            runmax[0] = runsum[0] = X[0]         # row i of runsum sums X[:i+1]
+            for i in range(1, N):
+                np.maximum(runmax[i - 1], X[i], out=runmax[i])
+                np.add(runsum[i - 1], X[i], out=runsum[i])
+            raw = np.empty((n, 3 * d), order="F")
         rest = None
         for i in range(N - 1, t_index - 1, -1):
             if dB is not None:
                 rest = dB[i] if rest is None else rest + dB[i]
-            raw = np.concatenate([X[i], runmax[i], runsum[i] * dt], axis=1) if path else X[i]
-            yield i, self.matrix(raw, rest)
+            if path:
+                raw[:, :d], raw[:, d:2 * d] = X[i], runmax[i]
+                np.multiply(runsum[i - 1] if i else 0.0, dt, out=raw[:, 2 * d:])
+            yield i, self.matrix(raw if path else X[i], rest)
 
 
 def _column_basis(A: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column space of a design matrix, (n, rank).
 
-    Householder QR factors A = QR in place (a column-major float64 A is
-    overwritten), and only the p x p triangle R takes an SVD: A shares R's
-    singular values, and its left singular vectors are Q times R's.  Those
-    that clear the least-squares rank cutoff s[0] * max(n, p) * eps (the
-    rule of lstsq and of a full SVD of A) are kept, so collinear columns
-    drop out (at the initial time every history coincides and the history
-    monomials collapse onto the constant).  Needs n >= p; a non-finite
-    design raises SolverError.
+    One compact-WY Householder block (dgeqrt) factors A = QR in place (a
+    column-major float64 A is overwritten), Q = I - V T V^T, and only the
+    p x p triangle R takes an SVD: A shares R's singular values, and its
+    left singular vectors are Q times R's.  Those that clear the
+    least-squares rank cutoff s[0] * max(n, p) * eps (the rule of lstsq and
+    of a full SVD of A) are kept, so collinear columns drop out (at the
+    initial time every history coincides and the history monomials
+    collapse onto the constant); one product forms Q [U_R; 0] = [U_R; 0] -
+    V (T (V_1^T U_R)).  Needs n >= p; a non-finite design raises SolverError.
     """
     if not np.isfinite(A).all():
         raise SolverError("the design matrix has non-finite entries")
     # imported on first use: about 0.3 s of `import pathfk` otherwise
     from scipy.linalg import lapack
-    qr, tau, _, _ = lapack.dgeqrf(A, overwrite_a=True)
-    Ur, s, _ = np.linalg.svd(np.triu(qr[: A.shape[1]]))
-    keep = s > s[0] * max(A.shape) * np.finfo(A.dtype).eps
-    Q, _, _ = lapack.dorgqr(qr, tau, overwrite_a=True)
+    p = A.shape[1]
+    V, T, _ = lapack.dgeqrt(p, A, overwrite_a=True)
+    R = np.triu(V[:p])
+    V[:p] -= R                 # V_1, V's top rows: zero above a unit diagonal
+    V[:p].flat[:: p + 1] = 1.0
+    Ur, s, _, info = lapack.dgesdd(R, overwrite_a=True)
+    if info:
+        raise SolverError("the SVD of the design's triangle did not converge")
+    Ur = Ur[:, :np.count_nonzero(s > s[0] * max(A.shape) * np.finfo(A.dtype).eps)]
     # column-major U: the projections U (U^T T) read it faster
-    return np.matmul(Q, Ur[:, keep], order="F")
+    U = np.matmul(V, T @ (V[:p].T @ -Ur), order="F")
+    U[:p] += Ur
+    return U
 
 
 def _project(U: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -208,13 +217,13 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     """Backward regression sweep over a simulated ensemble.
 
     One sweep runs from the last step to the initial one.  Each step's
-    design matrix is built column-major and factored once, in place, by
-    Householder QR and an SVD of the p x p triangle, into an orthonormal
-    basis of its column space (_column_basis; a non-finite design raises
-    SolverError); every pass's update on that step (the centring term, z,
-    y, and the rollout behind fit_se) is a projection onto that basis,
-    which is dropped before the next step.  With f absent y is the
-    centring term.
+    design matrix is built column-major and factored once, in place, by one
+    compact-WY Householder block and an SVD of the p x p triangle, into an
+    orthonormal basis formed by one matrix product (_column_basis; a
+    non-finite design raises SolverError); every pass's update on that
+    step (the centring term, z, y, and the rollout behind fit_se) is a
+    projection onto that basis, which is dropped before the next step.
+    With f absent y is the centring term.
 
     Pass 0 is the explicit scheme (drivers read the right-endpoint y/z);
     each further pass re-evaluates the drivers at the previous pass's
@@ -498,12 +507,13 @@ def frozen_noise_increments(grid_times: np.ndarray, t_index: int, l: int,
 
 def _nested_sweeps(model: Model, roots: Sequence[Path], n_outer: int,
                    seed: int, branching: int, picard_iters: int,
-                   frozen_B: Optional[np.ndarray], keep, scratch=None) -> list:
+                   frozen_B: Optional[np.ndarray], keep, scratch, drawn) -> list:
     """Grow one tree from root paths of equal depth on one grid and sweep it
     once per outer sample; returns keep(tree, y_levels, z_levels) per sweep,
     so each sweep's levels are released before the next one runs.  The
     outer samples depend only on (seed, depth), so every root shares them;
-    see solve_nested.  The tree grows in scratch (see _tree_forward)."""
+    see solve_nested.  The tree grows in scratch (see _tree_forward); the
+    outer samples are drawn once per (t_index, grid) into drawn."""
     passes = _refinement_passes(model, picard_iters)
     first = roots[0]
     l = model.dims[2]
@@ -515,8 +525,12 @@ def _nested_sweeps(model: Model, roots: Sequence[Path], n_outer: int,
     elif model.g is None:
         all_dB = [None]
     else:
-        all_dB = frozen_noise_increments(first.grid_times, first.t_index, l,
-                                         seed, n_outer)
+        key = (first.t_index, first.grid_times.tobytes())
+        if key not in drawn:         # at the horizon no increment is read or drawn
+            drawn[key] = (frozen_noise_increments(first.grid_times, first.t_index, l,
+                                                  seed, n_outer)
+                          if n_rem else np.zeros((n_outer, 0, l)))
+        all_dB = drawn[key]
     tree = _tree_forward(model, roots, branching, scratch)
     return [keep(tree, *_tree_backward(model, first, tree, dB, passes))
             for dB in all_dB]
@@ -553,7 +567,7 @@ def solve_nested(model: Model, initial: Path, n_outer: int, seed: int,
     i_t = initial.t_index
     roots, y_means, z_means = zip(*_nested_sweeps(
         model, [initial], n_outer, seed, branching, picard_iters, frozen_B,
-        _root_and_means))
+        _root_and_means, scratch=None, drawn={}))
     n_rows = n_outer if frozen_B is None else 1
     n_sweeps = len(roots)
     y = np.zeros((n_sweeps, N + 1, k))
@@ -593,7 +607,7 @@ def solve_nested(model: Model, initial: Path, n_outer: int, seed: int,
 def _nested_estimates(model: Model, paths: Sequence[Path],
                      n_scenarios: int = 4000, seed: int = 0,
                      branching: int = 8, picard_iters: int = 2,
-                     frozen_B: Optional[np.ndarray] = None) -> np.ndarray:
+                     frozen_B: Optional[np.ndarray] = None, drawn=None) -> np.ndarray:
     """solve_nested's u_estimate at the tip of every path, (len(paths), k),
     with n_scenarios outer samples.
 
@@ -601,10 +615,10 @@ def _nested_estimates(model: Model, paths: Sequence[Path],
     histories, in groups of at most _MAX_STACKED_LEAVES leaves (a root with
     more leaves than that alone), and share each outer sweep.  Every value
     equals the path's own solve up to round-off.  The trees grow in turn in
-    one history buffer, which lives for the call.
+    one history buffer, which lives for the call; drawn keeps the outer samples.
     """
     out = np.empty((len(paths), model.dims[1]))
-    scratch, groups = [], {}
+    scratch, groups, drawn = [], {}, {} if drawn is None else drawn
     for r, p in enumerate(paths):
         groups.setdefault((p.t_index, p.grid_times.tobytes()), []).append(r)
     per_step = branching ** model.dims[0]
@@ -617,7 +631,7 @@ def _nested_estimates(model: Model, paths: Sequence[Path],
             tips = np.array(_nested_sweeps(                 # (S, R, k)
                 model, [paths[r] for r in chunk], n_scenarios, seed, branching,
                 picard_iters, frozen_B, lambda tree, y_levels, z_levels: y_levels[0],
-                scratch))
+                scratch, drawn))
             # per root, the mean solve_nested takes, so one root reproduces it
             for j, r in enumerate(chunk):
                 out[r] = tips[:, j].mean(axis=0)

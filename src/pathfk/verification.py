@@ -65,10 +65,11 @@ def field_from_engine(model: Model, engine: str = "nested",
     """The nested engine's field as a path functional (estimates only): a
     batch of paths stacks those of equal depth into shared trees
     (solver._nested_estimates), and a single value is its batch of one.
-    Any other engine raises ValueError."""
+    Its frozen noise is drawn once per depth.  Any other engine raises ValueError."""
     if engine != "nested":
         raise ValueError(f"only the nested engine defines a field, got {engine!r}")
-    stacked = lambda paths: _nested_estimates(model, paths, **engine_kwargs)
+    drawn = {}
+    stacked = lambda paths: _nested_estimates(model, paths, drawn=drawn, **engine_kwargs)
     return _StackedField(eval=lambda p: stacked([p])[0],
                          output_shape=(model.dims[1],), regularity_tag="C12",
                          stacked=stacked)

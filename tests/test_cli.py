@@ -273,8 +273,8 @@ def _stream_keys(raw):
 def test_no_two_streams_of_a_run_share_a_key(seed):
     # every stream and hash of a seven-check run on heat is keyed once: W and
     # B of each pair, each check's seed, each role and each index; the
-    # nested field of linear-g redraws its frozen B stream for every path it
-    # evaluates, and no other stream takes that key
+    # nested field of linear-g draws its frozen B stream once per depth with
+    # a step remaining (N = 4 of them), and no other stream takes that key
     heat = {"model": "heat", "grid": {"T": 1.0, "N": 4},
             "mc": {"seed": seed, "n_scenarios": 300},
             "checks": {"closed_form": {}, "z_representation": {},
@@ -290,6 +290,7 @@ def test_no_two_streams_of_a_run_share_a_key(seed):
         inside = {k[:2] for k in keys if k[2]}
         assert len(outside) == len(set(outside))
         assert len(inside) == n_frozen and not inside & set(outside)
+    assert sum(k[2] for k in nested_keys) == 4
     roles = {key[0] for _, key, _ in heat_keys + nested_keys if key}
     assert {simulation._TAG_W, simulation._TAG_B, solver._TAG_FROZEN_B,
             verification._FLOW_RESTARTS, verification._COMPARISON_PATHS,

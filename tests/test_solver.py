@@ -15,7 +15,7 @@ from pathfk import (BudgetError, Model, Path, RegressionBasis, SolverError,
                     solve_nested, solve_regression, vertical_bump,
                     vertical_derivative)
 from pathfk.simulation import BrownianPair, ScenarioEnsemble
-from pathfk import solver
+from pathfk import solver, verification
 from pathfk.solver import (_column_basis, _project, _time_major, _tree_backward,
                           _tree_forward)
 
@@ -50,17 +50,25 @@ def _svd_basis(A):
 def _designs(design, rng):
     """The (step, design) pairs of one projection case: a single synthetic
     matrix as step 0, or every step's design that RegressionBasis.designs
-    streams for a model, last step first."""
-    streamed = {"path-f": "endpoint+runmax+runint", "heat": "endpoint",
-                "linear-g": "endpoint"}
+    streams for a model, last step first (path-f-64 at the size of the
+    path-dependent benchmark, N = 64 and n = 10,000)."""
+    streamed = {"path-f": ("path-f", "endpoint+runmax+runint", 6, 1500),
+                "path-f-64": ("path-f", "endpoint+runmax+runint", 64, 10_000),
+                "heat": ("heat", "endpoint", 6, 1500),
+                "linear-g": ("linear-g", "endpoint", 6, 1500)}
     if design in streamed:
-        m = get_model(design)
-        ens = ensemble(m, N=6, n=1500, seed=15)
+        name, feature_set, N, n = streamed[design]
+        m = get_model(name)
+        ens = ensemble(m, N=N, n=n, seed=15)
         dB = None if m.g is None else ens.drivers.dB.transpose(1, 0, 2)
-        basis = RegressionBasis(feature_set=streamed[design])
+        basis = RegressionBasis(feature_set=feature_set)
         return list(basis.designs(ens.x_values.transpose(1, 0, 2), 0,
                                   ens.initial.dt, dB))
     B = rng.normal(size=(200, 6))
+    if design == "scaled_column":
+        # one column a million times the others: the triangle's singular
+        # values span about six decades, all far above the cutoff
+        return [(0, B * np.r_[1.0, 1.0, 1.0, 1e6, 1.0, 1.0])]
     if design.endswith("_cutoff"):
         # six orthonormal columns and a seventh orthogonal to them, scaled
         # to a singular value a quarter above or a fifth below the cutoff
@@ -75,6 +83,7 @@ def _designs(design, rng):
 @pytest.mark.parametrize("design, rank", [("full", 6), ("duplicated_column", 6),
                                           ("equal_rows", 1), ("above_cutoff", 7),
                                           ("below_cutoff", 6), ("path-f", 1),
+                                          ("path-f-64", 1), ("scaled_column", 6),
                                           ("heat", 1), ("linear-g", 2)])
 def test_projection_matches_minimum_norm_least_squares(design, rank):
     # rank is that of the design at i = t_index = 0: for the streamed cases
@@ -88,6 +97,8 @@ def test_projection_matches_minimum_norm_least_squares(design, rank):
         U = _column_basis(A.copy(order="F"))     # factors its argument in place
         fitted = _project(U, T)
         assert U.shape[1] == ref.shape[1]
+        assert U.flags.f_contiguous
+        assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-13
         if step == 0:
             assert U.shape[1] == rank
         assert np.allclose(fitted, _project(ref, T), rtol=0.0, atol=1e-10)
@@ -108,6 +119,15 @@ def test_non_finite_design_raises(entry):
     A[37, 2] = entry
     with pytest.raises(SolverError, match="non-finite"):
         _column_basis(A)
+
+
+def test_unconverged_svd_raises(monkeypatch):
+    # LAPACK reports a triangle whose SVD did not converge through info
+    from scipy.linalg import lapack
+    real = lapack.dgesdd
+    monkeypatch.setattr(lapack, "dgesdd", lambda *a, **k: real(*a, **k)[:3] + (1,))
+    with pytest.raises(SolverError, match="did not converge"):
+        _column_basis(np.random.default_rng(17).normal(size=(200, 4)))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -373,6 +393,63 @@ def test_streamed_designs_match_definition(feature_set, noise):
         assert np.allclose(A, direct, rtol=0.0, atol=1e-12)
         steps.append(i)
     assert steps == list(range(N - 1, i_t - 1, -1))
+
+
+def _accumulated_designs(basis, X, t_index, dt, dB):
+    """Every step's design, last step first, by whole-history arrays: the
+    running maximum and sum by one accumulation along the time axis, the
+    raw coordinates concatenated, and each monomial multiplied out from raw."""
+    N = X.shape[0] - 1
+    path = basis.feature_set == "endpoint+runmax+runint"
+    runmax = np.maximum.accumulate(X[:N], axis=0)
+    runsum = np.zeros_like(runmax)
+    np.cumsum(X[: N - 1], axis=0, out=runsum[1:])
+    rest = None
+    for i in range(N - 1, t_index - 1, -1):
+        if dB is not None:
+            rest = dB[i] if rest is None else rest + dB[i]
+        raw = np.concatenate([X[i], runmax[i], runsum[i] * dt], axis=1) if path else X[i]
+        n, r = raw.shape
+        cols = [np.ones(n)]
+        for deg in range(1, basis.degree + 1):
+            for combo in itertools.combinations_with_replacement(range(r), deg):
+                col = raw[:, combo[0]].copy()
+                for c in combo[1:]:
+                    col *= raw[:, c]
+                cols.append(col)
+        yield i, np.column_stack(cols + ([] if rest is None else [rest]))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("feature_set", ["endpoint", "endpoint+runmax+runint"])
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("t_index", [0, 3])
+@pytest.mark.parametrize("noise", [False, True])
+def test_designs_keep_their_bits(feature_set, degree, d, t_index, noise):
+    # the per-step running max and sum, the reused raw buffer and the
+    # products of contiguous columns give the accumulated construction's
+    # designs bit for bit (signed zeros included: the first history row
+    # carries -0.0 entries)
+    rng = np.random.default_rng(23)
+    N, n, l, dt = 7, 50, 2, 0.125
+    X = rng.normal(size=(N + 1, n, d))
+    X[0, :10] = -0.0
+    dB = rng.normal(size=(N, n, l)) if noise else None
+    basis = RegressionBasis(feature_set=feature_set, degree=degree)
+    got = list(basis.designs(X, t_index, dt, dB))
+    ref = list(_accumulated_designs(basis, X, t_index, dt, dB))
+    assert [i for i, _ in got] == [i for i, _ in ref] == list(range(N - 1, t_index - 1, -1))
+    for (_, A), (_, B) in zip(got, ref):
+        assert A.flags.f_contiguous and A.shape == B.shape
+        assert np.array_equal(_bits(A), _bits(B))
+    raw = rng.normal(size=(n, 3 * d))
+    rest = rng.normal(size=(n, l)) if noise else None
+    assert np.array_equal(_bits(basis.matrix(raw, rest)),
+                          _bits(basis.matrix(np.asfortranarray(raw), rest)))
 
 
 def _forward_designs(basis, X, t_index, dt, dB):
@@ -844,6 +921,37 @@ def test_stacked_trees_stay_within_the_leaf_limit(monkeypatch):
     for p, g in zip(paths, got):
         ref = solve_nested(m, p, n_outer=1, seed=0, branching=3).u_estimate
         assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name", ["linear-g", "z-in-g"])
+def test_field_draws_its_frozen_noise_once_per_depth(monkeypatch, name):
+    # a field draws each depth's outer samples once, and none at the
+    # horizon, where no step remains; its residual equals that of a field
+    # that redraws them for every batch, bit for bit
+    m = get_model(name)
+    N, kwargs = 4, {"n_scenarios": 3, "seed": 4, "branching": 3}
+    draws = []
+    real = solver.frozen_noise_increments
+
+    def counted(grid, t_index, *args):
+        draws.append(t_index)
+        return real(grid, t_index, *args)
+
+    monkeypatch.setattr(solver, "frozen_noise_increments", counted)
+    ens = ensemble(m, N=N, n=2, seed=5, x0=0.3)
+    redrawn = verification._StackedField(
+        eval=None, output_shape=(1,), regularity_tag="C12",
+        stacked=lambda paths: solver._nested_estimates(m, paths, **kwargs))
+    ref = verification.spde_residual(redrawn, m, ens)
+    assert len(draws) > N and N not in draws
+    draws.clear()
+    u = field_from_engine(m, "nested", **kwargs)
+    res = verification.spde_residual(u, m, ens)
+    assert sorted(draws) == list(range(N))
+    assert np.array_equal(_bits(res), _bits(ref))
+    horizon = Path(ens.initial.grid_times, ens.x_values[0])
+    assert np.array_equal(u(horizon), solver._nested_estimates(m, [horizon], **kwargs)[0])
+    assert sorted(draws) == list(range(N))
 
 
 def test_frozen_noise_regenerates_bit_identical():

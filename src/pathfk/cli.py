@@ -66,7 +66,8 @@ def _solve(cfg: ExperimentConfig):
 
 
 def _candidate_field(cfg: ExperimentConfig):
-    if cfg.closed_form_u is not None:
+    # with g the closed forms give E_B u, not the random field the checks read
+    if cfg.closed_form_u is not None and cfg.model.g is None:
         return field_from_closed_form(get_entry(cfg.model_name))
     return field_from_engine(
         cfg.model, engine="nested",

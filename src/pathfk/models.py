@@ -230,7 +230,9 @@ def registry() -> list[ModelRegistryEntry]:
         g=lambda x, y, z: beta * y[:, :, None],
         lip_C=1.0, growth_m=0.0, alpha=0.5,
     )
-    entries.append(ModelRegistryEntry("linear-g", m3, notes="oracle: nested engine"))
+    endpoint = lambda p: np.array([p.endpoint[0]])
+    entries.append(ModelRegistryEntry("linear-g", m3, closed_form_u=endpoint,
+                                      notes="E_B of the field gamma(t) prod_j (1 + 0.3 dB_j)"))
 
     # nonlinear-f: classical-BSDE reduction.
     m4 = _scalar_base(
@@ -249,7 +251,9 @@ def registry() -> list[ModelRegistryEntry]:
         g=lambda x, y, z: alpha0 * z[:, :, :1],
         lip_C=1.0, growth_m=0.0, alpha=0.5,
     )
-    entries.append(ModelRegistryEntry("z-in-g", m5, notes="oracle: nested engine"))
+    entries.append(ModelRegistryEntry("z-in-g", m5, closed_form_u=endpoint,
+                                      closed_form_Z=lambda p: np.array([[1.0]]),
+                                      notes="E_B of the field gamma(t) + 0.5 (B_T - B_t); Z = 1"))
 
     # path-f: genuinely non-Markovian time driver via the running maximum.
     m6 = _scalar_base(

@@ -9,12 +9,12 @@ Two engines estimate the same discrete backward scheme:
   over the first driver while the second driver's increments are frozen per
   outer sample.
 
-Both engines share one discretization: time and backward integrands are
-evaluated at the right endpoint of each step (with the terminal z taken as
-zero), and optional refinement passes move the y/z arguments of the drivers
-from the right endpoint to the current step, iterating toward the implicit
-scheme.  The refinement is a fixed-point iteration whose contraction rests
-on the driver's z-coefficient being strictly below one.
+Both engines share one discretization, explicit in the backward driver g
+(integrated backward): every pass reads g, and its first pass f, at each
+step's right endpoint, from a terminal z of D Phi sigma (zero without g).
+Refinement passes, only with f, move f's y/z arguments to the current step,
+a fixed-point iteration toward the scheme implicit in f that contracts
+while f's Lipschitz constant times the step is below one.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ _MAX_STACKED_LEAVES = 6 ** 6
 _MAX_TREE_DEPTH = 8
 _TAG_FROZEN_B = 3
 _MIN_SCENARIOS_PER_FEATURE = 50
+_BUMP_CHUNK = 4096              # histories bumped together for the terminal z
 
 
 # -- regression features -------------------------------------------------
@@ -119,6 +120,19 @@ class RegressionBasis:
             yield i, self.matrix(raw if path else X[i], rest)
 
 
+@functools.lru_cache(maxsize=None)
+def _lapack():
+    from scipy.linalg import lapack    # on first use: 0.3 s of `import pathfk`
+    return lapack
+
+
+@functools.lru_cache(maxsize=None)
+def _strict_lower(p: int) -> np.ndarray:
+    mask = np.tri(p, k=-1, dtype=bool)
+    mask.flags.writeable = False               # one mask serves every call
+    return mask
+
+
 def _column_basis(A: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column space of a design matrix, (n, rank).
 
@@ -134,14 +148,12 @@ def _column_basis(A: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(A).all():
         raise SolverError("the design matrix has non-finite entries")
-    # imported on first use: about 0.3 s of `import pathfk` otherwise
-    from scipy.linalg import lapack
     p = A.shape[1]
-    V, T, _ = lapack.dgeqrt(p, A, overwrite_a=True)
-    R = np.triu(V[:p])
+    V, T, _ = _lapack().dgeqrt(p, A, overwrite_a=True)
+    R = np.where(_strict_lower(p), 0.0, V[:p])
     V[:p] -= R                 # V_1, V's top rows: zero above a unit diagonal
     V[:p].flat[:: p + 1] = 1.0
-    Ur, s, _, info = lapack.dgesdd(R, overwrite_a=True)
+    Ur, s, _, info = _lapack().dgesdd(R, overwrite_a=True)
     if info:
         raise SolverError("the SVD of the design's triangle did not converge")
     Ur = Ur[:, :np.count_nonzero(s > s[0] * max(A.shape) * np.finfo(A.dtype).eps)]
@@ -165,8 +177,8 @@ class BackwardSolution:
     """Sampled backward pair on the grid, plus the field value at the
     initial time.
 
-    y has shape (n, N+1, k) and z has shape (n, N, k, d); entries before the
-    initial time index repeat the initial-time value (y) or are zero (z).
+    y has shape (n, N+1, k) and z, without the terminal z, (n, N, k, d);
+    entries before the initial time index repeat y's value there or are 0.
     The regression engine returns them (and fit_se) as views of time-major
     arrays.
     For the nested engine n counts outer frozen-noise samples and the rows
@@ -192,12 +204,36 @@ class BackwardSolution:
 
 
 def _refinement_passes(model: Model, picard_iters: int) -> int:
-    """Passes an engine runs: the drivers are the only terms that read
-    (y, z), so without either a second pass would repeat the first.  Both
-    engines ask before any work, so picard_iters < 1 raises ValueError."""
+    """Passes an engine runs: refinement moves only f's (y, z) arguments,
+    so without f a second pass would repeat the first.  Both engines ask
+    before any work, so picard_iters < 1 raises ValueError."""
     if picard_iters < 1:
         raise ValueError(f"need at least one pass, got picard_iters={picard_iters}")
-    return picard_iters if model.f is not None or model.g is not None else 1
+    return picard_iters if model.f is not None else 1
+
+
+def _terminal_z(model: Model, X: np.ndarray, dt: float, copy: bool) -> np.ndarray:
+    """Terminal z = D Phi sigma, (n, k, d), of the histories in a time-major
+    buffer X (N+1, n, d): one central bump through Phi of each row's last
+    value by its own h = 1e-4 (1 + max |x_N|).  The bumps go, _BUMP_CHUNK
+    rows at a time, into X's last row, which is restored bit for bit, or
+    with copy (X being the caller's) into a copy of each chunk."""
+    d = X.shape[2]
+    z = np.empty((X.shape[1], model.dims[1], d))
+    for s in range(0, X.shape[1], _BUMP_CHUNK):
+        C = X[:, s:s + _BUMP_CHUNK].copy() if copy else X[:, s:s + _BUMP_CHUNK]
+        history, last = _history_view(C), C[-1].copy()
+        h = 1e-4 * (1.0 + np.abs(last).max(axis=1))
+        grad = np.empty((C.shape[1], model.dims[1], d))
+        for a in range(d):
+            np.add(last[:, a], h, out=C[-1, :, a])
+            grad[:, :, a] = model.Phi(history, dt)
+            np.subtract(last[:, a], h, out=C[-1, :, a])
+            grad[:, :, a] -= model.Phi(history, dt)
+            C[-1, :, a] = last[:, a]
+        grad /= 2.0 * h[:, None, None]
+        z[s:s + _BUMP_CHUNK] = np.einsum("nka,nae->nke", grad, model.sigma(history))
+    return z
 
 
 def _time_major(a: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -225,13 +261,13 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     projection onto that basis, which is dropped before the next step.
     With f absent y is the centring term.
 
-    Pass 0 is the explicit scheme (drivers read the right-endpoint y/z);
-    each further pass re-evaluates the drivers at the previous pass's
+    Every pass reads g, and pass 0 f, at its own right-endpoint y/z, from
+    the terminal z; each further pass reads f at the previous pass's
     current-step y/z, so pass p on step i needs only pass p on step i+1
     and pass p-1 on step i: the earlier passes carry one row each, and
-    only the last pass's y and z are kept whole.  Without drivers one pass
-    runs whatever picard_iters asks (scheme_params["picard_passes"]).  If
-    the pass-to-pass update norm grows on two consecutive passes the fixed
+    only the last pass's y and z are kept whole.  Without f one pass runs
+    whatever picard_iters asks (scheme_params["picard_passes"]).  If the
+    pass-to-pass update norm grows on two consecutive passes the fixed
     point is diverging and a SolverError is raised.
 
     With record_fit_se, fit_se holds the pointwise standard error of the
@@ -258,12 +294,14 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     dB = _time_major(drivers.dB, valid) if use_noise or model.g is not None else None
 
     phi = model.Phi(history, dt)
+    z_end = (np.zeros((n, k, d)) if model.g is None
+             else _terminal_z(model, X, dt, copy=True))
     # the last pass's values; rows before t_index are filled at the end
     Y = np.empty((N + 1, n, k))
     Z = np.zeros((N, n, k, d))
     Y[N] = phi
     # each pass's (y, z) on the step it swept last, the terminal one first
-    rows = [(phi, np.zeros((n, k, d)))] * passes
+    rows = [(phi, z_end)] * passes
     sq_diffs = np.zeros((passes, 2))
     # pathwise accumulation of the last pass's drivers; its mean equals the
     # field estimate and its spread carries the full sampling error
@@ -287,7 +325,7 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
         x = history[:, : i + 2]
         for p in range(passes):
             y_next = rows[p][0]
-            # the drivers read pass 0's right endpoint, or pass p-1 on step i
+            # g reads this pass's right endpoint, f pass 0's or pass p-1 on step i
             fy, fz = rows[p - 1] if p else rows[p]
             # center the z-target with the fitted continuation value; the
             # centering term is a function of the features, so it leaves the
@@ -295,7 +333,7 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
             # 1/dt variance of the raw product
             cont = y_next
             if model.g is not None:
-                gdB = np.einsum("nkl,nl->nk", model.g(x, fy, fz), dB[i])
+                gdB = np.einsum("nkl,nl->nk", model.g(x, *rows[p]), dB[i])
                 cont = cont + gdB
             center = _project(U, cont)
             z_target = (cont - center)[:, :, None] * dW[i][:, None, :] / dt
@@ -331,9 +369,9 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
         if update_norms[j] > update_norms[j - 1] > update_norms[j - 2]:
             raise SolverError(
                 "refinement passes are diverging (update norms "
-                f"{update_norms[: j + 1]}); the scheme's fixed point requires the "
-                f"backward driver's z-coefficient {model.alpha} to act as "
-                "a contraction at this step size"
+                f"{update_norms[: j + 1]}); the scheme's fixed point requires f's "
+                f"Lipschitz constant times the step, model.lip_C * dt = "
+                f"{model.lip_C * dt:.4g}, to stay below one"
             )
     Y[:i_t] = Y[i_t]
     u_estimate = Y[i_t].mean(axis=0)
@@ -442,15 +480,15 @@ def _by_children(a: np.ndarray, per_step: int) -> np.ndarray:
     return a.reshape(-1, per_step, k).transpose(0, 2, 1).reshape(-1, per_step)
 
 
-def _tree_backward(model: Model, initial: Path, tree, dB: Optional[np.ndarray],
-                   passes: int):
+def _tree_backward(model: Model, initial: Path, tree, terminal,
+                   dB: Optional[np.ndarray], passes: int):
     """Backward sweep of the given number of passes on an expanded tree for
     one frozen second driver.
 
     dB holds the frozen increments (N_rem, l); it is read only when the
     model has a backward driver.  Returns the per-level values (y_levels,
     z_levels): y_levels[j] (nodes_j, k) and z_levels[j] (nodes_j, k, d),
-    level 0 holding the roots and level N_rem the leaves (z zero there).
+    level 0 holding the roots and level N_rem the terminal (Phi, z).
     """
     levels, dw_nodes, w_nodes = tree
     d, k, l = model.dims
@@ -459,17 +497,9 @@ def _tree_backward(model: Model, initial: Path, tree, dB: Optional[np.ndarray],
     per_step = dw_nodes.shape[0]
     z_weights = w_nodes[:, None] * dw_nodes / dt          # (per_step, d)
 
-    phi = model.Phi(levels[-1], dt)                        # (leaves, k)
-    y_levels = [None] * (n_rem + 1)
-    z_levels = [None] * (n_rem + 1)
-    y_levels[n_rem] = phi
-    z_levels[n_rem] = np.zeros((phi.shape[0], k, d))
-
     for p in range(passes):
-        new_y = [None] * (n_rem + 1)
-        new_z = [None] * (n_rem + 1)
-        new_y[n_rem] = phi
-        new_z[n_rem] = z_levels[n_rem]
+        new_y = [None] * n_rem + [terminal[0]]
+        new_z = [None] * n_rem + [terminal[1]]
         for j in range(n_rem - 1, -1, -1):
             m = levels[j].shape[0]
             if p == 0:
@@ -482,7 +512,7 @@ def _tree_backward(model: Model, initial: Path, tree, dB: Optional[np.ndarray],
             if model.g is not None:
                 # einsum, not matmul: numpy's stacked matmul and BLAS gemv
                 # are several times slower on these one-column products
-                gv = model.g(levels[j + 1], fy, fz)
+                gv = model.g(levels[j + 1], new_y[j + 1], new_z[j + 1])
                 integ = integ + np.einsum("nkl,l->nk", gv, dB[j])
             integ = _by_children(integ, per_step)
             new_z[j] = (integ @ z_weights).reshape(m, k, d)
@@ -516,7 +546,7 @@ def _nested_sweeps(model: Model, roots: Sequence[Path], n_outer: int,
     outer samples are drawn once per (t_index, grid) into drawn."""
     passes = _refinement_passes(model, picard_iters)
     first = roots[0]
-    l = model.dims[2]
+    d, k, l = model.dims
     n_rem = len(first.grid_times) - 1 - first.t_index
     if frozen_B is not None:
         all_dB = np.asarray(frozen_B, dtype=np.float64).reshape(1, n_rem, l)
@@ -532,7 +562,12 @@ def _nested_sweeps(model: Model, roots: Sequence[Path], n_outer: int,
                           if n_rem else np.zeros((n_outer, 0, l)))
         all_dB = drawn[key]
     tree = _tree_forward(model, roots, branching, scratch)
-    return [keep(tree, *_tree_backward(model, first, tree, dB, passes))
+    leaves = tree[0][-1]                                   # (leaves, N+1, d)
+    phi, z_end = model.Phi(leaves, first.dt), np.zeros((leaves.shape[0], k, d))
+    if model.g is not None:        # bumps the tree buffer's last row in place
+        X = scratch[0][:leaves.size].reshape(leaves.shape[1], leaves.shape[0], d)
+        z_end = _terminal_z(model, X, first.dt, copy=False)
+    return [keep(tree, *_tree_backward(model, first, tree, (phi, z_end), dB, passes))
             for dB in all_dB]
 
 
@@ -567,7 +602,7 @@ def solve_nested(model: Model, initial: Path, n_outer: int, seed: int,
     i_t = initial.t_index
     roots, y_means, z_means = zip(*_nested_sweeps(
         model, [initial], n_outer, seed, branching, picard_iters, frozen_B,
-        _root_and_means, scratch=None, drawn={}))
+        _root_and_means, scratch=[], drawn={}))
     n_rows = n_outer if frozen_B is None else 1
     n_sweeps = len(roots)
     y = np.zeros((n_sweeps, N + 1, k))

@@ -101,7 +101,7 @@ def test_unknown_check_rejected():
 
 def test_closed_form_check_needs_closed_form():
     with pytest.raises(ConfigError):
-        load_config(base_config(model="linear-g",
+        load_config(base_config(model="nonlinear-f",
                                 checks={"closed_form": {}}))
 
 

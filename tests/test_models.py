@@ -38,7 +38,16 @@ def test_registry_contents():
                      "path-f"]
     assert get_entry("heat").closed_form_u is not None
     assert get_entry("asian").closed_form_Z is not None
-    assert get_entry("linear-g").closed_form_u is None
+    # the backward-driver models' closed forms are means over B, gamma(t)
+    assert get_entry("linear-g").closed_form_u is not None
+    assert get_entry("linear-g").closed_form_Z is None
+    assert get_entry("z-in-g").closed_form_Z is not None
+    assert get_entry("nonlinear-f").closed_form_u is None
+    assert get_entry("path-f").closed_form_u is None
+    start = Path(make_grid(1.0, 4), np.array([[0.1], [0.7]]))
+    for name in ("linear-g", "z-in-g"):
+        assert get_entry(name).closed_form_u(start).tolist() == [0.7]
+    assert get_entry("z-in-g").closed_form_Z(start).tolist() == [[1.0]]
     with pytest.raises(KeyError):
         get_model("nope")
 

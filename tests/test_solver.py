@@ -31,7 +31,7 @@ def linear_terminal_model():
 
 def ensemble(model, N=16, n=4000, seed=0, x0=0.0, t_index=0):
     grid = make_grid(T, N)
-    vals = np.full((t_index + 1, 1), x0)
+    vals = np.full((t_index + 1, model.dims[0]), x0)
     init = Path(grid, vals)
     drv = sample_drivers(grid, n, seed, d=model.dims[0], l=model.dims[2])
     return simulate_forward(model, init, drv)
@@ -208,6 +208,77 @@ def test_integral_terminal_field_value():
     assert abs(sol.u_estimate[0] - 1.0) < 3.0 * sol.u_stderr[0]
 
 
+def test_linear_g_mean_is_unbiased_at_default_passes():
+    # g = 0.3 y is read at the right endpoint on every pass, so the default
+    # passes keep E_B u = x0; reading it at a refined current-step y added
+    # about 9% (1.09 at x0 = 1)
+    entry = get_entry("linear-g")
+    ens = ensemble(entry.model, N=16, n=10_000, seed=25, x0=1.0)
+    sol = solve_regression(entry.model, ens)
+    assert sol.scheme_params["picard_passes"] == 1
+    assert abs(sol.u_estimate[0] - 1.0) < 3.0 * sol.u_stderr[0]
+
+
+@pytest.mark.parametrize("name", ["linear-g", "z-in-g"])
+@pytest.mark.parametrize("engine", ["regression", "nested"])
+def test_backward_driver_means_match_closed_forms(name, engine):
+    # E_B u = gamma(t) away from zero and after the start of the grid
+    entry = get_entry(name)
+    if engine == "regression":
+        ens = ensemble(entry.model, N=8, n=4000, seed=26, x0=0.6, t_index=2)
+        initial, sol = ens.initial, solve_regression(entry.model, ens)
+    else:
+        initial = Path(make_grid(T, 5), np.array([[0.2], [0.6]]))
+        sol = solve_nested(entry.model, initial, n_outer=16, seed=27, branching=3)
+    target = entry.closed_form_u(initial)
+    assert target.tolist() == [0.6]
+    assert abs(sol.u_estimate[0] - target[0]) < 3.0 * sol.u_stderr[0]
+
+
+def test_terminal_z_is_phi_gradient_times_sigma(monkeypatch):
+    from dataclasses import replace
+    m = two_driver_model()
+    rng = np.random.default_rng(28)
+    X = rng.normal(size=(5, 30, 2))              # time-major histories
+    X[-1, :4] = -0.0
+    before = _bits(X).copy()
+    z = solver._terminal_z(m, X, 0.25, copy=False)
+    # the bumped last row is restored bit for bit, signed zeros included
+    assert np.array_equal(_bits(X), before)
+    history = X.transpose(1, 0, 2)
+    ref = _copied_terminal_z(m, history, 0.25)
+    assert np.allclose(z, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+    # each row takes its own bump, so a row's z ignores the rows beside it,
+    # and chunks of any size give the same bits, in place or on copies
+    assert np.array_equal(z[7:12], solver._terminal_z(m, X[:, 7:12], 0.25, copy=True))
+    monkeypatch.setattr(solver, "_BUMP_CHUNK", 7)
+    for copy in (False, True):
+        assert np.array_equal(solver._terminal_z(m, X, 0.25, copy=copy), z)
+        assert np.array_equal(_bits(X), before)
+    # a quadratic terminal has the exact gradient 2 x, sigma = 1
+    heat = get_model("heat")
+    z_heat = solver._terminal_z(heat, X[:, :, :1].copy(), 0.25, copy=False)
+    assert np.allclose(z_heat[:, 0, 0], 2.0 * X[-1, :, 0], rtol=0.0, atol=1e-10)
+    # a terminal that returns a view of the histories still sees both bumps
+    view = replace(heat, Phi=lambda x, dt: x[:, -1, :1])
+    assert np.allclose(solver._terminal_z(view, X[:, :, :1].copy(), 0.25, copy=False), 1.0,
+                       rtol=0.0, atol=1e-11)
+
+
+def test_solves_leave_the_histories_untouched():
+    # the terminal z bumps copies of the caller's histories, and the nested
+    # engine only its own tree buffer
+    m = two_driver_model()
+    ens = ensemble(m, N=4, n=700, seed=29, x0=0.3, t_index=1)
+    before = _bits(ens.x_values).copy()
+    solve_regression(m, ens)
+    assert np.array_equal(_bits(ens.x_values), before)
+    init = Path(make_grid(T, 3), np.array([[0.2, -0.1], [0.4, 0.3]]))
+    values = init.values.copy()
+    solve_nested(m, init, n_outer=2, seed=0, branching=3)
+    assert np.array_equal(init.values, values)
+
+
 def test_terminal_row_is_phi_bit_exact():
     m = get_model("heat")
     ens = ensemble(m, N=8, n=500, seed=4)
@@ -308,8 +379,9 @@ def _with_zero_drivers(model, f=False, g=False):
 
 @pytest.mark.parametrize("zero", ["f", "g"])
 def test_absent_drivers_match_explicit_zero_drivers(zero):
-    # an explicit zero driver runs every pass and every projection; the
-    # absent driver takes the short path and must land on the same floats
+    # an explicit zero driver runs every projection (and, for f, every
+    # pass; an explicit g also takes the terminal z); the absent driver
+    # takes the short path and must land on the same floats
     m = get_model("heat")
     explicit = _with_zero_drivers(m, f=zero == "f", g=zero == "g")
     ens = ensemble(m, N=6, n=800, seed=16, x0=0.3, t_index=1)
@@ -317,7 +389,7 @@ def test_absent_drivers_match_explicit_zero_drivers(zero):
     a = solve_regression(m, ens, basis=basis, record_fit_se=True)
     b = solve_regression(explicit, ens, basis=basis, record_fit_se=True)
     assert a.scheme_params["picard_passes"] == 1
-    assert b.scheme_params["picard_passes"] == 2
+    assert b.scheme_params["picard_passes"] == (2 if zero == "f" else 1)
     for name in ("y", "z", "u_estimate", "u_stderr", "rollout", "fit_se"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -341,11 +413,11 @@ def test_driverless_model_runs_one_pass():
     assert n3.scheme_params["picard_passes"] == 1
 
 
-@pytest.mark.parametrize("name, per_step", [("heat", 2), ("linear-g", 4),
+@pytest.mark.parametrize("name, per_step", [("heat", 2), ("linear-g", 2),
                                             ("path-f", 6)])
 def test_projections_per_step(monkeypatch, name, per_step):
     # centring and z on every pass, y only with f, and a second pass only
-    # with a driver
+    # with f
     m = get_model(name)
     ens = ensemble(m, N=4, n=600, seed=18)
     calls = []
@@ -471,10 +543,29 @@ def _forward_designs(basis, X, t_index, dt, dB):
             rest = rest - dB[i]
 
 
+def _copied_terminal_z(model, history, dt):
+    """The terminal z, D Phi sigma, by central differences of Phi on
+    bumped copies of the whole (n, N+1, d) histories, each row bumped by
+    its own h = 1e-4 (1 + max |x_N|); zero without g."""
+    n, _, d = history.shape
+    if model.g is None:
+        return np.zeros((n, model.dims[1], d))
+    h = 1e-4 * (1.0 + np.abs(history[:, -1]).max(axis=1))
+    grad = []
+    for a in range(d):
+        up, down = history.copy(), history.copy()
+        up[:, -1, a] += h
+        down[:, -1, a] -= h
+        grad.append((model.Phi(up, dt) - model.Phi(down, dt)) / (2.0 * h)[:, None])
+    return np.einsum("nka,nae->nke", np.stack(grad, axis=-1), model.sigma(history))
+
+
 def _pass_after_pass(model, ens, basis, picard_iters):
     """The regression scheme run one whole pass after another over stored
     per-step bases: the arrays solve_regression returns, and the update
-    norms as root-mean-square differences of whole passes."""
+    norms as root-mean-square differences of whole passes.  g reads each
+    pass's own right endpoint, from the terminal z on; f reads the right
+    endpoint on the first pass and the previous pass's step afterwards."""
     d, k, l = model.dims
     X = _time_major(ens.x_values, ens.valid_mask)
     dW = _time_major(ens.drivers.dW, ens.valid_mask)
@@ -487,17 +578,18 @@ def _pass_after_pass(model, ens, basis, picard_iters):
     bases = {i: _column_basis(A) for i, A in
              _forward_designs(basis, X, i_t, dt, dB if noise else None)}
     phi = model.Phi(history, dt)
+    z_end = _copied_terminal_z(model, history, dt)
     prev, norms = None, []
     for _ in range(solver._refinement_passes(model, picard_iters)):
         Y, Z = np.zeros((N + 1, n, k)), np.zeros((N + 1, n, k, d))
-        Y[N] = phi
+        Y[N], Z[N] = phi, z_end
         rollout, fit_se = phi.copy(), np.zeros((N + 1, n, k))
         for i in range(N - 1, i_t - 1, -1):
             U, x = bases[i], history[:, : i + 2]
             fy, fz = (Y[i + 1], Z[i + 1]) if prev is None else (prev[0][i], prev[1][i])
             cont = Y[i + 1]
             if model.g is not None:
-                gdB = np.einsum("nkl,nl->nk", model.g(x, fy, fz), dB[i])
+                gdB = np.einsum("nkl,nl->nk", model.g(x, Y[i + 1], Z[i + 1]), dB[i])
                 cont = cont + gdB
             center = _project(U, cont)
             z_target = (cont - center)[:, :, None] * dW[i][:, None, :] / dt
@@ -525,7 +617,8 @@ def _pass_after_pass(model, ens, basis, picard_iters):
     return out, norms
 
 
-@pytest.mark.parametrize("name", ["path-f", "nonlinear-f", "linear-g", "z-in-g"])
+@pytest.mark.parametrize("name", ["path-f", "nonlinear-f", "linear-g", "z-in-g",
+                                  "two-driver"])
 @pytest.mark.parametrize("picard_iters", [1, 2, 3])
 @pytest.mark.parametrize("t_index", [0, 2])
 def test_backward_sweep_matches_pass_after_pass(name, picard_iters, t_index):
@@ -535,7 +628,7 @@ def test_backward_sweep_matches_pass_after_pass(name, picard_iters, t_index):
     # the outputs agree bit for bit; the remaining noise sum is carried
     # backward in the sweep and forward in the reference, which moves
     # round-off only
-    m = get_model(name)
+    m = two_driver_model() if name == "two-driver" else get_model(name)
     feature_set = "endpoint+runmax+runint" if name == "path-f" else "endpoint"
     basis = RegressionBasis(feature_set=feature_set)
     ens = ensemble(m, N=8, n=1500, seed=19, x0=0.4, t_index=t_index)
@@ -686,6 +779,36 @@ def test_nested_budget_guards():
         solve_nested(m, wide, n_outer=1, seed=0, branching=8)
 
 
+def test_nested_linear_g_frozen_field_is_the_product():
+    # conditioned on B the discrete field is gamma(t) prod_j (1 + 0.3 dB_j):
+    # the quadrature is exact for the linear terminal and g reads each
+    # step's right endpoint on every pass
+    m = get_model("linear-g")
+    init = Path(make_grid(T, 6), np.array([[0.1], [0.4], [0.7]]))
+    dB = frozen_noise_increments(init.grid_times, 2, 1, seed=30, n_outer=1)[0]
+    exact = 0.7 * np.prod(1.0 + 0.3 * dB[:, 0])
+    for picard_iters in (1, 2, 3):
+        sol = solve_nested(m, init, n_outer=1, seed=0, branching=4,
+                           picard_iters=picard_iters, frozen_B=dB)
+        assert sol.scheme_params["picard_passes"] == 1
+        assert abs(sol.u_estimate[0] - exact) < 1e-12
+
+
+def test_nested_z_in_g_frozen_field_adds_the_whole_noise():
+    # Z = 1 on every path, so conditioned on B the field is
+    # gamma(t) + 0.5 (B_T - B_t); the terminal z carries the last step's
+    # increment, which a zero terminal z drops
+    m = get_model("z-in-g")
+    init = Path(make_grid(T, 6), np.array([[0.1], [0.4], [0.7]]))
+    dB = frozen_noise_increments(init.grid_times, 2, 1, seed=31, n_outer=1)[0]
+    sol = solve_nested(m, init, n_outer=1, seed=0, branching=4, picard_iters=1,
+                       frozen_B=dB)
+    assert abs(sol.u_estimate[0] - (0.7 + 0.5 * dB.sum())) < 1e-12
+    rest = np.cumsum(dB[::-1, 0])[::-1]              # B_T - B_{t_i}, i >= 2
+    assert np.allclose(sol.y[0, 2:-1, 0], 0.7 + 0.5 * rest, rtol=0.0, atol=1e-12)
+    assert np.allclose(sol.z[0, 2:], 1.0, rtol=0.0, atol=1e-12)
+
+
 def test_nested_frozen_noise_reproducibility():
     m = get_model("linear-g")
     init = Path(make_grid(T, 4), np.array([[0.5]]))
@@ -799,19 +922,19 @@ def test_nested_pass_count_and_branching_validated_before_any_tree(monkeypatch, 
 
 
 def _einsum_tree_backward(model, initial, tree, dB, picard_iters):
-    """Reference sweep: every driver evaluated (zero when absent) and each
-    level contracted by einsum over (node, child, component) arrays."""
+    """Reference sweep: every driver evaluated (zero when absent), g at
+    each pass's own children from the terminal z on, and each level
+    contracted by einsum over (node, child, component) arrays."""
     levels, dw_nodes, w_nodes = tree
     d, k, l = model.dims
     dt = initial.dt
     n_rem = len(levels) - 1
     q = dw_nodes.shape[0]
     phi = model.Phi(levels[-1], dt)
-    y_lv = [None] * n_rem + [phi]
-    z_lv = [None] * n_rem + [np.zeros((phi.shape[0], k, d))]
+    z_end = _copied_terminal_z(model, levels[-1], dt)
     for p in range(picard_iters):
         new_y = [None] * n_rem + [phi]
-        new_z = [None] * n_rem + [z_lv[n_rem]]
+        new_z = [None] * n_rem + [z_end]
         for j in range(n_rem - 1, -1, -1):
             m = levels[j].shape[0]
             if p == 0:
@@ -820,7 +943,8 @@ def _einsum_tree_backward(model, initial, tree, dB, picard_iters):
                 fy = np.repeat(y_lv[j], q, axis=0)
                 fz = np.repeat(z_lv[j], q, axis=0)
             fv = model.eval_f(levels[j + 1], fy, fz).reshape(m, q, k)
-            gdB = np.einsum("nkl,l->nk", model.eval_g(levels[j + 1], fy, fz),
+            gdB = np.einsum("nkl,l->nk", model.eval_g(levels[j + 1], new_y[j + 1],
+                                                      new_z[j + 1]),
                             dB[j]).reshape(m, q, k)
             integ = new_y[j + 1].reshape(m, q, k) + gdB
             new_z[j] = np.einsum("q,mqk,qd->mkd", w_nodes, integ, dw_nodes) / dt
@@ -854,8 +978,12 @@ def test_tree_backward_matches_einsum_reference(name):
     tree = _tree_forward(m, [init], branching)
     dB = frozen_noise_increments(init.grid_times, init.t_index, l, seed=4,
                                  n_outer=1)[0]
+    leaves = tree[0][-1]
+    z_end = np.zeros((leaves.shape[0], k, d))
+    if m.g is not None:
+        z_end = solver._terminal_z(m, leaves.transpose(1, 0, 2), init.dt, copy=True)
     for picard in (1, 2):
-        got = _tree_backward(m, init, tree, dB, picard)
+        got = _tree_backward(m, init, tree, (m.Phi(leaves, init.dt), z_end), dB, picard)
         ref = _einsum_tree_backward(m, init, tree, dB, picard)
         for got_levels, ref_levels in zip(got, ref):
             assert len(got_levels) == len(ref_levels)

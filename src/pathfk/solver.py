@@ -9,12 +9,12 @@ Two engines estimate the same discrete backward scheme:
   over the first driver while the second driver's increments are frozen per
   outer sample.
 
-Both engines share one discretization, explicit in the backward driver g
-(integrated backward): every pass reads g, and its first pass f, at each
-step's right endpoint, from a terminal z of D Phi sigma (zero without g).
-Refinement passes, only with f, move f's y/z arguments to the current step,
-a fixed-point iteration toward the scheme implicit in f that contracts
-while f's Lipschitz constant times the step is below one.
+Both engines share one discretization, explicit in z and in the backward
+driver g (integrated backward) and implicit in y: each step reads g at its
+right endpoint, from a terminal z of D Phi sigma (zero without g), takes the
+conditional expectation of the continuation y + g dB once for z, and with f
+iterates y toward the step's fixed point (_iterate_y), which contracts while
+f's Lipschitz constant times the step is below one.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def _project(U: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return U @ (U.T @ targets)
 
 
-# -- solutions -----------------------------------------------------------
+# -- solutions and the shared backward step ------------------------------
 
 
 @dataclass
@@ -200,16 +200,37 @@ class BackwardSolution:
         return self.y.shape[0]
 
 
-# -- regression engine ---------------------------------------------------
-
-
-def _refinement_passes(model: Model, picard_iters: int) -> int:
-    """Passes an engine runs: refinement moves only f's (y, z) arguments,
-    so without f a second pass would repeat the first.  Both engines ask
-    before any work, so picard_iters < 1 raises ValueError."""
+def _step_iterations(model: Model, picard_iters: int) -> int:
+    """y-iterations per backward step, none without f (the only reader of
+    the step's own y); both engines ask before any work."""
     if picard_iters < 1:
-        raise ValueError(f"need at least one pass, got picard_iters={picard_iters}")
-    return picard_iters if model.f is not None else 1
+        raise ValueError(f"need at least one iteration, got picard_iters={picard_iters}")
+    return picard_iters if model.f is not None else 0
+
+
+def _iterate_y(model: Model, x: np.ndarray, y: np.ndarray, z: np.ndarray,
+               expect, lift, dt: float, iters: int, step: int):
+    """Iterate y <- expect(f(x, lift(y), lift(z)) dt) iters >= 1 times on one
+    backward step from y = E[continuation], where expect(v) = E[continuation
+    + v] and lift carries per-node values to the rows of x; returns the last
+    y, the last f dt and the rms of the last update.  While f honours
+    model.lip_C each update is at most lip_C * dt times the one before
+    (expect cannot lengthen a vector), so one that does not shrink, above a
+    round-off floor of 1e-12 (1 + max |y|), raises SolverError naming the step."""
+    z, last = lift(z), None
+    for it in range(iters):
+        fdt = model.f(x, lift(y), z) * dt
+        new = expect(fdt)
+        step_y = new - y
+        update = math.sqrt(np.vdot(step_y, step_y) / step_y.size)
+        if it and update >= last and update > 1e-12 * (1.0 + np.abs(new).max()):
+            raise SolverError(
+                f"step {step}: the y-iteration update did not shrink ({last:.3g} "
+                f"-> {update:.3g}); the step's fixed point requires f's Lipschitz "
+                f"constant times the step, model.lip_C * dt = {model.lip_C * dt:.4g}, "
+                "to stay below one")
+        y, last = new, update
+    return y, fdt, last
 
 
 def _terminal_z(model: Model, X: np.ndarray, dt: float, copy: bool) -> np.ndarray:
@@ -236,6 +257,9 @@ def _terminal_z(model: Model, X: np.ndarray, dt: float, copy: bool) -> np.ndarra
     return z
 
 
+# -- regression engine ---------------------------------------------------
+
+
 def _time_major(a: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """The valid scenarios of a scenario-major (n, time, .) array as a
     contiguous time-major (time, n_valid, .) array, so every step reads
@@ -256,25 +280,23 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     design matrix is built column-major and factored once, in place, by one
     compact-WY Householder block and an SVD of the p x p triangle, into an
     orthonormal basis formed by one matrix product (_column_basis; a
-    non-finite design raises SolverError); every pass's update on that
-    step (the centring term, z, y, and the rollout behind fit_se) is a
+    non-finite design raises SolverError); every update on that step (the
+    centring term, z, each y-iteration, and the rollout behind fit_se) is a
     projection onto that basis, which is dropped before the next step.
-    With f absent y is the centring term.
 
-    Every pass reads g, and pass 0 f, at its own right-endpoint y/z, from
-    the terminal z; each further pass reads f at the previous pass's
-    current-step y/z, so pass p on step i needs only pass p on step i+1
-    and pass p-1 on step i: the earlier passes carry one row each, and
-    only the last pass's y and z are kept whole.  Without f one pass runs
-    whatever picard_iters asks (scheme_params["picard_passes"]).  If the
-    pass-to-pass update norm grows on two consecutive passes the fixed
-    point is diverging and a SolverError is raised.
+    g reads the step's right endpoint, from the terminal z on; z is taken
+    from the continuation y_{i+1} + g dB_i, centred by its projection,
+    which is also y's start, and with f, y iterates picard_iters times
+    (_iterate_y; scheme_params["step_iterations"], 0 without f), raising
+    SolverError at the first step whose update does not shrink.
+    scheme_params["update_norms"] holds each step's last update, from
+    t_index on (empty without f).
 
     With record_fit_se, fit_se holds the pointwise standard error of the
-    last pass's fitted y: the leverage of each scenario times the rollout's
-    residual variance over n - rank degrees of freedom.
+    fitted y: the leverage of each scenario times the rollout's residual
+    variance over n - rank degrees of freedom.
     """
-    passes = _refinement_passes(model, picard_iters)
+    iters = _step_iterations(model, picard_iters)
     basis = basis or RegressionBasis()
     d, k, l = model.dims
     drivers = ensemble.drivers
@@ -294,17 +316,16 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     dB = _time_major(drivers.dB, valid) if use_noise or model.g is not None else None
 
     phi = model.Phi(history, dt)
-    z_end = (np.zeros((n, k, d)) if model.g is None
-             else _terminal_z(model, X, dt, copy=True))
-    # the last pass's values; rows before t_index are filled at the end
+    # z of the step solved last, which g reads: the terminal z first
+    z = (np.zeros((n, k, d)) if model.g is None
+         else _terminal_z(model, X, dt, copy=True))
+    # rows before t_index are filled at the end
     Y = np.empty((N + 1, n, k))
     Z = np.zeros((N, n, k, d))
     Y[N] = phi
-    # each pass's (y, z) on the step it swept last, the terminal one first
-    rows = [(phi, z_end)] * passes
-    sq_diffs = np.zeros((passes, 2))
-    # pathwise accumulation of the last pass's drivers; its mean equals the
-    # field estimate and its spread carries the full sampling error
+    update_norms = []
+    # pathwise accumulation of the drivers; its mean equals the field
+    # estimate and its spread carries the full sampling error
     rollout = phi.copy()
     fit_se = np.zeros((N + 1, n, k)) if record_fit_se else None
 
@@ -323,32 +344,23 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
             raise SolverError(f"step {i}: {exc} (a feature overflowed, or the "
                               "second driver's increments are not finite)") from None
         x = history[:, : i + 2]
-        for p in range(passes):
-            y_next = rows[p][0]
-            # g reads this pass's right endpoint, f pass 0's or pass p-1 on step i
-            fy, fz = rows[p - 1] if p else rows[p]
-            # center the z-target with the fitted continuation value; the
-            # centering term is a function of the features, so it leaves the
-            # conditional expectation unchanged while removing the dominant
-            # 1/dt variance of the raw product
-            cont = y_next
-            if model.g is not None:
-                gdB = np.einsum("nkl,nl->nk", model.g(x, *rows[p]), dB[i])
-                cont = cont + gdB
-            center = _project(U, cont)
-            z_target = (cont - center)[:, :, None] * dW[i][:, None, :] / dt
-            z = _project(U, z_target.reshape(n, k * d)).reshape(n, k, d)
-            if model.f is None:
-                y = center   # the y target is cont itself
-            else:
-                fdt = model.f(x, fy, fz) * dt
-                y_target = y_next + fdt
-                y = _project(U, y_target if model.g is None else y_target + gdB)
-            if p:
-                sq_diffs[p] += (np.sum((y - fy) ** 2), np.sum((z - fz) ** 2))
-            rows[p] = y, z
-        Y[i], Z[i] = y, z
-        if model.f is not None:
+        cont = Y[i + 1]
+        if model.g is not None:
+            gdB = np.einsum("nkl,nl->nk", model.g(x, Y[i + 1], z), dB[i])
+            cont = cont + gdB
+        # center the z-target with the fitted continuation value; the
+        # centering term is a function of the features, so it leaves the
+        # conditional expectation unchanged while removing the dominant
+        # 1/dt variance of the raw product
+        center = _project(U, cont)
+        z_target = (cont - center)[:, :, None] * dW[i][:, None, :] / dt
+        Z[i] = z = _project(U, z_target.reshape(n, k * d)).reshape(n, k, d)
+        Y[i] = center
+        if iters:
+            Y[i], fdt, update = _iterate_y(model, x, center, z,
+                                           lambda v: _project(U, cont + v),
+                                           lambda v: v, dt, iters, i)
+            update_norms.append(update)
             rollout = rollout + fdt
         if model.g is not None:
             rollout = rollout + gdB
@@ -361,18 +373,6 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
             leverage = np.sum(U ** 2, axis=1)
             fit_se[i] = np.sqrt(leverage[:, None] * resid_var[None, :])
 
-    # root-mean-square updates over the whole (N+1)-row y and z arrays
-    update_norms = [float(np.sqrt(sy / ((N + 1) * n * k))
-                          + np.sqrt(sz / ((N + 1) * n * k * d)))
-                    for sy, sz in sq_diffs[1:]]
-    for j in range(2, len(update_norms)):
-        if update_norms[j] > update_norms[j - 1] > update_norms[j - 2]:
-            raise SolverError(
-                "refinement passes are diverging (update norms "
-                f"{update_norms[: j + 1]}); the scheme's fixed point requires f's "
-                f"Lipschitz constant times the step, model.lip_C * dt = "
-                f"{model.lip_C * dt:.4g}, to stay below one"
-            )
     Y[:i_t] = Y[i_t]
     u_estimate = Y[i_t].mean(axis=0)
     u_stderr = rollout.std(axis=0, ddof=1) / np.sqrt(n)
@@ -385,14 +385,14 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
         u_stderr=u_stderr,
         scheme_params={
             "picard_iters": picard_iters,
-            "picard_passes": passes,
+            "step_iterations": iters,
             "feature_set": basis.feature_set,
             "degree": basis.degree,
             "future_noise_features": bool(use_noise),
             "n_scenarios": int(n),
             "excluded_scenarios": ensemble.excluded_count,
             "seed": int(drivers.seed),
-            "update_norms": update_norms,
+            "update_norms": update_norms[::-1],
         },
         rollout=rollout,
         fit_se=None if fit_se is None else fit_se.transpose(1, 0, 2),
@@ -481,14 +481,16 @@ def _by_children(a: np.ndarray, per_step: int) -> np.ndarray:
 
 
 def _tree_backward(model: Model, initial: Path, tree, terminal,
-                   dB: Optional[np.ndarray], passes: int):
-    """Backward sweep of the given number of passes on an expanded tree for
-    one frozen second driver.
+                   dB: Optional[np.ndarray], iters: int):
+    """One backward sweep of an expanded tree for one frozen second driver.
 
-    dB holds the frozen increments (N_rem, l); it is read only when the
-    model has a backward driver.  Returns the per-level values (y_levels,
-    z_levels): y_levels[j] (nodes_j, k) and z_levels[j] (nodes_j, k, d),
-    level 0 holding the roots and level N_rem the terminal (Phi, z).
+    Each level takes the quadrature of its children's continuation y + g dB
+    once (g at the children's own (y, z), from the terminal (Phi, z) on); z
+    follows, and with f, y iterates iters times (_iterate_y).  dB holds the
+    frozen increments (N_rem, l), read only when the model has a backward
+    driver.  Returns the per-level values (y_levels, z_levels): y_levels[j]
+    (nodes_j, k) and z_levels[j] (nodes_j, k, d), level 0 holding the roots
+    and level N_rem the terminal (Phi, z).
     """
     levels, dw_nodes, w_nodes = tree
     d, k, l = model.dims
@@ -496,31 +498,25 @@ def _tree_backward(model: Model, initial: Path, tree, terminal,
     n_rem = len(levels) - 1
     per_step = dw_nodes.shape[0]
     z_weights = w_nodes[:, None] * dw_nodes / dt          # (per_step, d)
-
-    for p in range(passes):
-        new_y = [None] * n_rem + [terminal[0]]
-        new_z = [None] * n_rem + [terminal[1]]
-        for j in range(n_rem - 1, -1, -1):
-            m = levels[j].shape[0]
-            if p == 0:
-                fy = new_y[j + 1]
-                fz = new_z[j + 1]
-            else:
-                fy = np.repeat(y_levels[j], per_step, axis=0)
-                fz = np.repeat(z_levels[j], per_step, axis=0)
-            integ = new_y[j + 1]
-            if model.g is not None:
-                # einsum, not matmul: numpy's stacked matmul and BLAS gemv
-                # are several times slower on these one-column products
-                gv = model.g(levels[j + 1], new_y[j + 1], new_z[j + 1])
-                integ = integ + np.einsum("nkl,l->nk", gv, dB[j])
-            integ = _by_children(integ, per_step)
-            new_z[j] = (integ @ z_weights).reshape(m, k, d)
-            if model.f is not None:
-                integ = integ + _by_children(model.f(levels[j + 1], fy, fz), per_step) * dt
-            new_y[j] = (integ @ w_nodes).reshape(m, k)
-        y_levels, z_levels = new_y, new_z
-
+    lift = lambda v: v.repeat(per_step, axis=0)
+    y_levels = [None] * n_rem + [terminal[0]]
+    z_levels = [None] * n_rem + [terminal[1]]
+    for j in range(n_rem - 1, -1, -1):
+        m = levels[j].shape[0]
+        cont = y_levels[j + 1]
+        if model.g is not None:
+            # einsum, not matmul: numpy's stacked matmul and BLAS gemv
+            # are several times slower on these one-column products
+            gv = model.g(levels[j + 1], y_levels[j + 1], z_levels[j + 1])
+            cont = cont + np.einsum("nkl,l->nk", gv, dB[j])
+        integ = _by_children(cont, per_step)
+        z_levels[j] = (integ @ z_weights).reshape(m, k, d)
+        y_levels[j] = y = (integ @ w_nodes).reshape(m, k)
+        if iters:       # E[cont + v] = y + E[v], so an iteration contracts v alone
+            y_levels[j] = _iterate_y(
+                model, levels[j + 1], y, z_levels[j],
+                lambda v: y + (_by_children(v, per_step) @ w_nodes).reshape(m, k),
+                lift, dt, iters, initial.t_index + j)[0]
     return y_levels, z_levels
 
 
@@ -544,7 +540,7 @@ def _nested_sweeps(model: Model, roots: Sequence[Path], n_outer: int,
     outer samples depend only on (seed, depth), so every root shares them;
     see solve_nested.  The tree grows in scratch (see _tree_forward); the
     outer samples are drawn once per (t_index, grid) into drawn."""
-    passes = _refinement_passes(model, picard_iters)
+    iters = _step_iterations(model, picard_iters)
     first = roots[0]
     d, k, l = model.dims
     n_rem = len(first.grid_times) - 1 - first.t_index
@@ -567,7 +563,7 @@ def _nested_sweeps(model: Model, roots: Sequence[Path], n_outer: int,
     if model.g is not None:        # bumps the tree buffer's last row in place
         X = scratch[0][:leaves.size].reshape(leaves.shape[1], leaves.shape[0], d)
         z_end = _terminal_z(model, X, first.dt, copy=False)
-    return [keep(tree, *_tree_backward(model, first, tree, (phi, z_end), dB, passes))
+    return [keep(tree, *_tree_backward(model, first, tree, (phi, z_end), dB, iters))
             for dB in all_dB]
 
 
@@ -594,7 +590,8 @@ def solve_nested(model: Model, initial: Path, n_outer: int, seed: int,
     zero spread.  A model without a backward driver never reads the frozen
     noise, so every outer sample poses the same conditional problem: the
     tree is swept once, each of the n_outer rows of y and z repeats that
-    sweep and the spread is zero.
+    sweep and the spread is zero.  With f, each level's y iterates
+    picard_iters times (_iterate_y; scheme_params["step_iterations"]).
     """
     d, k, _ = model.dims
     grid = initial.grid_times
@@ -629,7 +626,7 @@ def solve_nested(model: Model, initial: Path, n_outer: int, seed: int,
         u_stderr=u_stderr,
         scheme_params={
             "picard_iters": picard_iters,
-            "picard_passes": _refinement_passes(model, picard_iters),
+            "step_iterations": _step_iterations(model, picard_iters),
             "branching": int(branching),
             "n_outer": int(n_rows),
             "outer_sweeps": int(n_sweeps),

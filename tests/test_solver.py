@@ -209,13 +209,12 @@ def test_integral_terminal_field_value():
 
 
 def test_linear_g_mean_is_unbiased_at_default_passes():
-    # g = 0.3 y is read at the right endpoint on every pass, so the default
-    # passes keep E_B u = x0; reading it at a refined current-step y added
-    # about 9% (1.09 at x0 = 1)
+    # g = 0.3 y is read at the right endpoint, so E_B u = x0; reading it at
+    # a refined current-step y added about 9% (1.09 at x0 = 1)
     entry = get_entry("linear-g")
     ens = ensemble(entry.model, N=16, n=10_000, seed=25, x0=1.0)
     sol = solve_regression(entry.model, ens)
-    assert sol.scheme_params["picard_passes"] == 1
+    assert sol.scheme_params["step_iterations"] == 0
     assert abs(sol.u_estimate[0] - 1.0) < 3.0 * sol.u_stderr[0]
 
 
@@ -347,15 +346,19 @@ def test_feature_budget_guard(monkeypatch):
 
 
 def test_picard_validation_and_divergence(monkeypatch):
+    import warnings
     factored = []
     with monkeypatch.context() as patched:
         patched.setattr(solver, "_column_basis", factored.append)
         with pytest.raises(ValueError, match="picard_iters=0"):
             solve_regression(get_model("heat"), ensemble(get_model("heat"), n=500),
                              picard_iters=0)
-    # the pass count is checked before any design is factored
+    # the iteration count is checked before any design is factored
     assert factored == []
-    # f = c*y with c*dt > 1 makes the pass-to-pass fixed-point map expansive
+    # f = c*y with c*dt > 1 makes each step's fixed-point map expansive: the
+    # first backward step, 3, raises from the default count on, before any
+    # value overflows (whole-sweep passes returned -146, exact 0, at the
+    # default two and overflowed on the way to a late verdict at 400)
     runaway = Model(
         b=lambda x: np.zeros((x.shape[0], 1)),
         sigma=lambda x: np.broadcast_to(np.eye(1), (x.shape[0], 1, 1)),
@@ -364,8 +367,39 @@ def test_picard_validation_and_divergence(monkeypatch):
         lip_C=20.0, growth_m=0.0, alpha=0.5, name="runaway",
     )
     ens = ensemble(runaway, N=4, n=500, seed=8)
-    with pytest.raises(SolverError):
-        solve_regression(runaway, ens, picard_iters=8)
+    init = Path(make_grid(T, 4), np.array([[0.0]]))
+    solves = (lambda it: solve_regression(runaway, ens, picard_iters=it),
+              lambda it: solve_nested(runaway, init, n_outer=1, seed=0,
+                                      branching=4, picard_iters=it))
+    for solve in solves:
+        for iters in (2, 400):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SolverError, match=r"step 3: .* -> .*"
+                                   r"model\.lip_C \* dt = 5,"):
+                    solve(iters)
+
+
+@pytest.mark.parametrize("name", ["path-f", "nonlinear-f", "two-driver"])
+@pytest.mark.parametrize("engine", ["regression", "nested"])
+def test_contracting_models_never_trip_the_guard(name, engine):
+    # each update is at most lip_C * dt times the one before, down to a
+    # round-off floor, so long iteration runs stay quiet and settle
+    m = two_driver_model() if name == "two-driver" else get_model(name)
+    d = m.dims[0]
+    if engine == "regression":
+        basis = RegressionBasis(feature_set="endpoint+runmax+runint"
+                                if name == "path-f" else "endpoint")
+        ens = ensemble(m, N=8, n=1000, seed=32, x0=0.4)
+        sols = [solve_regression(m, ens, basis=basis, picard_iters=it) for it in (8, 40)]
+        assert all(len(s.scheme_params["update_norms"]) == 8 for s in sols)
+        assert max(sols[1].scheme_params["update_norms"]) < 1e-12
+    else:
+        init = Path(make_grid(T, 4), np.full((1, d), 0.4))
+        sols = [solve_nested(m, init, n_outer=2, seed=3, branching=3, picard_iters=it)
+                for it in (8, 40)]
+    assert [s.scheme_params["step_iterations"] for s in sols] == [8, 40]
+    assert np.allclose(sols[0].y, sols[1].y, rtol=0.0, atol=1e-4)
 
 
 def _with_zero_drivers(model, f=False, g=False):
@@ -380,16 +414,16 @@ def _with_zero_drivers(model, f=False, g=False):
 @pytest.mark.parametrize("zero", ["f", "g"])
 def test_absent_drivers_match_explicit_zero_drivers(zero):
     # an explicit zero driver runs every projection (and, for f, every
-    # pass; an explicit g also takes the terminal z); the absent driver
-    # takes the short path and must land on the same floats
+    # y-iteration; an explicit g also takes the terminal z); the absent
+    # driver takes the short path and must land on the same floats
     m = get_model("heat")
     explicit = _with_zero_drivers(m, f=zero == "f", g=zero == "g")
     ens = ensemble(m, N=6, n=800, seed=16, x0=0.3, t_index=1)
     basis = RegressionBasis(include_future_noise=False)
     a = solve_regression(m, ens, basis=basis, record_fit_se=True)
     b = solve_regression(explicit, ens, basis=basis, record_fit_se=True)
-    assert a.scheme_params["picard_passes"] == 1
-    assert b.scheme_params["picard_passes"] == (2 if zero == "f" else 1)
+    assert a.scheme_params["step_iterations"] == 0
+    assert b.scheme_params["step_iterations"] == (2 if zero == "f" else 0)
     for name in ("y", "z", "u_estimate", "u_stderr", "rollout", "fit_se"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -402,7 +436,7 @@ def test_driverless_model_runs_one_pass():
     for name in ("y", "z", "u_estimate", "u_stderr", "rollout", "fit_se"):
         assert np.array_equal(getattr(one, name), getattr(three, name)), name
     assert three.scheme_params["picard_iters"] == 3
-    assert three.scheme_params["picard_passes"] == 1
+    assert three.scheme_params["step_iterations"] == 0
     assert three.scheme_params["update_norms"] == []
     init = Path(make_grid(T, 4), np.array([[0.4]]))
     n1 = solve_nested(m, init, n_outer=1, seed=0, branching=4, picard_iters=1)
@@ -410,14 +444,14 @@ def test_driverless_model_runs_one_pass():
     for name in ("y", "z", "u_estimate", "u_stderr"):
         assert np.array_equal(getattr(n1, name), getattr(n3, name)), name
     assert n3.scheme_params["picard_iters"] == 3
-    assert n3.scheme_params["picard_passes"] == 1
+    assert n3.scheme_params["step_iterations"] == 0
 
 
 @pytest.mark.parametrize("name, per_step", [("heat", 2), ("linear-g", 2),
-                                            ("path-f", 6)])
+                                            ("path-f", 4)])
 def test_projections_per_step(monkeypatch, name, per_step):
-    # centring and z on every pass, y only with f, and a second pass only
-    # with f
+    # centring and z once per step, y by the centring term without f and
+    # by one projection per y-iteration with f
     m = get_model(name)
     ens = ensemble(m, N=4, n=600, seed=18)
     calls = []
@@ -560,12 +594,13 @@ def _copied_terminal_z(model, history, dt):
     return np.einsum("nka,nae->nke", np.stack(grad, axis=-1), model.sigma(history))
 
 
-def _pass_after_pass(model, ens, basis, picard_iters):
-    """The regression scheme run one whole pass after another over stored
-    per-step bases: the arrays solve_regression returns, and the update
-    norms as root-mean-square differences of whole passes.  g reads each
-    pass's own right endpoint, from the terminal z on; f reads the right
-    endpoint on the first pass and the previous pass's step afterwards."""
+def _step_after_step(model, ens, basis, picard_iters):
+    """The regression scheme run step after step over bases stored first
+    step first: the arrays solve_regression returns, and each step's last
+    y-update as a root-mean-square difference, from t_index on.  g reads
+    each step's right endpoint, from the terminal z on; z and y's start
+    come from the centred continuation, and with f y takes picard_iters
+    projections of the continuation plus f dt at the step's own (y, z)."""
     d, k, l = model.dims
     X = _time_major(ens.x_values, ens.valid_mask)
     dW = _time_major(ens.drivers.dW, ens.valid_mask)
@@ -577,39 +612,30 @@ def _pass_after_pass(model, ens, basis, picard_iters):
     noise = model.g is not None if noise is None else noise
     bases = {i: _column_basis(A) for i, A in
              _forward_designs(basis, X, i_t, dt, dB if noise else None)}
-    phi = model.Phi(history, dt)
-    z_end = _copied_terminal_z(model, history, dt)
-    prev, norms = None, []
-    for _ in range(solver._refinement_passes(model, picard_iters)):
-        Y, Z = np.zeros((N + 1, n, k)), np.zeros((N + 1, n, k, d))
-        Y[N], Z[N] = phi, z_end
-        rollout, fit_se = phi.copy(), np.zeros((N + 1, n, k))
-        for i in range(N - 1, i_t - 1, -1):
-            U, x = bases[i], history[:, : i + 2]
-            fy, fz = (Y[i + 1], Z[i + 1]) if prev is None else (prev[0][i], prev[1][i])
-            cont = Y[i + 1]
-            if model.g is not None:
-                gdB = np.einsum("nkl,nl->nk", model.g(x, Y[i + 1], Z[i + 1]), dB[i])
-                cont = cont + gdB
-            center = _project(U, cont)
-            z_target = (cont - center)[:, :, None] * dW[i][:, None, :] / dt
-            Z[i] = _project(U, z_target.reshape(n, k * d)).reshape(n, k, d)
-            if model.f is None:
-                Y[i] = center
-            else:
-                fdt = model.f(x, fy, fz) * dt
-                rollout = rollout + fdt
-                y_target = Y[i + 1] + fdt
-                Y[i] = _project(U, y_target if model.g is None else y_target + gdB)
-            if model.g is not None:
-                rollout = rollout + gdB
-            resid_var = (np.sum((rollout - _project(U, rollout)) ** 2, axis=0)
-                         / max(n - U.shape[1], 1))
-            fit_se[i] = np.sqrt(np.sum(U ** 2, axis=1)[:, None] * resid_var[None, :])
-        if prev is not None:
-            norms.append(np.sqrt(np.mean((Y - prev[0]) ** 2))
-                         + np.sqrt(np.mean((Z - prev[1]) ** 2)))
-        prev = Y, Z
+    Y, Z = np.zeros((N + 1, n, k)), np.zeros((N + 1, n, k, d))
+    Y[N] = model.Phi(history, dt)
+    Z[N] = _copied_terminal_z(model, history, dt)
+    rollout, fit_se, norms = Y[N].copy(), np.zeros((N + 1, n, k)), []
+    for i in range(N - 1, i_t - 1, -1):
+        U, x = bases[i], history[:, : i + 2]
+        cont = Y[i + 1]
+        if model.g is not None:
+            gdB = np.einsum("nkl,nl->nk", model.g(x, Y[i + 1], Z[i + 1]), dB[i])
+            cont = cont + gdB
+        Y[i] = _project(U, cont)
+        z_target = (cont - Y[i])[:, :, None] * dW[i][:, None, :] / dt
+        Z[i] = _project(U, z_target.reshape(n, k * d)).reshape(n, k, d)
+        if model.f is not None:
+            for _ in range(picard_iters):
+                fdt = model.f(x, Y[i], Z[i]) * dt
+                prev, Y[i] = Y[i].copy(), _project(U, cont + fdt)
+            norms.insert(0, np.sqrt(np.mean((Y[i] - prev) ** 2)))
+            rollout = rollout + fdt
+        if model.g is not None:
+            rollout = rollout + gdB
+        resid_var = (np.sum((rollout - _project(U, rollout)) ** 2, axis=0)
+                     / max(n - U.shape[1], 1))
+        fit_se[i] = np.sqrt(np.sum(U ** 2, axis=1)[:, None] * resid_var[None, :])
     Y[:i_t] = Y[i_t]
     out = {"y": Y.transpose(1, 0, 2), "z": Z[:N].transpose(1, 0, 2, 3),
            "rollout": rollout, "fit_se": fit_se.transpose(1, 0, 2),
@@ -622,19 +648,19 @@ def _pass_after_pass(model, ens, basis, picard_iters):
 @pytest.mark.parametrize("picard_iters", [1, 2, 3])
 @pytest.mark.parametrize("t_index", [0, 2])
 def test_backward_sweep_matches_pass_after_pass(name, picard_iters, t_index):
-    # the sweep runs every pass on a step before it moves on; the reference
-    # stores every step's basis and runs one pass after another.  The
-    # arithmetic of a step is the same, so without future-noise features
-    # the outputs agree bit for bit; the remaining noise sum is carried
-    # backward in the sweep and forward in the reference, which moves
-    # round-off only
+    # the sweep factors a step's design and drops its basis before the next
+    # step; the reference stores every step's basis and then runs the
+    # scheme over them.  The arithmetic of a step is the same, so without
+    # future-noise features the outputs agree bit for bit; the remaining
+    # noise sum is carried backward in the sweep and forward in the
+    # reference, which moves round-off only
     m = two_driver_model() if name == "two-driver" else get_model(name)
     feature_set = "endpoint+runmax+runint" if name == "path-f" else "endpoint"
     basis = RegressionBasis(feature_set=feature_set)
     ens = ensemble(m, N=8, n=1500, seed=19, x0=0.4, t_index=t_index)
     sol = solve_regression(m, ens, basis=basis, picard_iters=picard_iters,
                            record_fit_se=True)
-    ref, norms = _pass_after_pass(m, ens, basis, picard_iters)
+    ref, norms = _step_after_step(m, ens, basis, picard_iters)
     noise = sol.scheme_params["future_noise_features"]
     assert noise is (m.g is not None)
     for key, want in ref.items():
@@ -644,8 +670,42 @@ def test_backward_sweep_matches_pass_after_pass(name, picard_iters, t_index):
             assert np.allclose(got, want, rtol=0.0, atol=1e-12), key
         else:
             assert np.array_equal(got, want), key
-    assert np.allclose(sol.scheme_params["update_norms"], norms, rtol=1e-12, atol=0.0)
-    assert len(norms) == sol.scheme_params["picard_passes"] - 1
+    assert np.allclose(sol.scheme_params["update_norms"], norms, rtol=1e-12,
+                       atol=1e-12 if noise else 0.0)
+    iters = picard_iters if m.f is not None else 0
+    assert sol.scheme_params["step_iterations"] == iters
+    assert len(norms) == (8 - t_index if iters else 0)
+
+
+@pytest.mark.parametrize("name", ["path-f", "nonlinear-f"])
+def test_default_iterations_reach_the_step_fixed_point(name):
+    # two y-iterations per step land within 1e-3 of eight everywhere on the
+    # grid; two whole-sweep passes stayed 5-6e-3 away at this size
+    m = get_model(name)
+    basis = RegressionBasis(feature_set="endpoint+runmax+runint"
+                            if name == "path-f" else "endpoint")
+    ens = ensemble(m, N=64, n=4000, seed=33, x0=0.5)
+    default = solve_regression(m, ens, basis=basis)
+    converged = solve_regression(m, ens, basis=basis, picard_iters=8)
+    assert np.abs(default.y - converged.y).max() < 1e-3
+
+
+def test_path_f_mean_matches_the_exact_implicit_scheme():
+    # f = running max - y with an endpoint terminal from x0 = 0: the scheme
+    # implicit in y gives y_i (1 + dt) = E_i[y_{i+1} + M_{i+1} dt], so
+    # y_0 = sum_i (1 + dt)^-(i+1) E[M_{i+1}] dt, and Spitzer's identity
+    # gives the random walk's expected running max E[M_k] =
+    # sum_{j <= k} E[S_j^+] / j with E[S_j^+] = sqrt(j dt / (2 pi))
+    N, dt = 16, T / 16
+    j = np.arange(1, N + 1)
+    expected_max = np.cumsum(np.sqrt(j * dt / (2 * np.pi)) / j)
+    exact = np.sum((1 + dt) ** -(j.astype(float)) * expected_max * dt)
+    assert exact == pytest.approx(0.237549, abs=1e-6)
+    m = get_model("path-f")
+    basis = RegressionBasis(feature_set="endpoint+runmax+runint")
+    u = [solve_regression(m, ensemble(m, N=N, n=20_000, seed=40 + s), basis=basis
+                          ).u_estimate[0] for s in range(8)]
+    assert abs(np.mean(u) - exact) < 3 * np.std(u, ddof=1) / np.sqrt(len(u))
 
 
 def test_sweep_keeps_no_per_step_bases():
@@ -782,7 +842,7 @@ def test_nested_budget_guards():
 def test_nested_linear_g_frozen_field_is_the_product():
     # conditioned on B the discrete field is gamma(t) prod_j (1 + 0.3 dB_j):
     # the quadrature is exact for the linear terminal and g reads each
-    # step's right endpoint on every pass
+    # step's right endpoint
     m = get_model("linear-g")
     init = Path(make_grid(T, 6), np.array([[0.1], [0.4], [0.7]]))
     dB = frozen_noise_increments(init.grid_times, 2, 1, seed=30, n_outer=1)[0]
@@ -790,7 +850,7 @@ def test_nested_linear_g_frozen_field_is_the_product():
     for picard_iters in (1, 2, 3):
         sol = solve_nested(m, init, n_outer=1, seed=0, branching=4,
                            picard_iters=picard_iters, frozen_B=dB)
-        assert sol.scheme_params["picard_passes"] == 1
+        assert sol.scheme_params["step_iterations"] == 0
         assert abs(sol.u_estimate[0] - exact) < 1e-12
 
 
@@ -923,33 +983,30 @@ def test_nested_pass_count_and_branching_validated_before_any_tree(monkeypatch, 
 
 def _einsum_tree_backward(model, initial, tree, dB, picard_iters):
     """Reference sweep: every driver evaluated (zero when absent), g at
-    each pass's own children from the terminal z on, and each level
-    contracted by einsum over (node, child, component) arrays."""
+    the children's own values from the terminal z on, each level's y
+    iterated picard_iters times with f at the children and their parent's
+    (y, z), and each level contracted by einsum over (node, child,
+    component) arrays."""
     levels, dw_nodes, w_nodes = tree
     d, k, l = model.dims
     dt = initial.dt
     n_rem = len(levels) - 1
     q = dw_nodes.shape[0]
-    phi = model.Phi(levels[-1], dt)
-    z_end = _copied_terminal_z(model, levels[-1], dt)
-    for p in range(picard_iters):
-        new_y = [None] * n_rem + [phi]
-        new_z = [None] * n_rem + [z_end]
-        for j in range(n_rem - 1, -1, -1):
-            m = levels[j].shape[0]
-            if p == 0:
-                fy, fz = new_y[j + 1], new_z[j + 1]
-            else:
-                fy = np.repeat(y_lv[j], q, axis=0)
-                fz = np.repeat(z_lv[j], q, axis=0)
-            fv = model.eval_f(levels[j + 1], fy, fz).reshape(m, q, k)
-            gdB = np.einsum("nkl,l->nk", model.eval_g(levels[j + 1], new_y[j + 1],
-                                                      new_z[j + 1]),
-                            dB[j]).reshape(m, q, k)
-            integ = new_y[j + 1].reshape(m, q, k) + gdB
-            new_z[j] = np.einsum("q,mqk,qd->mkd", w_nodes, integ, dw_nodes) / dt
-            new_y[j] = np.einsum("q,mqk->mk", w_nodes, integ + fv * dt)
-        y_lv, z_lv = new_y, new_z
+    y_lv = [None] * n_rem + [model.Phi(levels[-1], dt)]
+    z_lv = [None] * n_rem + [_copied_terminal_z(model, levels[-1], dt)]
+    for j in range(n_rem - 1, -1, -1):
+        m = levels[j].shape[0]
+        gdB = np.einsum("nkl,l->nk", model.eval_g(levels[j + 1], y_lv[j + 1],
+                                                  z_lv[j + 1]),
+                        dB[j]).reshape(m, q, k)
+        integ = y_lv[j + 1].reshape(m, q, k) + gdB
+        z_lv[j] = np.einsum("q,mqk,qd->mkd", w_nodes, integ, dw_nodes) / dt
+        y = np.einsum("q,mqk->mk", w_nodes, integ)
+        for _ in range(picard_iters):
+            fv = model.eval_f(levels[j + 1], np.repeat(y, q, axis=0),
+                              np.repeat(z_lv[j], q, axis=0)).reshape(m, q, k)
+            y = np.einsum("q,mqk->mk", w_nodes, integ + fv * dt)
+        y_lv[j] = y
     return y_lv, z_lv
 
 
@@ -983,7 +1040,8 @@ def test_tree_backward_matches_einsum_reference(name):
     if m.g is not None:
         z_end = solver._terminal_z(m, leaves.transpose(1, 0, 2), init.dt, copy=True)
     for picard in (1, 2):
-        got = _tree_backward(m, init, tree, (m.Phi(leaves, init.dt), z_end), dB, picard)
+        got = _tree_backward(m, init, tree, (m.Phi(leaves, init.dt), z_end), dB,
+                             solver._step_iterations(m, picard))
         ref = _einsum_tree_backward(m, init, tree, dB, picard)
         for got_levels, ref_levels in zip(got, ref):
             assert len(got_levels) == len(ref_levels)

@@ -25,7 +25,8 @@ from .paths import Path, restrict, vertical_bump, horizontal_extend
 
 @dataclass
 class PathFunctional:
-    """A deterministic functional of a path.
+    """A functional of a path: deterministic here, random in a subclass
+    that overrides given.
 
     eval maps Path -> array of shape output_shape.  Implementations must be
     re-entrant: the estimators below may call eval concurrently.  Analytic
@@ -48,6 +49,14 @@ class PathFunctional:
         per path here; a field that shares work across paths overrides it."""
         return np.array([self(p) for p in paths]).reshape(
             (len(paths),) + self.output_shape)
+
+    def given(self, dB: np.ndarray) -> "PathFunctional":
+        """The functional conditioned on the second driver's increments dB
+        after the path's tip, (N - t_index, l); a random field given a stack
+        of S samples, (S, N - t_index, l), returns one value per sample, its
+        output_shape gaining a leading S.  A deterministic functional does
+        not read dB and returns itself."""
+        return self
 
     @staticmethod
     def _checked(values, shape: tuple) -> np.ndarray:

@@ -537,15 +537,19 @@ def _nested_sweeps(model: Model, roots: Sequence[Path], n_outer: int,
     """Grow one tree from root paths of equal depth on one grid and sweep it
     once per outer sample; returns keep(tree, y_levels, z_levels) per sweep,
     so each sweep's levels are released before the next one runs.  The
-    outer samples depend only on (seed, depth), so every root shares them;
-    see solve_nested.  The tree grows in scratch (see _tree_forward); the
-    outer samples are drawn once per (t_index, grid) into drawn."""
+    outer samples are frozen_B when given, one (N - t_index, l) array or a
+    stack of them (S, N - t_index, l), one sweep per row, and n_outer, seed
+    and drawn are not read; otherwise they depend only on (seed, depth), so
+    every root shares them (see solve_nested), and are drawn once per
+    (t_index, grid) into drawn.  The tree grows in scratch (see
+    _tree_forward)."""
     iters = _step_iterations(model, picard_iters)
     first = roots[0]
     d, k, l = model.dims
     n_rem = len(first.grid_times) - 1 - first.t_index
     if frozen_B is not None:
-        all_dB = np.asarray(frozen_B, dtype=np.float64).reshape(1, n_rem, l)
+        all_dB = np.asarray(frozen_B, dtype=np.float64)
+        all_dB = all_dB.reshape(math.prod(all_dB.shape[:-2]), n_rem, l)
     elif n_outer < 1:
         raise ValueError(f"need at least one outer sample, got {n_outer}")
     elif model.g is None:
@@ -641,7 +645,10 @@ def _nested_estimates(model: Model, paths: Sequence[Path],
                      branching: int = 8, picard_iters: int = 2,
                      frozen_B: Optional[np.ndarray] = None, drawn=None) -> np.ndarray:
     """solve_nested's u_estimate at the tip of every path, (len(paths), k),
-    with n_scenarios outer samples.
+    with n_scenarios outer samples, or, given frozen_B, the field
+    conditioned on it: a stack of S samples (S, N - t_index, l) gives one
+    value per sample from one sweep each, (len(paths), S, k), the
+    averaging skipped.
 
     Paths of equal depth on one grid grow one tree from their stacked
     histories, in groups of at most _MAX_STACKED_LEAVES leaves (a root with
@@ -649,7 +656,7 @@ def _nested_estimates(model: Model, paths: Sequence[Path],
     equals the path's own solve up to round-off.  The trees grow in turn in
     one history buffer, which lives for the call; drawn keeps the outer samples.
     """
-    out = np.empty((len(paths), model.dims[1]))
+    out = np.empty((len(paths),) + np.shape(frozen_B)[:-2] + (model.dims[1],))
     scratch, groups, drawn = [], {}, {} if drawn is None else drawn
     for r, p in enumerate(paths):
         groups.setdefault((p.t_index, p.grid_times.tobytes()), []).append(r)
@@ -666,5 +673,6 @@ def _nested_estimates(model: Model, paths: Sequence[Path],
                 scratch, drawn))
             # per root, the mean solve_nested takes, so one root reproduces it
             for j, r in enumerate(chunk):
-                out[r] = tips[:, j].mean(axis=0)
+                out[r] = (tips[:, j].mean(axis=0) if frozen_B is None
+                          else tips[:, j].reshape(out.shape[1:]))
     return out

@@ -52,12 +52,17 @@ def field_from_closed_form(entry: ModelRegistryEntry) -> PathFunctional:
 
 @dataclass
 class _StackedField(PathFunctional):
-    """A field whose batch is one stacked evaluation of all its paths."""
+    """A field whose batch is one stacked evaluation of all its paths and
+    whose conditioning, when set, is condition(dB)."""
 
     stacked: Optional[Callable[[Sequence[Path]], np.ndarray]] = None
+    condition: Optional[Callable[[np.ndarray], PathFunctional]] = None
 
     def batch(self, paths: Sequence[Path]) -> np.ndarray:
         return self._checked(self.stacked(paths), (len(paths),) + self.output_shape)
+
+    def given(self, dB: np.ndarray) -> PathFunctional:
+        return self if self.condition is None else self.condition(dB)
 
 
 def field_from_engine(model: Model, engine: str = "nested",
@@ -65,14 +70,26 @@ def field_from_engine(model: Model, engine: str = "nested",
     """The nested engine's field as a path functional (estimates only): a
     batch of paths stacks those of equal depth into shared trees
     (solver._nested_estimates), and a single value is its batch of one.
-    Its frozen noise is drawn once per depth.  Any other engine raises ValueError."""
+
+    The field averages over n_scenarios outer frozen-noise samples, drawn
+    once per depth: with g it is E_B u, as regularity reads it.  given(dB)
+    is the random field itself, u(p; dB), with dB as the frozen noise and
+    neither n_scenarios nor the drawn samples read; a stack of S samples
+    gives S values per path, each tree grown once and swept once per
+    sample.  Any other engine raises ValueError."""
     if engine != "nested":
         raise ValueError(f"only the nested engine defines a field, got {engine!r}")
-    drawn = {}
-    stacked = lambda paths: _nested_estimates(model, paths, drawn=drawn, **engine_kwargs)
-    return _StackedField(eval=lambda p: stacked([p])[0],
-                         output_shape=(model.dims[1],), regularity_tag="C12",
-                         stacked=stacked)
+
+    def field(shape, **noise):
+        stacked = lambda paths: _nested_estimates(model, paths, **noise, **engine_kwargs)
+        return _StackedField(eval=lambda p: stacked([p])[0], output_shape=shape,
+                             regularity_tag="C12", stacked=stacked, condition=given)
+
+    def given(dB):
+        dB = np.asarray(dB, dtype=np.float64)
+        return field(dB.shape[:-2] + (model.dims[1],), frozen_B=dB)
+
+    return field((model.dims[1],), drawn={})
 
 
 # -- field equation residual --------------------------------------------
@@ -87,7 +104,10 @@ def spde_residual(u: PathFunctional, model: Model,
     so each step contributes
         -(L u + f) dt - g dB + D_x u . dX + 0.5 tr(D_xx u dX dX^T),
     where L is the forward generator; the residual is the gap between that
-    telescoped sum and the terminal value.  Scalar fields only.
+    telescoped sum and the terminal value.  With g the field is random: the
+    jet at prefix i of scenario s reads u.given(dB[s, i:]), the field
+    conditioned on that scenario's own remaining increments, so the -g dB
+    term can cancel.  Scalar fields only.
     """
     if model.dims[1] != 1:
         raise ValueError("residual check supports scalar fields only")
@@ -96,27 +116,38 @@ def spde_residual(u: PathFunctional, model: Model,
     i_t = ensemble.initial.t_index
     N = len(grid) - 1
     X = ensemble.x_values[ensemble.valid_mask]
+    if not len(X):               # every scenario excluded: no path to score
+        return np.zeros(0)
     # with g = None the g dB term is zero: dB is not read, so not drawn
     dB = None if model.g is None else ensemble.drivers.dB[ensemble.valid_mask]
 
-    def jet(p: Path, hessian: bool = True):
-        # a prefix's field value and derivatives from one batch of paths
-        y, dx, dxx = _jet(u, p, hessian=hessian)
-        dx = dx.reshape(-1)
-        if hessian:
-            dxx = dxx.reshape(p.dimension, p.dimension)
+    def jet(F: PathFunctional, p: Path, hessian: bool = True):
+        # a prefix's field values and derivatives from one batch of paths,
+        # one jet per conditioning sample (one for a deterministic field)
+        y, dx, dxx = _jet(F, p, hessian=hessian)
+        d = p.dimension
+        dx = dx.reshape(-1, d)
+        dxx = dxx.reshape(-1, d, d) if hessian else [None] * len(dx)
         sig = on_path(model.sigma, p)
-        return p, y, dx, dxx, sig, (sig.T @ dx)[None, :]
+        return [(p, y_r, dx_r, dxx_r, sig, (sig.T @ dx_r)[None, :])
+                for y_r, dx_r, dxx_r in zip(y.reshape(-1, 1), dx, dxx)]
+
+    def at(rows, i: int) -> PathFunctional:
+        # with g, the field conditioned on the rows' increments after step i
+        return u if dB is None else u.given(dB[rows, i:])
 
     # simulate_forward copies the initial path into every scenario, so the
-    # initial prefix's jet is shared
-    first = jet(ensemble.initial)
+    # initial prefix's jet is one batch: one jet for every scenario, or with
+    # g and a random field, one per scenario
+    first = jet(at(slice(None), i_t), ensemble.initial)
+    first = first * X.shape[0] if len(first) == 1 else first
     res = np.zeros(X.shape[0])
     for s in range(X.shape[0]):
         path = Path(grid, X[s])
-        jets = ([first] + [jet(restrict(path, grid[i])) for i in range(i_t + 1, N)]
-                + [jet(path, hessian=False)])
-        total = first[1][0] - jets[-1][1][0]     # u at t minus u at the horizon
+        jets = ([first[s]]
+                + [jet(at(s, i), restrict(path, grid[i]))[0] for i in range(i_t + 1, N)]
+                + [jet(at(s, N), path, hessian=False)[0]])
+        total = jets[0][1][0] - jets[-1][1][0]   # u at t minus u at the horizon
         for i in range(N - 1, i_t - 1, -1):
             pi, y_i, dx, dxx, sig, z_i = jets[i - i_t]
             p_next, y_next, _, _, _, z_next = jets[i + 1 - i_t]
@@ -157,9 +188,10 @@ def z_representation_check(model: Model, solution: BackwardSolution,
     solver's z and the diffusion-weighted field gradient along each path.
 
     The gradient side comes from the closed form when supplied, otherwise
-    from finite differences of the given field functional; samples whose
-    derivative estimate is flagged unreliable are excluded and the exclusion
-    rate is reported.
+    from finite differences of the given field functional, with g of the
+    field conditioned on the scenario's own increments after the step,
+    u.given(dB[s, i:]); samples whose derivative estimate is flagged
+    unreliable are excluded and the exclusion rate is reported.
     """
     if z_reference is None and u is None:
         raise ValueError("need either a closed-form z or a field functional")
@@ -167,6 +199,7 @@ def z_representation_check(model: Model, solution: BackwardSolution,
     i_t = solution.t_index
     N = len(grid) - 1
     X = ensemble.x_values[ensemble.valid_mask]
+    dB = None if model.g is None else ensemble.drivers.dB[ensemble.valid_mask]
     n_sub = min(n_sub, X.shape[0])
     rels = []
     excluded = 0
@@ -177,7 +210,7 @@ def z_representation_check(model: Model, solution: BackwardSolution,
             if z_reference is not None:
                 z_ref = np.asarray(z_reference(pi), dtype=np.float64)
             else:
-                est = vertical_derivative(u, pi)
+                est = vertical_derivative(u if dB is None else u.given(dB[s, i:]), pi)
                 if not est.is_reliable(0.05 * (1.0 + float(np.abs(est.value).max()))):
                     excluded += 1
                     continue

@@ -171,6 +171,21 @@ def test_sweep_propagates_failure(tmp_path):
                  "--output", out]) == 2
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_field_equation_passes_on_linear_g_away_from_zero(tmp_path, seed):
+    # the field equation reads the nested field conditioned on each path's
+    # own second-driver increments, so the -g dB term cancels to round-off;
+    # the field averaged over the outer samples scored 0.022, 0.168 and 0.134
+    cfg = write_config(tmp_path, model="linear-g", grid={"T": 1.0, "N": 8},
+                       mc={"seed": seed, "n_scenarios": 4000},
+                       initial_path={"values": [[1.0]]},
+                       engine_options={"branching": 4},
+                       checks={"field_equation": {"n_paths": 4}})
+    assert main(["run", cfg, "--output", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["checks"]["field_equation_residual"]["statistic"] < 1e-8
+
+
 def test_moments_check_scores_every_order_from_one_probe_set():
     # one probe set scored per order must give the reports of one
     # moment_envelope_check call per order, field for field and sample for
@@ -272,9 +287,12 @@ def _stream_keys(raw):
 @given(st.integers(-2 ** 63, 2 ** 64 - 1))
 def test_no_two_streams_of_a_run_share_a_key(seed):
     # every stream and hash of a seven-check run on heat is keyed once: W and
-    # B of each pair, each check's seed, each role and each index; the
-    # nested field of linear-g draws its frozen B stream once per depth with
-    # a step remaining (N = 4 of them), and no other stream takes that key
+    # B of each pair, each check's seed, each role and each index; on
+    # linear-g the field equation reads the field conditioned on each path's
+    # own B and derives no frozen B key, while the averaged field of the
+    # regularity probes draws its frozen B stream once per depth with a step
+    # remaining (N = 4 of them; 100 probes miss a depth with odds 4 (3/4)^100)
+    # and no other stream takes that key
     heat = {"model": "heat", "grid": {"T": 1.0, "N": 4},
             "mc": {"seed": seed, "n_scenarios": 300},
             "checks": {"closed_form": {}, "z_representation": {},
@@ -283,7 +301,8 @@ def test_no_two_streams_of_a_run_share_a_key(seed):
                        "moments": {"n_probes": 10, "n_scenarios": 200}}}
     nested = {"model": "linear-g", "grid": {"T": 1.0, "N": 4},
               "mc": {"seed": seed, "n_scenarios": 300},
-              "checks": {"field_equation": {"n_paths": 2}}}
+              "engine_options": {"branching": 3},
+              "checks": {"field_equation": {"n_paths": 2}, "regularity": {}}}
     heat_keys, nested_keys = _stream_keys(heat), _stream_keys(nested)
     for keys, n_frozen in ((heat_keys, 0), (nested_keys, 1)):
         outside = [k[:2] for k in keys if not k[2]]

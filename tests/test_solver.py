@@ -11,9 +11,9 @@ import pytest
 
 from pathfk import (BudgetError, Model, Path, RegressionBasis, SolverError,
                     field_from_engine, frozen_noise_increments, get_entry,
-                    get_model, make_grid, sample_drivers, simulate_forward,
-                    solve_nested, solve_regression, vertical_bump,
-                    vertical_derivative)
+                    get_model, make_grid, restrict, sample_drivers,
+                    simulate_forward, solve_nested, solve_regression,
+                    vertical_bump, vertical_derivative)
 from pathfk.simulation import BrownianPair, ScenarioEnsemble
 from pathfk import solver, verification
 from pathfk.solver import (_column_basis, _project, _time_major, _tree_backward,
@@ -1111,9 +1111,11 @@ def test_stacked_trees_stay_within_the_leaf_limit(monkeypatch):
 
 @pytest.mark.parametrize("name", ["linear-g", "z-in-g"])
 def test_field_draws_its_frozen_noise_once_per_depth(monkeypatch, name):
-    # a field draws each depth's outer samples once, and none at the
-    # horizon, where no step remains; its residual equals that of a field
-    # that redraws them for every batch, bit for bit
+    # the residual of a g-model reads the field conditioned on each path's
+    # own increments, so it draws no frozen B, bit for bit as a field that
+    # conditions by hand; u(p) and the averaged field's batches draw each
+    # depth's outer samples once, and none at the horizon, where no step
+    # remains, with the values of estimates that redraw them for every batch
     m = get_model(name)
     N, kwargs = 4, {"n_scenarios": 3, "seed": 4, "branching": 3}
     draws = []
@@ -1125,19 +1127,49 @@ def test_field_draws_its_frozen_noise_once_per_depth(monkeypatch, name):
 
     monkeypatch.setattr(solver, "frozen_noise_increments", counted)
     ens = ensemble(m, N=N, n=2, seed=5, x0=0.3)
-    redrawn = verification._StackedField(
+    by_hand = verification._StackedField(
         eval=None, output_shape=(1,), regularity_tag="C12",
-        stacked=lambda paths: solver._nested_estimates(m, paths, **kwargs))
-    ref = verification.spde_residual(redrawn, m, ens)
-    assert len(draws) > N and N not in draws
-    draws.clear()
+        condition=lambda dB: verification._StackedField(
+            eval=None, output_shape=np.shape(dB)[:-2] + (1,), regularity_tag="C12",
+            stacked=lambda paths: solver._nested_estimates(
+                m, paths, frozen_B=dB, branching=3)))
     u = field_from_engine(m, "nested", **kwargs)
     res = verification.spde_residual(u, m, ens)
+    assert draws == []
+    assert np.array_equal(_bits(res), _bits(verification.spde_residual(by_hand, m, ens)))
+    path = Path(ens.initial.grid_times, ens.x_values[0])
+    prefixes = [restrict(path, path.grid_times[i]) for i in range(N + 1)]
+    got = [np.concatenate([u(p), u.batch([p, vertical_bump(p, [0.1])]).ravel()])
+           for p in prefixes]
     assert sorted(draws) == list(range(N))
-    assert np.array_equal(_bits(res), _bits(ref))
-    horizon = Path(ens.initial.grid_times, ens.x_values[0])
-    assert np.array_equal(u(horizon), solver._nested_estimates(m, [horizon], **kwargs)[0])
-    assert sorted(draws) == list(range(N))
+    ref = [np.concatenate([solver._nested_estimates(m, [p], **kwargs)[0],
+                           solver._nested_estimates(m, [p, vertical_bump(p, [0.1])],
+                                                    **kwargs).ravel()])
+           for p in prefixes]
+    assert len(draws) == 3 * N
+    assert np.array_equal(_bits(np.array(got)), _bits(np.array(ref)))
+
+
+def test_stacked_frozen_noise_sweeps_one_tree_per_sample(monkeypatch):
+    # a stack of S frozen samples gives one value per sample and path, the
+    # paths' own conditioned estimates, from one tree swept S times
+    m = get_model("z-in-g")
+    trees, sweeps = [], []
+    grow, sweep = solver._tree_forward, solver._tree_backward
+    monkeypatch.setattr(solver, "_tree_forward",
+                        lambda *a, **kw: trees.append(1) or grow(*a, **kw))
+    monkeypatch.setattr(solver, "_tree_backward",
+                        lambda *a, **kw: sweeps.append(1) or sweep(*a, **kw))
+    paths = _bumped_roots(1, 1, 3, seed=6, N=5)
+    stack = np.random.default_rng(7).normal(scale=0.4, size=(4, 4, 1))
+    got = solver._nested_estimates(m, paths, branching=3, frozen_B=stack)
+    assert got.shape == (3, 4, 1) and len(trees) == 1 and len(sweeps) == 4
+    for s in range(4):
+        own = solver._nested_estimates(m, paths, branching=3, frozen_B=stack[s])
+        assert np.abs(got[:, s] - own).max() <= 1e-12
+        for p, g in zip(paths, got[:, s]):
+            ref = solve_nested(m, p, n_outer=1, seed=0, branching=3, frozen_B=stack[s])
+            assert np.abs(g - ref.u_estimate).max() <= 1e-12
 
 
 def test_frozen_noise_regenerates_bit_identical():

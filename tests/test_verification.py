@@ -175,6 +175,89 @@ def test_residual_sends_one_batch_per_jet(monkeypatch):
     assert np.allclose(res, spde_residual(one_by_one, m, ens), rtol=0, atol=1e-9)
 
 
+def start_at_one(name, N=6, n=4, seed=5):
+    m = get_model(name)
+    init = Path(make_grid(T, N), np.array([[1.0]]))
+    return m, simulate_forward(m, init, sample_drivers(init.grid_times, n, seed))
+
+
+@pytest.mark.parametrize("name, tol", [("linear-g", 1e-9), ("z-in-g", 1e-7)])
+def test_residual_of_the_conditioned_field_is_sharp(name, tol):
+    # with g the field is random: conditioned on each path's own increments
+    # it solves the discrete equation exactly (linear-g: gamma(t) prod (1 +
+    # 0.3 dB_j); z-in-g: gamma(t) + 0.5 sum dB_j, exact only with the terminal
+    # z = D Phi sigma); the field averaged over 8 outer samples scored 0.04-0.18
+    m, ens = start_at_one(name)
+    u = field_from_engine(m, "nested", n_scenarios=8, branching=6, seed=3)
+    rep = spde_residual_check(u, m, ens, tol=0.05)
+    assert rep.statistic < tol
+
+
+def test_residual_shares_the_initial_tree_across_paths(monkeypatch):
+    # a 4-path residual grows one tree for the initial prefix of all four
+    # paths, swept once per path's increments; it equals each path's own
+    # residual, and to round-off that path's residual under the field
+    # conditioned by hand on its increments, one solve_nested per value
+    # (second differences at h = 2e-3 scale the values' round-off by 1/h^2)
+    from pathfk import solve_nested, solver
+    from pathfk.simulation import BrownianPair, ScenarioEnsemble
+    N, n = 6, 4
+    m, ens = start_at_one("z-in-g", N=N, n=n, seed=8)
+    u = field_from_engine(m, "nested", n_scenarios=8, branching=3, seed=5)
+    trees = []
+    grow = solver._tree_forward
+    monkeypatch.setattr(solver, "_tree_forward",
+                        lambda *a, **kw: trees.append(1) or grow(*a, **kw))
+    res = spde_residual(u, m, ens)
+    assert len(trees) == 1 + n * N
+    drv = ens.drivers
+    for s in range(n):
+        one = ScenarioEnsemble(ens.initial, BrownianPair(
+            drv.grid_times, drv.dW[s:s + 1], drv.dB[s:s + 1], drv.seed),
+            ens.x_values[s:s + 1], ens.valid_mask[s:s + 1])
+        own = PathFunctional(eval=lambda p, dB=drv.dB[s]: solve_nested(
+            m, p, 1, 0, branching=3, frozen_B=dB[p.t_index:]).u_estimate,
+            regularity_tag="C12")
+        assert abs(res[s] - spde_residual(u, m, one)[0]) <= 1e-12
+        assert abs(res[s] - spde_residual(own, m, one)[0]) <= 1e-10
+
+
+def test_residual_of_an_ensemble_with_no_valid_scenario_is_empty():
+    # no path to score: no jet is taken, of the averaged field or of one
+    # conditioned on an empty stack of increments
+    from pathfk.simulation import ScenarioEnsemble
+    for name in ("linear-g", "heat"):
+        m, ens = start_at_one(name, N=4, n=2)
+        none = ScenarioEnsemble(ens.initial, ens.drivers, ens.x_values,
+                                np.zeros(2, dtype=bool))
+        u = field_from_engine(m, "nested", n_scenarios=2, branching=3)
+        assert spde_residual(u, m, none).shape == (0,)
+
+
+def test_residual_conditions_only_random_fields():
+    # without g no field is conditioned, so heat, path-f and nonlinear-f keep
+    # the residual of a field that cannot be; a deterministic functional is
+    # its own conditioning, so on linear-g it keeps its residual by definition
+    from pathfk.verification import _StackedField
+
+    def refuse(dB):
+        raise AssertionError("a field was conditioned without g")
+
+    for name in ("heat", "path-f", "nonlinear-f"):
+        m, ens = start_at_one(name, N=4, n=2)
+        u = field_from_engine(m, "nested", n_scenarios=2, branching=3, seed=1)
+        fixed = _StackedField(eval=u.eval, output_shape=u.output_shape,
+                              regularity_tag="C12", stacked=u.stacked,
+                              condition=refuse)
+        assert np.array_equal(spde_residual(fixed, m, ens), spde_residual(u, m, ens))
+    u = PathFunctional(eval=lambda p: np.array([np.exp(0.3 * p.endpoint[0])
+                                                + p.values[:, 0].max()]),
+                       regularity_tag="C12")
+    assert u.given(np.zeros((3, 1))) is u
+    m, ens = start_at_one("linear-g", N=5, n=3)
+    assert np.array_equal(spde_residual(u, m, ens), reference_residual(u, m, ens))
+
+
 # -- z representation ----------------------------------------------------
 
 
@@ -192,6 +275,21 @@ def test_z_representation_finite_difference_fallback():
     u = field_from_closed_form(get_entry("heat"))
     rep = z_representation_check(m, sol, ens, u=u, n_sub=20)
     assert rep.passed
+
+
+def test_z_representation_reads_the_conditioned_field():
+    # on linear-g the solver's z at step i is the conditioned field's gradient
+    # prod_{j >= i} (1 + 0.3 dB_j); the field averaged over the outer samples
+    # has gradient near 1 and misses it by about 0.3 sqrt(T - t)
+    from pathfk import BackwardSolution
+    m, ens = start_at_one("linear-g", N=5, n=6, seed=9)
+    dB = ens.drivers.dB[:, :, 0]
+    z = np.cumprod((1.0 + 0.3 * dB)[:, ::-1], axis=1)[:, ::-1]
+    sol = BackwardSolution(ens.initial.grid_times, 0, np.zeros((6, 6, 1)),
+                           z[:, :, None, None], np.zeros(1), np.zeros(1))
+    u = field_from_engine(m, "nested", n_scenarios=8, branching=4, seed=2)
+    rep = z_representation_check(m, sol, ens, u=u)
+    assert rep.statistic < 1e-6 and rep.n_samples == 6 * 5
 
 
 def test_z_representation_needs_a_reference():

@@ -2,24 +2,8 @@
 registry or from a restricted inline grammar), the grid, the sampling
 budget, the engine, the initial path, and the checks to run.
 
-Inline model grammar (all optional, defaults are zero drift / unit
-diffusion / zero drivers):
-
-    "model": {
-      "name":  "custom",
-      "b":     {"const": v} | {"affine": {"intercept": a, "slope": c}},
-      "sigma": {"const": v} | {"affine": {"intercept": a, "slope": c}},
-      "Phi":   {"kind": "endpoint" | "endpoint_square" | "endpoint_sin"
-                        | "running_integral", "shift": s},
-      "f":     {"kind": "zero" | "linear" | "cos_y_plus_half_z"
-                        | "runmax_minus_y",
-                "coef_y": a, "coef_z": b, "const": c, "shift": s},
-      "g":     {"kind": "zero" | "linear_y" | "linear_z", "coef": c},
-      "lip_C": C, "growth_m": m, "alpha": a
-    }
-
-Affine coefficients read the current endpoint, so the grammar stays within
-Lipschitz territory by construction.
+The inline model grammar and its builder, models.model_from_spec, live
+with the registry in models.py, whose entries are specs of that grammar.
 """
 
 from __future__ import annotations
@@ -30,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .models import Model, get_entry
+from .errors import ConfigError
+from .models import Model, get_entry, model_from_spec
 from .paths import Path, make_grid
 from .solver import RegressionBasis
 
@@ -41,87 +26,6 @@ _KNOWN_CHECKS = (
     "closed_form", "z_representation", "z_growth", "flow", "field_equation",
     "comparison", "discretization", "regularity", "moments",
 )
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def _affine_coeff(spec, default_const):
-    if spec is None:
-        return float(default_const), 0.0
-    if "const" in spec:
-        return float(spec["const"]), 0.0
-    if "affine" in spec:
-        return (float(spec["affine"].get("intercept", 0.0)),
-                float(spec["affine"].get("slope", 0.0)))
-    raise ConfigError(f"coefficient spec must be 'const' or 'affine', got {spec}")
-
-
-def _build_inline_model(spec: dict) -> Model:
-    name = spec.get("name", "custom")
-    b0, b1 = _affine_coeff(spec.get("b"), 0.0)
-    s0, s1 = _affine_coeff(spec.get("sigma"), 1.0)
-
-    phi_spec = spec.get("Phi", {"kind": "endpoint"})
-    phi_kind = phi_spec.get("kind", "endpoint")
-    shift = float(phi_spec.get("shift", 0.0))
-    if phi_kind == "endpoint":
-        Phi = lambda x, dt: x[:, -1, :1] + shift
-    elif phi_kind == "endpoint_square":
-        Phi = lambda x, dt: x[:, -1, :1] ** 2 + shift
-    elif phi_kind == "endpoint_sin":
-        Phi = lambda x, dt: np.sin(x[:, -1, :1]) + shift
-    elif phi_kind == "running_integral":
-        Phi = lambda x, dt: x[:, :-1, :1].sum(axis=1) * dt + shift
-    else:
-        raise ConfigError(f"unknown terminal kind {phi_kind!r}")
-
-    f_spec = spec.get("f", {"kind": "zero"})
-    f_kind = f_spec.get("kind", "zero")
-    if f_kind == "zero":
-        f = None
-    elif f_kind == "linear":
-        ay = float(f_spec.get("coef_y", 0.0))
-        az = float(f_spec.get("coef_z", 0.0))
-        c0 = float(f_spec.get("const", 0.0))
-        f = lambda x, y, z: c0 + ay * y + az * z[:, :, 0]
-    elif f_kind == "cos_y_plus_half_z":
-        fs = float(f_spec.get("shift", 0.0))
-        f = lambda x, y, z: fs + np.cos(y) + z[:, :, 0] / 2.0
-    elif f_kind == "runmax_minus_y":
-        fs = float(f_spec.get("shift", 0.0))
-        f = lambda x, y, z: fs + x[:, :, :1].max(axis=1) - y
-    else:
-        raise ConfigError(f"unknown time-driver kind {f_kind!r}")
-
-    g_spec = spec.get("g", {"kind": "zero"})
-    g_kind = g_spec.get("kind", "zero")
-    coef = float(g_spec.get("coef", 0.0))
-    if g_kind == "zero":
-        g = None
-    elif g_kind == "linear_y":
-        g = lambda x, y, z: coef * y[:, :, None]
-    elif g_kind == "linear_z":
-        if not abs(coef) < 1.0:
-            raise ConfigError(
-                f"a z-linear backward driver needs |coef| < 1, got {coef}"
-            )
-        g = lambda x, y, z: coef * z[:, :, :1]
-    else:
-        raise ConfigError(f"unknown backward-driver kind {g_kind!r}")
-
-    return Model(
-        b=lambda x: b0 + b1 * x[:, -1, :],
-        sigma=lambda x: (s0 + s1 * x[:, -1, :1])[:, :, None],
-        Phi=Phi, f=f, g=g,
-        lip_C=float(spec.get("lip_C", max(2.0, abs(b1) + abs(s1)))),
-        growth_m=float(spec.get("growth_m", 1.0)),
-        alpha=float(spec.get("alpha", max(abs(coef), 0.5) if g_kind == "linear_z" else 0.5)),
-        dims=(1, 1, 1),
-        name=name,
-        markovian_flag=f_kind != "runmax_minus_y" and phi_kind != "running_integral",
-    )
 
 
 @dataclass
@@ -202,11 +106,10 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
     closed_u = closed_Z = None
     if isinstance(model_spec, str):
         entry = get_entry(model_spec)
-        model, model_name = entry.model, entry.name
+        model = entry.model
         closed_u, closed_Z = entry.closed_form_u, entry.closed_form_Z
     elif isinstance(model_spec, dict):
-        model = _build_inline_model(model_spec)
-        model_name = model.name
+        model = model_from_spec(model_spec)
     else:
         raise ConfigError("config needs a model name or an inline model spec")
 
@@ -269,11 +172,11 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
                 f"unknown check {cname!r}; known checks: {_KNOWN_CHECKS}"
             )
     if "closed_form" in checks and closed_u is None:
-        raise ConfigError(f"model {model_name!r} has no closed form to check against")
+        raise ConfigError(f"model {model.name!r} has no closed form to check against")
     _check_restart_and_nodes(checks, initial)
 
     return ExperimentConfig(
-        model_name=model_name,
+        model_name=model.name,
         model=model,
         closed_form_u=closed_u,
         closed_form_Z=closed_Z,

@@ -15,3 +15,7 @@ class SolverError(RuntimeError):
 
 class PreconditionError(RuntimeError):
     """A sampled precondition of a check was violated; the check is aborted."""
+
+
+class ConfigError(ValueError):
+    """A configuration or inline model spec is outside the accepted schema."""

@@ -1,5 +1,5 @@
 """Coefficient bundles with growth/contraction metadata, structural probes,
-and the registry of reference instances used as oracles.
+the inline model grammar, and the registry of its specs used as oracles.
 
 A model carries the forward drift b and diffusion sigma, the terminal
 functional Phi, and the two drivers f (time integral) and g (backward
@@ -26,6 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import ConfigError
 from .paths import Path, make_grid, path_dist, sup_norm
 from .simulation import random_initial_path
 
@@ -166,105 +167,155 @@ def validate(model: Model, n_probes: int = 100, seed: int = 0,
     return ValidationReport(probes)
 
 
+# -- inline grammar ------------------------------------------------------
+
+def _affine_coeff(spec, default_const):
+    if spec is None:
+        return float(default_const), 0.0
+    if "const" in spec:
+        return float(spec["const"]), 0.0
+    if "affine" in spec:
+        return (float(spec["affine"].get("intercept", 0.0)),
+                float(spec["affine"].get("slope", 0.0)))
+    raise ConfigError(f"coefficient spec must be 'const' or 'affine', got {spec}")
+
+
+def model_from_spec(spec: dict) -> Model:
+    """A scalar model (d = k = l = 1) from the inline grammar; unset keys
+    give zero drift, unit diffusion, zero drivers, growth_m 1, alpha 0.5
+    (|coef| if larger for linear_z) and lip_C max(2, |b slope| + |sigma slope|):
+
+        {
+          "name":  "custom",
+          "b":     {"const": v} | {"affine": {"intercept": a, "slope": c}},
+          "sigma": {"const": v} | {"affine": {"intercept": a, "slope": c}},
+          "Phi":   {"kind": "endpoint" | "endpoint_square" | "endpoint_sin"
+                            | "running_integral", "shift": s},
+          "f":     {"kind": "zero" | "linear" | "cos_y_plus_half_z"
+                            | "runmax_minus_y",
+                    "coef_y": a, "coef_z": b, "const": c, "shift": s},
+          "g":     {"kind": "zero" | "linear_y" | "linear_z", "coef": c},
+          "lip_C": C, "growth_m": m, "alpha": a
+        }
+
+    Affine coefficients read the current endpoint, so the model is Lipschitz
+    by construction; a constant b or sigma does no arithmetic on x.  A
+    running-integral terminal or running-max driver is non-Markovian.
+    """
+    b0, b1 = _affine_coeff(spec.get("b"), 0.0)
+    s0, s1 = _affine_coeff(spec.get("sigma"), 1.0)
+    b = ((lambda x: b0 + b1 * x[:, -1, :]) if b1
+         else lambda x: np.full((x.shape[0], 1), b0))
+    sigma = ((lambda x: (s0 + s1 * x[:, -1, :1])[:, :, None]) if s1
+             else lambda x: np.broadcast_to(s0 * np.eye(1), (x.shape[0], 1, 1)))
+
+    phi_spec = spec.get("Phi", {"kind": "endpoint"})
+    phi_kind = phi_spec.get("kind", "endpoint")
+    shift = float(phi_spec.get("shift", 0.0))
+    Phi = {
+        "endpoint": lambda x, dt: x[:, -1, :1] + shift,
+        "endpoint_square": lambda x, dt: x[:, -1, :1] ** 2 + shift,
+        "endpoint_sin": lambda x, dt: np.sin(x[:, -1, :1]) + shift,
+        "running_integral": lambda x, dt: x[:, :-1, :1].sum(axis=1) * dt + shift,
+    }.get(phi_kind)
+    if Phi is None:
+        raise ConfigError(f"unknown terminal kind {phi_kind!r}")
+
+    f_spec = spec.get("f", {"kind": "zero"})
+    f_kind = f_spec.get("kind", "zero")
+    if f_kind == "zero":
+        f = None
+    elif f_kind == "linear":
+        ay = float(f_spec.get("coef_y", 0.0))
+        az = float(f_spec.get("coef_z", 0.0))
+        c0 = float(f_spec.get("const", 0.0))
+        f = lambda x, y, z: c0 + ay * y + az * z[:, :, 0]
+    elif f_kind == "cos_y_plus_half_z":
+        fs = float(f_spec.get("shift", 0.0))
+        f = lambda x, y, z: fs + np.cos(y) + z[:, :, 0] / 2.0
+    elif f_kind == "runmax_minus_y":
+        fs = float(f_spec.get("shift", 0.0))
+        f = lambda x, y, z: fs + x[:, :, :1].max(axis=1) - y
+    else:
+        raise ConfigError(f"unknown time-driver kind {f_kind!r}")
+
+    g_spec = spec.get("g", {"kind": "zero"})
+    g_kind = g_spec.get("kind", "zero")
+    coef = float(g_spec.get("coef", 0.0))
+    if g_kind == "zero":
+        g = None
+    elif g_kind == "linear_y":
+        g = lambda x, y, z: coef * y[:, :, None]
+    elif g_kind == "linear_z":
+        if not abs(coef) < 1.0:
+            raise ConfigError(
+                f"a z-linear backward driver needs |coef| < 1, got {coef}"
+            )
+        g = lambda x, y, z: coef * z[:, :, :1]
+    else:
+        raise ConfigError(f"unknown backward-driver kind {g_kind!r}")
+
+    return Model(
+        b=b, sigma=sigma, Phi=Phi, f=f, g=g,
+        lip_C=float(spec.get("lip_C", max(2.0, abs(b1) + abs(s1)))),
+        growth_m=float(spec.get("growth_m", 1.0)),
+        alpha=float(spec.get("alpha", max(abs(coef), 0.5) if g_kind == "linear_z" else 0.5)),
+        name=spec.get("name", "custom"),
+        markovian_flag=f_kind != "runmax_minus_y" and phi_kind != "running_integral",
+    )
+
+
 # -- registry ------------------------------------------------------------
 
-def _scalar_base(name, Phi, **kw):
-    defaults = dict(
-        b=lambda x: np.zeros((x.shape[0], 1)),
-        sigma=lambda x: np.broadcast_to(np.eye(1), (x.shape[0], 1, 1)),
-        Phi=Phi,
-        lip_C=2.0,
-        growth_m=1.0,
-        alpha=0.5,
-        dims=(1, 1, 1),
-        name=name,
-    )
-    defaults.update(kw)
-    return Model(**defaults)
-
-
 def registry() -> list[ModelRegistryEntry]:
-    """Reference models; closed forms, where present, are exact oracles.
+    """Reference models, each an inline-grammar spec over the grammar's
+    defaults; closed forms, where present, are exact oracles.
 
     The closed forms were re-derived by hand from the Gaussian transition
     law of the driverless forward state (zero drift, unit diffusion):
     conditionally on the path up to t, X(s) = gamma(t) + (W(s) - W(t)).
     """
-    entries = []
-
-    # heat: terminal square of the endpoint.
-    # u(gamma_t) = E[(gamma(t) + W_{T-t})^2] = gamma(t)^2 + (T - t).
-    m1 = _scalar_base("heat", Phi=lambda x, dt: x[:, -1, :1] ** 2)
-    entries.append(ModelRegistryEntry(
-        "heat", m1,
-        closed_form_u=lambda p: np.array([p.endpoint[0] ** 2 + (p.horizon - p.current_time)]),
-        closed_form_Z=lambda p: np.array([[2.0 * p.endpoint[0]]]),
-        notes="second moment of a shifted Brownian endpoint",
-    ))
-
-    # asian: integral of the path over the full horizon.
-    # u(gamma_t) = int_0^t gamma + gamma(t) (T - t) since E[X(s)] = gamma(t),
-    # exact for the left-endpoint integral convention.
-    m2 = _scalar_base(
-        "asian",
-        Phi=lambda x, dt: x[:, :-1, :1].sum(axis=1) * dt,
-        markovian_flag=False,
-        lip_C=2.0, growth_m=0.0,
-    )
+    def entry(spec, **kw):
+        return ModelRegistryEntry(spec["name"], model_from_spec(spec), **kw)
 
     def _u_asian(p):
         return np.array([running_integral(p)[0] + p.endpoint[0] * (p.horizon - p.current_time)])
 
-    entries.append(ModelRegistryEntry(
-        "asian", m2,
-        closed_form_u=_u_asian,
-        closed_form_Z=lambda p: np.array([[p.horizon - p.current_time]]),
-        notes="conditional expectation of integrated Brownian motion",
-    ))
-
-    # linear-g: backward-integral driver proportional to y.
-    beta = 0.3
-    m3 = _scalar_base(
-        "linear-g",
-        Phi=lambda x, dt: x[:, -1, :1].copy(),
-        g=lambda x, y, z: beta * y[:, :, None],
-        lip_C=1.0, growth_m=0.0, alpha=0.5,
-    )
     endpoint = lambda p: np.array([p.endpoint[0]])
-    entries.append(ModelRegistryEntry("linear-g", m3, closed_form_u=endpoint,
-                                      notes="E_B of the field gamma(t) prod_j (1 + 0.3 dB_j)"))
-
-    # nonlinear-f: classical-BSDE reduction.
-    m4 = _scalar_base(
-        "nonlinear-f",
-        Phi=lambda x, dt: np.sin(x[:, -1, :1]),
-        f=lambda x, y, z: np.cos(y) + z[:, :, 0] / 2.0,
-        lip_C=1.0, growth_m=0.0,
-    )
-    entries.append(ModelRegistryEntry("nonlinear-f", m4, notes="oracle: nested engine"))
-
-    # z-in-g: exercises the z-contraction channel of the backward driver.
-    alpha0 = 0.5
-    m5 = _scalar_base(
-        "z-in-g",
-        Phi=lambda x, dt: x[:, -1, :1].copy(),
-        g=lambda x, y, z: alpha0 * z[:, :, :1],
-        lip_C=1.0, growth_m=0.0, alpha=0.5,
-    )
-    entries.append(ModelRegistryEntry("z-in-g", m5, closed_form_u=endpoint,
-                                      closed_form_Z=lambda p: np.array([[1.0]]),
-                                      notes="E_B of the field gamma(t) + 0.5 (B_T - B_t); Z = 1"))
-
-    # path-f: genuinely non-Markovian time driver via the running maximum.
-    m6 = _scalar_base(
-        "path-f",
-        Phi=lambda x, dt: x[:, -1, :1].copy(),
-        f=lambda x, y, z: x[:, :, :1].max(axis=1) - y,
-        markovian_flag=False,
-        lip_C=1.0, growth_m=0.0,
-    )
-    entries.append(ModelRegistryEntry("path-f", m6, notes="oracle: nested engine"))
-    return entries
+    return [
+        # heat: terminal square of the endpoint.
+        # u(gamma_t) = E[(gamma(t) + W_{T-t})^2] = gamma(t)^2 + (T - t).
+        entry({"name": "heat", "Phi": {"kind": "endpoint_square"}},
+              closed_form_u=lambda p: np.array([p.endpoint[0] ** 2
+                                                + (p.horizon - p.current_time)]),
+              closed_form_Z=lambda p: np.array([[2.0 * p.endpoint[0]]]),
+              notes="second moment of a shifted Brownian endpoint"),
+        # asian: integral of the path over the full horizon.
+        # u(gamma_t) = int_0^t gamma + gamma(t) (T - t) since E[X(s)] = gamma(t),
+        # exact for the left-endpoint integral convention.
+        entry({"name": "asian", "Phi": {"kind": "running_integral"}, "growth_m": 0.0},
+              closed_form_u=_u_asian,
+              closed_form_Z=lambda p: np.array([[p.horizon - p.current_time]]),
+              notes="conditional expectation of integrated Brownian motion"),
+        # linear-g: backward-integral driver proportional to y.
+        entry({"name": "linear-g", "g": {"kind": "linear_y", "coef": 0.3},
+               "lip_C": 1.0, "growth_m": 0.0},
+              closed_form_u=endpoint,
+              notes="E_B of the field gamma(t) prod_j (1 + 0.3 dB_j)"),
+        # nonlinear-f: classical-BSDE reduction.
+        entry({"name": "nonlinear-f", "Phi": {"kind": "endpoint_sin"},
+               "f": {"kind": "cos_y_plus_half_z"}, "lip_C": 1.0, "growth_m": 0.0},
+              notes="oracle: nested engine"),
+        # z-in-g: exercises the z-contraction channel of the backward driver.
+        entry({"name": "z-in-g", "g": {"kind": "linear_z", "coef": 0.5},
+               "lip_C": 1.0, "growth_m": 0.0},
+              closed_form_u=endpoint, closed_form_Z=lambda p: np.array([[1.0]]),
+              notes="E_B of the field gamma(t) + 0.5 (B_T - B_t); Z = 1"),
+        # path-f: genuinely non-Markovian time driver via the running maximum.
+        entry({"name": "path-f", "f": {"kind": "runmax_minus_y"},
+               "lip_C": 1.0, "growth_m": 0.0},
+              notes="oracle: nested engine"),
+    ]
 
 
 def shifted_model(model: Model, shift_phi: float = 0.0, shift_f: float = 0.0) -> Model:

@@ -317,6 +317,9 @@ def _precondition_probes(m1: Model, m2: Model, grid, n_probes, seed):
         p = random_initial_path(grid, ti, d, rng)
         y = rng.normal(size=k)
         z = rng.normal(size=(k, d))
+        if any(np.any(np.abs(on_path(c1, p) - on_path(c2, p)) > _EPS)
+               for c1, c2 in ((m1.b, m2.b), (m1.sigma, m2.sigma))):
+            raise PreconditionError("comparison requires one forward process")
         if ti == N:
             phi1, phi2 = on_path(m1.Phi, p, p.dt), on_path(m2.Phi, p, p.dt)
             if np.any(phi1 < phi2 - _EPS):
@@ -344,17 +347,17 @@ def comparison_check(m1: Model, m2: Model, initial: Path,
     the pointwise backward values must satisfy the ordering at every grid
     time within a noise margin.  Expectation-level: over n_initials random
     initial paths the field estimates must be ordered within three combined
-    standard errors.
+    standard errors.  The probes require equal b and sigma, so both models
+    are solved on one simulated ensemble per driver sample.
     """
     if m1.dims[1] != 1:
         raise ValueError("comparison requires a scalar backward component")
     _precondition_probes(m1, m2, initial.grid_times, n_probes, seed)
     drv = sample_drivers(initial.grid_times, n_scenarios, seed,
                          d=m1.dims[0], l=m1.dims[2])
-    ens1 = simulate_forward(m1, initial, drv)
-    ens2 = simulate_forward(m2, initial, drv)
-    s1 = solve_regression(m1, ens1, basis=basis)
-    s2 = solve_regression(m2, ens2, basis=basis)
+    ens = simulate_forward(m1, initial, drv)
+    s1 = solve_regression(m1, ens, basis=basis)
+    s2 = solve_regression(m2, ens, basis=basis)
     i_t = initial.t_index
     margin = 3.0 * float(np.max(s1.u_stderr + s2.u_stderr)) + 1e-9
     worst = float((s2.y[:, i_t:] - s1.y[:, i_t:]).max())
@@ -366,10 +369,9 @@ def comparison_check(m1: Model, m2: Model, initial: Path,
         drv_j = sample_drivers(initial.grid_times, n_initial_scenarios,
                                stream_seed(seed, _COMPARISON_DRIVERS, j),
                                d=m1.dims[0], l=m1.dims[2])
-        e1 = simulate_forward(m1, p, drv_j)
-        e2 = simulate_forward(m2, p, drv_j)
-        r1 = solve_regression(m1, e1, basis=basis)
-        r2 = solve_regression(m2, e2, basis=basis)
+        ens_j = simulate_forward(m1, p, drv_j)
+        r1 = solve_regression(m1, ens_j, basis=basis)
+        r2 = solve_regression(m2, ens_j, basis=basis)
         comb = 3.0 * float(np.max(r1.u_stderr + r2.u_stderr)) + 1e-9
         mean_stats.append(float((r2.u_estimate - r1.u_estimate).max()) / comb)
     stat = max(worst / margin, max(mean_stats))

@@ -157,8 +157,11 @@ def test_inline_model_grammar():
     p = Path(make_grid(1.0, 8), np.array([[2.0]]))
     assert on_path(m.b, p)[0] == pytest.approx(-1.0)
     assert on_path(m.sigma, p)[0, 0] == pytest.approx(0.8)
-    assert not m.markovian_flag or True  # endpoint terminal stays Markovian
+    assert m.markovian_flag  # endpoint-type terminal and a path-free driver
     assert on_path(m.g, p, np.array([1.0]), np.zeros((1, 1)))[0, 0] == pytest.approx(0.3)
+    for path_spec in ({"f": {"kind": "runmax_minus_y"}},
+                      {"Phi": {"kind": "running_integral"}}):
+        assert not load_config(base_config(model=path_spec)).model.markovian_flag
 
 
 def test_inline_model_rejects_expansive_z_driver():

@@ -122,6 +122,76 @@ def test_block_contract_shapes_and_on_path():
                 assert np.array_equal(row, blocks[coeff][0][s]), (model.name, coeff)
 
 
+# each registry model's coefficients written out by hand: a grammar kind
+# mapped to the wrong formula differs in some bit
+ZERO_B = lambda x: np.zeros((x.shape[0], 1))
+UNIT_SIGMA = lambda x: np.broadcast_to(np.eye(1), (x.shape[0], 1, 1))
+ENDPOINT = lambda x, dt: x[:, -1, :1].copy()
+PINNED = {
+    "heat": dict(Phi=lambda x, dt: x[:, -1, :1] ** 2,
+                 lip_C=2.0, growth_m=1.0, markovian=True),
+    "asian": dict(Phi=lambda x, dt: x[:, :-1, :1].sum(axis=1) * dt,
+                  lip_C=2.0, growth_m=0.0, markovian=False),
+    "linear-g": dict(Phi=ENDPOINT, g=lambda x, y, z: 0.3 * y[:, :, None],
+                     lip_C=1.0, growth_m=0.0, markovian=True),
+    "nonlinear-f": dict(Phi=lambda x, dt: np.sin(x[:, -1, :1]),
+                        f=lambda x, y, z: np.cos(y) + z[:, :, 0] / 2.0,
+                        lip_C=1.0, growth_m=0.0, markovian=True),
+    "z-in-g": dict(Phi=ENDPOINT, g=lambda x, y, z: 0.5 * z[:, :, :1],
+                   lip_C=1.0, growth_m=0.0, markovian=True),
+    "path-f": dict(Phi=ENDPOINT, f=lambda x, y, z: x[:, :, :1].max(axis=1) - y,
+                   lip_C=1.0, growth_m=0.0, markovian=False),
+}
+
+
+def assert_same_bits(got, want, label):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype, label
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), label
+
+
+def test_registry_coefficients_are_pinned_bit_for_bit():
+    rng = np.random.default_rng(21)
+    n, dt = 16, 0.125
+    assert sorted(PINNED) == sorted(e.name for e in registry())
+    for entry in registry():
+        model, pin = entry.model, PINNED[entry.name]
+        assert model.name == entry.name
+        assert (model.lip_C, model.growth_m, model.alpha) == (pin["lip_C"], pin["growth_m"], 0.5)
+        assert model.markovian_flag is pin["markovian"]
+        assert model.dims == (1, 1, 1)
+        assert (model.f is None) == ("f" not in pin) and (model.g is None) == ("g" not in pin)
+        for m in (1, 4, 9):
+            x = 3.0 * rng.normal(size=(n, m, 1))
+            y = rng.normal(size=(n, 1))
+            z = rng.normal(size=(n, 1, 1))
+            assert (x < 0).any() and (y < 0).any() and (z < 0).any()
+            label = (entry.name, m)
+            assert_same_bits(model.b(x), ZERO_B(x), label + ("b",))
+            assert_same_bits(model.sigma(x), UNIT_SIGMA(x), label + ("sigma",))
+            assert_same_bits(model.Phi(x, dt), pin["Phi"](x, dt), label + ("Phi",))
+            if "f" in pin:
+                assert_same_bits(model.f(x, y, z), pin["f"](x, y, z), label + ("f",))
+            if "g" in pin:
+                assert_same_bits(model.g(x, y, z), pin["g"](x, y, z), label + ("g",))
+
+
+def test_constant_inline_coefficients_equal_their_affine_form():
+    from pathfk.models import model_from_spec
+    rng = np.random.default_rng(22)
+    const = model_from_spec({"b": {"const": 0.3}, "sigma": {"const": 0.8}})
+    affine = model_from_spec({"b": {"affine": {"intercept": 0.3, "slope": -0.5}},
+                              "sigma": {"affine": {"intercept": 0.8, "slope": 0.25}}})
+    for m in (1, 5):
+        x = 3.0 * rng.normal(size=(6, m, 1))
+        assert (x < 0).any()
+        assert_same_bits(const.b(x), 0.3 + 0.0 * x[:, -1, :], ("b", m))
+        assert_same_bits(const.sigma(x), (0.8 + 0.0 * x[:, -1, :1])[..., None], ("sigma", m))
+        assert_same_bits(affine.b(x), 0.3 + -0.5 * x[:, -1, :], ("affine b", m))
+        assert_same_bits(affine.sigma(x), (0.8 + 0.25 * x[:, -1, :1])[..., None],
+                         ("affine sigma", m))
+
+
 # -- assumption probes ---------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Statistical checks tying the backward pair to the path field."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -342,9 +344,30 @@ def test_comparison_rejects_unordered_data():
 
 
 def test_comparison_rejects_mismatched_g():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="identical backward drivers"):
         comparison_check(get_model("linear-g"), get_model("heat"), origin(8),
                          n_scenarios=500, seed=14, n_initials=1)
+
+
+def test_comparison_rejects_a_second_forward_process():
+    base = get_model("heat")
+    wider = replace(base, sigma=lambda x: 1.2 * base.sigma(x))
+    with pytest.raises(PreconditionError, match="one forward process"):
+        comparison_check(wider, base, origin(8), n_scenarios=500, seed=14,
+                         n_initials=1)
+
+
+def test_comparison_simulates_each_driver_sample_once(monkeypatch):
+    import pathfk.verification as verification
+    simulated = []
+    simulate = verification.simulate_forward
+    monkeypatch.setattr(verification, "simulate_forward",
+                        lambda *args: simulated.append(args) or simulate(*args))
+    base = get_model("heat")
+    rep = comparison_check(shifted_model(base, shift_phi=0.5), base, origin(8),
+                           n_scenarios=1000, seed=12, n_initials=3,
+                           n_initial_scenarios=500)
+    assert rep.passed and len(simulated) == 1 + 3
 
 
 # -- discretization ------------------------------------------------------

@@ -199,9 +199,10 @@ def model_from_spec(spec: dict) -> Model:
         }
 
     Affine coefficients read the current endpoint, so the model is Lipschitz
-    by construction; a constant b or sigma does no arithmetic on x.  A
-    running-integral terminal or running-max driver is non-Markovian.
+    by construction; a constant b or sigma ignores x and stays finite on an
+    overflowed scenario.  Running integrals and maxima are non-Markovian.
     """
+    name = spec.get("name", "custom")
     b0, b1 = _affine_coeff(spec.get("b"), 0.0)
     s0, s1 = _affine_coeff(spec.get("sigma"), 1.0)
     b = ((lambda x: b0 + b1 * x[:, -1, :]) if b1
@@ -212,13 +213,15 @@ def model_from_spec(spec: dict) -> Model:
     phi_spec = spec.get("Phi", {"kind": "endpoint"})
     phi_kind = phi_spec.get("kind", "endpoint")
     shift = float(phi_spec.get("shift", 0.0))
-    Phi = {
-        "endpoint": lambda x, dt: x[:, -1, :1] + shift,
-        "endpoint_square": lambda x, dt: x[:, -1, :1] ** 2 + shift,
-        "endpoint_sin": lambda x, dt: np.sin(x[:, -1, :1]) + shift,
-        "running_integral": lambda x, dt: x[:, :-1, :1].sum(axis=1) * dt + shift,
-    }.get(phi_kind)
-    if Phi is None:
+    if phi_kind == "endpoint":
+        Phi = lambda x, dt: x[:, -1, :1] + shift
+    elif phi_kind == "endpoint_square":
+        Phi = lambda x, dt: x[:, -1, :1] ** 2 + shift
+    elif phi_kind == "endpoint_sin":
+        Phi = lambda x, dt: np.sin(x[:, -1, :1]) + shift
+    elif phi_kind == "running_integral":
+        Phi = lambda x, dt: x[:, :-1, :1].sum(axis=1) * dt + shift
+    else:
         raise ConfigError(f"unknown terminal kind {phi_kind!r}")
 
     f_spec = spec.get("f", {"kind": "zero"})
@@ -260,7 +263,7 @@ def model_from_spec(spec: dict) -> Model:
         lip_C=float(spec.get("lip_C", max(2.0, abs(b1) + abs(s1)))),
         growth_m=float(spec.get("growth_m", 1.0)),
         alpha=float(spec.get("alpha", max(abs(coef), 0.5) if g_kind == "linear_z" else 0.5)),
-        name=spec.get("name", "custom"),
+        name=name,
         markovian_flag=f_kind != "runmax_minus_y" and phi_kind != "running_integral",
     )
 

@@ -173,6 +173,8 @@ def test_inline_model_rejects_expansive_z_driver():
 def test_inline_model_rejects_unknown_kinds():
     with pytest.raises(ConfigError):
         load_config(base_config(model={"Phi": {"kind": "lookback"}}))
+    with pytest.raises(ConfigError, match="unknown terminal kind"):
+        load_config(base_config(model={"Phi": {"kind": ["endpoint"]}}))
     with pytest.raises(ConfigError):
         load_config(base_config(model={"f": {"kind": "exotic"}}))
     with pytest.raises(ConfigError):

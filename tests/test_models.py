@@ -176,20 +176,20 @@ def test_registry_coefficients_are_pinned_bit_for_bit():
                 assert_same_bits(model.g(x, y, z), pin["g"](x, y, z), label + ("g",))
 
 
-def test_constant_inline_coefficients_equal_their_affine_form():
+def test_constant_inline_coefficients_do_not_read_x():
+    # on finite blocks a constant equals its affine form of slope 0 bit for
+    # bit; on an overflowed row it stays the constant, where 0 * inf is NaN
     from pathfk.models import model_from_spec
     rng = np.random.default_rng(22)
     const = model_from_spec({"b": {"const": 0.3}, "sigma": {"const": 0.8}})
-    affine = model_from_spec({"b": {"affine": {"intercept": 0.3, "slope": -0.5}},
-                              "sigma": {"affine": {"intercept": 0.8, "slope": 0.25}}})
     for m in (1, 5):
         x = 3.0 * rng.normal(size=(6, m, 1))
         assert (x < 0).any()
         assert_same_bits(const.b(x), 0.3 + 0.0 * x[:, -1, :], ("b", m))
         assert_same_bits(const.sigma(x), (0.8 + 0.0 * x[:, -1, :1])[..., None], ("sigma", m))
-        assert_same_bits(affine.b(x), 0.3 + -0.5 * x[:, -1, :], ("affine b", m))
-        assert_same_bits(affine.sigma(x), (0.8 + 0.25 * x[:, -1, :1])[..., None],
-                         ("affine sigma", m))
+        x[0], x[1] = np.inf, np.nan
+        assert_same_bits(const.b(x), np.full((6, 1), 0.3), ("overflowed b", m))
+        assert_same_bits(const.sigma(x), np.full((6, 1, 1), 0.8), ("overflowed sigma", m))
 
 
 # -- assumption probes ---------------------------------------------------

@@ -23,10 +23,10 @@ import zlib
 
 import numpy as np
 
-from .config import ExperimentConfig, load_config
+from .config import CHECK_KEYS, ExperimentConfig, load_config
 from .models import get_entry, shifted_model
 from .reports import CheckReport
-from .simulation import sample_drivers, simulate_forward, stream_seed
+from .simulation import _simulate, stream_seed
 from .solver import solve_nested, solve_regression
 from .verification import (comparison_check, discretization_convergence_check,
                            field_from_closed_form, field_from_engine, flow_check,
@@ -56,9 +56,7 @@ def _solve(cfg: ExperimentConfig):
             branching=cfg.engine_options.get("branching", 8),
             picard_iters=cfg.engine_options.get("picard_iters", 2),
         )
-    drivers = sample_drivers(cfg.grid_times, cfg.n_scenarios, cfg.seed,
-                             d=cfg.model.dims[0], l=cfg.model.dims[2])
-    ens = simulate_forward(cfg.model, cfg.initial, drivers)
+    ens = _simulate(cfg.model, cfg.initial, cfg.n_scenarios, cfg.seed)
     return solve_regression(
         cfg.model, ens, basis=cfg.basis,
         picard_iters=cfg.engine_options.get("picard_iters", 2),
@@ -96,74 +94,55 @@ def _closed_form_report(cfg: ExperimentConfig, sol) -> CheckReport:
 
 def run_check(cfg: ExperimentConfig, name: str):
     """Run one named check other than closed_form, which run_experiment
-    scores on its headline solve; returns a list of CheckReport."""
-    spec = cfg.checks[name] or {}
+    scores on its headline solve; returns a list of CheckReport.  Only the
+    keys the spec sets are passed, read as their config.CHECK_KEYS types; a
+    key left out takes the check function's default or, for the keys that
+    only the CLI reads, the one written here."""
+    types = CHECK_KEYS[name]
+    spec = {key: types[key](v) for key, v in (cfg.checks[name] or {}).items()}
     seed = _check_seed(cfg.seed, name)
     model = cfg.model
 
-    if name == "z_representation":
-        drivers = sample_drivers(cfg.grid_times, cfg.n_scenarios, seed,
-                                 d=model.dims[0], l=model.dims[2])
-        ens = simulate_forward(model, cfg.initial, drivers)
+    if name in ("z_representation", "z_growth"):
+        ens = _simulate(model, cfg.initial, cfg.n_scenarios, seed)
         sol = solve_regression(model, ens, basis=cfg.basis)
+        if name == "z_growth":
+            return [z_growth_check(sol, ens, **spec)]
         u = None if cfg.closed_form_Z is not None else _candidate_field(cfg)
         return [z_representation_check(
-            model, sol, ens, z_reference=cfg.closed_form_Z, u=u,
-            n_sub=int(spec.get("n_sub", 100)),
-            tol=float(spec.get("tol", 0.05)))]
-
-    if name == "z_growth":
-        drivers = sample_drivers(cfg.grid_times, cfg.n_scenarios, seed,
-                                 d=model.dims[0], l=model.dims[2])
-        ens = simulate_forward(model, cfg.initial, drivers)
-        sol = solve_regression(model, ens, basis=cfg.basis)
-        return [z_growth_check(sol, ens, q=float(spec.get("q", 1.0)))]
+            model, sol, ens, z_reference=cfg.closed_form_Z, u=u, **spec)]
 
     if name == "flow":
-        return [flow_check(
-            model, cfg.initial, s=float(spec["s"]),
-            n_scenarios=cfg.n_scenarios,
-            n_resolve=int(spec.get("n_resolve", 20)), seed=seed,
-            basis=cfg.basis)]
+        return [flow_check(model, cfg.initial, n_scenarios=cfg.n_scenarios,
+                           seed=seed, basis=cfg.basis, **spec)]
 
     if name == "field_equation":
         u = _candidate_field(cfg)
-        drivers = sample_drivers(cfg.grid_times, int(spec.get("n_paths", 10)),
-                                 seed, d=model.dims[0], l=model.dims[2])
-        ens = simulate_forward(model, cfg.initial, drivers)
-        return [spde_residual_check(u, model, ens,
-                                    tol=float(spec.get("tol", 0.05)))]
+        ens = _simulate(model, cfg.initial, spec.get("n_paths", 10), seed)
+        return [spde_residual_check(u, model, ens, tol=spec.get("tol", 0.05))]
 
     if name == "comparison":
-        upper = shifted_model(model,
-                              shift_phi=float(spec.get("shift_phi", 0.1)),
-                              shift_f=float(spec.get("shift_f", 0.0)))
+        upper = shifted_model(model, **{"shift_phi": 0.1, **spec})
         return [comparison_check(upper, model, cfg.initial,
                                  n_scenarios=cfg.n_scenarios, seed=seed,
                                  basis=cfg.basis)]
 
     if name == "discretization":
         return [discretization_convergence_check(
-            model, cfg.initial,
-            node_counts=tuple(spec.get("node_counts", (2, 4, 8, 16))),
-            n_scenarios=cfg.n_scenarios, seed=seed, basis=cfg.basis,
-            noise_only=bool(spec.get("noise_only", False)))]
+            model, cfg.initial, n_scenarios=cfg.n_scenarios, seed=seed,
+            basis=cfg.basis, **spec)]
 
     if name == "regularity":
-        u = _candidate_field(cfg)
-        return [regularity_check(
-            lambda p: u(p), cfg.grid_times, model.dims[0],
-            growth_q=float(spec.get("q", model.growth_m + 1.0)),
-            n_probes=int(spec.get("n_probes", 100)), seed=seed)]
+        growth_q = spec.pop("q", model.growth_m + 1.0)
+        return [regularity_check(_candidate_field(cfg), cfg.grid_times,
+                                 model.dims[0], growth_q=growth_q, seed=seed,
+                                 **spec)]
 
     if name == "moments":
-        probes = moment_probes(
-            model, cfg.grid_times,
-            n_probes=int(spec.get("n_probes", 100)),
-            n_scenarios=int(spec.get("n_scenarios", 500)),
-            seed=seed, basis=cfg.basis)
-        return [moment_envelope_score(probes, p=float(p))
-                for p in spec.get("p", (2, 4))]
+        orders = spec.pop("p", (2, 4))
+        probes = moment_probes(model, cfg.grid_times, seed=seed,
+                               basis=cfg.basis, **spec)
+        return [moment_envelope_score(probes, p=float(p)) for p in orders]
 
     raise ValueError(f"unknown check {name!r}")
 

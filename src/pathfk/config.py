@@ -2,6 +2,9 @@
 registry or from a restricted inline grammar), the grid, the sampling
 budget, the engine, the initial path, and the checks to run.
 
+CHECK_KEYS names each check and the keys its spec takes; any other check
+or key raises ConfigError before the headline solve.
+
 The inline model grammar and its builder, models.model_from_spec, live
 with the registry in models.py, whose entries are specs of that grammar.
 """
@@ -18,14 +21,23 @@ from .errors import ConfigError
 from .models import Model, get_entry, model_from_spec
 from .paths import Path, make_grid
 from .solver import RegressionBasis
+from .verification import NODE_COUNTS
 
 _ENGINES = ("regression", "nested")
 # the engine options and the least value of each
 _ENGINE_OPTIONS = {"n_outer": 1, "branching": 2, "picard_iters": 1}
-_KNOWN_CHECKS = (
-    "closed_form", "z_representation", "z_growth", "flow", "field_equation",
-    "comparison", "discretization", "regularity", "moments",
-)
+# each check and the keys its spec takes, with the type each is read as
+CHECK_KEYS = {
+    "closed_form": {"tol_rel": float},
+    "z_representation": {"n_sub": int, "tol": float},
+    "z_growth": {"q": float},
+    "flow": {"s": float, "n_resolve": int},
+    "field_equation": {"n_paths": int, "tol": float},
+    "comparison": {"shift_phi": float, "shift_f": float},
+    "discretization": {"node_counts": tuple, "noise_only": bool},
+    "regularity": {"q": float, "n_probes": int},
+    "moments": {"n_probes": int, "n_scenarios": int, "p": tuple},
+}
 
 
 @dataclass
@@ -34,8 +46,6 @@ class ExperimentConfig:
     model: Model
     closed_form_u: Optional[callable]
     closed_form_Z: Optional[callable]
-    T: float
-    N: int
     n_scenarios: int
     seed: int
     engine: str
@@ -69,7 +79,7 @@ def _check_restart_and_nodes(checks: dict, initial: Path) -> None:
                 f"{initial.current_time:g} and the horizon {initial.horizon:g}, "
                 f"got {s!r}")
     if "discretization" in checks:
-        counts = (checks["discretization"] or {}).get("node_counts", (2, 4, 8, 16))
+        counts = (checks["discretization"] or {}).get("node_counts", NODE_COUNTS)
         remaining = N - initial.t_index
         bad = [n for n in counts
                if type(n) is not int or n < 1 or remaining % n]
@@ -166,11 +176,15 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
         basis = RegressionBasis(feature_set="endpoint+runmax+runint")
 
     checks = raw.get("checks", {})
-    for cname in checks:
-        if cname not in _KNOWN_CHECKS:
+    for cname, spec in checks.items():
+        if cname not in CHECK_KEYS:
             raise ConfigError(
-                f"unknown check {cname!r}; known checks: {_KNOWN_CHECKS}"
+                f"unknown check {cname!r}; known checks: {tuple(CHECK_KEYS)}"
             )
+        unknown = sorted(set(spec or {}) - set(CHECK_KEYS[cname]))
+        if unknown:
+            raise ConfigError(f"check {cname!r} takes the keys "
+                              f"{tuple(CHECK_KEYS[cname])}, not {unknown}")
     if "closed_form" in checks and closed_u is None:
         raise ConfigError(f"model {model.name!r} has no closed form to check against")
     _check_restart_and_nodes(checks, initial)
@@ -180,7 +194,6 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
         model=model,
         closed_form_u=closed_u,
         closed_form_Z=closed_Z,
-        T=T, N=N,
         n_scenarios=n_scenarios,
         seed=seed,
         engine=engine,

@@ -112,9 +112,9 @@ def _lip_bound(C, m, pa, pb):
     return C * (1.0 + sup_norm(pa) ** m + sup_norm(pb) ** m) * path_dist(pa, pb).sup_component
 
 
-def validate(model: Model, n_probes: int = 100, seed: int = 0,
-             grid_steps: int = 8, horizon: float = 1.0) -> ValidationReport:
-    """Sampled falsification of the structural assumptions.
+def validate(model: Model, n_probes: int = 100, seed: int = 0) -> ValidationReport:
+    """Sampled falsification of the structural assumptions, on probe paths
+    of an 8-step grid on [0, 1].
 
     Probes are randomized, not exhaustive; a pass means no witness was found,
     a fail carries the witnessing inputs.
@@ -123,7 +123,7 @@ def validate(model: Model, n_probes: int = 100, seed: int = 0,
         raise ValueError("need at least one probe")
     d, k, l = model.dims
     rng = np.random.default_rng(seed)
-    grid = make_grid(horizon, grid_steps)
+    grid = make_grid(1.0, 8)
     probes = []
 
     alpha_ok = 0.0 < model.alpha < 1.0
@@ -133,7 +133,7 @@ def validate(model: Model, n_probes: int = 100, seed: int = 0,
     slack = 1e-9
     bad_f = bad_g = bad_bs = bad_gg = None
     for _ in range(n_probes):
-        ti = int(rng.integers(1, grid_steps + 1))
+        ti = int(rng.integers(1, len(grid)))
         pa = random_initial_path(grid, ti, d, rng)
         pb = random_initial_path(grid, ti, d, rng)
         y1, y2 = rng.normal(size=(2, k))

@@ -181,6 +181,14 @@ def simulate_forward(model, initial: Path, drivers: BrownianPair) -> ScenarioEns
     return ScenarioEnsemble(initial, drivers, X.transpose(1, 0, 2), valid)
 
 
+def _simulate(model, initial: Path, n_scenarios: int, seed: int) -> ScenarioEnsemble:
+    """Forward paths continuing `initial` on a fresh driver pair of the
+    model's widths (d, l), drawn from `seed`."""
+    d, _, l = model.dims
+    drivers = sample_drivers(initial.grid_times, n_scenarios, seed, d=d, l=l)
+    return simulate_forward(model, initial, drivers)
+
+
 def random_initial_path(grid_times: np.ndarray, t_index: int, dim: int,
                         rng: np.random.Generator, scale: float = 1.0) -> Path:
     """A random walk initial path used by probe-based checks."""

@@ -21,7 +21,7 @@ from .models import Model, ModelRegistryEntry, on_path
 from .paths import (Path, discretize_values, path_dist, restrict, sup_norm,
                     vertical_bump)
 from .reports import CheckReport
-from .simulation import (ScenarioEnsemble, random_initial_path, sample_drivers,
+from .simulation import (ScenarioEnsemble, _simulate, random_initial_path,
                          simulate_forward, stream_seed)
 from .solver import (BackwardSolution, RegressionBasis, _nested_estimates,
                      solve_regression)
@@ -32,6 +32,13 @@ _FLOW_RESTARTS = 11
 _COMPARISON_PATHS = 12
 _COMPARISON_DRIVERS = 13
 _MOMENT_DRIVERS = 14
+# z_growth's envelope quantile, and the multiple of it that flags a sample
+_BULK_QUANTILE = 0.99
+_OUTLIER_FACTOR = 5.0
+# the factor by which an odd-indexed probe may exceed the envelope fitted
+# on the even-indexed ones
+_HEADROOM = 3.0
+NODE_COUNTS = (2, 4, 8, 16)     # discretization's, checked by config too
 
 
 # -- field functionals ---------------------------------------------------
@@ -163,13 +170,12 @@ def spde_residual(u: PathFunctional, model: Model,
 
 
 def spde_residual_check(u: PathFunctional, model: Model,
-                        ensemble: ScenarioEnsemble, tol: float,
-                        name: str = "field_equation_residual") -> CheckReport:
+                        ensemble: ScenarioEnsemble, tol: float) -> CheckReport:
     res = spde_residual(u, model, ensemble)
     rms = float(np.sqrt(np.mean(res ** 2)))
     scale = 1.0 + float(np.abs(ensemble.x_values).max())
     return CheckReport.make(
-        name, rms / scale, tol, len(res),
+        "field_equation_residual", rms / scale, tol, len(res),
         details=[f"rms residual {rms:.3g} over {len(res)} paths, scale {scale:.3g}"],
         samples=[(f"path_{s}", r) for s, r in enumerate(res[:50])],
     )
@@ -182,8 +188,7 @@ def z_representation_check(model: Model, solution: BackwardSolution,
                            ensemble: ScenarioEnsemble,
                            z_reference: Optional[Callable[[Path], np.ndarray]] = None,
                            u: Optional[PathFunctional] = None,
-                           n_sub: int = 100, tol: float = 0.05,
-                           name: str = "z_representation") -> CheckReport:
+                           n_sub: int = 100, tol: float = 0.05) -> CheckReport:
     """RMS relative gap, over a scenario-times-steps subsample, between the
     solver's z and the diffusion-weighted field gradient along each path.
 
@@ -221,7 +226,7 @@ def z_representation_check(model: Model, solution: BackwardSolution,
                         / (1.0 + np.linalg.norm(z_ref)))
     rms = float(np.sqrt(np.mean(np.square(rels))))
     return CheckReport.make(
-        name, rms, tol, len(rels),
+        "z_representation", rms, tol, len(rels),
         details=[f"{len(rels)} scenario-step samples, {excluded} excluded "
                  "for unreliable derivatives"],
         samples=[("rms", rms), ("max", float(np.max(rels))),
@@ -230,9 +235,7 @@ def z_representation_check(model: Model, solution: BackwardSolution,
 
 
 def z_growth_check(solution: BackwardSolution, ensemble: ScenarioEnsemble,
-                   q: float = 1.0, quantile: float = 0.99,
-                   outlier_factor: float = 5.0,
-                   name: str = "z_growth_envelope") -> CheckReport:
+                   q: float = 1.0) -> CheckReport:
     """Fit the envelope constant for |z| against 1 + sup|X|^q at the bulk
     quantile and flag samples exceeding a multiple of it."""
     i_t = solution.t_index
@@ -241,12 +244,12 @@ def z_growth_check(solution: BackwardSolution, ensemble: ScenarioEnsemble,
     sup = 1.0 + np.max(np.linalg.norm(X, axis=2), axis=1) ** q
     znorm = np.sqrt(np.sum(z ** 2, axis=(1, 2, 3)) / max(z.shape[1], 1))
     ratios = znorm / sup
-    C = float(np.quantile(ratios, quantile)) + _EPS
-    frac_out = float(np.mean(ratios > outlier_factor * C))
+    C = float(np.quantile(ratios, _BULK_QUANTILE)) + _EPS
+    frac_out = float(np.mean(ratios > _OUTLIER_FACTOR * C))
     return CheckReport.make(
-        name, frac_out, 0.0, len(ratios),
-        details=[f"envelope constant {C:.4g} at quantile {quantile}",
-                 f"outlier fraction beyond {outlier_factor}x: {frac_out:.4g}"],
+        "z_growth_envelope", frac_out, 0.0, len(ratios),
+        details=[f"envelope constant {C:.4g} at quantile {_BULK_QUANTILE}",
+                 f"outlier fraction beyond {_OUTLIER_FACTOR}x: {frac_out:.4g}"],
         samples=[("envelope_constant", C), ("max_ratio", float(ratios.max()))],
     )
 
@@ -255,17 +258,15 @@ def z_growth_check(solution: BackwardSolution, ensemble: ScenarioEnsemble,
 
 
 def flow_check(model: Model, initial: Path, s: float,
-               n_scenarios: int = 10_000, n_resolve: int = 20,
-               n_resolve_scenarios: int = 2_000, seed: int = 0,
-               basis: Optional[RegressionBasis] = None,
-               name: str = "flow_consistency") -> CheckReport:
+               n_scenarios: int = 10_000, n_resolve: int = 20, seed: int = 0,
+               basis: Optional[RegressionBasis] = None) -> CheckReport:
     """Restart consistency at an intermediate time: the solve-from-t
     estimate of the value at time s along a scenario must agree with a
     fresh solve restarted from that scenario's realized prefix.
 
-    Each of n_resolve scenarios is re-solved with fresh drivers; agreement
-    is demanded within three combined standard errors (restart stderr plus
-    the fitted-value standard error of the original solve).
+    Each of n_resolve scenarios is re-solved on 2,000 fresh scenarios;
+    agreement is demanded within three combined standard errors (restart
+    stderr plus the fitted-value standard error of the original solve).
     """
     grid = initial.grid_times
     i_t = initial.t_index
@@ -274,9 +275,7 @@ def flow_check(model: Model, initial: Path, s: float,
         raise ValueError(
             f"intermediate time {s} must lie strictly between the initial "
             "time and the horizon")
-    drv = sample_drivers(grid, n_scenarios, seed,
-                         d=model.dims[0], l=model.dims[2])
-    ens = simulate_forward(model, initial, drv)
+    ens = _simulate(model, initial, n_scenarios, seed)
     sol = solve_regression(model, ens, basis=basis, record_fit_se=True)
     X = ens.x_values[ens.valid_mask]
 
@@ -284,10 +283,7 @@ def flow_check(model: Model, initial: Path, s: float,
     samples = []
     for j in range(min(n_resolve, X.shape[0])):
         prefix = Path(grid, X[j, : s_idx + 1])
-        drv_j = sample_drivers(grid, n_resolve_scenarios,
-                               stream_seed(seed, _FLOW_RESTARTS, j),
-                               d=model.dims[0], l=model.dims[2])
-        ens_j = simulate_forward(model, prefix, drv_j)
+        ens_j = _simulate(model, prefix, 2_000, stream_seed(seed, _FLOW_RESTARTS, j))
         sol_j = solve_regression(model, ens_j, basis=basis)
         direct = sol.y[j, s_idx]
         se_direct = sol.fit_se[j, s_idx]
@@ -298,7 +294,7 @@ def flow_check(model: Model, initial: Path, s: float,
         samples.append((f"scenario_{j}", zstat))
     stat = float(np.max(stats))
     return CheckReport.make(
-        name, stat, 1.0, len(stats),
+        "flow_consistency", stat, 1.0, len(stats),
         details=[f"restart at s={s} over {len(stats)} scenarios; worst "
                  f"|direct-restart| at {stat:.3g} of its 3-stderr budget"],
         samples=samples,
@@ -339,8 +335,7 @@ def comparison_check(m1: Model, m2: Model, initial: Path,
                      n_scenarios: int = 10_000, seed: int = 0,
                      n_probes: int = 50, n_initials: int = 20,
                      n_initial_scenarios: int = 2_000,
-                     basis: Optional[RegressionBasis] = None,
-                     name: str = "comparison") -> CheckReport:
+                     basis: Optional[RegressionBasis] = None) -> CheckReport:
     """Ordered data must give ordered solutions.
 
     Scenario-wise: on the given initial path, with one shared driver sample,
@@ -353,9 +348,7 @@ def comparison_check(m1: Model, m2: Model, initial: Path,
     if m1.dims[1] != 1:
         raise ValueError("comparison requires a scalar backward component")
     _precondition_probes(m1, m2, initial.grid_times, n_probes, seed)
-    drv = sample_drivers(initial.grid_times, n_scenarios, seed,
-                         d=m1.dims[0], l=m1.dims[2])
-    ens = simulate_forward(m1, initial, drv)
+    ens = _simulate(m1, initial, n_scenarios, seed)
     s1 = solve_regression(m1, ens, basis=basis)
     s2 = solve_regression(m2, ens, basis=basis)
     i_t = initial.t_index
@@ -366,17 +359,15 @@ def comparison_check(m1: Model, m2: Model, initial: Path,
     mean_stats = []
     for j in range(n_initials):
         p = random_initial_path(initial.grid_times, i_t, m1.dims[0], rng)
-        drv_j = sample_drivers(initial.grid_times, n_initial_scenarios,
-                               stream_seed(seed, _COMPARISON_DRIVERS, j),
-                               d=m1.dims[0], l=m1.dims[2])
-        ens_j = simulate_forward(m1, p, drv_j)
+        ens_j = _simulate(m1, p, n_initial_scenarios,
+                          stream_seed(seed, _COMPARISON_DRIVERS, j))
         r1 = solve_regression(m1, ens_j, basis=basis)
         r2 = solve_regression(m2, ens_j, basis=basis)
         comb = 3.0 * float(np.max(r1.u_stderr + r2.u_stderr)) + 1e-9
         mean_stats.append(float((r2.u_estimate - r1.u_estimate).max()) / comb)
     stat = max(worst / margin, max(mean_stats))
     return CheckReport.make(
-        name, stat, 1.0, n_scenarios,
+        "comparison", stat, 1.0, n_scenarios,
         details=[f"worst scenario-wise violation {worst:.4g} "
                  f"(margin {margin:.4g})",
                  f"worst expectation-level statistic {max(mean_stats):.4g} "
@@ -420,12 +411,10 @@ def discretized_model(model: Model, n_nodes: int, anchor_t: float,
 
 
 def discretization_convergence_check(model: Model, initial: Path,
-                                     node_counts: Sequence[int] = (2, 4, 8, 16),
+                                     node_counts: Sequence[int] = NODE_COUNTS,
                                      n_scenarios: int = 10_000, seed: int = 0,
                                      basis: Optional[RegressionBasis] = None,
-                                     noise_only: bool = False,
-                                     name: str = "discretization_convergence"
-                                     ) -> CheckReport:
+                                     noise_only: bool = False) -> CheckReport:
     """Field estimates under node-frozen coefficients must approach the
     unfrozen estimate as the node count grows; all solves share one driver
     sample so the gaps are not dominated by sampling noise.
@@ -434,14 +423,12 @@ def discretization_convergence_check(model: Model, initial: Path,
     the gaps must sit at the numerical noise floor instead.
     """
     grid = initial.grid_times
-    drv = sample_drivers(grid, n_scenarios, seed,
-                         d=model.dims[0], l=model.dims[2])
-    ens_full = simulate_forward(model, initial, drv)
+    ens_full = _simulate(model, initial, n_scenarios, seed)
     sol_full = solve_regression(model, ens_full, basis=basis)
     errors, gap_ses = [], []
     for n_nodes in node_counts:
         dm = discretized_model(model, n_nodes, initial.current_time, grid)
-        ens = simulate_forward(dm, initial, drv)
+        ens = simulate_forward(dm, initial, ens_full.drivers)
         sol = solve_regression(dm, ens, basis=basis)
         errors.append(float(np.max(np.abs(sol.u_estimate - sol_full.u_estimate))))
         # shared drivers: the gap's own stderr comes from the paired rollouts
@@ -454,16 +441,13 @@ def discretization_convergence_check(model: Model, initial: Path,
     if noise_only:
         stat = max(e / (3.0 * s + _EPS) for e, s in zip(errors, gap_ses))
         details.append("coefficients are node-insensitive; gaps must be noise")
-        return CheckReport.make(name, stat, 1.0, n_scenarios,
-                                details=details, samples=samples)
-    # non-increasing within two standard errors of each paired gap
-    stat = max(
-        (errors[j + 1] - errors[j])
-        / (2.0 * (gap_ses[j] + gap_ses[j + 1]) + _EPS)
-        for j in range(len(errors) - 1)
-    )
-    details.append("gap sequence must be non-increasing within 2 stderr")
-    return CheckReport.make(name, max(stat, 0.0), 1.0, n_scenarios,
+    else:
+        # non-increasing within two standard errors of each paired gap
+        stat = max(max((errors[j + 1] - errors[j])
+                       / (2.0 * (gap_ses[j] + gap_ses[j + 1]) + _EPS)
+                       for j in range(len(errors) - 1)), 0.0)
+        details.append("gap sequence must be non-increasing within 2 stderr")
+    return CheckReport.make("discretization_convergence", stat, 1.0, n_scenarios,
                             details=details, samples=samples)
 
 
@@ -472,9 +456,7 @@ def discretization_convergence_check(model: Model, initial: Path,
 
 def regularity_check(u: Callable[[Path], np.ndarray], grid_times: np.ndarray,
                      dim: int, growth_q: float, n_probes: int = 100,
-                     seed: int = 0, noise_floor: float = 0.0,
-                     headroom: float = 3.0,
-                     name: str = "regularity_envelope") -> CheckReport:
+                     seed: int = 0) -> CheckReport:
     """Lipschitz-type envelope for the field over randomized probe
     quadruples (path, comparison path, bump, comparison bump).
 
@@ -482,9 +464,8 @@ def regularity_check(u: Callable[[Path], np.ndarray], grid_times: np.ndarray,
     (1+sup-norms^q)(path distance): the raw field difference, and the
     stability of endpoint difference quotients in the bump size.  The
     envelope constant is fitted on the even-indexed probes; the odd-indexed
-    probes must stay below the fitted constant times a fixed headroom, after
-    subtracting the evaluation noise floor.  The statistic is the number of
-    violations.
+    probes must stay below the fitted constant times a fixed headroom.  The
+    statistic is the number of violations.
     """
     if n_probes < 10:
         raise ValueError("need at least 10 probe quadruples")
@@ -509,27 +490,25 @@ def regularity_check(u: Callable[[Path], np.ndarray], grid_times: np.ndarray,
         weight = 1.0 + sup_norm(p1) ** growth_q + sup_norm(p2) ** growth_q
         u1, u2 = np.asarray(u(p1)), np.asarray(u(p2))
         du = float(np.max(np.abs(u1 - u2)))
-        ratios_diff.append(max(du - noise_floor, 0.0) / (weight * dist))
+        ratios_diff.append(du / (weight * dist))
         e = np.zeros(dim)
         e[0] = 1.0
         q1 = (np.asarray(u(vertical_bump(p1, h1 * e))) - u1) / h1
         q2 = (np.asarray(u(vertical_bump(p2, h2 * e))) - u2) / h2
         dq = float(np.max(np.abs(q1 - q2)))
-        shape_q = weight * (abs(h1 - h2) + dist)
-        ratios_quot.append(max(dq - 2.0 * noise_floor / min(h1, h2), 0.0)
-                           / shape_q)
+        ratios_quot.append(dq / (weight * (abs(h1 - h2) + dist)))
     violations = 0
     fitted = {}
     for label, ratios in (("difference", ratios_diff),
                           ("quotient", ratios_quot)):
         r = np.asarray(ratios)
         C_fit = float(np.max(r[0::2])) + _EPS
-        violations += int(np.sum(r[1::2] > headroom * C_fit))
+        violations += int(np.sum(r[1::2] > _HEADROOM * C_fit))
         fitted[label] = C_fit
     return CheckReport.make(
-        name, float(violations), 0.0, len(ratios_diff),
+        "regularity_envelope", float(violations), 0.0, len(ratios_diff),
         details=[f"fitted constants {fitted}",
-                 f"{violations} probes beyond {headroom}x the fitted envelope"],
+                 f"{violations} probes beyond {_HEADROOM}x the fitted envelope"],
         samples=[("difference_constant", fitted["difference"]),
                  ("quotient_constant", fitted["quotient"]),
                  ("violations", float(violations))],
@@ -546,15 +525,13 @@ def moment_probes(model: Model, grid_times: np.ndarray, n_probes: int = 100,
     rng = np.random.default_rng(seed)
     N = len(grid_times) - 1
     dt = float(grid_times[1] - grid_times[0])
-    d, k, l = model.dims
     probes = []
     for j in range(n_probes):
         ti = int(rng.integers(0, N))
-        init = random_initial_path(grid_times, ti, d, rng,
+        init = random_initial_path(grid_times, ti, model.dims[0], rng,
                                    scale=float(rng.uniform(0.3, 3.0)))
-        drv = sample_drivers(grid_times, n_scenarios,
-                             stream_seed(seed, _MOMENT_DRIVERS, j), d=d, l=l)
-        ens = simulate_forward(model, init, drv)
+        ens = _simulate(model, init, n_scenarios,
+                        stream_seed(seed, _MOMENT_DRIVERS, j))
         sol = solve_regression(model, ens, basis=basis)
         sup_y = np.max(np.abs(sol.y[:, ti:]), axis=(1, 2))
         int_z2 = np.sum(sol.z[:, ti:] ** 2, axis=(1, 2, 3)) * dt
@@ -562,8 +539,7 @@ def moment_probes(model: Model, grid_times: np.ndarray, n_probes: int = 100,
     return probes
 
 
-def moment_envelope_score(probes: list, p: float, headroom: float = 3.0,
-                          name: Optional[str] = None) -> CheckReport:
+def moment_envelope_score(probes: list, p: float) -> CheckReport:
     """Score one moment order on probes from moment_probes: the p-th moment
     of sup |y| plus the p/2 moment of the integrated squared z must follow
     a power law in the probe shape.
@@ -572,8 +548,6 @@ def moment_envelope_score(probes: list, p: float, headroom: float = 3.0,
     even-indexed probes; odd-indexed probes must stay below the fitted
     envelope times the headroom plus three probe standard errors.
     """
-    if name is None:
-        name = f"moment_envelope_p{int(p)}"
     if p < 2:
         raise ValueError(f"moment order must be >= 2, got {p}")
     moments, ses, shapes = [], [], []
@@ -590,14 +564,14 @@ def moment_envelope_score(probes: list, p: float, headroom: float = 3.0,
     # envelope constant: smallest C covering every fitting probe at the
     # fitted exponent (a mean-fit intercept would leave half of them above)
     C_fit = float(np.exp(np.max(logm[0::2] - q_fit * logs[0::2])))
-    envelope = headroom * C_fit * np.asarray(shapes)[1::2] ** q_fit
+    envelope = _HEADROOM * C_fit * np.asarray(shapes)[1::2] ** q_fit
     test_m = np.asarray(moments)[1::2]
     test_se = np.asarray(ses)[1::2]
     violations = int(np.sum(test_m > envelope + 3.0 * test_se))
     return CheckReport.make(
-        name, float(violations), 0.0, len(probes),
+        f"moment_envelope_p{int(p)}", float(violations), 0.0, len(probes),
         details=[f"fitted envelope constant {C_fit:.4g}, exponent {q_fit:.3g}",
-                 f"{violations} probes beyond {headroom}x envelope + 3 stderr"],
+                 f"{violations} probes beyond {_HEADROOM}x envelope + 3 stderr"],
         samples=[("constant", C_fit), ("exponent", q_fit),
                  ("violations", float(violations))],
     )
@@ -605,12 +579,11 @@ def moment_envelope_score(probes: list, p: float, headroom: float = 3.0,
 
 def moment_envelope_check(model: Model, grid_times: np.ndarray, p: float,
                           n_probes: int = 100, n_scenarios: int = 500,
-                          seed: int = 0, headroom: float = 3.0,
-                          basis: Optional[RegressionBasis] = None,
-                          name: Optional[str] = None) -> CheckReport:
+                          seed: int = 0,
+                          basis: Optional[RegressionBasis] = None) -> CheckReport:
     """Growth envelope for the backward pair at one moment order: the probes
     of moment_probes scored by moment_envelope_score."""
     if p < 2:   # before the probe solves
         raise ValueError(f"moment order must be >= 2, got {p}")
     probes = moment_probes(model, grid_times, n_probes, n_scenarios, seed, basis)
-    return moment_envelope_score(probes, p, headroom, name)
+    return moment_envelope_score(probes, p)

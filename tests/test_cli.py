@@ -186,6 +186,34 @@ def test_field_equation_passes_on_linear_g_away_from_zero(tmp_path, seed):
     assert summary["checks"]["field_equation_residual"]["statistic"] < 1e-8
 
 
+# every key each check's spec takes, set to the default the README gives
+SPELLED_DEFAULTS = {
+    "z_representation": {"n_sub": 100, "tol": 0.05},
+    "z_growth": {"q": 1},
+    "flow": {"s": 0.5, "n_resolve": 20},
+    "field_equation": {"n_paths": 10, "tol": 0.05},
+    "comparison": {"shift_phi": 0.1, "shift_f": 0},
+    "discretization": {"node_counts": [2, 4, 8, 16], "noise_only": False},
+    "regularity": {"q": 2, "n_probes": 100},
+    "moments": {"n_probes": 100, "n_scenarios": 500, "p": [2, 4]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPELLED_DEFAULTS))
+def test_spelled_out_defaults_give_the_default_reports(name):
+    # heat: growth_m = 1, so regularity's default q is 2
+    from pathfk import load_config
+    from pathfk.cli import run_check
+    base = {"model": "heat", "grid": {"T": 1.0, "N": 16},
+            "mc": {"seed": 3, "n_scenarios": 300}}
+    bare = {"s": 0.5} if name == "flow" else {}
+    reports = [run_check(load_config(dict(base, checks={name: spec})), name)
+               for spec in (bare, SPELLED_DEFAULTS[name])]
+    assert reports[0] == reports[1]
+    csvs = [[r.samples_csv() for r in reps] for reps in reports]
+    assert csvs[0] == csvs[1]
+
+
 def test_moments_check_scores_every_order_from_one_probe_set():
     # one probe set scored per order must give the reports of one
     # moment_envelope_check call per order, field for field and sample for
@@ -277,8 +305,7 @@ def _stream_keys(raw):
         mp.setattr(simulation, "_seed_sequence", seq)
         mp.setattr(np.random, "default_rng", rng)
         mp.setattr(solver, "frozen_noise_increments", frozen_noise)
-        for module in (cli, verification):
-            mp.setattr(module, "sample_drivers", sample)
+        mp.setattr(simulation, "sample_drivers", sample)
         cli.run_experiment(raw, out)
     return keys
 

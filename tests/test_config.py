@@ -1,6 +1,7 @@
 """Configuration parsing and validation."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ def test_minimal_config_defaults():
     cfg = load_config(base_config())
     assert cfg.model_name == "heat"
     assert cfg.engine == "regression"
-    assert cfg.N == 8 and cfg.T == 1.0
+    assert len(cfg.grid_times) == 8 + 1 and cfg.grid_times[-1] == 1.0
     assert cfg.initial.t_index == 0
     assert np.all(cfg.initial.values == 0.0)
     assert cfg.basis is None            # Markovian default
@@ -97,6 +98,26 @@ def test_engine_options_are_typed():
 def test_unknown_check_rejected():
     with pytest.raises(ConfigError):
         load_config(base_config(checks={"telepathy": {}}))
+
+
+@pytest.mark.parametrize("check, spec, message", [
+    ("z_representation", {"tolerance": 0.5, "tol": 0.05},
+     "check 'z_representation' takes the keys ('n_sub', 'tol'), not ['tolerance']"),
+    ("closed_form", {"tol": 0.05},
+     "check 'closed_form' takes the keys ('tol_rel',), not ['tol']"),
+])
+def test_unknown_check_key_rejected(check, spec, message):
+    # a mistyped key would otherwise leave the check at its default
+    with pytest.raises(ConfigError) as err:
+        load_config(base_config(checks={check: spec}))
+    assert str(err.value) == message
+
+
+def test_readme_example_config_loads():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("A minimal config:", 1)[1].split("```json", 1)[1]
+    cfg = load_config(json.loads(block.split("```", 1)[0]))
+    assert set(cfg.checks) == {"closed_form", "z_representation", "flow"}
 
 
 def test_closed_form_check_needs_closed_form():

@@ -358,10 +358,10 @@ def test_comparison_rejects_a_second_forward_process():
 
 
 def test_comparison_simulates_each_driver_sample_once(monkeypatch):
-    import pathfk.verification as verification
+    import pathfk.simulation as simulation
     simulated = []
-    simulate = verification.simulate_forward
-    monkeypatch.setattr(verification, "simulate_forward",
+    simulate = simulation.simulate_forward
+    monkeypatch.setattr(simulation, "simulate_forward",
                         lambda *args: simulated.append(args) or simulate(*args))
     base = get_model("heat")
     rep = comparison_check(shifted_model(base, shift_phi=0.5), base, origin(8),

@@ -2,8 +2,9 @@
 registry or from a restricted inline grammar), the grid, the sampling
 budget, the engine, the initial path, and the checks to run.
 
-CHECK_KEYS names each check and the keys its spec takes; any other check
-or key raises ConfigError before the headline solve.
+Any key that load_config, model_from_spec or CHECK_KEYS does not list, and
+a section that is neither an object nor null, raises ConfigError before
+the headline solve.
 
 The inline model grammar and its builder, models.model_from_spec, live
 with the registry in models.py, whose entries are specs of that grammar.
@@ -17,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _only_keys
 from .models import Model, get_entry, model_from_spec
 from .paths import Path, make_grid
 from .solver import RegressionBasis
@@ -102,8 +103,11 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
                 text = fh.read()
         raw = json.loads(text)
 
-    grid_spec = raw.get("grid")
-    if not grid_spec or "T" not in grid_spec or "N" not in grid_spec:
+    raw = _only_keys("config", raw, ("model", "grid", "mc", "engine",
+                                     "engine_options", "initial_path",
+                                     "checks", "output_dir"))
+    grid_spec = _only_keys("grid", raw.get("grid"), ("T", "N"))
+    if "T" not in grid_spec or "N" not in grid_spec:
         raise ConfigError("config needs grid.T and grid.N")
     T = float(grid_spec["T"])
     N = int(grid_spec["N"])
@@ -123,17 +127,17 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
     else:
         raise ConfigError("config needs a model name or an inline model spec")
 
-    mc = raw.get("mc", {})
+    mc = _only_keys("mc", raw.get("mc"), ("seed", "n_scenarios"))
     if "seed" not in mc:
         raise ConfigError("mc.seed is required for reproducibility")
     seed = int(mc["seed"]) if seed_override is None else int(seed_override)
     engine = raw.get("engine", "regression")
     if engine not in _ENGINES:
         raise ConfigError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    options = raw.get("engine_options", {})
-    if not isinstance(options, dict) or not all(
-            key in _ENGINE_OPTIONS and type(v) is int and v >= _ENGINE_OPTIONS[key]
-            for key, v in options.items()):
+    options = _only_keys("engine_options", raw.get("engine_options"),
+                         _ENGINE_OPTIONS)
+    if not all(type(v) is int and v >= _ENGINE_OPTIONS[key]
+               for key, v in options.items()):
         raise ConfigError("engine_options takes the integers n_outer >= 1, "
                           f"branching >= 2 and picard_iters >= 1, got {options!r}")
     n_scenarios = int(mc.get("n_scenarios", 10_000 if engine == "regression" else 32))
@@ -143,8 +147,9 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
         )
 
     grid = make_grid(T, N)
-    init_spec = raw.get("initial_path")
-    if init_spec is None:
+    init_spec = _only_keys("initial_path", raw.get("initial_path"),
+                           ("file", "values"))
+    if not init_spec:
         initial = Path(grid, np.zeros((1, model.dims[0])))
     elif "file" in init_spec:
         # a header line, then one row per grid time from 0: time, x_1..x_d
@@ -158,33 +163,13 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
         vals = np.asarray(init_spec["values"], dtype=np.float64)
         initial = Path(grid, vals)
 
-    basis_spec = raw.get("basis")
     basis = None
-    if basis_spec is not None:
-        degree = basis_spec.get("degree", 2)
-        future_noise = basis_spec.get("include_future_noise")
-        if type(degree) is not int or type(future_noise) not in (bool, type(None)):
-            raise ConfigError("basis.degree must be an integer and basis."
-                              "include_future_noise true, false or null, got "
-                              f"{degree!r} and {future_noise!r}")
-        basis = RegressionBasis(
-            feature_set=basis_spec.get("feature_set", "endpoint"),
-            degree=degree,
-            include_future_noise=future_noise,
-        )
-    elif not model.markovian_flag:
+    if not model.markovian_flag:
         basis = RegressionBasis(feature_set="endpoint+runmax+runint")
 
-    checks = raw.get("checks", {})
+    checks = _only_keys("checks", raw.get("checks"), CHECK_KEYS)
     for cname, spec in checks.items():
-        if cname not in CHECK_KEYS:
-            raise ConfigError(
-                f"unknown check {cname!r}; known checks: {tuple(CHECK_KEYS)}"
-            )
-        unknown = sorted(set(spec or {}) - set(CHECK_KEYS[cname]))
-        if unknown:
-            raise ConfigError(f"check {cname!r} takes the keys "
-                              f"{tuple(CHECK_KEYS[cname])}, not {unknown}")
+        _only_keys(f"check {cname!r}", spec, CHECK_KEYS[cname])
     if "closed_form" in checks and closed_u is None:
         raise ConfigError(f"model {model.name!r} has no closed form to check against")
     _check_restart_and_nodes(checks, initial)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the key rule of configs."""
 
 
 class GridAlignmentError(ValueError):
@@ -19,3 +19,14 @@ class PreconditionError(RuntimeError):
 
 class ConfigError(ValueError):
     """A configuration or inline model spec is outside the accepted schema."""
+
+
+def _only_keys(where: str, spec, keys) -> dict:
+    """spec, or {} for None, once it is an object whose keys are all among
+    keys; ConfigError names where and the keys it does not take."""
+    if spec is not None and not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be an object or null, got {spec!r}")
+    unknown = sorted(set(spec or {}) - set(keys))
+    if unknown:
+        raise ConfigError(f"{where} takes the keys {tuple(keys)}, not {unknown}")
+    return spec or {}

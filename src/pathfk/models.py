@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _only_keys
 from .paths import Path, make_grid, path_dist, sup_norm
 from .simulation import random_initial_path
 
@@ -169,15 +169,16 @@ def validate(model: Model, n_probes: int = 100, seed: int = 0) -> ValidationRepo
 
 # -- inline grammar ------------------------------------------------------
 
-def _affine_coeff(spec, default_const):
+def _affine_coeff(where, spec, default_const):
     if spec is None:
         return float(default_const), 0.0
-    if "const" in spec:
+    if isinstance(spec, dict) and list(spec) == ["const"]:
         return float(spec["const"]), 0.0
-    if "affine" in spec:
-        return (float(spec["affine"].get("intercept", 0.0)),
-                float(spec["affine"].get("slope", 0.0)))
-    raise ConfigError(f"coefficient spec must be 'const' or 'affine', got {spec}")
+    if isinstance(spec, dict) and list(spec) == ["affine"]:
+        affine = _only_keys(f"{where}.affine", spec["affine"], ("intercept", "slope"))
+        return (float(affine.get("intercept", 0.0)),
+                float(affine.get("slope", 0.0)))
+    raise ConfigError(f"{where} must be 'const' or 'affine' alone, got {spec!r}")
 
 
 def model_from_spec(spec: dict) -> Model:
@@ -198,19 +199,23 @@ def model_from_spec(spec: dict) -> Model:
           "lip_C": C, "growth_m": m, "alpha": a
         }
 
-    Affine coefficients read the current endpoint, so the model is Lipschitz
-    by construction; a constant b or sigma ignores x and stays finite on an
-    overflowed scenario.  Running integrals and maxima are non-Markovian.
+    Any other key, at the top or in a section, raises ConfigError, as does
+    a section that is neither an object nor null.  Affine coefficients read
+    the current endpoint, so the model is Lipschitz by construction; a
+    constant b or sigma ignores x and stays finite on an overflowed
+    scenario.  Running integrals and maxima are non-Markovian.
     """
+    spec = _only_keys("model", spec, ("name", "b", "sigma", "Phi", "f", "g",
+                                      "lip_C", "growth_m", "alpha"))
     name = spec.get("name", "custom")
-    b0, b1 = _affine_coeff(spec.get("b"), 0.0)
-    s0, s1 = _affine_coeff(spec.get("sigma"), 1.0)
+    b0, b1 = _affine_coeff("b", spec.get("b"), 0.0)
+    s0, s1 = _affine_coeff("sigma", spec.get("sigma"), 1.0)
     b = ((lambda x: b0 + b1 * x[:, -1, :]) if b1
          else lambda x: np.full((x.shape[0], 1), b0))
     sigma = ((lambda x: (s0 + s1 * x[:, -1, :1])[:, :, None]) if s1
              else lambda x: np.broadcast_to(s0 * np.eye(1), (x.shape[0], 1, 1)))
 
-    phi_spec = spec.get("Phi", {"kind": "endpoint"})
+    phi_spec = _only_keys("Phi", spec.get("Phi"), ("kind", "shift"))
     phi_kind = phi_spec.get("kind", "endpoint")
     shift = float(phi_spec.get("shift", 0.0))
     if phi_kind == "endpoint":
@@ -224,7 +229,8 @@ def model_from_spec(spec: dict) -> Model:
     else:
         raise ConfigError(f"unknown terminal kind {phi_kind!r}")
 
-    f_spec = spec.get("f", {"kind": "zero"})
+    f_spec = _only_keys("f", spec.get("f"),
+                        ("kind", "coef_y", "coef_z", "const", "shift"))
     f_kind = f_spec.get("kind", "zero")
     if f_kind == "zero":
         f = None
@@ -242,7 +248,7 @@ def model_from_spec(spec: dict) -> Model:
     else:
         raise ConfigError(f"unknown time-driver kind {f_kind!r}")
 
-    g_spec = spec.get("g", {"kind": "zero"})
+    g_spec = _only_keys("g", spec.get("g"), ("kind", "coef"))
     g_kind = g_spec.get("kind", "zero")
     coef = float(g_spec.get("coef", 0.0))
     if g_kind == "zero":

@@ -53,15 +53,13 @@ class RegressionBasis:
     projection time: "endpoint" uses the current state only;
     "endpoint+runmax+runint" adds the running maximum and the running
     integral, for path-dependent problems.  All monomials in the raw
-    coordinates up to the given total degree are used.  include_future_noise
-    adds the remaining-horizon increment sum of the second driver as extra
-    degree-one features; left unset, it switches on exactly when the model
-    has a nonzero backward driver.
+    coordinates up to degree 2 are used.  The remaining-horizon increment
+    sums of the second driver join them as degree-one features when the
+    solve passes them, which solve_regression does exactly when the model
+    has a backward driver g.
     """
 
     feature_set: str = "endpoint"
-    degree: int = 2
-    include_future_noise: Optional[bool] = None
 
     _SETS = ("endpoint", "endpoint+runmax+runint")
 
@@ -70,20 +68,18 @@ class RegressionBasis:
             raise ValueError(
                 f"unknown feature set {self.feature_set!r}; choose from {self._SETS}"
             )
-        if not (1 <= self.degree <= 2):
-            raise ValueError(f"degree must be 1 or 2, got {self.degree}")
 
     def matrix(self, raw: np.ndarray,
                noise: Optional[np.ndarray] = None) -> np.ndarray:
         """Column-major design matrix of one step from its raw coordinates
-        (n, r): the constant, the raw columns, their pairwise products when
-        the degree is 2, and the remaining noise sums (n, l) when given."""
+        (n, r): the constant, the raw columns, their pairwise products, and
+        the remaining noise sums (n, l) when given."""
         n, r = raw.shape
         l = 0 if noise is None else noise.shape[1]
-        A = np.empty((n, math.comb(r + self.degree, r) + l), order="F")
+        A = np.empty((n, math.comb(r + 2, r) + l), order="F")
         A[:, 0], A[:, 1:r + 1] = 1.0, raw
         pairs = itertools.combinations_with_replacement(range(1, r + 1), 2)
-        for j, (a, b) in enumerate(pairs if self.degree == 2 else (), r + 1):
+        for j, (a, b) in enumerate(pairs, r + 1):
             np.multiply(A[:, a], A[:, b], out=A[:, j])
         if l:
             A[:, -l:] = noise
@@ -276,13 +272,16 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
                      record_fit_se: bool = False) -> BackwardSolution:
     """Backward regression sweep over a simulated ensemble.
 
-    One sweep runs from the last step to the initial one.  Each step's
-    design matrix is built column-major and factored once, in place, by one
-    compact-WY Householder block and an SVD of the p x p triangle, into an
-    orthonormal basis formed by one matrix product (_column_basis; a
-    non-finite design raises SolverError); every update on that step (the
-    centring term, z, each y-iteration, and the rollout behind fit_se) is a
-    projection onto that basis, which is dropped before the next step.
+    The features follow the model: basis's monomials of the history
+    (endpoint ones when basis is None), and with g the remaining sums of
+    the second driver's increments.  One sweep runs from the last step to
+    the initial one.  Each step's design matrix is built column-major and
+    factored once, in place, by one compact-WY Householder block and an SVD
+    of the p x p triangle, into an orthonormal basis formed by one matrix
+    product (_column_basis; a non-finite design raises SolverError); every
+    update on that step (the centring term, z, each y-iteration, and the
+    rollout behind fit_se) is a projection onto that basis, which is
+    dropped before the next step.
 
     g reads the step's right endpoint, from the terminal z on; z is taken
     from the continuation y_{i+1} + g dB_i, centred by its projection,
@@ -309,11 +308,8 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     i_t = ensemble.initial.t_index
     dt = ensemble.initial.dt
 
-    use_noise = basis.include_future_noise
-    if use_noise is None:
-        use_noise = model.g is not None
-    # with g = None the g dB term is zero, so dB is read only by the features
-    dB = _time_major(drivers.dB, valid) if use_noise or model.g is not None else None
+    # without g no term and no feature reads dB, so it is never drawn
+    dB = None if model.g is None else _time_major(drivers.dB, valid)
 
     phi = model.Phi(history, dt)
     # z of the step solved last, which g reads: the terminal z first
@@ -329,7 +325,7 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     rollout = phi.copy()
     fit_se = np.zeros((N + 1, n, k)) if record_fit_se else None
 
-    for i, A in basis.designs(X, i_t, dt, dB if use_noise else None):
+    for i, A in basis.designs(X, i_t, dt, dB):
         # budget: every projection must stay overdetermined by a wide margin
         if A.shape[1] * _MIN_SCENARIOS_PER_FEATURE > n:
             raise BudgetError(
@@ -387,8 +383,7 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
             "picard_iters": picard_iters,
             "step_iterations": iters,
             "feature_set": basis.feature_set,
-            "degree": basis.degree,
-            "future_noise_features": bool(use_noise),
+            "future_noise_features": dB is not None,
             "n_scenarios": int(n),
             "excluded_scenarios": ensemble.excluded_count,
             "seed": int(drivers.seed),

@@ -171,6 +171,17 @@ def test_sweep_propagates_failure(tmp_path):
                  "--output", out]) == 2
 
 
+def test_sweep_over_an_unknown_key_exits_1(tmp_path, capsys):
+    # grid.n is not grid.N: every value would run the same config; the
+    # first run stops in load_config, before its solve
+    cfg = write_config(tmp_path)
+    out = tmp_path / "sw-typo"
+    assert main(["sweep", cfg, "--axis", "grid.n", "--values", "4,16",
+                 "--output", str(out)]) == 1
+    assert "not ['n']" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_field_equation_passes_on_linear_g_away_from_zero(tmp_path, seed):
     # the field equation reads the nested field conditioned on each path's

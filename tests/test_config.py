@@ -42,18 +42,34 @@ def test_path_dependent_model_gets_path_basis():
     assert cfg.basis.feature_set == "endpoint+runmax+runint"
 
 
-def test_basis_fields_are_typed():
-    cfg = load_config(base_config(
-        basis={"degree": 1, "include_future_noise": False}))
-    assert cfg.basis.degree == 1 and cfg.basis.include_future_noise is False
-    assert load_config(base_config(basis={})).basis.include_future_noise is None
-    for bad in ({"include_future_noise": "false"},
-                {"include_future_noise": 0},
-                {"degree": 2.7},
-                {"degree": "2"},
-                {"degree": True}):
-        with pytest.raises(ConfigError):
-            load_config(base_config(basis=bad))
+def test_basis_section_rejected():
+    # the features follow the model, so no config key sets them
+    for basis in ({"degree": 1}, {"include_future_noise": False}, {}):
+        with pytest.raises(ConfigError, match=r"not \['basis'\]"):
+            load_config(base_config(basis=basis))
+
+
+@pytest.mark.parametrize("section, spec, key", [
+    pytest.param("mc", {"seed": 1, "n_scenario": 200}, "n_scenario", id="mc"),
+    pytest.param("grid", {"T": 1.0, "N": 8, "n": 4}, "n", id="grid"),
+    pytest.param("initial_path", {"value": [[0.0]]}, "value", id="initial_path"),
+    pytest.param("checks", {"z_grwoth": {}}, "z_grwoth", id="checks"),
+    pytest.param("output", "out", "output", id="top-level"),
+])
+def test_unknown_config_keys_rejected(section, spec, key):
+    # a mistyped key would otherwise leave its setting at the default:
+    # mc.n_scenario ran 10,000 scenarios and grid.n changed nothing
+    with pytest.raises(ConfigError, match=rf"not \['{key}'\]"):
+        load_config(base_config(**{section: spec}))
+
+
+@pytest.mark.parametrize("spec", [["q"], "q", 0.5], ids=["list", "str", "float"])
+def test_check_spec_is_an_object_or_null(spec):
+    for check in ("z_growth", "flow"):
+        with pytest.raises(ConfigError,
+                           match=f"check '{check}' must be an object or null"):
+            load_config(base_config(checks={check: spec}))
+    assert load_config(base_config(checks={"z_growth": None})).checks
 
 
 def test_seed_required_and_overridable():
@@ -200,6 +216,27 @@ def test_inline_model_rejects_unknown_kinds():
         load_config(base_config(model={"f": {"kind": "exotic"}}))
     with pytest.raises(ConfigError):
         load_config(base_config(model={"b": {"cubic": 1.0}}))
+
+
+@pytest.mark.parametrize("spec, message", [
+    pytest.param({"sigmaa": {"const": 0.8}},
+                 r"model takes .*, not \['sigmaa'\]", id="top-level"),
+    pytest.param({"Phi": {"kind": "endpoint", "shfit": 1.0}},
+                 r"Phi takes .*, not \['shfit'\]", id="Phi"),
+    pytest.param({"f": {"kind": "linear", "coef": 0.2}},
+                 r"f takes .*, not \['coef'\]", id="f"),
+    # read as g = 0 y, this ran the g path with a zero driver
+    pytest.param({"g": {"kind": "linear_y", "coeff": 0.3}},
+                 r"g takes .*, not \['coeff'\]", id="g"),
+    pytest.param({"b": {"affine": {"slop": 0.5}}},
+                 r"b.affine takes .*, not \['slop'\]", id="affine"),
+    pytest.param({"sigma": {"const": 0.8, "affine": {"slope": 0.1}}},
+                 "sigma must be", id="const-and-affine"),
+    pytest.param({"f": ["linear"]}, "f must be an object or null", id="list"),
+])
+def test_inline_model_rejects_unknown_keys(spec, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(base_config(model=spec))
 
 
 @pytest.mark.parametrize("flow", [

@@ -12,8 +12,7 @@ from .calculus import (DerivativeEstimate, PathFunctional, SmoothMap,
 from .simulation import (BrownianPair, ScenarioEnsemble, random_initial_path,
                          sample_drivers, simulate_forward)
 from .models import (Model, ModelRegistryEntry, get_entry, get_model,
-                     on_path, registry, running_integral, shifted_model,
-                     validate)
+                     on_path, registry, running_integral, shifted_model)
 from .solver import (BackwardSolution, RegressionBasis, frozen_noise_increments,
                      solve_nested, solve_regression)
 from .verification import (comparison_check, discretization_convergence_check,

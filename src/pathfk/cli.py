@@ -242,16 +242,19 @@ def _parse_value(text: str):
 def run_sweep(raw: dict, output_dir: str, axis: str, values, workers: int,
               seed_override=None) -> int:
     """Run the base config once per axis value; emits a long-format CSV
-    axis,value,check,statistic for convergence plots.  An empty value list
-    is a no-op."""
+    axis,value,check,statistic for convergence plots.  Every value's config
+    loads before the first run, so a bad value fails the sweep before any
+    solve.  An empty value list is a no-op."""
     if not values:
         return 0
+    sub_raws = [copy.deepcopy(raw) for _ in values]
+    for sub_raw, v in zip(sub_raws, values):
+        _set_dotted(sub_raw, axis, v)
+        load_config(sub_raw, seed_override=seed_override)
     os.makedirs(output_dir, exist_ok=True)
     rows = ["axis,value,check,statistic"]
     worst = 0
-    for v in values:
-        sub_raw = copy.deepcopy(raw)
-        _set_dotted(sub_raw, axis, v)
+    for sub_raw, v in zip(sub_raws, values):
         sub_dir = os.path.join(output_dir, f"{axis.replace('.', '_')}={v}")
         code = run_experiment(sub_raw, sub_dir, workers=workers,
                               seed_override=seed_override)

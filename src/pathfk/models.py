@@ -1,5 +1,5 @@
-"""Coefficient bundles with growth/contraction metadata, structural probes,
-the inline model grammar, and the registry of its specs used as oracles.
+"""Coefficient bundles with growth/contraction constants, the inline model
+grammar that derives them, and the registry of its specs used as oracles.
 
 A model carries the forward drift b and diffusion sigma, the terminal
 functional Phi, and the two drivers f (time integral) and g (backward
@@ -27,8 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, _only_keys
-from .paths import Path, make_grid, path_dist, sup_norm
-from .simulation import random_initial_path
+from .paths import Path
 
 
 def running_integral(path: Path) -> np.ndarray:
@@ -54,8 +53,8 @@ class Model:
     name: str = ""
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"contraction constant must be in (0,1), got {self.alpha}")
+        if not (0.0 <= self.alpha < 1.0):
+            raise ValueError(f"contraction constant must be in [0,1), got {self.alpha}")
         if self.lip_C < 0 or self.growth_m < 0:
             raise ValueError("lip_C and growth_m must be nonnegative")
 
@@ -89,84 +88,6 @@ class ModelRegistryEntry:
     notes: str = ""
 
 
-@dataclass
-class AssumptionProbe:
-    assumption: str
-    passed: bool
-    witness: str = ""
-
-
-@dataclass
-class ValidationReport:
-    probes: list
-
-    @property
-    def all_passed(self) -> bool:
-        return all(p.passed for p in self.probes)
-
-    def failures(self):
-        return [p for p in self.probes if not p.passed]
-
-
-def _lip_bound(C, m, pa, pb):
-    return C * (1.0 + sup_norm(pa) ** m + sup_norm(pb) ** m) * path_dist(pa, pb).sup_component
-
-
-def validate(model: Model, n_probes: int = 100, seed: int = 0) -> ValidationReport:
-    """Sampled falsification of the structural assumptions, on probe paths
-    of an 8-step grid on [0, 1].
-
-    Probes are randomized, not exhaustive; a pass means no witness was found,
-    a fail carries the witnessing inputs.
-    """
-    if n_probes < 1:
-        raise ValueError("need at least one probe")
-    d, k, l = model.dims
-    rng = np.random.default_rng(seed)
-    grid = make_grid(1.0, 8)
-    probes = []
-
-    alpha_ok = 0.0 < model.alpha < 1.0
-    probes.append(AssumptionProbe("alpha_in_(0,1)", alpha_ok, f"alpha={model.alpha}"))
-
-    C, m, a = model.lip_C, model.growth_m, model.alpha
-    slack = 1e-9
-    bad_f = bad_g = bad_bs = bad_gg = None
-    for _ in range(n_probes):
-        ti = int(rng.integers(1, len(grid)))
-        pa = random_initial_path(grid, ti, d, rng)
-        pb = random_initial_path(grid, ti, d, rng)
-        y1, y2 = rng.normal(size=(2, k))
-        z1, z2 = rng.normal(size=(2, k, d))
-        base = _lip_bound(C, m, pa, pb)
-        lhs_f = np.linalg.norm(on_path(model.eval_f, pa, y1, z1)
-                               - on_path(model.eval_f, pb, y2, z2))
-        rhs_f = base + C * (np.linalg.norm(y1 - y2) + np.linalg.norm(z1 - z2))
-        if lhs_f > rhs_f + slack and bad_f is None:
-            bad_f = f"|df|={lhs_f:.4g} > bound {rhs_f:.4g} at t_index={ti}"
-        gv = on_path(model.eval_g, pa, y1, z1)
-        lhs_g = np.linalg.norm(gv - on_path(model.eval_g, pb, y2, z2))
-        rhs_g = base + C * np.linalg.norm(y1 - y2) + a * np.linalg.norm(z1 - z2)
-        if lhs_g > rhs_g + slack and bad_g is None:
-            bad_g = f"|dg|={lhs_g:.4g} > bound {rhs_g:.4g} at t_index={ti}"
-        lhs_bs = (np.linalg.norm(on_path(model.b, pa) - on_path(model.b, pb))
-                  + np.linalg.norm(on_path(model.sigma, pa) - on_path(model.sigma, pb)))
-        if lhs_bs > base + slack and bad_bs is None:
-            bad_bs = f"|db|+|dsigma|={lhs_bs:.4g} > bound {base:.4g}"
-        # gg^T <= alpha zz^T + C (|g(.,0,0)|^2 + |y|^2) I, as symmetric matrices
-        g00 = on_path(model.eval_g, pa, np.zeros(k), np.zeros((k, d)))
-        mat = (gv @ gv.T - a * (z1 @ z1.T)
-               - C * (np.sum(g00 ** 2) + np.sum(y1 ** 2)) * np.eye(k))
-        if np.max(np.linalg.eigvalsh(mat)) > slack and bad_gg is None:
-            bad_gg = f"gg^T bound violated by {np.max(np.linalg.eigvalsh(mat)):.4g}"
-
-    probes.append(AssumptionProbe("f_lipschitz", bad_f is None, bad_f or ""))
-    probes.append(AssumptionProbe("g_lipschitz_contraction", bad_g is None, bad_g or ""))
-    probes.append(AssumptionProbe("b_sigma_lipschitz", bad_bs is None, bad_bs or ""))
-    probes.append(AssumptionProbe("gg_transpose_bound", bad_gg is None, bad_gg or ""))
-    return ValidationReport(probes)
-
-
 # -- inline grammar ------------------------------------------------------
 
 def _affine_coeff(where, spec, default_const):
@@ -181,10 +102,32 @@ def _affine_coeff(where, spec, default_const):
     raise ConfigError(f"{where} must be 'const' or 'affine' alone, got {spec!r}")
 
 
+# the keys each kind of a grammar section reads besides "kind"
+_KIND_KEYS = {
+    "Phi": dict.fromkeys(("endpoint", "endpoint_square", "endpoint_sin",
+                          "running_integral"), ("shift",)),
+    "f": {"zero": (), "linear": ("coef_y", "coef_z", "const"),
+          "cos_y_plus_half_z": ("shift",), "runmax_minus_y": ("shift",)},
+    "g": {"zero": (), "linear_y": ("coef",), "linear_z": ("coef",)},
+}
+
+
+def _kind_spec(spec: dict, section: str, default: str, noun: str):
+    """The kind of a grammar section and the section ({} for null), once it
+    is an object of a known kind that holds no key its kind does not read."""
+    sub = spec.get(section)
+    if not isinstance(sub, dict):   # null is the default kind; others raise
+        return default, _only_keys(section, sub, ())
+    kind = sub.get("kind", default)
+    if not isinstance(kind, str) or kind not in _KIND_KEYS[section]:
+        raise ConfigError(f"unknown {noun} kind {kind!r}")
+    return kind, _only_keys(f"{section} of kind {kind!r}", sub,
+                            ("kind", *_KIND_KEYS[section][kind]))
+
+
 def model_from_spec(spec: dict) -> Model:
     """A scalar model (d = k = l = 1) from the inline grammar; unset keys
-    give zero drift, unit diffusion, zero drivers, growth_m 1, alpha 0.5
-    (|coef| if larger for linear_z) and lip_C max(2, |b slope| + |sigma slope|):
+    give zero drift, unit diffusion and zero drivers:
 
         {
           "name":  "custom",
@@ -192,21 +135,25 @@ def model_from_spec(spec: dict) -> Model:
           "sigma": {"const": v} | {"affine": {"intercept": a, "slope": c}},
           "Phi":   {"kind": "endpoint" | "endpoint_square" | "endpoint_sin"
                             | "running_integral", "shift": s},
-          "f":     {"kind": "zero" | "linear" | "cos_y_plus_half_z"
-                            | "runmax_minus_y",
-                    "coef_y": a, "coef_z": b, "const": c, "shift": s},
-          "g":     {"kind": "zero" | "linear_y" | "linear_z", "coef": c},
-          "lip_C": C, "growth_m": m, "alpha": a
+          "f":     {"kind": "zero"}
+                 | {"kind": "linear", "coef_y": a, "coef_z": b, "const": c}
+                 | {"kind": "cos_y_plus_half_z" | "runmax_minus_y", "shift": s},
+          "g":     {"kind": "zero" | "linear_y" | "linear_z", "coef": c}
         }
 
-    Any other key, at the top or in a section, raises ConfigError, as does
-    a section that is neither an object nor null.  Affine coefficients read
-    the current endpoint, so the model is Lipschitz by construction; a
-    constant b or sigma ignores x and stays finite on an overflowed
-    scenario.  Running integrals and maxima are non-Markovian.
+    Any other key, or one the section's kind does not read, raises
+    ConfigError, as does a section that is neither an object nor null.
+    Affine coefficients read the current endpoint; a constant b or sigma
+    ignores x and stays finite on an overflowed scenario.  Running
+    integrals and maxima are non-Markovian.
+
+    The constants follow from the kinds.  lip_C is the largest of |b slope|
+    + |sigma slope|, f's (|coef_y| + |coef_z| for linear, 1 for the other
+    nonzero kinds) and g's in y (max(|coef|, coef^2) for linear_y, as
+    gg^T <= alpha zz^T + C (|g(., 0, 0)|^2 + |y|^2) needs); alpha is |coef|
+    for linear_z and growth_m 1 for endpoint_square; each is else 0.
     """
-    spec = _only_keys("model", spec, ("name", "b", "sigma", "Phi", "f", "g",
-                                      "lip_C", "growth_m", "alpha"))
+    spec = _only_keys("model", spec, ("name", "b", "sigma", "Phi", "f", "g"))
     name = spec.get("name", "custom")
     b0, b1 = _affine_coeff("b", spec.get("b"), 0.0)
     s0, s1 = _affine_coeff("sigma", spec.get("sigma"), 1.0)
@@ -215,8 +162,7 @@ def model_from_spec(spec: dict) -> Model:
     sigma = ((lambda x: (s0 + s1 * x[:, -1, :1])[:, :, None]) if s1
              else lambda x: np.broadcast_to(s0 * np.eye(1), (x.shape[0], 1, 1)))
 
-    phi_spec = _only_keys("Phi", spec.get("Phi"), ("kind", "shift"))
-    phi_kind = phi_spec.get("kind", "endpoint")
+    phi_kind, phi_spec = _kind_spec(spec, "Phi", "endpoint", "terminal")
     shift = float(phi_spec.get("shift", 0.0))
     if phi_kind == "endpoint":
         Phi = lambda x, dt: x[:, -1, :1] + shift
@@ -224,51 +170,43 @@ def model_from_spec(spec: dict) -> Model:
         Phi = lambda x, dt: x[:, -1, :1] ** 2 + shift
     elif phi_kind == "endpoint_sin":
         Phi = lambda x, dt: np.sin(x[:, -1, :1]) + shift
-    elif phi_kind == "running_integral":
+    else:  # running_integral
         Phi = lambda x, dt: x[:, :-1, :1].sum(axis=1) * dt + shift
-    else:
-        raise ConfigError(f"unknown terminal kind {phi_kind!r}")
 
-    f_spec = _only_keys("f", spec.get("f"),
-                        ("kind", "coef_y", "coef_z", "const", "shift"))
-    f_kind = f_spec.get("kind", "zero")
+    f_kind, f_spec = _kind_spec(spec, "f", "zero", "time-driver")
+    fs = float(f_spec.get("shift", 0.0))
     if f_kind == "zero":
-        f = None
+        f, f_lip = None, 0.0
     elif f_kind == "linear":
         ay = float(f_spec.get("coef_y", 0.0))
         az = float(f_spec.get("coef_z", 0.0))
         c0 = float(f_spec.get("const", 0.0))
         f = lambda x, y, z: c0 + ay * y + az * z[:, :, 0]
+        f_lip = abs(ay) + abs(az)
     elif f_kind == "cos_y_plus_half_z":
-        fs = float(f_spec.get("shift", 0.0))
-        f = lambda x, y, z: fs + np.cos(y) + z[:, :, 0] / 2.0
-    elif f_kind == "runmax_minus_y":
-        fs = float(f_spec.get("shift", 0.0))
-        f = lambda x, y, z: fs + x[:, :, :1].max(axis=1) - y
-    else:
-        raise ConfigError(f"unknown time-driver kind {f_kind!r}")
+        f, f_lip = (lambda x, y, z: fs + np.cos(y) + z[:, :, 0] / 2.0), 1.0
+    else:  # runmax_minus_y
+        f, f_lip = (lambda x, y, z: fs + x[:, :, :1].max(axis=1) - y), 1.0
 
-    g_spec = _only_keys("g", spec.get("g"), ("kind", "coef"))
-    g_kind = g_spec.get("kind", "zero")
+    g_kind, g_spec = _kind_spec(spec, "g", "zero", "backward-driver")
     coef = float(g_spec.get("coef", 0.0))
     if g_kind == "zero":
         g = None
     elif g_kind == "linear_y":
         g = lambda x, y, z: coef * y[:, :, None]
-    elif g_kind == "linear_z":
+    else:  # linear_z
         if not abs(coef) < 1.0:
             raise ConfigError(
                 f"a z-linear backward driver needs |coef| < 1, got {coef}"
             )
         g = lambda x, y, z: coef * z[:, :, :1]
-    else:
-        raise ConfigError(f"unknown backward-driver kind {g_kind!r}")
 
     return Model(
         b=b, sigma=sigma, Phi=Phi, f=f, g=g,
-        lip_C=float(spec.get("lip_C", max(2.0, abs(b1) + abs(s1)))),
-        growth_m=float(spec.get("growth_m", 1.0)),
-        alpha=float(spec.get("alpha", max(abs(coef), 0.5) if g_kind == "linear_z" else 0.5)),
+        lip_C=max(abs(b1) + abs(s1), f_lip,
+                  max(abs(coef), coef ** 2) if g_kind == "linear_y" else 0.0),
+        growth_m=1.0 if phi_kind == "endpoint_square" else 0.0,
+        alpha=abs(coef) if g_kind == "linear_z" else 0.0,
         name=name,
         markovian_flag=f_kind != "runmax_minus_y" and phi_kind != "running_integral",
     )
@@ -302,27 +240,24 @@ def registry() -> list[ModelRegistryEntry]:
         # asian: integral of the path over the full horizon.
         # u(gamma_t) = int_0^t gamma + gamma(t) (T - t) since E[X(s)] = gamma(t),
         # exact for the left-endpoint integral convention.
-        entry({"name": "asian", "Phi": {"kind": "running_integral"}, "growth_m": 0.0},
+        entry({"name": "asian", "Phi": {"kind": "running_integral"}},
               closed_form_u=_u_asian,
               closed_form_Z=lambda p: np.array([[p.horizon - p.current_time]]),
               notes="conditional expectation of integrated Brownian motion"),
         # linear-g: backward-integral driver proportional to y.
-        entry({"name": "linear-g", "g": {"kind": "linear_y", "coef": 0.3},
-               "lip_C": 1.0, "growth_m": 0.0},
+        entry({"name": "linear-g", "g": {"kind": "linear_y", "coef": 0.3}},
               closed_form_u=endpoint,
               notes="E_B of the field gamma(t) prod_j (1 + 0.3 dB_j)"),
         # nonlinear-f: classical-BSDE reduction.
         entry({"name": "nonlinear-f", "Phi": {"kind": "endpoint_sin"},
-               "f": {"kind": "cos_y_plus_half_z"}, "lip_C": 1.0, "growth_m": 0.0},
+               "f": {"kind": "cos_y_plus_half_z"}},
               notes="oracle: nested engine"),
         # z-in-g: exercises the z-contraction channel of the backward driver.
-        entry({"name": "z-in-g", "g": {"kind": "linear_z", "coef": 0.5},
-               "lip_C": 1.0, "growth_m": 0.0},
+        entry({"name": "z-in-g", "g": {"kind": "linear_z", "coef": 0.5}},
               closed_form_u=endpoint, closed_form_Z=lambda p: np.array([[1.0]]),
               notes="E_B of the field gamma(t) + 0.5 (B_T - B_t); Z = 1"),
         # path-f: genuinely non-Markovian time driver via the running maximum.
-        entry({"name": "path-f", "f": {"kind": "runmax_minus_y"},
-               "lip_C": 1.0, "growth_m": 0.0},
+        entry({"name": "path-f", "f": {"kind": "runmax_minus_y"}},
               notes="oracle: nested engine"),
     ]
 

@@ -181,11 +181,15 @@ def simulate_forward(model, initial: Path, drivers: BrownianPair) -> ScenarioEns
     return ScenarioEnsemble(initial, drivers, X.transpose(1, 0, 2), valid)
 
 
-def _simulate(model, initial: Path, n_scenarios: int, seed: int) -> ScenarioEnsemble:
+def _simulate(model, initial: Path, n_scenarios: int, seed: int,
+              dB: Optional[np.ndarray] = None) -> ScenarioEnsemble:
     """Forward paths continuing `initial` on a fresh driver pair of the
-    model's widths (d, l), drawn from `seed`."""
+    model's widths (d, l), drawn from `seed`; a given (n_scenarios, N, l)
+    dB replaces the second driver's draw."""
     d, _, l = model.dims
     drivers = sample_drivers(initial.grid_times, n_scenarios, seed, d=d, l=l)
+    if dB is not None:
+        drivers = BrownianPair(drivers.grid_times, drivers.dW, dB, drivers.seed)
     return simulate_forward(model, initial, drivers)
 
 

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathfk import cli, simulation, solver, verification
-from pathfk.cli import main
+from pathfk import cli, load_config, simulation, solver, verification
+from pathfk.cli import _check_seed, main, run_check
 
 
 def write_config(tmp_path, **overrides):
@@ -173,13 +173,23 @@ def test_sweep_propagates_failure(tmp_path):
 
 def test_sweep_over_an_unknown_key_exits_1(tmp_path, capsys):
     # grid.n is not grid.N: every value would run the same config; the
-    # first run stops in load_config, before its solve
+    # sweep stops in load_config, before any solve
     cfg = write_config(tmp_path)
     out = tmp_path / "sw-typo"
     assert main(["sweep", cfg, "--axis", "grid.n", "--values", "4,16",
                  "--output", str(out)]) == 1
     assert "not ['n']" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_loads_every_value_before_the_first_run(tmp_path, capsys):
+    # N = 1 is refused when the configs load, so N = 8 is never solved
+    cfg = write_config(tmp_path)
+    out = tmp_path / "sw-late"
+    assert main(["sweep", cfg, "--axis", "grid.N", "--values", "8,1",
+                 "--output", str(out)]) == 1
+    assert "grid.N must be at least 2" in capsys.readouterr().err
+    assert not (out / "grid_N=8").exists() and not (out / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -213,8 +223,6 @@ SPELLED_DEFAULTS = {
 @pytest.mark.parametrize("name", sorted(SPELLED_DEFAULTS))
 def test_spelled_out_defaults_give_the_default_reports(name):
     # heat: growth_m = 1, so regularity's default q is 2
-    from pathfk import load_config
-    from pathfk.cli import run_check
     base = {"model": "heat", "grid": {"T": 1.0, "N": 16},
             "mc": {"seed": 3, "n_scenarios": 300}}
     bare = {"s": 0.5} if name == "flow" else {}
@@ -229,8 +237,7 @@ def test_moments_check_scores_every_order_from_one_probe_set():
     # one probe set scored per order must give the reports of one
     # moment_envelope_check call per order, field for field and sample for
     # sample
-    from pathfk import load_config, moment_envelope_check
-    from pathfk.cli import _check_seed, run_check
+    from pathfk import moment_envelope_check
     spec = {"n_probes": 12, "n_scenarios": 300}
     cfg = load_config({"model": "heat", "grid": {"T": 1.0, "N": 4},
                        "mc": {"seed": 5, "n_scenarios": 300},
@@ -250,8 +257,6 @@ def test_summary_counts_excluded_scenarios(tmp_path, monkeypatch):
     # share of the scenarios; summary.json says how many the headline solve
     # left out, the same on a rerun and at any worker count
     from dataclasses import replace
-
-    import numpy as np
 
     from pathfk import config, get_model
     from pathfk.models import ModelRegistryEntry

@@ -222,12 +222,20 @@ def test_inline_model_rejects_unknown_kinds():
     pytest.param({"sigmaa": {"const": 0.8}},
                  r"model takes .*, not \['sigmaa'\]", id="top-level"),
     pytest.param({"Phi": {"kind": "endpoint", "shfit": 1.0}},
-                 r"Phi takes .*, not \['shfit'\]", id="Phi"),
+                 r"Phi of kind 'endpoint' takes .*, not \['shfit'\]", id="Phi"),
     pytest.param({"f": {"kind": "linear", "coef": 0.2}},
-                 r"f takes .*, not \['coef'\]", id="f"),
+                 r"f of kind 'linear' takes .*, not \['coef'\]", id="f"),
     # read as g = 0 y, this ran the g path with a zero driver
     pytest.param({"g": {"kind": "linear_y", "coeff": 0.3}},
-                 r"g takes .*, not \['coeff'\]", id="g"),
+                 r"g of kind 'linear_y' takes .*, not \['coeff'\]", id="g"),
+    # keys of another kind of the same section, which the chosen kind ignored
+    pytest.param({"f": {"kind": "linear", "shift": 0.2}}, r"not \['shift'\]", id="f-linear-shift"),
+    pytest.param({"g": {"kind": "zero", "coef": 0.3}}, r"not \['coef'\]", id="g-zero-coef"),
+    pytest.param({"f": {"kind": "zero", "coef_y": 5}}, r"not \['coef_y'\]", id="f-zero-coef_y"),
+    # the constants follow from the kinds and are no longer declared
+    pytest.param({"lip_C": 0.1}, r"model takes .*, not \['lip_C'\]", id="lip_C"),
+    pytest.param({"growth_m": 2.0}, r"model takes .*, not \['growth_m'\]", id="growth_m"),
+    pytest.param({"alpha": 0.5}, r"model takes .*, not \['alpha'\]", id="alpha"),
     pytest.param({"b": {"affine": {"slop": 0.5}}},
                  r"b.affine takes .*, not \['slop'\]", id="affine"),
     pytest.param({"sigma": {"const": 0.8, "affine": {"slope": 0.1}}},

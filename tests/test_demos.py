@@ -59,7 +59,7 @@ PUBLIC_NAMES = [
     "on_path", "path_dist", "random_initial_path", "registry",
     "regularity_check", "restrict", "running_integral", "sample_drivers",
     "shifted_model", "simulate_forward", "solve_nested", "solve_regression",
-    "spde_residual", "spde_residual_check", "sup_norm", "validate",
+    "spde_residual", "spde_residual_check", "sup_norm",
     "vertical_bump", "vertical_derivative", "vertical_hessian",
     "z_growth_check", "z_representation_check",
 ]

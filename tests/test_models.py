@@ -1,10 +1,12 @@
-"""Coefficient bundles, assumption probes, and the reference registry."""
+"""Coefficient bundles, their derived constants, and the reference registry."""
 
 import numpy as np
 import pytest
 
 from pathfk import (Model, Path, get_entry, get_model, make_grid, on_path,
-                    registry, running_integral, shifted_model, validate)
+                    path_dist, random_initial_path, registry, running_integral,
+                    shifted_model, sup_norm)
+from pathfk.models import _KIND_KEYS, model_from_spec
 
 
 # -- helpers -------------------------------------------------------------
@@ -22,12 +24,14 @@ def test_running_integral_left_endpoint():
 
 
 def test_contraction_constant_must_be_interior():
+    # alpha lies in [0, 1): 0 is a g that does not read z
     base = get_model("heat")
     from dataclasses import replace
+    assert replace(base, alpha=0.0).alpha == 0.0
     with pytest.raises(ValueError):
         replace(base, alpha=1.0)
     with pytest.raises(ValueError):
-        replace(base, alpha=0.0)
+        replace(base, alpha=-0.1)
     with pytest.raises(ValueError):
         replace(base, lip_C=-1.0)
 
@@ -129,18 +133,18 @@ UNIT_SIGMA = lambda x: np.broadcast_to(np.eye(1), (x.shape[0], 1, 1))
 ENDPOINT = lambda x, dt: x[:, -1, :1].copy()
 PINNED = {
     "heat": dict(Phi=lambda x, dt: x[:, -1, :1] ** 2,
-                 lip_C=2.0, growth_m=1.0, markovian=True),
+                 lip_C=0.0, growth_m=1.0, alpha=0.0, markovian=True),
     "asian": dict(Phi=lambda x, dt: x[:, :-1, :1].sum(axis=1) * dt,
-                  lip_C=2.0, growth_m=0.0, markovian=False),
+                  lip_C=0.0, growth_m=0.0, alpha=0.0, markovian=False),
     "linear-g": dict(Phi=ENDPOINT, g=lambda x, y, z: 0.3 * y[:, :, None],
-                     lip_C=1.0, growth_m=0.0, markovian=True),
+                     lip_C=0.3, growth_m=0.0, alpha=0.0, markovian=True),
     "nonlinear-f": dict(Phi=lambda x, dt: np.sin(x[:, -1, :1]),
                         f=lambda x, y, z: np.cos(y) + z[:, :, 0] / 2.0,
-                        lip_C=1.0, growth_m=0.0, markovian=True),
+                        lip_C=1.0, growth_m=0.0, alpha=0.0, markovian=True),
     "z-in-g": dict(Phi=ENDPOINT, g=lambda x, y, z: 0.5 * z[:, :, :1],
-                   lip_C=1.0, growth_m=0.0, markovian=True),
+                   lip_C=0.0, growth_m=0.0, alpha=0.5, markovian=True),
     "path-f": dict(Phi=ENDPOINT, f=lambda x, y, z: x[:, :, :1].max(axis=1) - y,
-                   lip_C=1.0, growth_m=0.0, markovian=False),
+                   lip_C=1.0, growth_m=0.0, alpha=0.0, markovian=False),
 }
 
 
@@ -157,7 +161,8 @@ def test_registry_coefficients_are_pinned_bit_for_bit():
     for entry in registry():
         model, pin = entry.model, PINNED[entry.name]
         assert model.name == entry.name
-        assert (model.lip_C, model.growth_m, model.alpha) == (pin["lip_C"], pin["growth_m"], 0.5)
+        assert ((model.lip_C, model.growth_m, model.alpha)
+                == (pin["lip_C"], pin["growth_m"], pin["alpha"]))
         assert model.markovian_flag is pin["markovian"]
         assert model.dims == (1, 1, 1)
         assert (model.f is None) == ("f" not in pin) and (model.g is None) == ("g" not in pin)
@@ -179,7 +184,6 @@ def test_registry_coefficients_are_pinned_bit_for_bit():
 def test_constant_inline_coefficients_do_not_read_x():
     # on finite blocks a constant equals its affine form of slope 0 bit for
     # bit; on an overflowed row it stays the constant, where 0 * inf is NaN
-    from pathfk.models import model_from_spec
     rng = np.random.default_rng(22)
     const = model_from_spec({"b": {"const": 0.3}, "sigma": {"const": 0.8}})
     for m in (1, 5):
@@ -192,45 +196,89 @@ def test_constant_inline_coefficients_do_not_read_x():
         assert_same_bits(const.sigma(x), np.full((6, 1, 1), 0.8), ("overflowed sigma", m))
 
 
-# -- assumption probes ---------------------------------------------------
+# -- derived constants ---------------------------------------------------
 
 
-def test_validate_passes_on_registry():
+def assert_constants_hold(model, n_probes=100, seed=0):
+    """Falsify lip_C = C, growth_m = m and alpha on random probe paths: each
+    bound of the well-posedness conditions, as written below, must hold."""
+    d, k, _ = model.dims
+    C, m, a = model.lip_C, model.growth_m, model.alpha
+    rng = np.random.default_rng(seed)
+    grid = make_grid(1.0, 8)
+    for _ in range(n_probes):
+        ti = int(rng.integers(1, len(grid)))
+        pa, pb = (random_initial_path(grid, ti, d, rng) for _ in range(2))
+        y1, y2 = rng.normal(size=(2, k))
+        z1, z2 = rng.normal(size=(2, k, d))
+        dy, dz = np.linalg.norm(y1 - y2), np.linalg.norm(z1 - z2)
+        dx = C * (1.0 + sup_norm(pa) ** m + sup_norm(pb) ** m) * path_dist(pa, pb).sup_component
+        ga = on_path(model.eval_g, pa, y1, z1)
+        df = on_path(model.eval_f, pa, y1, z1) - on_path(model.eval_f, pb, y2, z2)
+        dg = ga - on_path(model.eval_g, pb, y2, z2)
+        dbs = [on_path(c, pa) - on_path(c, pb) for c in (model.b, model.sigma)]
+        assert np.linalg.norm(df) <= dx + C * (dy + dz) + 1e-9, "f Lipschitz bound"
+        assert np.linalg.norm(dg) <= dx + C * dy + a * dz + 1e-9, "g Lipschitz bound"
+        assert sum(map(np.linalg.norm, dbs)) <= dx + 1e-9, "b, sigma Lipschitz bound"
+        g00 = on_path(model.eval_g, pa, np.zeros(k), np.zeros((k, d)))
+        gap = ga @ ga.T - a * z1 @ z1.T - C * (np.sum(g00 ** 2) + np.sum(y1 ** 2)) * np.eye(k)
+        assert np.linalg.eigvalsh(gap).max() <= 1e-9, "gg^T bound"
+
+
+def random_spec(i, rng):
+    """The i-th random inline spec: i cycles the kinds, rng draws the rest."""
+    c = lambda: float(rng.uniform(-2.0, 2.0))
+    coeff = lambda: ({"const": c()} if rng.random() < 0.5
+                     else {"affine": {"intercept": c(), "slope": c()}})
+    f = [{"kind": "zero"}, {"kind": "linear", "coef_y": c(), "coef_z": c(), "const": c()},
+         {"kind": "cos_y_plus_half_z", "shift": c()},
+         {"kind": "runmax_minus_y", "shift": c()}][(i // 4) % 4]
+    g = [{"kind": "zero"}, {"kind": "linear_y", "coef": c()},
+         {"kind": "linear_z", "coef": float(rng.uniform(-0.99, 0.99))}][i % 3]
+    phi = ["endpoint", "endpoint_square", "endpoint_sin", "running_integral"][i % 4]
+    return {"b": coeff(), "sigma": coeff(), "Phi": {"kind": phi, "shift": c()},
+            "f": f, "g": g}
+
+
+def test_derived_constants_hold_on_registry():
     for entry in registry():
-        rep = validate(entry.model, n_probes=50, seed=0)
-        assert rep.all_passed, (entry.name, [p.assumption for p in rep.failures()])
+        assert_constants_hold(entry.model, n_probes=50)
 
 
-def test_validate_finds_contraction_violation():
-    # a backward driver with unit z-slope but alpha declared 0.5: the
-    # contraction probe must witness it
-    bad = Model(
-        b=lambda x: np.zeros((x.shape[0], 1)),
-        sigma=lambda x: np.broadcast_to(np.eye(1), (x.shape[0], 1, 1)),
-        Phi=lambda x, dt: x[:, -1, :1],
-        g=lambda x, y, z: 1.0 * z[:, :, :1],
-        lip_C=1.0, growth_m=0.0, alpha=0.5, name="bad",
-    )
-    rep = validate(bad, n_probes=100, seed=0)
-    failed = {p.assumption for p in rep.failures()}
-    assert "g_lipschitz_contraction" in failed or "gg_transpose_bound" in failed
+def test_derived_constants_hold_on_random_inline_specs():
+    rng = np.random.default_rng(26)
+    specs = [random_spec(i, rng) for i in range(60)]
+    for section in ("Phi", "f", "g"):
+        assert {s[section]["kind"] for s in specs} == set(_KIND_KEYS[section])
+    for i, spec in enumerate(specs):
+        assert_constants_hold(model_from_spec(spec), n_probes=50, seed=i)
 
 
-def test_validate_finds_lipschitz_violation():
-    bad = Model(
-        b=lambda x: np.zeros((x.shape[0], 1)),
-        sigma=lambda x: np.broadcast_to(np.eye(1), (x.shape[0], 1, 1)),
-        Phi=lambda x, dt: x[:, -1, :1],
-        f=lambda x, y, z: y ** 3,   # not globally Lipschitz
-        lip_C=1.0, growth_m=0.0, alpha=0.5, name="bad-f",
-    )
-    rep = validate(bad, n_probes=200, seed=0)
-    assert not rep.all_passed
+def test_derived_constants_follow_the_kinds():
+    # g's y-constant is coef^2 once |coef| > 1, as the gg^T bound needs
+    spec = {"b": {"affine": {"slope": 3.0}}, "sigma": {"affine": {"slope": -0.5}},
+            "f": {"kind": "linear", "coef_y": 0.5, "coef_z": -1.0}}
+    assert model_from_spec(spec).lip_C == 3.5
+    assert model_from_spec({"g": {"kind": "linear_y", "coef": -1.5}}).lip_C == 2.25
+    m = model_from_spec({"Phi": {"kind": "endpoint_square"},
+                         "g": {"kind": "linear_z", "coef": -0.7}})
+    assert (m.lip_C, m.growth_m, m.alpha) == (0.0, 1.0, 0.7)
 
 
-def test_validate_input_checks():
-    with pytest.raises(ValueError):
-        validate(get_model("heat"), n_probes=0)
+def test_wrong_contraction_constant_is_witnessed():
+    # a backward driver with unit z-slope but alpha declared 0.5
+    bad = Model(b=ZERO_B, sigma=UNIT_SIGMA, Phi=ENDPOINT, g=lambda x, y, z: 1.0 * z[:, :, :1],
+                lip_C=1.0, growth_m=0.0, alpha=0.5)
+    with pytest.raises(AssertionError, match=r"^(g Lipschitz|gg\^T) bound"):
+        assert_constants_hold(bad, n_probes=100)
+
+
+def test_wrong_lipschitz_constant_is_witnessed():
+    # f = y^3 is not globally Lipschitz
+    bad = Model(b=ZERO_B, sigma=UNIT_SIGMA, Phi=ENDPOINT, f=lambda x, y, z: y ** 3,
+                lip_C=1.0, growth_m=0.0, alpha=0.5)
+    with pytest.raises(AssertionError, match="^f Lipschitz bound"):
+        assert_constants_hold(bad, n_probes=200)
 
 
 # -- ordering constructions ----------------------------------------------

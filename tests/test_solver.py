@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from pathfk import (BudgetError, Model, Path, RegressionBasis, SolverError,
                     get_model, make_grid, restrict, sample_drivers,
                     simulate_forward, solve_nested, solve_regression,
                     vertical_bump, vertical_derivative)
+from pathfk.models import model_from_spec
 from pathfk.simulation import BrownianPair, ScenarioEnsemble
 from pathfk import solver, verification
 from pathfk.solver import (_column_basis, _project, _time_major, _tree_backward,
@@ -24,9 +26,7 @@ T = 1.0
 
 
 def linear_terminal_model():
-    from dataclasses import replace
-    m = get_model("heat")
-    return replace(m, Phi=lambda x, dt: x[:, -1, :1].copy(), name="linear")
+    return model_from_spec({"name": "linear"})
 
 
 def ensemble(model, N=16, n=4000, seed=0, x0=0.0, t_index=0):
@@ -235,7 +235,6 @@ def test_backward_driver_means_match_closed_forms(name, engine):
 
 
 def test_terminal_z_is_phi_gradient_times_sigma(monkeypatch):
-    from dataclasses import replace
     m = two_driver_model()
     rng = np.random.default_rng(28)
     X = rng.normal(size=(5, 30, 2))              # time-major histories
@@ -324,7 +323,6 @@ def test_future_noise_features_enabled_only_with_g():
 def test_budget_error_names_the_excluded_scenarios():
     # the drift of test_excluded_scenarios_are_recorded overflows 38 of 160
     # scenarios; the budget counts the 122 left and says where the rest went
-    from dataclasses import replace
     m = replace(get_model("heat"),
                 b=lambda x: np.where(np.abs(x[:, -1, :]) > 1.5, np.inf, 0.0))
     ens = ensemble(m, N=16, n=160, seed=21)
@@ -358,14 +356,10 @@ def test_picard_validation_and_divergence(monkeypatch):
     # f = c*y with c*dt > 1 makes each step's fixed-point map expansive: the
     # first backward step, 3, raises from the default count on, before any
     # value overflows (whole-sweep passes returned -146, exact 0, at the
-    # default two and overflowed on the way to a late verdict at 400)
-    runaway = Model(
-        b=lambda x: np.zeros((x.shape[0], 1)),
-        sigma=lambda x: np.broadcast_to(np.eye(1), (x.shape[0], 1, 1)),
-        Phi=lambda x, dt: x[:, -1, :1].copy(),
-        f=lambda x, y, z: 20.0 * y,
-        lip_C=20.0, growth_m=0.0, alpha=0.5, name="runaway",
-    )
+    # default two and overflowed on the way to a late verdict at 400); the
+    # grammar derives lip_C = 20, where a declared default of 2 once made
+    # the message read 0.5, below one
+    runaway = model_from_spec({"name": "runaway", "f": {"kind": "linear", "coef_y": 20}})
     ens = ensemble(runaway, N=4, n=500, seed=8)
     init = Path(make_grid(T, 4), np.array([[0.0]]))
     solves = (lambda it: solve_regression(runaway, ens, picard_iters=it),
@@ -404,7 +398,6 @@ def test_contracting_models_never_trip_the_guard(name, engine):
 
 def _with_zero_drivers(model, f=False, g=False):
     """The model with explicit all-zero drivers in place of absent ones."""
-    from dataclasses import replace
     d, k, l = model.dims
     zf = lambda x, y, z: np.zeros((x.shape[0], k))
     zg = lambda x, y, z: np.zeros((x.shape[0], k, l))
@@ -737,7 +730,6 @@ def test_sweep_keeps_no_per_step_bases():
 def test_excluded_scenarios_are_recorded():
     # a drift that explodes once a path leaves [-1.5, 1.5] overflows a
     # share of the scenarios; the solve runs on the rest and says how many
-    from dataclasses import replace
     m = replace(get_model("heat"),
                 b=lambda x: np.where(np.abs(x[:, -1, :]) > 1.5, np.inf, 0.0))
     ens = ensemble(m, N=8, n=2000, seed=21)
@@ -776,8 +768,6 @@ def test_masked_solve_matches_valid_rows(name, feature_set):
 
 
 def test_coefficients_receive_read_only_blocks():
-    from dataclasses import replace
-
     def overwrite(x, y, z):
         x[:, -1] = 0.0
         return y
@@ -1237,7 +1227,6 @@ def test_engine_field_quotient_of_closed_forms():
 
 
 def test_engine_field_quotient_zero_for_constant_terminal():
-    from dataclasses import replace
     m = replace(get_model("heat"),
                 Phi=lambda x, dt: np.full((x.shape[0], 1), 5.0))
     init = Path(make_grid(T, 4), np.array([[0.3]]))
@@ -1254,7 +1243,6 @@ def test_tree_levels_match_concatenated_histories():
     # each level against the scenario-major expansion it replaces: repeat
     # every history per quadrature node and append the new endpoints; two
     # stacked roots, so every root's subtree is checked
-    from dataclasses import replace
     path_f = replace(get_model("path-f"), b=lambda x: 0.1 * x.max(axis=1),
                      sigma=lambda x: (1.0 + 0.2 * np.tanh(x[:, -1, :1]))[:, :, None])
     branching, N = 3, 4
@@ -1281,7 +1269,6 @@ def test_trees_of_one_batch_share_one_history_buffer(monkeypatch):
     # a terminal that returns a view of the leaf histories, and paths at the
     # horizon, whose root value is that terminal: every estimate must still
     # be copied out before the next tree overwrites the buffer
-    from dataclasses import replace
     m = replace(get_model("linear-g"), Phi=lambda x, dt: x[:, -1, :1])
     monkeypatch.setattr(solver, "_MAX_STACKED_LEAVES", 100)
     leaves = []

@@ -14,6 +14,7 @@ from pathfk import (Path, PathFunctional, PreconditionError, RegressionBasis,
                     simulate_forward, solve_regression, spde_residual,
                     spde_residual_check, vertical_derivative,
                     vertical_hessian, z_growth_check, z_representation_check)
+from pathfk.simulation import BrownianPair, ScenarioEnsemble
 
 
 T = 1.0
@@ -120,7 +121,6 @@ def reference_residual(u, model, ens):
 def test_residual_reads_second_driver_only_with_g():
     # heat has g = None, so its residual never reads dB: all-NaN increments
     # leave it unchanged bit for bit, and a sampled pair never draws them
-    from pathfk.simulation import BrownianPair, ScenarioEnsemble
     u = field_from_closed_form(get_entry("heat"))
     m, ens = late_start_ensemble("heat", N=6, n=3)
     drv = ens.drivers
@@ -202,7 +202,6 @@ def test_residual_shares_the_initial_tree_across_paths(monkeypatch):
     # conditioned by hand on its increments, one solve_nested per value
     # (second differences at h = 2e-3 scale the values' round-off by 1/h^2)
     from pathfk import solve_nested, solver
-    from pathfk.simulation import BrownianPair, ScenarioEnsemble
     N, n = 6, 4
     m, ens = start_at_one("z-in-g", N=N, n=n, seed=8)
     u = field_from_engine(m, "nested", n_scenarios=8, branching=3, seed=5)
@@ -227,7 +226,6 @@ def test_residual_shares_the_initial_tree_across_paths(monkeypatch):
 def test_residual_of_an_ensemble_with_no_valid_scenario_is_empty():
     # no path to score: no jet is taken, of the averaged field or of one
     # conditioned on an empty stack of increments
-    from pathfk.simulation import ScenarioEnsemble
     for name in ("linear-g", "heat"):
         m, ens = start_at_one(name, N=4, n=2)
         none = ScenarioEnsemble(ens.initial, ens.drivers, ens.x_values,
@@ -314,6 +312,16 @@ def test_flow_midpoint_restart():
     rep = flow_check(m, origin(8), s=0.5, n_scenarios=4000, n_resolve=5,
                      seed=11)
     assert rep.passed
+
+
+def test_flow_restarts_read_the_scenarios_own_second_driver():
+    # with g, the value at s is the field conditioned on the scenario's own
+    # remaining dB; restarts on fresh dB scored 2.4, 5.2 and 7.2 here
+    m = get_model("z-in-g")
+    start = Path(make_grid(1.0, 8), np.array([[1.0]]))
+    for seed in (1, 2, 3):
+        rep = flow_check(m, start, s=0.5, n_scenarios=4000, n_resolve=5, seed=seed)
+        assert rep.passed, (seed, rep.statistic)
 
 
 def test_flow_time_validation():

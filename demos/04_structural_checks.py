@@ -9,19 +9,16 @@ coefficients at ever more nodes converges to the unfrozen field
 
 import numpy as np
 
-from pathfk import (Path, RegressionBasis, comparison_check,
-                    discretization_convergence_check, flow_check, get_model,
-                    make_grid, shifted_model)
+from pathfk import (Path, comparison_check, discretization_convergence_check,
+                    flow_check, get_model, make_grid, shifted_model)
 
 grid = make_grid(1.0, 16)
 init = Path(grid, np.zeros((1, 1)))
-PATH_BASIS = RegressionBasis(feature_set="endpoint+runmax+runint")
 
 print("flow: re-solve from 20 realized midpoints (statistic <= 1 passes)")
 for name in ("heat", "path-f"):
-    basis = None if get_model(name).markovian_flag else PATH_BASIS
     rep = flow_check(get_model(name), init, s=0.5, n_scenarios=10_000,
-                     n_resolve=20, seed=0, basis=basis)
+                     n_resolve=20, seed=0)
     print(" ", rep.one_line())
 
 print("\ncomparison: terminal data shifted up by 1 must raise the field")
@@ -33,8 +30,7 @@ print(" ", rep.one_line())
 print("\ndiscretization: node-frozen running-max driver, 2 to 16 nodes")
 rep = discretization_convergence_check(get_model("path-f"), init,
                                        node_counts=(2, 4, 8, 16),
-                                       n_scenarios=10_000, seed=2,
-                                       basis=PATH_BASIS)
+                                       n_scenarios=10_000, seed=2)
 for line in rep.details:
     print(" ", line)
 print(" ", rep.one_line())

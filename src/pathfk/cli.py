@@ -3,10 +3,11 @@
     pathfk run config.json [--output DIR] [--workers K]
     pathfk sweep config.json --axis grid.N --values 8,16,32 [--output DIR]
 
-`run` solves the configured problem, runs the configured checks, and writes
-summary.json (byte-stable across reruns and worker counts), manifest.json,
-and one CSV of per-sample statistics per check.  Exit code 0 means every
-check passed, 2 means at least one check failed, 1 means the run errored.
+`run` solves the configured problem once, runs the configured checks
+(closed_form, z_growth and z_representation on that headline solve), and
+writes summary.json (byte-stable across reruns and worker counts),
+manifest.json, and one CSV of per-sample statistics per check.  Exit code
+0 means every check passed, 2 that one failed, 1 that the run errored.
 The environment variable PATHFK_SEED overrides the configured seed and is
 recorded in the manifest.
 """
@@ -23,7 +24,7 @@ import zlib
 
 import numpy as np
 
-from .config import CHECK_KEYS, ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config
 from .models import get_entry, shifted_model
 from .reports import CheckReport
 from .simulation import _simulate, stream_seed
@@ -33,6 +34,8 @@ from .verification import (comparison_check, discretization_convergence_check,
                            moment_envelope_score, moment_probes,
                            regularity_check, spde_residual_check,
                            z_growth_check, z_representation_check)
+
+_HEADLINE_CHECKS = ("closed_form", "z_growth", "z_representation")
 
 
 def _package_version() -> str:
@@ -48,39 +51,29 @@ def _check_seed(base_seed: int, name: str) -> int:
 
 
 def _solve(cfg: ExperimentConfig):
+    """The headline (solution, ensemble), with no ensemble when nested."""
     if cfg.engine == "nested":
         return solve_nested(
             cfg.model, cfg.initial,
             n_outer=cfg.engine_options.get("n_outer", cfg.n_scenarios),
-            seed=cfg.seed,
-            branching=cfg.engine_options.get("branching", 8),
-            picard_iters=cfg.engine_options.get("picard_iters", 2),
-        )
+            seed=cfg.seed, **cfg.options("branching", "picard_iters")), None
     ens = _simulate(cfg.model, cfg.initial, cfg.n_scenarios, cfg.seed)
-    return solve_regression(
-        cfg.model, ens, basis=cfg.basis,
-        picard_iters=cfg.engine_options.get("picard_iters", 2),
-    )
+    return solve_regression(cfg.model, ens, **cfg.options("picard_iters")), ens
 
 
 def _candidate_field(cfg: ExperimentConfig):
-    # with g the closed forms give E_B u, not the random field the checks read
-    if cfg.closed_form_u is not None and cfg.model.g is None:
+    if not cfg.nested_field:
         return field_from_closed_form(get_entry(cfg.model_name))
     return field_from_engine(
         cfg.model, engine="nested",
         n_scenarios=cfg.engine_options.get("n_outer", 8),
-        seed=cfg.seed,
-        branching=cfg.engine_options.get("branching", 8),
-    )
+        seed=cfg.seed, **cfg.options("branching"))
 
 
-def _closed_form_report(cfg: ExperimentConfig, sol) -> CheckReport:
+def _closed_form_report(cfg: ExperimentConfig, sol, tol_rel=0.02) -> CheckReport:
     """The headline estimate against the registry closed form."""
-    spec = cfg.checks["closed_form"] or {}
     target = np.asarray(cfg.closed_form_u(cfg.initial), dtype=np.float64)
     err = np.abs(sol.u_estimate - target)
-    tol_rel = float(spec.get("tol_rel", 0.02))
     rel = float(np.max(err / (1.0 + np.abs(target))))
     zsc = float(np.max(err / (3.0 * sol.u_stderr + 1e-12)))
     return CheckReport.make(
@@ -92,20 +85,20 @@ def _closed_form_report(cfg: ExperimentConfig, sol) -> CheckReport:
                  ("stderr", float(sol.u_stderr[0]))])
 
 
-def run_check(cfg: ExperimentConfig, name: str):
-    """Run one named check other than closed_form, which run_experiment
-    scores on its headline solve; returns a list of CheckReport.  Only the
-    keys the spec sets are passed, read as their config.CHECK_KEYS types; a
-    key left out takes the check function's default or, for the keys that
-    only the CLI reads, the one written here."""
-    types = CHECK_KEYS[name]
-    spec = {key: types[key](v) for key, v in (cfg.checks[name] or {}).items()}
+def run_check(cfg: ExperimentConfig, name: str, headline=None):
+    """A list of CheckReport from one named check; closed_form, z_growth and
+    z_representation score the headline of _solve, solved here when None.
+    Only the keys the spec sets are passed, as load_config typed them; a key
+    left out takes the check function's default or, for the keys that only
+    the CLI reads, the one written here."""
+    spec = dict(cfg.checks[name])
     seed = _check_seed(cfg.seed, name)
     model = cfg.model
 
-    if name in ("z_representation", "z_growth"):
-        ens = _simulate(model, cfg.initial, cfg.n_scenarios, seed)
-        sol = solve_regression(model, ens, basis=cfg.basis)
+    if name in _HEADLINE_CHECKS:
+        sol, ens = headline or _solve(cfg)
+        if name == "closed_form":
+            return [_closed_form_report(cfg, sol, **spec)]
         if name == "z_growth":
             return [z_growth_check(sol, ens, **spec)]
         u = None if cfg.closed_form_Z is not None else _candidate_field(cfg)
@@ -114,7 +107,7 @@ def run_check(cfg: ExperimentConfig, name: str):
 
     if name == "flow":
         return [flow_check(model, cfg.initial, n_scenarios=cfg.n_scenarios,
-                           seed=seed, basis=cfg.basis, **spec)]
+                           seed=seed, **spec)]
 
     if name == "field_equation":
         u = _candidate_field(cfg)
@@ -124,13 +117,11 @@ def run_check(cfg: ExperimentConfig, name: str):
     if name == "comparison":
         upper = shifted_model(model, **{"shift_phi": 0.1, **spec})
         return [comparison_check(upper, model, cfg.initial,
-                                 n_scenarios=cfg.n_scenarios, seed=seed,
-                                 basis=cfg.basis)]
+                                 n_scenarios=cfg.n_scenarios, seed=seed)]
 
     if name == "discretization":
         return [discretization_convergence_check(
-            model, cfg.initial, n_scenarios=cfg.n_scenarios, seed=seed,
-            basis=cfg.basis, **spec)]
+            model, cfg.initial, n_scenarios=cfg.n_scenarios, seed=seed, **spec)]
 
     if name == "regularity":
         growth_q = spec.pop("q", model.growth_m + 1.0)
@@ -139,10 +130,9 @@ def run_check(cfg: ExperimentConfig, name: str):
                                  **spec)]
 
     if name == "moments":
-        orders = spec.pop("p", (2, 4))
-        probes = moment_probes(model, cfg.grid_times, seed=seed,
-                               basis=cfg.basis, **spec)
-        return [moment_envelope_score(probes, p=float(p)) for p in orders]
+        orders = spec.pop("p", (2.0, 4.0))
+        probes = moment_probes(model, cfg.grid_times, seed=seed, **spec)
+        return [moment_envelope_score(probes, p=p) for p in orders]
 
     raise ValueError(f"unknown check {name!r}")
 
@@ -165,14 +155,15 @@ def run_experiment(raw: dict, output_dir: str, workers: int = 1,
         raise ValueError(f"need at least one worker, got {workers}")
     cfg = load_config(raw, seed_override=seed_override)
     os.makedirs(output_dir, exist_ok=True)
-    sol = _solve(cfg)
+    headline = _solve(cfg)
+    sol = headline[0]
 
-    names = sorted(n for n in cfg.checks if n != "closed_form")
+    # the headline's own checks first, so that its ensemble goes before the rest
+    names = sorted(cfg.checks, key=lambda n: (n not in _HEADLINE_CHECKS, n))
     reports = {}
-    if "closed_form" in cfg.checks:
-        reports["closed_form"] = [_closed_form_report(cfg, sol)]
     if min(workers, len(names)) > 1:
-        # a lone check or worker runs here; fork starts every pool worker at once
+        # a lone check or worker runs here; fork starts every pool worker at
+        # once; a check of the headline solves it again, with the same bits
         from concurrent.futures import ProcessPoolExecutor
         tasks = [(cfg.raw, seed_override, n) for n in names]
         with ProcessPoolExecutor(max_workers=min(workers, len(names))) as pool:
@@ -180,7 +171,8 @@ def run_experiment(raw: dict, output_dir: str, workers: int = 1,
                 reports[name] = reps
     else:
         for name in names:
-            reports[name] = run_check(cfg, name)
+            headline = headline if name in _HEADLINE_CHECKS else None
+            reports[name] = run_check(cfg, name, headline)
     flat = sorted((r for reps in reports.values() for r in reps),
                   key=lambda r: r.name)
 

@@ -37,6 +37,7 @@ _MAX_TREE_NODES = 1_000_000
 # root whose own subtree is larger gets a tree to itself
 _MAX_STACKED_LEAVES = 6 ** 6
 _MAX_TREE_DEPTH = 8
+_BRANCHING = 8                  # Gauss-Hermite nodes per coordinate, by default
 _TAG_FROZEN_B = 3
 _MIN_SCENARIOS_PER_FEATURE = 50
 _BUMP_CHUNK = 4096              # histories bumped together for the terminal z
@@ -52,22 +53,34 @@ class RegressionBasis:
     feature_set names the raw coordinates extracted from the history at the
     projection time: "endpoint" uses the current state only;
     "endpoint+runmax+runint" adds the running maximum and the running
-    integral, for path-dependent problems.  All monomials in the raw
-    coordinates up to degree 2 are used.  The remaining-horizon increment
-    sums of the second driver join them as degree-one features when the
-    solve passes them, which solve_regression does exactly when the model
-    has a backward driver g.
+    integral, for path-dependent problems (for_model's choice for a model
+    that is not Markovian).  All monomials in the raw coordinates up to
+    degree 2 are used.  The remaining-horizon increment sums of the second
+    driver join them as degree-one features when the solve passes them,
+    which solve_regression does exactly when the model has g.
     """
 
     feature_set: str = "endpoint"
 
-    _SETS = ("endpoint", "endpoint+runmax+runint")
+    # each feature set and its raw coordinates per history coordinate
+    _SETS = {"endpoint": 1, "endpoint+runmax+runint": 3}
 
     def __post_init__(self):
         if self.feature_set not in self._SETS:
-            raise ValueError(
-                f"unknown feature set {self.feature_set!r}; choose from {self._SETS}"
-            )
+            raise ValueError(f"unknown feature set {self.feature_set!r}; "
+                             f"choose from {tuple(self._SETS)}")
+
+    @classmethod
+    def for_model(cls, model: Model) -> "RegressionBasis":
+        """The path features exactly when the model is not Markovian."""
+        return cls("endpoint" if model.markovian_flag else "endpoint+runmax+runint")
+
+    def width(self, d: int, l: int = 0) -> int:
+        """Columns of the design on d history coordinates and l noise sums:
+        the constant, the raw coordinates, their pairwise products and the
+        noise sums."""
+        r = self._SETS[self.feature_set] * d
+        return math.comb(r + 2, 2) + l
 
     def matrix(self, raw: np.ndarray,
                noise: Optional[np.ndarray] = None) -> np.ndarray:
@@ -76,7 +89,7 @@ class RegressionBasis:
         the remaining noise sums (n, l) when given."""
         n, r = raw.shape
         l = 0 if noise is None else noise.shape[1]
-        A = np.empty((n, math.comb(r + 2, r) + l), order="F")
+        A = np.empty((n, self.width(r // self._SETS[self.feature_set], l)), order="F")
         A[:, 0], A[:, 1:r + 1] = 1.0, raw
         pairs = itertools.combinations_with_replacement(range(1, r + 1), 2)
         for j, (a, b) in enumerate(pairs, r + 1):
@@ -163,6 +176,16 @@ def _project(U: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Least-squares fitted values: the orthogonal projection of the targets
     onto the column space spanned by the orthonormal basis U."""
     return U @ (U.T @ targets)
+
+
+def min_scenarios(model: Model, basis: Optional[RegressionBasis] = None) -> int:
+    """Finite scenarios a regression solve of the model needs on basis (None:
+    RegressionBasis.for_model), _MIN_SCENARIOS_PER_FEATURE per design
+    column, so that every projection stays overdetermined by a wide margin;
+    the design holds the noise sums exactly when the model has g."""
+    d, _, l = model.dims
+    basis = basis or RegressionBasis.for_model(model)
+    return _MIN_SCENARIOS_PER_FEATURE * basis.width(d, 0 if model.g is None else l)
 
 
 # -- solutions and the shared backward step ------------------------------
@@ -273,15 +296,16 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     """Backward regression sweep over a simulated ensemble.
 
     The features follow the model: basis's monomials of the history
-    (endpoint ones when basis is None), and with g the remaining sums of
-    the second driver's increments.  One sweep runs from the last step to
-    the initial one.  Each step's design matrix is built column-major and
-    factored once, in place, by one compact-WY Householder block and an SVD
-    of the p x p triangle, into an orthonormal basis formed by one matrix
-    product (_column_basis; a non-finite design raises SolverError); every
-    update on that step (the centring term, z, each y-iteration, and the
-    rollout behind fit_se) is a projection onto that basis, which is
-    dropped before the next step.
+    (RegressionBasis.for_model's when basis is None), and with g the
+    remaining sums of the second driver's increments; fewer finite
+    scenarios than min_scenarios raise BudgetError before the first step.
+    One sweep runs from the last step to the initial one.  Each step's
+    design matrix is built column-major and factored once, in place, by one
+    compact-WY Householder block and an SVD of the p x p triangle, into an
+    orthonormal basis formed by one matrix product (_column_basis; a
+    non-finite design raises SolverError); every update on that step (the
+    centring term, z, each y-iteration, and the rollout behind fit_se) is a
+    projection onto that basis, which is dropped before the next step.
 
     g reads the step's right endpoint, from the terminal z on; z is taken
     from the continuation y_{i+1} + g dB_i, centred by its projection,
@@ -296,14 +320,20 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     variance over n - rank degrees of freedom.
     """
     iters = _step_iterations(model, picard_iters)
-    basis = basis or RegressionBasis()
+    basis = basis or RegressionBasis.for_model(model)
     d, k, l = model.dims
     drivers = ensemble.drivers
     valid = ensemble.valid_mask
     X = _time_major(ensemble.x_values, valid)
+    Np1, n, _ = X.shape
+    need = min_scenarios(model, basis)
+    if need > n:
+        raise BudgetError(
+            f"{need // _MIN_SCENARIOS_PER_FEATURE} features need at least {need} "
+            f"scenarios, got {n} of {ensemble.n_scenarios} "
+            f"({ensemble.excluded_count} excluded as non-finite)")
     dW = _time_major(drivers.dW, valid)
     history = _history_view(X)
-    Np1, n, _ = X.shape
     N = Np1 - 1
     i_t = ensemble.initial.t_index
     dt = ensemble.initial.dt
@@ -326,14 +356,6 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     fit_se = np.zeros((N + 1, n, k)) if record_fit_se else None
 
     for i, A in basis.designs(X, i_t, dt, dB):
-        # budget: every projection must stay overdetermined by a wide margin
-        if A.shape[1] * _MIN_SCENARIOS_PER_FEATURE > n:
-            raise BudgetError(
-                f"{A.shape[1]} features need at least "
-                f"{A.shape[1] * _MIN_SCENARIOS_PER_FEATURE} scenarios, got {n} "
-                f"of {ensemble.n_scenarios} ({ensemble.excluded_count} excluded "
-                "as non-finite)"
-            )
         try:
             U = _column_basis(A)
         except SolverError as exc:
@@ -406,6 +428,25 @@ def _gauss_hermite(branching: int):
     return nodes, weights
 
 
+def tree_step(d: int, depth: int, branching: int = _BRANCHING) -> int:
+    """Nodes per step, branching ** d, of a quadrature tree over d
+    coordinates with depth steps left, once its budget holds: a branching
+    below 2 raises ValueError (one node drops the diffusion), and a depth
+    over _MAX_TREE_DEPTH or more than _MAX_TREE_NODES leaves per root
+    BudgetError."""
+    if branching < 2:
+        raise ValueError(
+            f"need at least two nodes per coordinate, got branching={branching}")
+    if depth > _MAX_TREE_DEPTH:
+        raise BudgetError(
+            f"{depth} remaining steps exceed the tree depth limit {_MAX_TREE_DEPTH}")
+    if branching ** (d * max(depth, 1)) > _MAX_TREE_NODES:
+        raise BudgetError(
+            f"tree would hold {branching ** (d * depth)} leaves, over the "
+            f"{_MAX_TREE_NODES} budget; lower the branching or the depth")
+    return branching ** d
+
+
 def _tree_forward(model: Model, roots: Sequence[Path], branching: int,
                   scratch: Optional[list] = None):
     """Expand one non-recombining quadrature tree of forward histories from
@@ -413,33 +454,20 @@ def _tree_forward(model: Model, roots: Sequence[Path], branching: int,
 
     Returns (levels, dw_nodes, w_nodes): per-level histories (nodes, time,
     d) and the per-step increment abscissae and weights of the d-fold
-    Gauss-Hermite product rule, the last coordinate varying fastest; a
-    branching below 2 raises ValueError (one node drops the diffusion).
-    Level 0 holds the roots and level j the R * per_step**j descendants,
-    root-major, so every per-node operation acts on each root's subtree as
+    Gauss-Hermite product rule, the last coordinate varying fastest, within
+    tree_step's budget.  Level 0 holds the roots and level j the R *
+    per_step**j descendants, root-major, so every per-node operation acts on each root's subtree as
     it would on a tree of its own.  The expansion is independent of the
     frozen second driver, so one tree serves every outer sample.  Every
     level is a read-only strided view of one time-major (time, leaves, d)
     buffer, levels[-1] all of it; a scratch list keeps that buffer, and a
     later tree no larger overwrites it.
     """
-    if branching < 2:
-        raise ValueError(
-            f"need at least two nodes per coordinate, got branching={branching}")
     d = model.dims[0]
     first = roots[0]
     dt = first.dt
     n_rem = len(first.grid_times) - 1 - first.t_index
-    if n_rem > _MAX_TREE_DEPTH:
-        raise BudgetError(
-            f"{n_rem} remaining steps exceed the tree depth limit {_MAX_TREE_DEPTH}"
-        )
-    per_step = branching ** d
-    if per_step ** max(n_rem, 1) > _MAX_TREE_NODES:
-        raise BudgetError(
-            f"tree would hold {per_step ** n_rem} leaves, over the "
-            f"{_MAX_TREE_NODES} budget; lower the branching or the depth"
-        )
+    per_step = tree_step(d, n_rem, branching)
     nodes1, weights1 = _gauss_hermite(branching)
     dw_nodes = np.stack(np.meshgrid(*[nodes1] * d, indexing="ij"),
                         axis=-1).reshape(per_step, d) * np.sqrt(dt)
@@ -580,7 +608,7 @@ def _root_and_means(tree, y_levels, z_levels):
 
 
 def solve_nested(model: Model, initial: Path, n_outer: int, seed: int,
-                 branching: int = 8, picard_iters: int = 2,
+                 branching: int = _BRANCHING, picard_iters: int = 2,
                  frozen_B: Optional[np.ndarray] = None) -> BackwardSolution:
     """Nested quadrature estimate averaged over outer frozen-noise samples.
 
@@ -637,7 +665,7 @@ def solve_nested(model: Model, initial: Path, n_outer: int, seed: int,
 
 def _nested_estimates(model: Model, paths: Sequence[Path],
                      n_scenarios: int = 4000, seed: int = 0,
-                     branching: int = 8, picard_iters: int = 2,
+                     branching: int = _BRANCHING, picard_iters: int = 2,
                      frozen_B: Optional[np.ndarray] = None, drawn=None) -> np.ndarray:
     """solve_nested's u_estimate at the tip of every path, (len(paths), k),
     with n_scenarios outer samples, or, given frozen_B, the field

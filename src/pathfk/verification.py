@@ -39,6 +39,7 @@ _OUTLIER_FACTOR = 5.0
 # on the even-indexed ones
 _HEADROOM = 3.0
 NODE_COUNTS = (2, 4, 8, 16)     # discretization's, checked by config too
+MOMENT_SCENARIOS = 500          # scenarios per moment probe, checked by config too
 
 
 # -- field functionals ---------------------------------------------------
@@ -336,8 +337,7 @@ def _precondition_probes(m1: Model, m2: Model, grid, n_probes, seed):
 def comparison_check(m1: Model, m2: Model, initial: Path,
                      n_scenarios: int = 10_000, seed: int = 0,
                      n_probes: int = 50, n_initials: int = 20,
-                     n_initial_scenarios: int = 2_000,
-                     basis: Optional[RegressionBasis] = None) -> CheckReport:
+                     n_initial_scenarios: int = 2_000) -> CheckReport:
     """Ordered data must give ordered solutions.
 
     Scenario-wise: on the given initial path, with one shared driver sample,
@@ -351,8 +351,8 @@ def comparison_check(m1: Model, m2: Model, initial: Path,
         raise ValueError("comparison requires a scalar backward component")
     _precondition_probes(m1, m2, initial.grid_times, n_probes, seed)
     ens = _simulate(m1, initial, n_scenarios, seed)
-    s1 = solve_regression(m1, ens, basis=basis)
-    s2 = solve_regression(m2, ens, basis=basis)
+    s1 = solve_regression(m1, ens)
+    s2 = solve_regression(m2, ens)
     i_t = initial.t_index
     margin = 3.0 * float(np.max(s1.u_stderr + s2.u_stderr)) + 1e-9
     worst = float((s2.y[:, i_t:] - s1.y[:, i_t:]).max())
@@ -363,8 +363,8 @@ def comparison_check(m1: Model, m2: Model, initial: Path,
         p = random_initial_path(initial.grid_times, i_t, m1.dims[0], rng)
         ens_j = _simulate(m1, p, n_initial_scenarios,
                           stream_seed(seed, _COMPARISON_DRIVERS, j))
-        r1 = solve_regression(m1, ens_j, basis=basis)
-        r2 = solve_regression(m2, ens_j, basis=basis)
+        r1 = solve_regression(m1, ens_j)
+        r2 = solve_regression(m2, ens_j)
         comb = 3.0 * float(np.max(r1.u_stderr + r2.u_stderr)) + 1e-9
         mean_stats.append(float((r2.u_estimate - r1.u_estimate).max()) / comb)
     stat = max(worst / margin, max(mean_stats))
@@ -518,7 +518,7 @@ def regularity_check(u: Callable[[Path], np.ndarray], grid_times: np.ndarray,
 
 
 def moment_probes(model: Model, grid_times: np.ndarray, n_probes: int = 100,
-                  n_scenarios: int = 500, seed: int = 0,
+                  n_scenarios: int = MOMENT_SCENARIOS, seed: int = 0,
                   basis: Optional[RegressionBasis] = None) -> list:
     """Solve the backward pair from random initial paths; per probe the
     per-scenario sup |y| and integrated squared z, and the probe's shape
@@ -580,7 +580,7 @@ def moment_envelope_score(probes: list, p: float) -> CheckReport:
 
 
 def moment_envelope_check(model: Model, grid_times: np.ndarray, p: float,
-                          n_probes: int = 100, n_scenarios: int = 500,
+                          n_probes: int = 100, n_scenarios: int = MOMENT_SCENARIOS,
                           seed: int = 0,
                           basis: Optional[RegressionBasis] = None) -> CheckReport:
     """Growth envelope for the backward pair at one moment order: the probes

@@ -207,6 +207,76 @@ def test_field_equation_passes_on_linear_g_away_from_zero(tmp_path, seed):
     assert summary["checks"]["field_equation_residual"]["statistic"] < 1e-8
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Records every regression solve (its step iterations), nested solve
+    and forward simulation of a run in this process."""
+    calls = []
+
+    def wrap(module, name, record):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append(record(out))
+            return out
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (cli, verification):
+        wrap(module, "solve_regression",
+             lambda sol: ("regression", sol.scheme_params["step_iterations"]))
+    wrap(cli, "solve_nested", lambda sol: ("nested", None))
+    wrap(simulation, "simulate_forward", lambda ens: ("forward", None))
+    return calls
+
+
+def test_scenario_path_checks_read_the_headline_solve(tmp_path, solves):
+    # closed_form, z_growth and z_representation score the one headline
+    # solve, at the configured picard_iters
+    cfg = write_config(tmp_path, checks={"closed_form": {}, "z_growth": {},
+                                         "z_representation": {"n_sub": 20}})
+    main(["run", cfg, "--output", str(tmp_path / "heat")])
+    assert solves == [("forward", None), ("regression", 0)]
+    solves.clear()
+    cfg = write_config(tmp_path, model="nonlinear-f", grid={"T": 1.0, "N": 4},
+                       mc={"seed": 3, "n_scenarios": 500},
+                       engine_options={"picard_iters": 5, "branching": 4},
+                       checks={"z_growth": {}, "z_representation": {"n_sub": 3}})
+    main(["run", cfg, "--output", str(tmp_path / "nonlinear-f")])
+    assert solves == [("forward", None), ("regression", 5)]
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param({"checks": {"z_growth": {"q": "x"}}}, id="z_growth.q"),
+    pytest.param({"checks": {"moments": {"p": 3}}}, id="moments.p"),
+    pytest.param({"checks": {"moments": {"p": [1, 2]}}}, id="moments.p-below-2"),
+    pytest.param({"checks": {"discretization": {"node_counts": [2, 4],
+                                                "noise_only": "false"}}}, id="noise_only"),
+    pytest.param({"checks": {"flow": {"s": 0.5, "n_resolve": 2.5}}}, id="n_resolve"),
+    pytest.param({"model": "path-f", "mc": {"seed": 3, "n_scenarios": 300},
+                  "checks": {"z_growth": {}}}, id="floor"),
+    pytest.param({"model": "nonlinear-f", "checks": {"regularity": {}}}, id="tree"),
+    pytest.param({"engine": "nested", "checks": {"z_growth": {}}}, id="nested-z"),
+])
+def test_config_errors_exit_1_before_any_solve(tmp_path, solves, capsys, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--output", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert solves == [] and not out.exists()
+
+
+def test_sweep_over_the_scenario_floor_exits_1_before_any_run(tmp_path, solves, capsys):
+    # 300 scenarios are below path-f's floor of 500, so 1,000 never runs
+    cfg = write_config(tmp_path, model="path-f", checks={})
+    out = tmp_path / "sw-floor"
+    assert main(["sweep", cfg, "--axis", "mc.n_scenarios", "--values", "1000,300",
+                 "--output", str(out)]) == 1
+    assert "at least 500 scenarios" in capsys.readouterr().err
+    assert solves == [] and not out.exists()
+
+
 # every key each check's spec takes, set to the default the README gives
 SPELLED_DEFAULTS = {
     "z_representation": {"n_sub": 100, "tol": 0.05},
@@ -233,6 +303,24 @@ def test_spelled_out_defaults_give_the_default_reports(name):
     assert csvs[0] == csvs[1]
 
 
+@pytest.mark.parametrize("engine, model", [("regression", "nonlinear-f"),
+                                           ("nested", "linear-g")])
+def test_spelled_out_engine_defaults_give_the_default_run(tmp_path, engine, model):
+    # only the engine options a config sets are passed, so spelling out the
+    # engines' own defaults (branching 8, picard_iters 2) changes no bit
+    summaries = []
+    for options in ({}, {"branching": 8, "picard_iters": 2}):
+        cfg = write_config(tmp_path, model=model, engine=engine,
+                           grid={"T": 1.0, "N": 4}, engine_options=options,
+                           mc={"seed": 5, "n_scenarios": 500 if engine == "regression" else 3},
+                           checks={"field_equation": {"n_paths": 2}})
+        out = tmp_path / f"{engine}-{len(options)}"
+        main(["run", cfg, "--output", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        summaries.append({k: v for k, v in summary.items() if k != "config_sha256"})
+    assert summaries[0] == summaries[1]
+
+
 def test_moments_check_scores_every_order_from_one_probe_set():
     # one probe set scored per order must give the reports of one
     # moment_envelope_check call per order, field for field and sample for
@@ -247,7 +335,7 @@ def test_moments_check_scores_every_order_from_one_probe_set():
     for p, rep in zip((2.0, 4.0), reports):
         alone = moment_envelope_check(cfg.model, cfg.grid_times, p,
                                       seed=_check_seed(cfg.seed, "moments"),
-                                      basis=cfg.basis, **spec)
+                                      **spec)
         assert rep == alone
         assert rep.samples_csv() == alone.samples_csv()
 

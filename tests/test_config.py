@@ -26,7 +26,7 @@ def test_minimal_config_defaults():
     assert len(cfg.grid_times) == 8 + 1 and cfg.grid_times[-1] == 1.0
     assert cfg.initial.t_index == 0
     assert np.all(cfg.initial.values == 0.0)
-    assert cfg.basis is None            # Markovian default
+    assert not hasattr(cfg, "basis")    # the design follows the model
 
 
 def test_accepts_json_text_and_dict():
@@ -37,9 +37,12 @@ def test_accepts_json_text_and_dict():
 
 
 def test_path_dependent_model_gets_path_basis():
-    cfg = load_config(base_config(model="asian"))
-    assert cfg.basis is not None
-    assert cfg.basis.feature_set == "endpoint+runmax+runint"
+    # the config sets no basis; the solver picks the path features for a
+    # model that is not Markovian, and the endpoint ones for heat
+    from pathfk.cli import _solve
+    for name, features in (("asian", "endpoint+runmax+runint"), ("heat", "endpoint")):
+        sol, _ = _solve(load_config(base_config(model=name)))
+        assert sol.scheme_params["feature_set"] == features
 
 
 def test_basis_section_rejected():
@@ -283,3 +286,116 @@ def test_discretization_nodes_must_divide_the_remaining_steps(tmp_path):
     assert cfg.initial.t_index == 1
     assert load_config(base_config(grid={"T": 1.0, "N": 16},
                                    checks={"discretization": None})).checks
+
+
+@pytest.mark.parametrize("check, spec, message", [
+    pytest.param("z_growth", {"q": "x"}, "z_growth.q must be a number", id="str-number"),
+    pytest.param("z_growth", {"q": True}, "z_growth.q must be a number", id="bool-number"),
+    pytest.param("moments", {"p": 3}, "moments.p must be a list", id="scalar-list"),
+    pytest.param("moments", {"p": [2, "4"]}, "moments.p entry must be a number",
+                 id="str-entry"),
+    pytest.param("moments", {"p": [1.5, 4]}, r"moments.p orders must be at least 2",
+                 id="order-below-2"),
+    pytest.param("discretization", {"noise_only": "false"},
+                 "discretization.noise_only must be true or false", id="str-bool"),
+    pytest.param("discretization", {"noise_only": 0},
+                 "discretization.noise_only must be true or false", id="int-bool"),
+    pytest.param("flow", {"s": 0.5, "n_resolve": 2.5}, "flow.n_resolve must be an integer",
+                 id="float-int"),
+    pytest.param("z_representation", {"n_sub": 2.0}, "z_representation.n_sub must be an integer",
+                 id="integral-float-int"),
+    pytest.param("moments", {"n_probes": "12"}, "moments.n_probes must be an integer",
+                 id="str-int"),
+])
+def test_check_values_are_typed_at_load(check, spec, message):
+    # each of these reached the check only after the headline solve, or was
+    # misread: "false" as True and 2.5 as 2
+    with pytest.raises(ConfigError, match=message):
+        load_config(base_config(checks={check: spec}))
+
+
+def test_check_specs_are_stored_typed():
+    cfg = load_config(base_config(checks={
+        "z_growth": {"q": 2}, "z_representation": None,
+        "discretization": {"node_counts": [2, 4], "noise_only": True},
+        "moments": {"p": [2, 4.5], "n_probes": 12}}))
+    assert cfg.checks == {"z_growth": {"q": 2.0}, "z_representation": {},
+                          "discretization": {"node_counts": (2, 4), "noise_only": True},
+                          "moments": {"p": (2.0, 4.5), "n_probes": 12}}
+    assert type(cfg.checks["z_growth"]["q"]) is float
+    assert all(type(p) is float for p in cfg.checks["moments"]["p"])
+
+
+@pytest.mark.parametrize("model, n, floor", [
+    pytest.param("path-f", 300, 500, id="path-f"),
+    pytest.param("asian", 300, 500, id="asian"),
+    pytest.param("linear-g", 150, 200, id="linear-g"),
+    pytest.param("heat", 100, 150, id="heat"),
+])
+def test_scenario_floor_is_the_designs(model, n, floor):
+    # 50 scenarios per column of the model's own design, which the headline
+    # solve would otherwise refuse after the config loaded
+    with pytest.raises(ConfigError, match=f"mc.n_scenarios is {n}, .* at least {floor}"):
+        load_config(base_config(model=model, mc={"seed": 1, "n_scenarios": n}))
+    load_config(base_config(model=model, mc={"seed": 1, "n_scenarios": floor}))
+
+
+def test_scenario_floor_reads_the_moment_probes_and_the_regression_checks():
+    # an inline path terminal with g: a design of 11 columns, 550 scenarios
+    spec = {"Phi": {"kind": "running_integral"}, "g": {"kind": "linear_y", "coef": 0.3}}
+    with pytest.raises(ConfigError, match="moments.n_scenarios is 500, .* at least 550"):
+        load_config(base_config(model=spec, mc={"seed": 1, "n_scenarios": 10_000},
+                                checks={"moments": {}}))
+    load_config(base_config(model=spec, mc={"seed": 1, "n_scenarios": 10_000},
+                            checks={"moments": {"n_scenarios": 550}}))
+    # the nested headline takes no floor, but flow's regression solves do
+    nested = base_config(engine="nested", grid={"T": 1.0, "N": 4},
+                         mc={"seed": 1, "n_scenarios": 4})
+    load_config(nested)
+    with pytest.raises(ConfigError, match="mc.n_scenarios is 4"):
+        load_config(dict(nested, checks={"flow": {"s": 0.5}}))
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param({"model": "nonlinear-f", "checks": {"regularity": {}}}, id="regularity"),
+    pytest.param({"model": "nonlinear-f", "checks": {"field_equation": {"n_paths": 2}}},
+                 id="field_equation"),
+    pytest.param({"model": "nonlinear-f", "checks": {"z_representation": {}}},
+                 id="z_representation-nonlinear-f"),
+    pytest.param({"model": "path-f", "checks": {"z_representation": {}}},
+                 id="z_representation-path-f"),
+    pytest.param({"model": "linear-g", "checks": {"z_representation": {}}},
+                 id="z_representation-linear-g"),
+    pytest.param({"model": "path-f", "engine": "nested"}, id="nested-headline"),
+])
+def test_tree_budget_checked_at_load(overrides):
+    # N = 8 at the default branching 8 asks for 8^8 leaves per root
+    raw = base_config(**overrides)
+    with pytest.raises(ConfigError, match="leaves, over the 1000000 budget"):
+        load_config(raw)
+    load_config(dict(raw, engine_options={"branching": 4}))
+
+
+def test_tree_budget_depths():
+    # regularity's probes start at any time, so its trees are N deep
+    # whatever the initial path; the other trees start at the initial path
+    late = {"values": [[0.0]] * 3}                       # t_index 2 on N = 8
+    six = dict(engine_options={"branching": 10}, initial_path=late)  # 10^6 leaves
+    load_config(base_config(model="nonlinear-f", checks={"field_equation": {}}, **six))
+    with pytest.raises(ConfigError, match="regularity probes: tree would hold 100000000"):
+        load_config(base_config(model="nonlinear-f", checks={"regularity": {}}, **six))
+    with pytest.raises(ConfigError, match="9 remaining steps exceed the tree depth limit 8"):
+        load_config(base_config(model="nonlinear-f", grid={"T": 1.0, "N": 9},
+                                checks={"regularity": {}},
+                                engine_options={"branching": 2}))
+    # with a closed form and no g, the candidate field is the closed form
+    load_config(base_config(grid={"T": 1.0, "N": 16},
+                            checks={"regularity": {}, "z_representation": {}}))
+
+
+def test_nested_engine_rejects_the_scenario_path_checks():
+    for check in ("z_growth", "z_representation"):
+        with pytest.raises(ConfigError, match="need the regression engine"):
+            load_config(base_config(engine="nested", grid={"T": 1.0, "N": 4},
+                                    mc={"seed": 1, "n_scenarios": 4},
+                                    checks={check: {}}))

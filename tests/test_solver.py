@@ -265,11 +265,12 @@ def test_terminal_z_is_phi_gradient_times_sigma(monkeypatch):
 
 def test_solves_leave_the_histories_untouched():
     # the terminal z bumps copies of the caller's histories, and the nested
-    # engine only its own tree buffer
+    # engine only its own tree buffer; the endpoint design keeps 700
+    # scenarios above the floor of the model's own path design (1,500)
     m = two_driver_model()
     ens = ensemble(m, N=4, n=700, seed=29, x0=0.3, t_index=1)
     before = _bits(ens.x_values).copy()
-    solve_regression(m, ens)
+    solve_regression(m, ens, basis=RegressionBasis())
     assert np.array_equal(_bits(ens.x_values), before)
     init = Path(make_grid(T, 3), np.array([[0.2, -0.1], [0.4, 0.3]]))
     values = init.values.copy()
@@ -331,16 +332,54 @@ def test_budget_error_names_the_excluded_scenarios():
         solve_regression(m, ens)
 
 
+def test_default_design_follows_the_model():
+    # no basis: the path features exactly when the model is not Markovian;
+    # an explicit basis still overrides that choice
+    for name, features in (("path-f", "endpoint+runmax+runint"),
+                           ("asian", "endpoint+runmax+runint"),
+                           ("heat", "endpoint"), ("linear-g", "endpoint")):
+        m = get_model(name)
+        sol = solve_regression(m, ensemble(m, N=4, n=600, seed=5, x0=0.3))
+        assert sol.scheme_params["feature_set"] == features, name
+        assert RegressionBasis.for_model(m).feature_set == features
+    m = get_model("path-f")
+    sol = solve_regression(m, ensemble(m, N=4, n=600, seed=5, x0=0.3),
+                           basis=RegressionBasis())
+    assert sol.scheme_params["feature_set"] == "endpoint"
+
+
+@pytest.mark.parametrize("feature_set", ["endpoint", "endpoint+runmax+runint"])
+def test_design_width_is_the_designs_and_sets_the_floor(feature_set):
+    # width() is the column count of every design the sweep builds, and
+    # min_scenarios is 50 per column, the noise sums counted only with g
+    basis = RegressionBasis(feature_set=feature_set)
+    for m in (get_model("heat"), get_model("linear-g"), two_driver_model()):
+        d, _, l = m.dims
+        ens = ensemble(m, N=4, n=2000, seed=9)
+        dB = None if m.g is None else ens.drivers.dB.transpose(1, 0, 2)
+        widths = {A.shape[1] for _, A in basis.designs(
+            ens.x_values.transpose(1, 0, 2), 0, ens.initial.dt, dB)}
+        width = basis.width(d, 0 if m.g is None else l)
+        assert widths == {width}
+        assert solver.min_scenarios(m, basis) == 50 * width
+
+
 def test_feature_budget_guard(monkeypatch):
     m = get_model("asian")
     basis = RegressionBasis(feature_set="endpoint+runmax+runint")
     ens = ensemble(m, N=4, n=300, seed=7)
     factored = []
     monkeypatch.setattr(solver, "_column_basis", factored.append)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="10 features need at least 500 scenarios"):
         solve_regression(m, ens, basis=basis)
-    # the guard reads the first design's width, before any factorization
+    # the guard reads the design's width before the first step builds a
+    # design or factors one
     assert factored == []
+    built = []
+    monkeypatch.setattr(RegressionBasis, "matrix", lambda *a: built.append(a))
+    with pytest.raises(BudgetError):
+        solve_regression(m, ens)
+    assert built == []
 
 
 def test_picard_validation_and_divergence(monkeypatch):

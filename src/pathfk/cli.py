@@ -4,10 +4,11 @@
     pathfk sweep config.json --axis grid.N --values 8,16,32 [--output DIR]
 
 `run` solves the configured problem once, runs the configured checks
-(closed_form, z_growth and z_representation on that headline solve), and
-writes summary.json (byte-stable across reruns and worker counts),
-manifest.json, and one CSV of per-sample statistics per check.  Exit code
-0 means every check passed, 2 that one failed, 1 that the run errored.
+(closed_form, z_growth and z_representation on that headline solve, in
+this process), and writes summary.json (byte-stable across reruns and
+worker counts), manifest.json, and one CSV of per-sample statistics per
+check.  Exit code 0 means every check passed, 2 that one failed, 1 that
+the run errored.
 The environment variable PATHFK_SEED overrides the configured seed and is
 recorded in the manifest.
 """
@@ -20,22 +21,10 @@ import hashlib
 import json
 import os
 import sys
-import zlib
 
-import numpy as np
-
-from .config import ExperimentConfig, load_config
-from .models import get_entry, shifted_model
-from .reports import CheckReport
-from .simulation import _simulate, stream_seed
+from .config import HEADLINE_CHECKS, ExperimentConfig, load_config
+from .simulation import _simulate
 from .solver import solve_nested, solve_regression
-from .verification import (comparison_check, discretization_convergence_check,
-                           field_from_closed_form, field_from_engine, flow_check,
-                           moment_envelope_score, moment_probes,
-                           regularity_check, spde_residual_check,
-                           z_growth_check, z_representation_check)
-
-_HEADLINE_CHECKS = ("closed_form", "z_growth", "z_representation")
 
 
 def _package_version() -> str:
@@ -44,10 +33,6 @@ def _package_version() -> str:
         return version("pathfk")
     except PackageNotFoundError:
         return "unknown"
-
-
-def _check_seed(base_seed: int, name: str) -> int:
-    return stream_seed(base_seed, zlib.crc32(name.encode()))
 
 
 def _solve(cfg: ExperimentConfig):
@@ -61,80 +46,11 @@ def _solve(cfg: ExperimentConfig):
     return solve_regression(cfg.model, ens, **cfg.options("picard_iters")), ens
 
 
-def _candidate_field(cfg: ExperimentConfig):
-    if not cfg.nested_field:
-        return field_from_closed_form(get_entry(cfg.model_name))
-    return field_from_engine(
-        cfg.model, engine="nested",
-        n_scenarios=cfg.engine_options.get("n_outer", 8),
-        seed=cfg.seed, **cfg.options("branching"))
-
-
-def _closed_form_report(cfg: ExperimentConfig, sol, tol_rel=0.02) -> CheckReport:
-    """The headline estimate against the registry closed form."""
-    target = np.asarray(cfg.closed_form_u(cfg.initial), dtype=np.float64)
-    err = np.abs(sol.u_estimate - target)
-    rel = float(np.max(err / (1.0 + np.abs(target))))
-    zsc = float(np.max(err / (3.0 * sol.u_stderr + 1e-12)))
-    return CheckReport.make(
-        "closed_form", max(rel / tol_rel, zsc), 1.0, sol.n_samples,
-        details=[f"estimate {sol.u_estimate.tolist()} vs closed form "
-                 f"{target.tolist()} (rel {rel:.4g}, z/3 {zsc:.3g})"],
-        samples=[("estimate", float(sol.u_estimate[0])),
-                 ("closed_form", float(target[0])),
-                 ("stderr", float(sol.u_stderr[0]))])
-
-
 def run_check(cfg: ExperimentConfig, name: str, headline=None):
-    """A list of CheckReport from one named check; closed_form, z_growth and
-    z_representation score the headline of _solve, solved here when None.
-    Only the keys the spec sets are passed, as load_config typed them; a key
-    left out takes the check function's default or, for the keys that only
-    the CLI reads, the one written here."""
-    spec = dict(cfg.checks[name])
-    seed = _check_seed(cfg.seed, name)
-    model = cfg.model
-
-    if name in _HEADLINE_CHECKS:
-        sol, ens = headline or _solve(cfg)
-        if name == "closed_form":
-            return [_closed_form_report(cfg, sol, **spec)]
-        if name == "z_growth":
-            return [z_growth_check(sol, ens, **spec)]
-        u = None if cfg.closed_form_Z is not None else _candidate_field(cfg)
-        return [z_representation_check(
-            model, sol, ens, z_reference=cfg.closed_form_Z, u=u, **spec)]
-
-    if name == "flow":
-        return [flow_check(model, cfg.initial, n_scenarios=cfg.n_scenarios,
-                           seed=seed, **spec)]
-
-    if name == "field_equation":
-        u = _candidate_field(cfg)
-        ens = _simulate(model, cfg.initial, spec.get("n_paths", 10), seed)
-        return [spde_residual_check(u, model, ens, tol=spec.get("tol", 0.05))]
-
-    if name == "comparison":
-        upper = shifted_model(model, **{"shift_phi": 0.1, **spec})
-        return [comparison_check(upper, model, cfg.initial,
-                                 n_scenarios=cfg.n_scenarios, seed=seed)]
-
-    if name == "discretization":
-        return [discretization_convergence_check(
-            model, cfg.initial, n_scenarios=cfg.n_scenarios, seed=seed, **spec)]
-
-    if name == "regularity":
-        growth_q = spec.pop("q", model.growth_m + 1.0)
-        return [regularity_check(_candidate_field(cfg), cfg.grid_times,
-                                 model.dims[0], growth_q=growth_q, seed=seed,
-                                 **spec)]
-
-    if name == "moments":
-        orders = spec.pop("p", (2.0, 4.0))
-        probes = moment_probes(model, cfg.grid_times, seed=seed, **spec)
-        return [moment_envelope_score(probes, p=p) for p in orders]
-
-    raise ValueError(f"unknown check {name!r}")
+    """A list of CheckReport from one named check: the call load_config
+    built for it, given the headline (solution, ensemble) of _solve, which
+    only the checks of config.HEADLINE_CHECKS read."""
+    return cfg.checks[name](headline)
 
 
 def _check_worker(args):
@@ -158,12 +74,14 @@ def run_experiment(raw: dict, output_dir: str, workers: int = 1,
     headline = _solve(cfg)
     sol = headline[0]
 
-    # the headline's own checks first, so that its ensemble goes before the rest
-    names = sorted(cfg.checks, key=lambda n: (n not in _HEADLINE_CHECKS, n))
-    reports = {}
+    # the headline's own checks run here, so that its ensemble goes before
+    # the rest; a lone other check or worker runs here too, and fork starts
+    # every pool worker at once
+    reports = {n: run_check(cfg, n, headline) for n in HEADLINE_CHECKS
+               if n in cfg.checks}
+    del headline
+    names = sorted(cfg.checks.keys() - set(HEADLINE_CHECKS))
     if min(workers, len(names)) > 1:
-        # a lone check or worker runs here; fork starts every pool worker at
-        # once; a check of the headline solves it again, with the same bits
         from concurrent.futures import ProcessPoolExecutor
         tasks = [(cfg.raw, seed_override, n) for n in names]
         with ProcessPoolExecutor(max_workers=min(workers, len(names))) as pool:
@@ -171,8 +89,7 @@ def run_experiment(raw: dict, output_dir: str, workers: int = 1,
                 reports[name] = reps
     else:
         for name in names:
-            headline = headline if name in _HEADLINE_CHECKS else None
-            reports[name] = run_check(cfg, name, headline)
+            reports[name] = run_check(cfg, name)
     flat = sorted((r for reps in reports.values() for r in reps),
                   key=lambda r: r.name)
 
@@ -187,7 +104,7 @@ def run_experiment(raw: dict, output_dir: str, workers: int = 1,
     all_passed = all(r.passed for r in flat)
     summary = {
         "config_sha256": _config_hash(cfg.raw),
-        "model": cfg.model_name,
+        "model": cfg.model.name,
         "engine": cfg.engine,
         "t": float(cfg.initial.current_time),
         "u_estimate": sol.u_estimate.tolist(),
@@ -212,7 +129,7 @@ def run_experiment(raw: dict, output_dir: str, workers: int = 1,
     with open(os.path.join(output_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    print(f"u({cfg.model_name}, t={cfg.initial.current_time}) = "
+    print(f"u({cfg.model.name}, t={cfg.initial.current_time}) = "
           f"{sol.u_estimate.tolist()} +/- {sol.u_stderr.tolist()}")
     return 0 if all_passed else 2
 

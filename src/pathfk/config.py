@@ -6,7 +6,9 @@ Any key that load_config, model_from_spec or CHECK_KEYS does not list, a
 section that is neither an object nor null, a check value that its
 CHECK_KEYS type does not take, and a config whose regression solves or
 quadrature trees the solver's budgets would refuse raise ConfigError
-before the headline solve.
+before the headline solve.  load_config builds each check's call with the
+one function that knows what the check reads, _bind: it refuses every
+value the check would refuse after the headline solve, then binds the call.
 
 The inline model grammar and its builder, models.model_from_spec, live
 with the registry in models.py, whose entries are specs of that grammar.
@@ -15,22 +17,30 @@ with the registry in models.py, whose entries are specs of that grammar.
 from __future__ import annotations
 
 import json
+import zlib
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import BudgetError, ConfigError, _only_keys
-from .models import Model, get_entry, model_from_spec
+from .models import Model, get_entry, model_from_spec, shifted_model
 from .paths import Path, make_grid
+from .reports import CheckReport
+from .simulation import _simulate, stream_seed
 from .solver import min_scenarios, tree_step
-from .verification import MOMENT_SCENARIOS, NODE_COUNTS
+from .verification import (MOMENT_SCENARIOS, NODE_COUNTS, comparison_check,
+                           discretization_convergence_check,
+                           field_from_closed_form, field_from_engine, flow_check,
+                           moment_envelope_score, moment_probes,
+                           regularity_check, spde_residual_check,
+                           z_growth_check, z_representation_check)
 
 _ENGINES = ("regression", "nested")
 # the engine options and the least value of each
 _ENGINE_OPTIONS = {"n_outer": 1, "branching": 2, "picard_iters": 1}
 # each check and the keys its spec takes, with the type each is read as; a
-# list is (entry type,)
+# list is (entry type,); _bind checks the values and builds the check's call
 CHECK_KEYS = {
     "closed_form": {"tol_rel": float},
     "z_representation": {"n_sub": int, "tol": float},
@@ -42,17 +52,16 @@ CHECK_KEYS = {
     "regularity": {"q": float, "n_probes": int},
     "moments": {"n_probes": int, "n_scenarios": int, "p": (float,)},
 }
+# the checks whose call scores the headline (solution, ensemble)
+HEADLINE_CHECKS = ("closed_form", "z_growth", "z_representation")
 # what each CHECK_KEYS type takes: a bool is no number, a float no integer
 _TAKES = {bool: ("true or false", lambda v: type(v) is bool),
           int: ("an integer", lambda v: type(v) is int),
           float: ("a number", lambda v: type(v) in (int, float))}
-# the checks whose regression solves run on mc.n_scenarios scenarios
-_SIZED_CHECKS = {"flow", "comparison", "discretization"}
 
 
 @dataclass
 class ExperimentConfig:
-    model_name: str
     model: Model
     closed_form_u: Optional[callable]
     closed_form_Z: Optional[callable]
@@ -61,18 +70,12 @@ class ExperimentConfig:
     engine: str
     engine_options: dict
     initial: Path
-    checks: dict                 # each check's spec, typed
+    checks: dict                 # each check's call, headline -> [CheckReport]
     raw: dict
 
     @property
     def grid_times(self) -> np.ndarray:
         return self.initial.grid_times
-
-    @property
-    def nested_field(self) -> bool:
-        """Whether the checks' candidate field is the nested engine's: with g
-        the closed forms give E_B u, not the random field the checks read."""
-        return self.closed_form_u is None or self.model.g is not None
 
     def options(self, *keys) -> dict:
         """The engine options among keys that the config sets."""
@@ -91,55 +94,150 @@ def _typed(where: str, value, kind):
     return kind(value)
 
 
-def _check_specs(checks: dict, initial: Path) -> None:
-    """Reject, before any solve, typed check values that the checks would
-    refuse only after the headline solve: flow.s must be a grid time
-    strictly between the initial time and the horizon, every node count
-    must divide the grid steps left after the initial path, and every
-    moment order must be at least 2."""
-    N = len(initial.grid_times) - 1
-    if "flow" in checks:
-        s = checks["flow"].get("s")
+# -- each check's call --------------------------------------------------
+
+
+def _check_seed(base_seed: int, name: str) -> int:
+    return stream_seed(base_seed, zlib.crc32(name.encode()))
+
+
+def _at_least(check: str, spec: dict, key: str, least) -> None:
+    if spec.get(key, least) < least:
+        raise ConfigError(f"{check}.{key} must be at least {least}, got {spec[key]}")
+
+
+def _floor(cfg: ExperimentConfig, key: str, n: int) -> None:
+    """ConfigError unless n clears the floor of solver.min_scenarios."""
+    floor = min_scenarios(cfg.model)
+    if n < floor:
+        raise ConfigError(f"{key} is {n}, but the regression design of model "
+                          f"{cfg.model.name!r} needs at least {floor} scenarios")
+
+
+def _tree(cfg: ExperimentConfig, what: str, depth: int) -> None:
+    """ConfigError for a tree depth steps deep over solver.tree_step's budget."""
+    try:
+        tree_step(cfg.model.dims[0], depth, **cfg.options("branching"))
+    except BudgetError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
+def _candidate_field(cfg: ExperimentConfig, what: str, depth: int):
+    """The field the checks read: the registry closed form when the model
+    has one and no g (with g the closed forms give E_B u, not the random
+    field), otherwise the nested engine's, whose trees are depth steps deep."""
+    if cfg.closed_form_u is not None and cfg.model.g is None:
+        return field_from_closed_form(get_entry(cfg.model.name))
+    _tree(cfg, what, depth)
+    return field_from_engine(
+        cfg.model, engine="nested",
+        n_scenarios=cfg.engine_options.get("n_outer", 8),
+        seed=cfg.seed, **cfg.options("branching", "picard_iters"))
+
+
+def _closed_form_report(cfg: ExperimentConfig, sol, tol_rel=0.02) -> CheckReport:
+    """The headline estimate against the registry closed form."""
+    target = np.asarray(cfg.closed_form_u(cfg.initial), dtype=np.float64)
+    err = np.abs(sol.u_estimate - target)
+    rel = float(np.max(err / (1.0 + np.abs(target))))
+    zsc = float(np.max(err / (3.0 * sol.u_stderr + 1e-12)))
+    return CheckReport.make(
+        "closed_form", max(rel / tol_rel, zsc), 1.0, sol.n_samples,
+        details=[f"estimate {sol.u_estimate.tolist()} vs closed form "
+                 f"{target.tolist()} (rel {rel:.4g}, z/3 {zsc:.3g})"],
+        samples=[("estimate", float(sol.u_estimate[0])),
+                 ("closed_form", float(target[0])),
+                 ("stderr", float(sol.u_stderr[0]))])
+
+
+def _bind(cfg: ExperimentConfig, name: str, spec: dict):
+    """Check name's call, headline -> [CheckReport], once every value it
+    reads is checked: ConfigError for each value the check would refuse
+    only after the headline solve.  Only the keys the spec sets are passed,
+    so a key left out takes the check function's default or, for the keys
+    that only the call reads, the one written here.  The call derives the
+    check's seed when it runs."""
+    model, initial, n = cfg.model, cfg.initial, cfg.n_scenarios
+    steps = len(cfg.grid_times) - 1 - initial.t_index
+    seed = lambda: _check_seed(cfg.seed, name)
+
+    if name == "closed_form":
+        if cfg.closed_form_u is None:
+            raise ConfigError(f"model {model.name!r} has no closed form to check against")
+        return lambda headline: [_closed_form_report(cfg, headline[0], **spec)]
+
+    if name in ("z_growth", "z_representation") and cfg.engine == "nested":
+        raise ConfigError("z_growth and z_representation need the regression engine")
+    if name == "z_growth":
+        return lambda headline: [z_growth_check(*headline, **spec)]
+    if name == "z_representation":
+        _at_least(name, spec, "n_sub", 1)
+        u = None if cfg.closed_form_Z is not None else _candidate_field(
+            cfg, "the candidate field", steps)
+        return lambda headline: [z_representation_check(
+            model, *headline, z_reference=cfg.closed_form_Z, u=u, **spec)]
+
+    if name == "flow":
         try:
-            s_idx = initial.time_to_index(float(s))
+            s_idx = initial.time_to_index(float(spec.get("s")))
         except (TypeError, ValueError, OverflowError):
             s_idx = None
-        if s_idx is None or not initial.t_index < s_idx < N:
+        if s_idx is None or not initial.t_index < s_idx < len(cfg.grid_times) - 1:
             raise ConfigError(
                 "flow.s must be a grid time strictly between the initial time "
                 f"{initial.current_time:g} and the horizon {initial.horizon:g}, "
-                f"got {s!r}")
-    if "discretization" in checks:
-        counts = checks["discretization"].get("node_counts", NODE_COUNTS)
-        remaining = N - initial.t_index
-        bad = [n for n in counts if n < 1 or remaining % n]
+                f"got {spec.get('s')!r}")
+        _at_least(name, spec, "n_resolve", 1)
+        _floor(cfg, "mc.n_scenarios", n)
+        return lambda _: [flow_check(model, initial, n_scenarios=n, seed=seed(), **spec)]
+
+    if name == "field_equation":
+        _at_least(name, spec, "n_paths", 1)
+        u = _candidate_field(cfg, "the candidate field", steps)
+        return lambda _: [spde_residual_check(
+            u, model, _simulate(model, initial, spec.get("n_paths", 10), seed()),
+            tol=spec.get("tol", 0.05))]
+
+    if name == "comparison":
+        _floor(cfg, "mc.n_scenarios", n)
+        upper = shifted_model(model, **{"shift_phi": 0.1, **spec})
+        return lambda _: [comparison_check(upper, model, initial, n_scenarios=n,
+                                           seed=seed())]
+
+    if name == "discretization":
+        counts = spec.get("node_counts", NODE_COUNTS)
+        bad = [c for c in counts if c < 1 or steps % c]
         if bad:
-            raise ConfigError(
-                f"discretization.node_counts {bad} do not divide the {remaining} "
-                "grid steps left after the initial path")
-    orders = checks.get("moments", {}).get("p", ())
+            raise ConfigError(f"discretization.node_counts {bad} do not divide the "
+                              f"{steps} grid steps left after the initial path")
+        if len(counts) < (1 if spec.get("noise_only") else 2):
+            raise ConfigError("discretization.node_counts needs two counts to "
+                              f"compare, or one with noise_only, got {list(counts)}")
+        _floor(cfg, "mc.n_scenarios", n)
+        return lambda _: [discretization_convergence_check(
+            model, initial, n_scenarios=n, seed=seed(), **spec)]
+
+    spec = dict(spec)
+    if name == "regularity":
+        growth_q = spec.pop("q", model.growth_m + 1.0)
+        _at_least(name, spec, "n_probes", 10)
+        # the probes start at any time, so their trees are N deep
+        u = _candidate_field(cfg, "the candidate field of the regularity probes",
+                             len(cfg.grid_times) - 1)
+        return lambda _: [regularity_check(u, cfg.grid_times, model.dims[0],
+                                           growth_q=growth_q, seed=seed(), **spec)]
+
+    orders = spec.pop("p", (2.0, 4.0))      # moments
     if any(p < 2 for p in orders):
         raise ConfigError(f"moments.p orders must be at least 2, got {list(orders)}")
+    _at_least(name, spec, "n_probes", 1)
+    _floor(cfg, "moments.n_scenarios", spec.get("n_scenarios", MOMENT_SCENARIOS))
 
+    def moments(_):
+        probes = moment_probes(model, cfg.grid_times, seed=seed(), **spec)
+        return [moment_envelope_score(probes, p=p) for p in orders]
 
-def _check_trees(cfg: ExperimentConfig) -> None:
-    """Reject, before any solve, a tree over solver.tree_step's budget: the
-    nested headline's, N - t_index deep, and a nested candidate field's, as
-    deep for field_equation and for z_representation without a closed-form
-    Z, and N deep for the regularity probes, which start at any time."""
-    N, t = len(cfg.grid_times) - 1, cfg.initial.t_index
-    trees = {"the nested headline": N - t} if cfg.engine == "nested" else {}
-    if cfg.nested_field:
-        if "field_equation" in cfg.checks or (
-                "z_representation" in cfg.checks and cfg.closed_form_Z is None):
-            trees["the candidate field"] = N - t
-        if "regularity" in cfg.checks:
-            trees["the candidate field of the regularity probes"] = N
-    for what, depth in trees.items():
-        try:
-            tree_step(cfg.model.dims[0], depth, **cfg.options("branching"))
-        except BudgetError as exc:
-            raise ConfigError(f"{what}: {exc}") from None
+    return moments
 
 
 def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig:
@@ -211,39 +309,19 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
         vals = np.asarray(init_spec["values"], dtype=np.float64)
         initial = Path(grid, vals)
 
-    checks = {}
+    specs = {}
     for cname, spec in _only_keys("checks", raw.get("checks"), CHECK_KEYS).items():
         types = CHECK_KEYS[cname]
-        checks[cname] = {key: _typed(f"{cname}.{key}", v, types[key]) for key, v
-                         in _only_keys(f"check {cname!r}", spec, types).items()}
-    if "closed_form" in checks and closed_u is None:
-        raise ConfigError(f"model {model.name!r} has no closed form to check against")
-    if engine == "nested" and checks.keys() & {"z_growth", "z_representation"}:
-        raise ConfigError("z_growth and z_representation need the regression engine")
-    _check_specs(checks, initial)
-    # every regression solve must clear its design's floor (solver.min_scenarios)
-    floor = min_scenarios(model)
-    moment_n = checks.get("moments", {}).get("n_scenarios", MOMENT_SCENARIOS)
-    for key, n, read in (
-            ("mc.n_scenarios", n_scenarios,
-             engine == "regression" or bool(checks.keys() & _SIZED_CHECKS)),
-            ("moments.n_scenarios", moment_n, "moments" in checks)):
-        if read and n < floor:
-            raise ConfigError(f"{key} is {n}, but the regression design of model "
-                              f"{model.name!r} needs at least {floor} scenarios")
-
+        specs[cname] = {key: _typed(f"{cname}.{key}", v, types[key]) for key, v
+                        in _only_keys(f"check {cname!r}", spec, types).items()}
     cfg = ExperimentConfig(
-        model_name=model.name,
-        model=model,
-        closed_form_u=closed_u,
-        closed_form_Z=closed_Z,
-        n_scenarios=n_scenarios,
-        seed=seed,
-        engine=engine,
-        engine_options=dict(options),
-        initial=initial,
-        checks=checks,
-        raw=raw,
-    )
-    _check_trees(cfg)
+        model=model, closed_form_u=closed_u, closed_form_Z=closed_Z,
+        n_scenarios=n_scenarios, seed=seed, engine=engine,
+        engine_options=dict(options), initial=initial, checks={}, raw=raw)
+    # the headline solve's own budget; each check's call checks its own
+    if engine == "regression":
+        _floor(cfg, "mc.n_scenarios", n_scenarios)
+    else:
+        _tree(cfg, "the nested headline", N - initial.t_index)
+    cfg.checks.update((name, _bind(cfg, name, spec)) for name, spec in specs.items())
     return cfg

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathfk import cli, load_config, simulation, solver, verification
-from pathfk.cli import _check_seed, main, run_check
+from pathfk.cli import _solve, main, run_check
+from pathfk.config import _check_seed
 
 
 def write_config(tmp_path, **overrides):
@@ -91,21 +92,50 @@ def pool_sizes(monkeypatch):
 
 def test_check_pool_is_sized_to_the_checks(tmp_path, pool_sizes):
     # fork starts every worker of the pool at once, so a pool wider than
-    # the number of checks would start idle processes
-    cfg = write_config(tmp_path, checks={"z_growth": {}, "z_representation": {}})
+    # the number of pooled checks would start idle processes; the headline's
+    # checks run in this process and take no worker
+    others = {"field_equation": {"n_paths": 2}, "regularity": {}}
+    cfg = write_config(tmp_path, checks={"z_growth": {}, **others})
     codes = {workers: main(["run", cfg, "--output", str(tmp_path / workers),
                             "--workers", workers])
              for workers in ("64", "2", "1")}
-    # one pool per parallel run, of one worker per check; none when serial
+    # one pool per parallel run, of one worker per other check; none when serial
     assert pool_sizes == [2, 2]
     assert codes["64"] == codes["2"] == codes["1"]
     assert ((tmp_path / "64" / "summary.json").read_bytes()
             == (tmp_path / "1" / "summary.json").read_bytes())
-    # a lone check runs in this process at any worker count
-    lone = write_config(tmp_path, checks={"z_growth": {}})
+    # a lone other check runs in this process at any worker count
+    lone = write_config(tmp_path, checks={"closed_form": {}, "z_growth": {},
+                                          "field_equation": {"n_paths": 2}})
     assert main(["run", lone, "--output", str(tmp_path / "lone"),
                  "--workers", "3"]) == 0
     assert pool_sizes == [2, 2]
+
+
+def test_headline_is_solved_once_at_any_worker_count(tmp_path, monkeypatch):
+    # the headline's checks run in this process on its one solve, and only
+    # the other checks go to the forked workers, which inherit both wrappers
+    log = tmp_path / "calls.log"
+
+    def logged(fn, what):
+        def wrapper(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {what(args)}\n")
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "_solve", logged(cli._solve, lambda a: "_solve"))
+    monkeypatch.setattr(cli, "run_check", logged(cli.run_check, lambda a: a[1]))
+    cfg = write_config(tmp_path, checks={
+        "closed_form": {}, "z_growth": {},
+        "z_representation": {"n_sub": 20, "tol": 0.1},
+        "field_equation": {"n_paths": 2}, "regularity": {}})
+    assert main(["run", cfg, "--output", str(tmp_path / "out"), "--workers", "3"]) == 0
+    calls = [line.split() for line in log.read_text().splitlines()]
+    here = [what for pid, what in calls if pid == str(os.getpid())]
+    assert here == ["_solve", "closed_form", "z_growth", "z_representation"]
+    pooled = sorted(what for pid, what in calls if pid != str(os.getpid()))
+    assert pooled == ["field_equation", "regularity"]
 
 
 def test_workers_below_one_is_an_error(tmp_path, pool_sizes, capsys):
@@ -258,6 +288,13 @@ def test_scenario_path_checks_read_the_headline_solve(tmp_path, solves):
                   "checks": {"z_growth": {}}}, id="floor"),
     pytest.param({"model": "nonlinear-f", "checks": {"regularity": {}}}, id="tree"),
     pytest.param({"engine": "nested", "checks": {"z_growth": {}}}, id="nested-z"),
+    # least values: each of these failed only after the headline solve
+    pytest.param({"checks": {"z_representation": {"n_sub": 0}}}, id="n_sub-0"),
+    pytest.param({"checks": {"flow": {"s": 0.5, "n_resolve": 0}}}, id="n_resolve-0"),
+    pytest.param({"checks": {"field_equation": {"n_paths": 0}}}, id="n_paths-0"),
+    pytest.param({"checks": {"moments": {"n_probes": 0}}}, id="moments.n_probes-0"),
+    pytest.param({"checks": {"regularity": {"n_probes": 5}}}, id="regularity.n_probes-5"),
+    pytest.param({"checks": {"discretization": {"node_counts": []}}}, id="node_counts-empty"),
 ])
 def test_config_errors_exit_1_before_any_solve(tmp_path, solves, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -296,8 +333,9 @@ def test_spelled_out_defaults_give_the_default_reports(name):
     base = {"model": "heat", "grid": {"T": 1.0, "N": 16},
             "mc": {"seed": 3, "n_scenarios": 300}}
     bare = {"s": 0.5} if name == "flow" else {}
-    reports = [run_check(load_config(dict(base, checks={name: spec})), name)
-               for spec in (bare, SPELLED_DEFAULTS[name])]
+    cfgs = [load_config(dict(base, checks={name: spec}))
+            for spec in (bare, SPELLED_DEFAULTS[name])]
+    reports = [run_check(cfg, name, _solve(cfg)) for cfg in cfgs]
     assert reports[0] == reports[1]
     csvs = [[r.samples_csv() for r in reps] for reps in reports]
     assert csvs[0] == csvs[1]
@@ -340,6 +378,25 @@ def test_moments_check_scores_every_order_from_one_probe_set():
         assert rep.samples_csv() == alone.samples_csv()
 
 
+def test_nested_field_reads_picard_iters(tmp_path, monkeypatch):
+    # the candidate field is the configured nested engine's: on nonlinear-f
+    # with picard_iters 5 each of its sweeps iterates y 5 times, as the
+    # headline solve does, where it iterated the default 2
+    iters, real = [], solver._step_iterations
+
+    def counted(model, picard_iters):
+        iters.append(real(model, picard_iters))
+        return iters[-1]
+
+    monkeypatch.setattr(solver, "_step_iterations", counted)
+    cfg = write_config(tmp_path, model="nonlinear-f", grid={"T": 1.0, "N": 4},
+                       mc={"seed": 3, "n_scenarios": 500},
+                       engine_options={"picard_iters": 5, "branching": 4},
+                       checks={"field_equation": {"n_paths": 2}})
+    main(["run", cfg, "--output", str(tmp_path / "out")])
+    assert len(iters) > 2 and set(iters) == {5}
+
+
 def test_summary_counts_excluded_scenarios(tmp_path, monkeypatch):
     # a drift that explodes once a path leaves [-1.5, 1.5] overflows a
     # share of the scenarios; summary.json says how many the headline solve
@@ -352,12 +409,13 @@ def test_summary_counts_excluded_scenarios(tmp_path, monkeypatch):
     killed = replace(get_model("heat"), name="killed",
                      b=lambda x: np.where(np.abs(x[:, -1, :]) > 1.5, np.inf, 0.0))
     known = config.get_entry
-    # with two checks, --workers 3 forks one worker per check, and the
-    # forked workers load the same patched registry
+    # with two checks besides the headline's, --workers 3 forks one worker
+    # per such check, and the forked workers load the same patched registry
     monkeypatch.setattr(config, "get_entry", lambda name: (
         ModelRegistryEntry("killed", killed) if name == "killed" else known(name)))
     cfg = write_config(tmp_path, model="killed", checks={
-        "z_growth": {}, "flow": {"s": 0.5, "n_resolve": 2}})
+        "z_growth": {}, "flow": {"s": 0.5, "n_resolve": 2},
+        "discretization": {"node_counts": [2, 4]}})
     runs = {}
     for out, workers in (("a", "1"), ("b", "1"), ("w3", "3")):
         main(["run", cfg, "--output", str(tmp_path / out), "--workers", workers])

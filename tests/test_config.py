@@ -21,7 +21,7 @@ def base_config(**overrides):
 
 def test_minimal_config_defaults():
     cfg = load_config(base_config())
-    assert cfg.model_name == "heat"
+    assert cfg.model.name == "heat"
     assert cfg.engine == "regression"
     assert len(cfg.grid_times) == 8 + 1 and cfg.grid_times[-1] == 1.0
     assert cfg.initial.t_index == 0
@@ -33,7 +33,7 @@ def test_accepts_json_text_and_dict():
     raw = base_config()
     from_dict = load_config(raw)
     from_text = load_config(json.dumps(raw))
-    assert from_dict.model_name == from_text.model_name
+    assert from_dict.model.name == from_text.model.name
 
 
 def test_path_dependent_model_gets_path_basis():
@@ -191,7 +191,7 @@ def test_inline_model_grammar():
         "g": {"kind": "linear_y", "coef": 0.3},
     }
     cfg = load_config(base_config(model=spec))
-    assert cfg.model_name == "ou-sin"
+    assert cfg.model.name == "ou-sin"
     m = cfg.model
     from pathfk import Path, make_grid, on_path
     p = Path(make_grid(1.0, 8), np.array([[2.0]]))
@@ -286,6 +286,28 @@ def test_discretization_nodes_must_divide_the_remaining_steps(tmp_path):
     assert cfg.initial.t_index == 1
     assert load_config(base_config(grid={"T": 1.0, "N": 16},
                                    checks={"discretization": None})).checks
+    # the gaps are compared with each other, or with noise_only against the
+    # noise floor, so one count needs noise_only and none is refused
+    plain = base_config(grid={"T": 1.0, "N": 16})
+    for spec in ({"node_counts": []}, {"node_counts": [4]},
+                 {"node_counts": [], "noise_only": True}):
+        with pytest.raises(ConfigError, match="node_counts needs two counts"):
+            load_config(dict(plain, checks={"discretization": spec}))
+    load_config(dict(plain, checks={"discretization": {"node_counts": [4],
+                                                       "noise_only": True}}))
+
+
+@pytest.mark.parametrize("check, key, least", [
+    ("z_representation", "n_sub", 1), ("flow", "n_resolve", 1),
+    ("field_equation", "n_paths", 1), ("moments", "n_probes", 1),
+    ("regularity", "n_probes", 10)])
+def test_check_counts_have_least_values(check, key, least):
+    # below these the check raised only after the headline solve
+    spec = {"s": 0.5} if check == "flow" else {}
+    with pytest.raises(ConfigError, match=f"{check}.{key} must be at least {least}, "
+                                          f"got {least - 1}"):
+        load_config(base_config(checks={check: {key: least - 1, **spec}}))
+    assert load_config(base_config(checks={check: {key: least, **spec}})).checks[check]
 
 
 @pytest.mark.parametrize("check, spec, message", [
@@ -314,16 +336,26 @@ def test_check_values_are_typed_at_load(check, spec, message):
         load_config(base_config(checks={check: spec}))
 
 
-def test_check_specs_are_stored_typed():
+def test_check_specs_are_stored_typed(monkeypatch):
+    # each check's call is bound to its spec as typed
+    from pathfk import config
+    specs, bind = {}, config._bind
+
+    def recorded(cfg, name, spec):
+        specs[name] = spec
+        return bind(cfg, name, spec)
+
+    monkeypatch.setattr(config, "_bind", recorded)
     cfg = load_config(base_config(checks={
         "z_growth": {"q": 2}, "z_representation": None,
         "discretization": {"node_counts": [2, 4], "noise_only": True},
         "moments": {"p": [2, 4.5], "n_probes": 12}}))
-    assert cfg.checks == {"z_growth": {"q": 2.0}, "z_representation": {},
-                          "discretization": {"node_counts": (2, 4), "noise_only": True},
-                          "moments": {"p": (2.0, 4.5), "n_probes": 12}}
-    assert type(cfg.checks["z_growth"]["q"]) is float
-    assert all(type(p) is float for p in cfg.checks["moments"]["p"])
+    assert specs == {"z_growth": {"q": 2.0}, "z_representation": {},
+                     "discretization": {"node_counts": (2, 4), "noise_only": True},
+                     "moments": {"p": (2.0, 4.5), "n_probes": 12}}
+    assert type(specs["z_growth"]["q"]) is float
+    assert all(type(p) is float for p in specs["moments"]["p"])
+    assert sorted(cfg.checks) == sorted(specs) and all(map(callable, cfg.checks.values()))
 
 
 @pytest.mark.parametrize("model, n, floor", [

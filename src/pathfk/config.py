@@ -3,12 +3,13 @@ registry or from a restricted inline grammar), the grid, the sampling
 budget, the engine, the initial path, and the checks to run.
 
 Any key that load_config, model_from_spec or CHECK_KEYS does not list, a
-section that is neither an object nor null, a check value that its
-CHECK_KEYS type does not take, and a config whose regression solves or
-quadrature trees the solver's budgets would refuse raise ConfigError
-before the headline solve.  load_config builds each check's call with the
-one function that knows what the check reads, _bind: it refuses every
-value the check would refuse after the headline solve, then binds the call.
+section that is neither an object nor null, a value that its type does not
+take (errors._typed: the grid, mc, engine option, grammar and check
+values), and a config whose regression solves or quadrature trees the
+solver's budgets would refuse raise ConfigError before the headline
+solve.  load_config builds each check's call with the one function that
+knows what the check reads, _bind: it refuses every value the check would
+refuse after the headline solve, then binds the call.
 
 The inline model grammar and its builder, models.model_from_spec, live
 with the registry in models.py, whose entries are specs of that grammar.
@@ -23,8 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, _only_keys
-from .models import Model, get_entry, model_from_spec, shifted_model
+from .errors import BudgetError, ConfigError, _only_keys, _typed
+from .models import (Model, ModelRegistryEntry, get_entry, model_from_spec,
+                     shifted_model)
 from .paths import Path, make_grid
 from .reports import CheckReport
 from .simulation import _simulate, stream_seed
@@ -54,17 +56,11 @@ CHECK_KEYS = {
 }
 # the checks whose call scores the headline (solution, ensemble)
 HEADLINE_CHECKS = ("closed_form", "z_growth", "z_representation")
-# what each CHECK_KEYS type takes: a bool is no number, a float no integer
-_TAKES = {bool: ("true or false", lambda v: type(v) is bool),
-          int: ("an integer", lambda v: type(v) is int),
-          float: ("a number", lambda v: type(v) in (int, float))}
 
 
 @dataclass
 class ExperimentConfig:
-    model: Model
-    closed_form_u: Optional[callable]
-    closed_form_Z: Optional[callable]
+    entry: ModelRegistryEntry    # an inline spec's has no closed forms
     n_scenarios: int
     seed: int
     engine: str
@@ -74,24 +70,16 @@ class ExperimentConfig:
     raw: dict
 
     @property
+    def model(self) -> Model:
+        return self.entry.model
+
+    @property
     def grid_times(self) -> np.ndarray:
         return self.initial.grid_times
 
     def options(self, *keys) -> dict:
         """The engine options among keys that the config sets."""
         return {key: v for key, v in self.engine_options.items() if key in keys}
-
-
-def _typed(where: str, value, kind):
-    """value read as kind, a CHECK_KEYS type, or ConfigError naming where."""
-    if isinstance(kind, tuple):
-        if type(value) is not list:
-            raise ConfigError(f"{where} must be a list, got {value!r}")
-        return tuple(_typed(f"{where} entry", v, kind[0]) for v in value)
-    name, takes = _TAKES[kind]
-    if not takes(value):
-        raise ConfigError(f"{where} must be {name}, got {value!r}")
-    return kind(value)
 
 
 # -- each check's call --------------------------------------------------
@@ -126,8 +114,8 @@ def _candidate_field(cfg: ExperimentConfig, what: str, depth: int):
     """The field the checks read: the registry closed form when the model
     has one and no g (with g the closed forms give E_B u, not the random
     field), otherwise the nested engine's, whose trees are depth steps deep."""
-    if cfg.closed_form_u is not None and cfg.model.g is None:
-        return field_from_closed_form(get_entry(cfg.model.name))
+    if cfg.entry.closed_form_u is not None and cfg.model.g is None:
+        return field_from_closed_form(cfg.entry)
     _tree(cfg, what, depth)
     return field_from_engine(
         cfg.model, engine="nested",
@@ -137,7 +125,7 @@ def _candidate_field(cfg: ExperimentConfig, what: str, depth: int):
 
 def _closed_form_report(cfg: ExperimentConfig, sol, tol_rel=0.02) -> CheckReport:
     """The headline estimate against the registry closed form."""
-    target = np.asarray(cfg.closed_form_u(cfg.initial), dtype=np.float64)
+    target = np.asarray(cfg.entry.closed_form_u(cfg.initial), dtype=np.float64)
     err = np.abs(sol.u_estimate - target)
     rel = float(np.max(err / (1.0 + np.abs(target))))
     zsc = float(np.max(err / (3.0 * sol.u_stderr + 1e-12)))
@@ -162,7 +150,7 @@ def _bind(cfg: ExperimentConfig, name: str, spec: dict):
     seed = lambda: _check_seed(cfg.seed, name)
 
     if name == "closed_form":
-        if cfg.closed_form_u is None:
+        if cfg.entry.closed_form_u is None:
             raise ConfigError(f"model {model.name!r} has no closed form to check against")
         return lambda headline: [_closed_form_report(cfg, headline[0], **spec)]
 
@@ -172,10 +160,10 @@ def _bind(cfg: ExperimentConfig, name: str, spec: dict):
         return lambda headline: [z_growth_check(*headline, **spec)]
     if name == "z_representation":
         _at_least(name, spec, "n_sub", 1)
-        u = None if cfg.closed_form_Z is not None else _candidate_field(
+        u = None if cfg.entry.closed_form_Z is not None else _candidate_field(
             cfg, "the candidate field", steps)
         return lambda headline: [z_representation_check(
-            model, *headline, z_reference=cfg.closed_form_Z, u=u, **spec)]
+            model, *headline, z_reference=cfg.entry.closed_form_Z, u=u, **spec)]
 
     if name == "flow":
         try:
@@ -228,8 +216,9 @@ def _bind(cfg: ExperimentConfig, name: str, spec: dict):
                                            growth_q=growth_q, seed=seed(), **spec)]
 
     orders = spec.pop("p", (2.0, 4.0))      # moments
-    if any(p < 2 for p in orders):
-        raise ConfigError(f"moments.p orders must be at least 2, got {list(orders)}")
+    if not orders or any(p < 2 for p in orders):
+        raise ConfigError("moments.p orders must be at least 2, and one or more, "
+                          f"got {list(orders)}")
     _at_least(name, spec, "n_probes", 1)
     _floor(cfg, "moments.n_scenarios", spec.get("n_scenarios", MOMENT_SCENARIOS))
 
@@ -259,44 +248,43 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
     grid_spec = _only_keys("grid", raw.get("grid"), ("T", "N"))
     if "T" not in grid_spec or "N" not in grid_spec:
         raise ConfigError("config needs grid.T and grid.N")
-    T = float(grid_spec["T"])
-    N = int(grid_spec["N"])
+    T = _typed("grid.T", grid_spec["T"], float)
+    N = _typed("grid.N", grid_spec["N"], int)
     if N < 2:
         raise ConfigError(f"grid.N must be at least 2, got {N}")
-    if T <= 0:
-        raise ConfigError(f"grid.T must be positive, got {T}")
+    if not 0 < T < np.inf:
+        raise ConfigError(f"grid.T must be positive and finite, got {T}")
 
     model_spec = raw.get("model")
-    closed_u = closed_Z = None
     if isinstance(model_spec, str):
         entry = get_entry(model_spec)
-        model = entry.model
-        closed_u, closed_Z = entry.closed_form_u, entry.closed_form_Z
     elif isinstance(model_spec, dict):
         model = model_from_spec(model_spec)
+        entry = ModelRegistryEntry(model.name, model)
     else:
         raise ConfigError("config needs a model name or an inline model spec")
 
     mc = _only_keys("mc", raw.get("mc"), ("seed", "n_scenarios"))
     if "seed" not in mc:
         raise ConfigError("mc.seed is required for reproducibility")
-    seed = int(mc["seed"]) if seed_override is None else int(seed_override)
+    seed = (_typed("mc.seed", mc["seed"], int) if seed_override is None
+            else int(seed_override))
     engine = raw.get("engine", "regression")
     if engine not in _ENGINES:
         raise ConfigError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    options = _only_keys("engine_options", raw.get("engine_options"),
-                         _ENGINE_OPTIONS)
-    if not all(type(v) is int and v >= _ENGINE_OPTIONS[key]
-               for key, v in options.items()):
+    options = {key: _typed(f"engine_options.{key}", v, int) for key, v in _only_keys(
+        "engine_options", raw.get("engine_options"), _ENGINE_OPTIONS).items()}
+    if not all(v >= _ENGINE_OPTIONS[key] for key, v in options.items()):
         raise ConfigError("engine_options takes the integers n_outer >= 1, "
                           f"branching >= 2 and picard_iters >= 1, got {options!r}")
-    n_scenarios = int(mc.get("n_scenarios", 10_000 if engine == "regression" else 32))
+    n_scenarios = _typed("mc.n_scenarios", mc.get(
+        "n_scenarios", 10_000 if engine == "regression" else 32), int)
 
     grid = make_grid(T, N)
     init_spec = _only_keys("initial_path", raw.get("initial_path"),
                            ("file", "values"))
     if not init_spec:
-        initial = Path(grid, np.zeros((1, model.dims[0])))
+        initial = Path(grid, np.zeros((1, entry.model.dims[0])))
     elif "file" in init_spec:
         # a header line, then one row per grid time from 0: time, x_1..x_d
         rows = np.loadtxt(init_spec["file"], delimiter=",", skiprows=1, ndmin=2)
@@ -315,9 +303,8 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
         specs[cname] = {key: _typed(f"{cname}.{key}", v, types[key]) for key, v
                         in _only_keys(f"check {cname!r}", spec, types).items()}
     cfg = ExperimentConfig(
-        model=model, closed_form_u=closed_u, closed_form_Z=closed_Z,
-        n_scenarios=n_scenarios, seed=seed, engine=engine,
-        engine_options=dict(options), initial=initial, checks={}, raw=raw)
+        entry=entry, n_scenarios=n_scenarios, seed=seed, engine=engine,
+        engine_options=options, initial=initial, checks={}, raw=raw)
     # the headline solve's own budget; each check's call checks its own
     if engine == "regression":
         _floor(cfg, "mc.n_scenarios", n_scenarios)

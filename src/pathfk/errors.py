@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the key rule of configs."""
+"""Exception types shared across the package, and the key and type rules
+of configs."""
 
 
 class GridAlignmentError(ValueError):
@@ -30,3 +31,22 @@ def _only_keys(where: str, spec, keys) -> dict:
     if unknown:
         raise ConfigError(f"{where} takes the keys {tuple(keys)}, not {unknown}")
     return spec or {}
+
+
+# what each config value's type takes: a bool is no number, a float no integer
+_TAKES = {bool: ("true or false", lambda v: type(v) is bool),
+          int: ("an integer", lambda v: type(v) is int),
+          float: ("a number", lambda v: type(v) in (int, float))}
+
+
+def _typed(where: str, value, kind):
+    """value read as kind (bool, int, float, or (entry type,) for a list),
+    or ConfigError naming where."""
+    if isinstance(kind, tuple):
+        if type(value) is not list:
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return tuple(_typed(f"{where} entry", v, kind[0]) for v in value)
+    name, takes = _TAKES[kind]
+    if not takes(value):
+        raise ConfigError(f"{where} must be {name}, got {value!r}")
+    return kind(value)

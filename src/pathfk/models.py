@@ -22,11 +22,11 @@ x (copy it first).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, _only_keys
+from .errors import ConfigError, _only_keys, _typed
 from .paths import Path
 
 
@@ -94,35 +94,75 @@ def _affine_coeff(where, spec, default_const):
     if spec is None:
         return float(default_const), 0.0
     if isinstance(spec, dict) and list(spec) == ["const"]:
-        return float(spec["const"]), 0.0
+        return _typed(f"{where}.const", spec["const"], float), 0.0
     if isinstance(spec, dict) and list(spec) == ["affine"]:
         affine = _only_keys(f"{where}.affine", spec["affine"], ("intercept", "slope"))
-        return (float(affine.get("intercept", 0.0)),
-                float(affine.get("slope", 0.0)))
+        return tuple(_typed(f"{where}.affine.{key}", affine.get(key, 0.0), float)
+                     for key in ("intercept", "slope"))
     raise ConfigError(f"{where} must be 'const' or 'affine' alone, got {spec!r}")
 
 
-# the keys each kind of a grammar section reads besides "kind"
-_KIND_KEYS = {
-    "Phi": dict.fromkeys(("endpoint", "endpoint_square", "endpoint_sin",
-                          "running_integral"), ("shift",)),
-    "f": {"zero": (), "linear": ("coef_y", "coef_z", "const"),
-          "cos_y_plus_half_z": ("shift",), "runmax_minus_y": ("shift",)},
-    "g": {"zero": (), "linear_y": ("coef",), "linear_z": ("coef",)},
+class _Kind(NamedTuple):   # a kind's coefficient and its share of the constants
+    coeff: Optional[Callable]     # None for a zero driver
+    lip_C: float = 0.0
+    growth_m: float = 0.0
+    alpha: float = 0.0
+    markovian: bool = True
+
+
+def _linear_z(coef=0.0):
+    if not abs(coef) < 1.0:
+        raise ConfigError(f"a z-linear backward driver needs |coef| < 1, got {coef}")
+    return _Kind(lambda x, y, z: coef * z[:, :, :1], alpha=abs(coef))
+
+
+# section -> kind -> builder; a builder's keyword parameters are the keys
+# its kind reads, with their defaults, and a section's first kind is its default
+_KINDS = {
+    "Phi": {
+        "endpoint": lambda shift=0.0: _Kind(lambda x, dt: x[:, -1, :1] + shift),
+        "endpoint_square": lambda shift=0.0: _Kind(
+            lambda x, dt: x[:, -1, :1] ** 2 + shift, growth_m=1.0),
+        "endpoint_sin": lambda shift=0.0: _Kind(
+            lambda x, dt: np.sin(x[:, -1, :1]) + shift),
+        "running_integral": lambda shift=0.0: _Kind(
+            lambda x, dt: x[:, :-1, :1].sum(axis=1) * dt + shift, markovian=False),
+    },
+    "f": {
+        "zero": lambda: _Kind(None),
+        "linear": lambda coef_y=0.0, coef_z=0.0, const=0.0: _Kind(
+            lambda x, y, z: const + coef_y * y + coef_z * z[:, :, 0],
+            lip_C=abs(coef_y) + abs(coef_z)),
+        "cos_y_plus_half_z": lambda shift=0.0: _Kind(
+            lambda x, y, z: shift + np.cos(y) + z[:, :, 0] / 2.0, lip_C=1.0),
+        "runmax_minus_y": lambda shift=0.0: _Kind(
+            lambda x, y, z: shift + x[:, :, :1].max(axis=1) - y,
+            lip_C=1.0, markovian=False),
+    },
+    "g": {
+        "zero": lambda: _Kind(None),
+        # gg^T <= alpha zz^T + C (|g(., 0, 0)|^2 + |y|^2) needs coef^2 once |coef| > 1
+        "linear_y": lambda coef=0.0: _Kind(lambda x, y, z: coef * y[:, :, None],
+                                           lip_C=max(abs(coef), coef ** 2)),
+        "linear_z": _linear_z,
+    },
 }
 
 
-def _kind_spec(spec: dict, section: str, default: str, noun: str):
-    """The kind of a grammar section and the section ({} for null), once it
-    is an object of a known kind that holds no key its kind does not read."""
+def _build_kind(spec: dict, section: str, noun: str) -> _Kind:
+    """What the section's kind builds, once the section is null (the default
+    kind) or an object of a known kind that sets only its builder's keywords,
+    each to a number."""
     sub = spec.get(section)
-    if not isinstance(sub, dict):   # null is the default kind; others raise
-        return default, _only_keys(section, sub, ())
-    kind = sub.get("kind", default)
-    if not isinstance(kind, str) or kind not in _KIND_KEYS[section]:
+    sub = sub if isinstance(sub, dict) else _only_keys(section, sub, ())
+    kind = sub.get("kind", next(iter(_KINDS[section])))
+    if not isinstance(kind, str) or kind not in _KINDS[section]:
         raise ConfigError(f"unknown {noun} kind {kind!r}")
-    return kind, _only_keys(f"{section} of kind {kind!r}", sub,
-                            ("kind", *_KIND_KEYS[section][kind]))
+    build = _KINDS[section][kind]
+    keys = build.__code__.co_varnames[:build.__code__.co_argcount]
+    sub = _only_keys(f"{section} of kind {kind!r}", sub, ("kind", *keys))
+    return build(**{key: _typed(f"{section}.{key}", v, float)
+                    for key, v in sub.items() if key != "kind"})
 
 
 def model_from_spec(spec: dict) -> Model:
@@ -133,83 +173,32 @@ def model_from_spec(spec: dict) -> Model:
           "name":  "custom",
           "b":     {"const": v} | {"affine": {"intercept": a, "slope": c}},
           "sigma": {"const": v} | {"affine": {"intercept": a, "slope": c}},
-          "Phi":   {"kind": "endpoint" | "endpoint_square" | "endpoint_sin"
-                            | "running_integral", "shift": s},
-          "f":     {"kind": "zero"}
-                 | {"kind": "linear", "coef_y": a, "coef_z": b, "const": c}
-                 | {"kind": "cos_y_plus_half_z" | "runmax_minus_y", "shift": s},
-          "g":     {"kind": "zero" | "linear_y" | "linear_z", "coef": c}
+          "Phi" | "f" | "g":  {"kind": k, key: v, ...}  with k and its keys from _KINDS
         }
 
-    Any other key, or one the section's kind does not read, raises
-    ConfigError, as does a section that is neither an object nor null.
-    Affine coefficients read the current endpoint; a constant b or sigma
-    ignores x and stays finite on an overflowed scenario.  Running
-    integrals and maxima are non-Markovian.
-
-    The constants follow from the kinds.  lip_C is the largest of |b slope|
-    + |sigma slope|, f's (|coef_y| + |coef_z| for linear, 1 for the other
-    nonzero kinds) and g's in y (max(|coef|, coef^2) for linear_y, as
-    gg^T <= alpha zz^T + C (|g(., 0, 0)|^2 + |y|^2) needs); alpha is |coef|
-    for linear_z and growth_m 1 for endpoint_square; each is else 0.
+    Any other key, one the section's kind does not read, a value that is no
+    number, and a section that is neither an object nor null raise
+    ConfigError.  Affine coefficients read the current endpoint; a constant
+    b or sigma ignores x and stays finite on an overflowed scenario.  lip_C
+    is the largest of |b slope| + |sigma slope| and each kind's constant,
+    growth_m and alpha the largest of the kinds', and the model is Markovian
+    when every kind is.
     """
     spec = _only_keys("model", spec, ("name", "b", "sigma", "Phi", "f", "g"))
-    name = spec.get("name", "custom")
     b0, b1 = _affine_coeff("b", spec.get("b"), 0.0)
     s0, s1 = _affine_coeff("sigma", spec.get("sigma"), 1.0)
     b = ((lambda x: b0 + b1 * x[:, -1, :]) if b1
          else lambda x: np.full((x.shape[0], 1), b0))
     sigma = ((lambda x: (s0 + s1 * x[:, -1, :1])[:, :, None]) if s1
              else lambda x: np.broadcast_to(s0 * np.eye(1), (x.shape[0], 1, 1)))
-
-    phi_kind, phi_spec = _kind_spec(spec, "Phi", "endpoint", "terminal")
-    shift = float(phi_spec.get("shift", 0.0))
-    if phi_kind == "endpoint":
-        Phi = lambda x, dt: x[:, -1, :1] + shift
-    elif phi_kind == "endpoint_square":
-        Phi = lambda x, dt: x[:, -1, :1] ** 2 + shift
-    elif phi_kind == "endpoint_sin":
-        Phi = lambda x, dt: np.sin(x[:, -1, :1]) + shift
-    else:  # running_integral
-        Phi = lambda x, dt: x[:, :-1, :1].sum(axis=1) * dt + shift
-
-    f_kind, f_spec = _kind_spec(spec, "f", "zero", "time-driver")
-    fs = float(f_spec.get("shift", 0.0))
-    if f_kind == "zero":
-        f, f_lip = None, 0.0
-    elif f_kind == "linear":
-        ay = float(f_spec.get("coef_y", 0.0))
-        az = float(f_spec.get("coef_z", 0.0))
-        c0 = float(f_spec.get("const", 0.0))
-        f = lambda x, y, z: c0 + ay * y + az * z[:, :, 0]
-        f_lip = abs(ay) + abs(az)
-    elif f_kind == "cos_y_plus_half_z":
-        f, f_lip = (lambda x, y, z: fs + np.cos(y) + z[:, :, 0] / 2.0), 1.0
-    else:  # runmax_minus_y
-        f, f_lip = (lambda x, y, z: fs + x[:, :, :1].max(axis=1) - y), 1.0
-
-    g_kind, g_spec = _kind_spec(spec, "g", "zero", "backward-driver")
-    coef = float(g_spec.get("coef", 0.0))
-    if g_kind == "zero":
-        g = None
-    elif g_kind == "linear_y":
-        g = lambda x, y, z: coef * y[:, :, None]
-    else:  # linear_z
-        if not abs(coef) < 1.0:
-            raise ConfigError(
-                f"a z-linear backward driver needs |coef| < 1, got {coef}"
-            )
-        g = lambda x, y, z: coef * z[:, :, :1]
-
-    return Model(
-        b=b, sigma=sigma, Phi=Phi, f=f, g=g,
-        lip_C=max(abs(b1) + abs(s1), f_lip,
-                  max(abs(coef), coef ** 2) if g_kind == "linear_y" else 0.0),
-        growth_m=1.0 if phi_kind == "endpoint_square" else 0.0,
-        alpha=abs(coef) if g_kind == "linear_z" else 0.0,
-        name=name,
-        markovian_flag=f_kind != "runmax_minus_y" and phi_kind != "running_integral",
-    )
+    kinds = [_build_kind(spec, section, noun) for section, noun in (
+        ("Phi", "terminal"), ("f", "time-driver"), ("g", "backward-driver"))]
+    Phi, f, g = (k.coeff for k in kinds)
+    return Model(b=b, sigma=sigma, Phi=Phi, f=f, g=g, name=spec.get("name", "custom"),
+                 lip_C=max(abs(b1) + abs(s1), *(k.lip_C for k in kinds)),
+                 growth_m=max(k.growth_m for k in kinds),
+                 alpha=max(k.alpha for k in kinds),
+                 markovian_flag=all(k.markovian for k in kinds))
 
 
 # -- registry ------------------------------------------------------------

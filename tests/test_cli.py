@@ -281,6 +281,7 @@ def test_scenario_path_checks_read_the_headline_solve(tmp_path, solves):
     pytest.param({"checks": {"z_growth": {"q": "x"}}}, id="z_growth.q"),
     pytest.param({"checks": {"moments": {"p": 3}}}, id="moments.p"),
     pytest.param({"checks": {"moments": {"p": [1, 2]}}}, id="moments.p-below-2"),
+    pytest.param({"checks": {"moments": {"p": []}}}, id="moments.p-empty"),
     pytest.param({"checks": {"discretization": {"node_counts": [2, 4],
                                                 "noise_only": "false"}}}, id="noise_only"),
     pytest.param({"checks": {"flow": {"s": 0.5, "n_resolve": 2.5}}}, id="n_resolve"),

@@ -87,8 +87,10 @@ def test_seed_required_and_overridable():
 def test_grid_validation():
     with pytest.raises(ConfigError):
         load_config(base_config(grid={"T": 1.0, "N": 1}))
-    with pytest.raises(ConfigError):
-        load_config(base_config(grid={"T": -1.0, "N": 8}))
+    # json reads NaN and Infinity as floats, which loaded with NaN grid times
+    for T in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="grid.T must be positive and finite"):
+            load_config(base_config(grid={"T": T, "N": 8}))
     with pytest.raises(ConfigError):
         load_config(base_config(grid={"T": 1.0}))
 
@@ -202,6 +204,38 @@ def test_inline_model_grammar():
     for path_spec in ({"f": {"kind": "runmax_minus_y"}},
                       {"Phi": {"kind": "running_integral"}}):
         assert not load_config(base_config(model=path_spec)).model.markovian_flag
+
+
+@pytest.mark.parametrize("overrides, message", [
+    pytest.param({"model": {"b": {"const": "1"}}}, "b.const must be a number", id="b.const"),
+    pytest.param({"model": {"sigma": {"affine": {"slope": [0.1]}}}},
+                 "sigma.affine.slope must be a number", id="sigma.affine.slope"),
+    pytest.param({"model": {"g": {"kind": "linear_y", "coef": False}}},
+                 "g.coef must be a number, got False", id="g.coef"),
+    pytest.param({"grid": {"T": 1.0, "N": 8.9}}, "grid.N must be an integer, got 8.9",
+                 id="grid.N"),
+    pytest.param({"grid": {"T": True, "N": 8}}, "grid.T must be a number, got True",
+                 id="grid.T"),
+    pytest.param({"mc": {"seed": "3"}}, "mc.seed must be an integer, got '3'", id="mc.seed"),
+    pytest.param({"mc": {"seed": 1, "n_scenarios": 500.7}},
+                 "mc.n_scenarios must be an integer, got 500.7", id="mc.n_scenarios"),
+])
+def test_config_values_are_typed_at_load(overrides, message):
+    # each of these was read through float() or int(): "1" as 1, false as a
+    # zero driver, 8.9 as 8, true as 1 and "3" as 3 (the grammar's kinds are
+    # typed in test_models)
+    with pytest.raises(ConfigError, match=message):
+        load_config(base_config(**overrides))
+
+
+def test_config_holds_the_registry_entry():
+    # a registry name brings its closed forms; an inline spec has none
+    heat = load_config(base_config())
+    assert heat.entry.name == "heat" and heat.model is heat.entry.model
+    assert heat.entry.closed_form_u is not None
+    inline = load_config(base_config(model={"name": "mine"})).entry
+    assert inline.name == "mine"
+    assert (inline.closed_form_u, inline.closed_form_Z) == (None, None)
 
 
 def test_inline_model_rejects_expansive_z_driver():
@@ -318,6 +352,9 @@ def test_check_counts_have_least_values(check, key, least):
                  id="str-entry"),
     pytest.param("moments", {"p": [1.5, 4]}, r"moments.p orders must be at least 2",
                  id="order-below-2"),
+    # no order scored nothing, so the run could pass with the check missing
+    pytest.param("moments", {"p": []}, r"moments.p orders must be at least 2, and one",
+                 id="no-order"),
     pytest.param("discretization", {"noise_only": "false"},
                  "discretization.noise_only must be true or false", id="str-bool"),
     pytest.param("discretization", {"noise_only": 0},

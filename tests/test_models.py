@@ -1,12 +1,14 @@
 """Coefficient bundles, their derived constants, and the reference registry."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from pathfk import (Model, Path, get_entry, get_model, make_grid, on_path,
-                    path_dist, random_initial_path, registry, running_integral,
-                    shifted_model, sup_norm)
-from pathfk.models import _KIND_KEYS, model_from_spec
+from pathfk import (ConfigError, Model, Path, get_entry, get_model, load_config,
+                    make_grid, on_path, path_dist, random_initial_path, registry,
+                    running_integral, shifted_model, sup_norm)
+from pathfk.models import _KINDS, model_from_spec
 
 
 # -- helpers -------------------------------------------------------------
@@ -196,6 +198,33 @@ def test_constant_inline_coefficients_do_not_read_x():
         assert_same_bits(const.sigma(x), np.full((6, 1, 1), 0.8), ("overflowed sigma", m))
 
 
+def kind_keys(section, kind):
+    return tuple(inspect.signature(_KINDS[section][kind]).parameters)
+
+
+GRAMMAR = [(section, kind) for section in _KINDS for kind in _KINDS[section]]
+
+
+@pytest.mark.parametrize("section, kind", GRAMMAR, ids=[f"{s}-{k}" for s, k in GRAMMAR])
+def test_every_grammar_kind_reads_its_keys_as_numbers(section, kind):
+    # a spec that sets every key to a number loads (0.5 keeps linear_z's
+    # |coef| < 1); a key that only a sibling kind reads, and a bool or a
+    # string for any key, raise ConfigError
+    keys = kind_keys(section, kind)
+    raw = {"grid": {"T": 1.0, "N": 8}, "mc": {"seed": 1, "n_scenarios": 1000}}
+    full = {"kind": kind, **dict.fromkeys(keys, 0.5)}
+    assert load_config({**raw, "model": {section: full}}).model.name == "custom"
+    siblings = {key for other in _KINDS[section] for key in kind_keys(section, other)}
+    for key in sorted(siblings - set(keys)):
+        with pytest.raises(ConfigError,
+                           match=rf"{section} of kind '{kind}' takes .*, not \['{key}'\]"):
+            model_from_spec({section: {"kind": kind, key: 0.5}})
+    for key in keys:
+        for bad in (True, "0.5"):
+            with pytest.raises(ConfigError, match=rf"{section}\.{key} must be a number, got"):
+                model_from_spec({section: {**full, key: bad}})
+
+
 # -- derived constants ---------------------------------------------------
 
 
@@ -249,7 +278,7 @@ def test_derived_constants_hold_on_random_inline_specs():
     rng = np.random.default_rng(26)
     specs = [random_spec(i, rng) for i in range(60)]
     for section in ("Phi", "f", "g"):
-        assert {s[section]["kind"] for s in specs} == set(_KIND_KEYS[section])
+        assert {s[section]["kind"] for s in specs} == set(_KINDS[section])
     for i, spec in enumerate(specs):
         assert_constants_hold(model_from_spec(spec), n_probes=50, seed=i)
 

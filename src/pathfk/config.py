@@ -4,11 +4,12 @@ budget, the engine, the initial path, and the checks to run.
 
 Any key that load_config, model_from_spec or CHECK_KEYS does not list, a
 section that is neither an object nor null, a value that its type does not
-take (errors._typed: the grid, mc, engine option, grammar and check
-values), and a config whose regression solves or quadrature trees the
-solver's budgets would refuse raise ConfigError before the headline
-solve.  load_config builds each check's call with the one function that
-knows what the check reads, _bind: it refuses every value the check would
+take (errors._typed, whose numbers are finite reals: the grid, mc, engine
+option, grammar and check values and the rows of initial_path.values),
+and a config whose regression solves or quadrature trees the solver's
+budgets would refuse raise ConfigError before the headline solve.
+load_config builds each check's call with the one function that knows
+what the check reads, _bind: it refuses every value the check would
 refuse after the headline solve, then binds the call.
 
 The inline model grammar and its builder, models.model_from_spec, live
@@ -252,8 +253,8 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
     N = _typed("grid.N", grid_spec["N"], int)
     if N < 2:
         raise ConfigError(f"grid.N must be at least 2, got {N}")
-    if not 0 < T < np.inf:
-        raise ConfigError(f"grid.T must be positive and finite, got {T}")
+    if T <= 0:
+        raise ConfigError(f"grid.T must be positive, got {T}")
 
     model_spec = raw.get("model")
     if isinstance(model_spec, str):
@@ -294,8 +295,8 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
                               f"grid times 0, {T / N:g}, ... of grid.N = {N}")
         initial = Path(grid, rows[:, 1:])
     else:
-        vals = np.asarray(init_spec["values"], dtype=np.float64)
-        initial = Path(grid, vals)
+        initial = Path(grid, np.array(
+            _typed("initial_path.values", init_spec["values"], ((float,),))))
 
     specs = {}
     for cname, spec in _only_keys("checks", raw.get("checks"), CHECK_KEYS).items():

@@ -1,6 +1,9 @@
 """Exception types shared across the package, and the key and type rules
 of configs."""
 
+import math
+import numbers
+
 
 class GridAlignmentError(ValueError):
     """A requested time or subdivision does not land on the uniform grid."""
@@ -33,19 +36,32 @@ def _only_keys(where: str, spec, keys) -> dict:
     return spec or {}
 
 
-# what each config value's type takes: a bool is no number, a float no integer
+def _finite_real(v) -> bool:
+    """A real number, numpy's included, but no bool, no NaN or ±Infinity
+    (json.loads parses both) and no integer past the float range."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+# what each config value's type takes: a bool is no number, a float no
+# integer, and a number is a finite real
 _TAKES = {bool: ("true or false", lambda v: type(v) is bool),
-          int: ("an integer", lambda v: type(v) is int),
-          float: ("a number", lambda v: type(v) in (int, float))}
+          int: ("an integer",
+                lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+          float: ("a number", _finite_real)}
 
 
 def _typed(where: str, value, kind):
-    """value read as kind (bool, int, float, or (entry type,) for a list),
-    or ConfigError naming where."""
+    """value read as kind (bool, int, float, or (entry type,) for a list,
+    whose entries are rows when they are lists too), or ConfigError naming
+    where."""
     if isinstance(kind, tuple):
         if type(value) is not list:
             raise ConfigError(f"{where} must be a list, got {value!r}")
-        return tuple(_typed(f"{where} entry", v, kind[0]) for v in value)
+        entry = f"{where} {'row' if isinstance(kind[0], tuple) else 'entry'}"
+        return tuple(_typed(entry, v, kind[0]) for v in value)
     name, takes = _TAKES[kind]
     if not takes(value):
         raise ConfigError(f"{where} must be {name}, got {value!r}")

@@ -14,6 +14,15 @@ with y of shape (n, k) and z of shape (n, k, d).  f=None or g=None means
 the driver is zero; eval_f/eval_g apply that rule.  A single Path is
 evaluated as a block of one through on_path.
 
+A time driver may also read running path statistics (running_stats), named
+in the model's f_reads: f(x, y, z, *rows) then takes each one's row at the
+block's last time, (n, d), after y and z.  Of the grammar's kinds only
+runmax_minus_y does so (f_reads ("runmax",)); the regression sweep hands f
+the rows it carries for its design, and every other caller derives them
+from the block (f_rows: eval_f on a single path, the nested tree once per
+level).  Hand-built coefficients, with f_reads empty, keep the history
+block alone and are called as (x, y, z).
+
 The simulator and both engines store histories time-major and pass x as a
 read-only, possibly non-contiguous view: a coefficient must not write into
 x (copy it first).
@@ -28,6 +37,30 @@ import numpy as np
 
 from .errors import ConfigError, _only_keys, _typed
 from .paths import Path
+
+
+def running_stats(X: np.ndarray, dt: float) -> dict:
+    """The running statistics of a time-major buffer X (T, n, d), by name,
+    each (T, n, d) and carried forward one row at a time: row j of "runmax"
+    is the maximum of X[:j+1], and row j of "runint" the left-endpoint
+    integral dt * (X[0] + ... + X[j-1]), exact for the piecewise-constant
+    path (running_integral)."""
+    runmax, runint = np.empty(X.shape), np.zeros(X.shape)
+    runmax[0] = X[0]
+    # row by row: numpy's accumulate along the time axis takes 3x as long
+    for j in range(1, X.shape[0]):
+        np.maximum(runmax[j - 1], X[j], out=runmax[j])
+        if j == 1:
+            runint[1] = X[0]        # not 0.0 + X[0], so -0.0 keeps its sign
+        else:
+            np.add(runint[j - 1], X[j - 1], out=runint[j])
+    runint *= dt
+    return {"runmax": runmax, "runint": runint}
+
+
+# the row a driver reads of each statistic, at a block's (n, m, d) last
+# time: the last row of running_stats over the block, bit for bit
+_BLOCK_ROWS = {"runmax": lambda x: x.max(axis=1)}
 
 
 def running_integral(path: Path) -> np.ndarray:
@@ -51,18 +84,28 @@ class Model:
     dims: tuple = (1, 1, 1)   # (d, k, l)
     markovian_flag: bool = True
     name: str = ""
+    f_reads: tuple = ()       # the running statistics f reads, by name
 
     def __post_init__(self):
         if not (0.0 <= self.alpha < 1.0):
             raise ValueError(f"contraction constant must be in [0,1), got {self.alpha}")
         if self.lip_C < 0 or self.growth_m < 0:
             raise ValueError("lip_C and growth_m must be nonnegative")
+        if not set(self.f_reads) <= set(_BLOCK_ROWS):
+            raise ValueError(f"f can read the running statistics {tuple(_BLOCK_ROWS)}, "
+                             f"not {self.f_reads}")
 
-    def eval_f(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Time driver on a block, (n, k); zero when f is None."""
+    def f_rows(self, x: np.ndarray) -> list:
+        """The row at the block's last time of each statistic f reads."""
+        return [_BLOCK_ROWS[name](x) for name in self.f_reads]
+
+    def eval_f(self, x: np.ndarray, y: np.ndarray, z: np.ndarray, *rows) -> np.ndarray:
+        """Time driver on a block, (n, k); zero when f is None.  An f that
+        reads running statistics takes rows, one per name in f_reads, or
+        when none is given f_rows(x)."""
         if self.f is None:
             return np.zeros((x.shape[0], self.dims[1]))
-        return self.f(x, y, z)
+        return self.f(x, y, z, *(rows or self.f_rows(x)))
 
     def eval_g(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Backward driver on a block, (n, k, l); zero when g is None."""
@@ -107,7 +150,7 @@ class _Kind(NamedTuple):   # a kind's coefficient and its share of the constants
     lip_C: float = 0.0
     growth_m: float = 0.0
     alpha: float = 0.0
-    markovian: bool = True
+    reads: tuple = ()             # the running statistics it reads
 
 
 def _linear_z(coef=0.0):
@@ -126,7 +169,7 @@ _KINDS = {
         "endpoint_sin": lambda shift=0.0: _Kind(
             lambda x, dt: np.sin(x[:, -1, :1]) + shift),
         "running_integral": lambda shift=0.0: _Kind(
-            lambda x, dt: x[:, :-1, :1].sum(axis=1) * dt + shift, markovian=False),
+            lambda x, dt: x[:, :-1, :1].sum(axis=1) * dt + shift, reads=("runint",)),
     },
     "f": {
         "zero": lambda: _Kind(None),
@@ -136,8 +179,8 @@ _KINDS = {
         "cos_y_plus_half_z": lambda shift=0.0: _Kind(
             lambda x, y, z: shift + np.cos(y) + z[:, :, 0] / 2.0, lip_C=1.0),
         "runmax_minus_y": lambda shift=0.0: _Kind(
-            lambda x, y, z: shift + x[:, :, :1].max(axis=1) - y,
-            lip_C=1.0, markovian=False),
+            lambda x, y, z, runmax: shift + runmax[:, :1] - y,
+            lip_C=1.0, reads=("runmax",)),
     },
     "g": {
         "zero": lambda: _Kind(None),
@@ -182,7 +225,7 @@ def model_from_spec(spec: dict) -> Model:
     b or sigma ignores x and stays finite on an overflowed scenario.  lip_C
     is the largest of |b slope| + |sigma slope| and each kind's constant,
     growth_m and alpha the largest of the kinds', and the model is Markovian
-    when every kind is.
+    when no kind reads a running statistic; f_reads names those f reads.
     """
     spec = _only_keys("model", spec, ("name", "b", "sigma", "Phi", "f", "g"))
     b0, b1 = _affine_coeff("b", spec.get("b"), 0.0)
@@ -198,10 +241,47 @@ def model_from_spec(spec: dict) -> Model:
                  lip_C=max(abs(b1) + abs(s1), *(k.lip_C for k in kinds)),
                  growth_m=max(k.growth_m for k in kinds),
                  alpha=max(k.alpha for k in kinds),
-                 markovian_flag=all(k.markovian for k in kinds))
+                 markovian_flag=not any(k.reads for k in kinds), f_reads=kinds[1].reads)
 
 
 # -- registry ------------------------------------------------------------
+
+_endpoint = lambda p: np.array([p.endpoint[0]])
+
+# each reference model's inline spec and the rest of its registry entry
+_REGISTRY = [
+    # heat: terminal square of the endpoint.
+    # u(gamma_t) = E[(gamma(t) + W_{T-t})^2] = gamma(t)^2 + (T - t).
+    ({"name": "heat", "Phi": {"kind": "endpoint_square"}},
+     dict(closed_form_u=lambda p: np.array([p.endpoint[0] ** 2
+                                            + (p.horizon - p.current_time)]),
+          closed_form_Z=lambda p: np.array([[2.0 * p.endpoint[0]]]),
+          notes="second moment of a shifted Brownian endpoint")),
+    # asian: integral of the path over the full horizon.
+    # u(gamma_t) = int_0^t gamma + gamma(t) (T - t) since E[X(s)] = gamma(t),
+    # exact for the left-endpoint integral convention.
+    ({"name": "asian", "Phi": {"kind": "running_integral"}},
+     dict(closed_form_u=lambda p: np.array([running_integral(p)[0] + p.endpoint[0]
+                                            * (p.horizon - p.current_time)]),
+          closed_form_Z=lambda p: np.array([[p.horizon - p.current_time]]),
+          notes="conditional expectation of integrated Brownian motion")),
+    # linear-g: backward-integral driver proportional to y.
+    ({"name": "linear-g", "g": {"kind": "linear_y", "coef": 0.3}},
+     dict(closed_form_u=_endpoint,
+          notes="E_B of the field gamma(t) prod_j (1 + 0.3 dB_j)")),
+    # nonlinear-f: classical-BSDE reduction.
+    ({"name": "nonlinear-f", "Phi": {"kind": "endpoint_sin"},
+      "f": {"kind": "cos_y_plus_half_z"}},
+     dict(notes="oracle: nested engine")),
+    # z-in-g: exercises the z-contraction channel of the backward driver.
+    ({"name": "z-in-g", "g": {"kind": "linear_z", "coef": 0.5}},
+     dict(closed_form_u=_endpoint, closed_form_Z=lambda p: np.array([[1.0]]),
+          notes="E_B of the field gamma(t) + 0.5 (B_T - B_t); Z = 1")),
+    # path-f: genuinely non-Markovian time driver via the running maximum.
+    ({"name": "path-f", "f": {"kind": "runmax_minus_y"}},
+     dict(notes="oracle: nested engine")),
+]
+
 
 def registry() -> list[ModelRegistryEntry]:
     """Reference models, each an inline-grammar spec over the grammar's
@@ -211,64 +291,29 @@ def registry() -> list[ModelRegistryEntry]:
     law of the driverless forward state (zero drift, unit diffusion):
     conditionally on the path up to t, X(s) = gamma(t) + (W(s) - W(t)).
     """
-    def entry(spec, **kw):
-        return ModelRegistryEntry(spec["name"], model_from_spec(spec), **kw)
-
-    def _u_asian(p):
-        return np.array([running_integral(p)[0] + p.endpoint[0] * (p.horizon - p.current_time)])
-
-    endpoint = lambda p: np.array([p.endpoint[0]])
-    return [
-        # heat: terminal square of the endpoint.
-        # u(gamma_t) = E[(gamma(t) + W_{T-t})^2] = gamma(t)^2 + (T - t).
-        entry({"name": "heat", "Phi": {"kind": "endpoint_square"}},
-              closed_form_u=lambda p: np.array([p.endpoint[0] ** 2
-                                                + (p.horizon - p.current_time)]),
-              closed_form_Z=lambda p: np.array([[2.0 * p.endpoint[0]]]),
-              notes="second moment of a shifted Brownian endpoint"),
-        # asian: integral of the path over the full horizon.
-        # u(gamma_t) = int_0^t gamma + gamma(t) (T - t) since E[X(s)] = gamma(t),
-        # exact for the left-endpoint integral convention.
-        entry({"name": "asian", "Phi": {"kind": "running_integral"}},
-              closed_form_u=_u_asian,
-              closed_form_Z=lambda p: np.array([[p.horizon - p.current_time]]),
-              notes="conditional expectation of integrated Brownian motion"),
-        # linear-g: backward-integral driver proportional to y.
-        entry({"name": "linear-g", "g": {"kind": "linear_y", "coef": 0.3}},
-              closed_form_u=endpoint,
-              notes="E_B of the field gamma(t) prod_j (1 + 0.3 dB_j)"),
-        # nonlinear-f: classical-BSDE reduction.
-        entry({"name": "nonlinear-f", "Phi": {"kind": "endpoint_sin"},
-               "f": {"kind": "cos_y_plus_half_z"}},
-              notes="oracle: nested engine"),
-        # z-in-g: exercises the z-contraction channel of the backward driver.
-        entry({"name": "z-in-g", "g": {"kind": "linear_z", "coef": 0.5}},
-              closed_form_u=endpoint, closed_form_Z=lambda p: np.array([[1.0]]),
-              notes="E_B of the field gamma(t) + 0.5 (B_T - B_t); Z = 1"),
-        # path-f: genuinely non-Markovian time driver via the running maximum.
-        entry({"name": "path-f", "f": {"kind": "runmax_minus_y"}},
-              notes="oracle: nested engine"),
-    ]
+    return [get_entry(spec["name"]) for spec, _ in _REGISTRY]
 
 
 def shifted_model(model: Model, shift_phi: float = 0.0, shift_f: float = 0.0) -> Model:
     """The same model with constants added to the terminal functional and the
     time driver; with nonnegative shifts the result dominates the original.
-    A zero shift_f keeps the original time driver, absent or not."""
+    A zero shift_f keeps the original time driver, absent or not; a shifted
+    one reads the running statistics the original reads."""
     return replace(
         model,
         name=f"{model.name}+shift",
         Phi=lambda x, dt: model.Phi(x, dt) + shift_phi,
         f=(model.f if shift_f == 0.0
-           else lambda x, y, z: model.eval_f(x, y, z) + shift_f),
+           else lambda x, y, z, *rows: model.eval_f(x, y, z, *rows) + shift_f),
     )
 
 
 def get_entry(name: str) -> ModelRegistryEntry:
-    for e in registry():
-        if e.name == name:
-            return e
-    raise KeyError(f"unknown model {name!r}; known: {[e.name for e in registry()]}")
+    """The registry entry of that name, building no other model."""
+    for spec, rest in _REGISTRY:
+        if spec["name"] == name:
+            return ModelRegistryEntry(name, model_from_spec(spec), **rest)
+    raise KeyError(f"unknown model {name!r}; known: {[spec['name'] for spec, _ in _REGISTRY]}")
 
 
 def get_model(name: str) -> Model:

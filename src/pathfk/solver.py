@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, SolverError
-from .models import Model
+from .models import Model, running_stats
 from .paths import Path
 from .simulation import ScenarioEnsemble, _history_view, _keyed_normals
 
@@ -99,33 +99,30 @@ class RegressionBasis:
         return A
 
     def designs(self, X: np.ndarray, t_index: int, dt: float,
-                dB: Optional[np.ndarray] = None):
+                dB: Optional[np.ndarray] = None, stats: Optional[dict] = None):
         """Yield (i, design matrix) for the steps i = N-1 down to t_index.
 
         X holds the histories time-major, (N+1, n, d); dB, when given, the
         second driver's increments time-major, (N, n, l), for the
-        future-noise features.  The running maximum of X[:i+1] and the
-        running sum of X[:i] are carried forward one contiguous step at a
-        time, each step's raw coordinates fill one reused column-major
-        buffer, and the remaining noise sum of dB[i:] is carried backward,
-        so a step costs the same however long the history is.
+        future-noise features.  The path features read row i of the
+        running maximum and of the running integral: stats, the solve's
+        running_stats(X, dt), or computed here once when None.  Each step's
+        raw coordinates fill one reused column-major buffer, and the
+        remaining noise sum of dB[i:] is carried backward, so a step costs
+        the same however long the history is.
         """
-        N, n, d = X.shape[0] - 1, X.shape[1], X.shape[2]
+        n, d = X.shape[1], X.shape[2]
         path = self.feature_set == "endpoint+runmax+runint"
         if path:
-            runmax, runsum = np.empty((N, n, d)), np.empty((N, n, d))
-            runmax[0] = runsum[0] = X[0]         # row i of runsum sums X[:i+1]
-            for i in range(1, N):
-                np.maximum(runmax[i - 1], X[i], out=runmax[i])
-                np.add(runsum[i - 1], X[i], out=runsum[i])
+            stats = stats or running_stats(X, dt)
             raw = np.empty((n, 3 * d), order="F")
         rest = None
-        for i in range(N - 1, t_index - 1, -1):
+        for i in range(X.shape[0] - 2, t_index - 1, -1):
             if dB is not None:
                 rest = dB[i] if rest is None else rest + dB[i]
             if path:
-                raw[:, :d], raw[:, d:2 * d] = X[i], runmax[i]
-                np.multiply(runsum[i - 1] if i else 0.0, dt, out=raw[:, 2 * d:])
+                raw[:, :d], raw[:, d:2 * d] = X[i], stats["runmax"][i]
+                raw[:, 2 * d:] = stats["runint"][i]
             yield i, self.matrix(raw if path else X[i], rest)
 
 
@@ -228,17 +225,20 @@ def _step_iterations(model: Model, picard_iters: int) -> int:
 
 
 def _iterate_y(model: Model, x: np.ndarray, y: np.ndarray, z: np.ndarray,
-               expect, lift, dt: float, iters: int, step: int):
+               expect, lift, dt: float, iters: int, step: int, rows=None):
     """Iterate y <- expect(f(x, lift(y), lift(z)) dt) iters >= 1 times on one
     backward step from y = E[continuation], where expect(v) = E[continuation
-    + v] and lift carries per-node values to the rows of x; returns the last
-    y, the last f dt and the rms of the last update.  While f honours
+    + v] and lift carries per-node values to the rows of x, and f reads rows
+    of the running statistics in model.f_reads (model.f_rows(x), derived
+    once, when None); returns the last y, the last f dt and the rms of the
+    last update.  While f honours
     model.lip_C each update is at most lip_C * dt times the one before
     (expect cannot lengthen a vector), so one that does not shrink, above a
     round-off floor of 1e-12 (1 + max |y|), raises SolverError naming the step."""
     z, last = lift(z), None
+    rows = model.f_rows(x) if rows is None else rows
     for it in range(iters):
-        fdt = model.f(x, lift(y), z) * dt
+        fdt = model.f(x, lift(y), z, *rows) * dt
         new = expect(fdt)
         step_y = new - y
         update = math.sqrt(np.vdot(step_y, step_y) / step_y.size)
@@ -311,7 +311,11 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     from the continuation y_{i+1} + g dB_i, centred by its projection,
     which is also y's start, and with f, y iterates picard_iters times
     (_iterate_y; scheme_params["step_iterations"], 0 without f), raising
-    SolverError at the first step whose update does not shrink.
+    SolverError at the first step whose update does not shrink.  The
+    running statistics (models.running_stats) are computed once per solve,
+    time-major, when f or the design reads them; at step i, f's block is
+    the history up to row i + 1, and it is handed row i + 1 of each
+    statistic in model.f_reads, the design row i.
     scheme_params["update_norms"] holds each step's last update, from
     t_index on (empty without f).
 
@@ -341,6 +345,9 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     # without g no term and no feature reads dB, so it is never drawn
     dB = None if model.g is None else _time_major(drivers.dB, valid)
 
+    # the running statistics, carried once for f and for the path design
+    stats = running_stats(X, dt) if model.f_reads else None
+
     phi = model.Phi(history, dt)
     # z of the step solved last, which g reads: the terminal z first
     z = (np.zeros((n, k, d)) if model.g is None
@@ -355,7 +362,7 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     rollout = phi.copy()
     fit_se = np.zeros((N + 1, n, k)) if record_fit_se else None
 
-    for i, A in basis.designs(X, i_t, dt, dB):
+    for i, A in basis.designs(X, i_t, dt, dB, stats):
         try:
             U = _column_basis(A)
         except SolverError as exc:
@@ -375,9 +382,10 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
         Z[i] = z = _project(U, z_target.reshape(n, k * d)).reshape(n, k, d)
         Y[i] = center
         if iters:
-            Y[i], fdt, update = _iterate_y(model, x, center, z,
-                                           lambda v: _project(U, cont + v),
-                                           lambda v: v, dt, iters, i)
+            # f's block ends at row i + 1, and so does the row it reads
+            Y[i], fdt, update = _iterate_y(
+                model, x, center, z, lambda v: _project(U, cont + v), lambda v: v,
+                dt, iters, i, [stats[name][i + 1] for name in model.f_reads])
             update_norms.append(update)
             rollout = rollout + fdt
         if model.g is not None:
@@ -513,7 +521,7 @@ def _tree_backward(model: Model, initial: Path, tree, terminal,
     frozen increments (N_rem, l), read only when the model has a backward
     driver.  Returns the per-level values (y_levels, z_levels): y_levels[j]
     (nodes_j, k) and z_levels[j] (nodes_j, k, d), level 0 holding the roots
-    and level N_rem the terminal (Phi, z).
+    and level N_rem the terminal (Phi, z), whose z only g reads.
     """
     levels, dw_nodes, w_nodes = tree
     d, k, l = model.dims
@@ -586,7 +594,7 @@ def _nested_sweeps(model: Model, roots: Sequence[Path], n_outer: int,
         all_dB = drawn[key]
     tree = _tree_forward(model, roots, branching, scratch)
     leaves = tree[0][-1]                                   # (leaves, N+1, d)
-    phi, z_end = model.Phi(leaves, first.dt), np.zeros((leaves.shape[0], k, d))
+    phi, z_end = model.Phi(leaves, first.dt), None      # only g reads the terminal z
     if model.g is not None:        # bumps the tree buffer's last row in place
         X = scratch[0][:leaves.size].reshape(leaves.shape[1], leaves.shape[0], d)
         z_end = _terminal_z(model, X, first.dt, copy=False)

@@ -385,7 +385,8 @@ def comparison_check(m1: Model, m2: Model, initial: Path,
 def discretized_model(model: Model, n_nodes: int, anchor_t: float,
                       grid_times: np.ndarray) -> Model:
     """The same model with every path argument frozen at n_nodes equally
-    spaced nodes between the anchor time and the horizon."""
+    spaced nodes between the anchor time and the horizon; f reads the
+    running statistics of the frozen block, which eval_f derives from it."""
     N = len(grid_times) - 1
     dt = float(grid_times[1] - grid_times[0])
     anchor_idx = int(round(anchor_t / dt))
@@ -407,8 +408,9 @@ def discretized_model(model: Model, n_nodes: int, anchor_t: float,
         b=frozen(model.b),
         sigma=frozen(model.sigma),
         Phi=frozen(model.Phi),
-        f=frozen(model.f),
+        f=frozen(model.f and model.eval_f),
         g=frozen(model.g),
+        f_reads=(),
     )
 
 

@@ -87,9 +87,12 @@ def test_seed_required_and_overridable():
 def test_grid_validation():
     with pytest.raises(ConfigError):
         load_config(base_config(grid={"T": 1.0, "N": 1}))
-    # json reads NaN and Infinity as floats, which loaded with NaN grid times
-    for T in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ConfigError, match="grid.T must be positive and finite"):
+    with pytest.raises(ConfigError, match="grid.T must be positive"):
+        load_config(base_config(grid={"T": -1.0, "N": 8}))
+    # json reads NaN and Infinity as floats, which loaded with NaN grid
+    # times; the typing rule takes neither as a number
+    for T in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="grid.T must be a number"):
             load_config(base_config(grid={"T": T, "N": 8}))
     with pytest.raises(ConfigError):
         load_config(base_config(grid={"T": 1.0}))
@@ -226,6 +229,39 @@ def test_config_values_are_typed_at_load(overrides, message):
     # typed in test_models)
     with pytest.raises(ConfigError, match=message):
         load_config(base_config(**overrides))
+
+
+@pytest.mark.parametrize("model, checks, message", [
+    pytest.param('{"g": {"kind": "linear_y", "coef": NaN}}', "{}",
+                 "g.coef must be a number, got nan", id="NaN"),
+    pytest.param('{"Phi": {"kind": "endpoint", "shift": Infinity}}', "{}",
+                 "Phi.shift must be a number, got inf", id="Infinity"),
+    pytest.param('"heat"', '{"z_growth": {"q": -Infinity}}',
+                 "z_growth.q must be a number, got -inf", id="-Infinity"),
+])
+def test_json_non_finite_numbers_are_refused(model, checks, message):
+    # json.loads parses NaN and Infinity as floats: the first built a NaN
+    # driver whose lip_C read 0.0, the second an infinite terminal
+    text = (f'{{"model": {model}, "grid": {{"T": 1.0, "N": 8}}, '
+            f'"mc": {{"seed": 1, "n_scenarios": 500}}, "checks": {checks}}}')
+    with pytest.raises(ConfigError, match=message):
+        load_config(text)
+
+
+@pytest.mark.parametrize("values", [[["0.5"]], [[True]], [[0.0], [float("nan")]], [0.5]])
+def test_initial_values_are_typed(values):
+    # read through np.asarray, "0.5" loaded as 0.5 and true as 1.0
+    with pytest.raises(ConfigError, match=r"initial_path\.values row"):
+        load_config(base_config(initial_path={"values": values}))
+
+
+def test_numpy_scalars_are_config_values():
+    # a script that builds its config with numpy gets the values it wrote
+    cfg = load_config(base_config(grid={"T": np.float64(1.0), "N": np.int64(8)},
+                                  mc={"seed": np.int64(3), "n_scenarios": 500}))
+    assert (cfg.seed, len(cfg.grid_times), cfg.grid_times[-1]) == (3, 9, 1.0)
+    with pytest.raises(ConfigError, match="grid.N must be an integer, got np.True_"):
+        load_config(base_config(grid={"T": 1.0, "N": np.bool_(True)}))
 
 
 def test_config_holds_the_registry_entry():

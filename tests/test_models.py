@@ -8,7 +8,7 @@ import pytest
 from pathfk import (ConfigError, Model, Path, get_entry, get_model, load_config,
                     make_grid, on_path, path_dist, random_initial_path, registry,
                     running_integral, shifted_model, sup_norm)
-from pathfk.models import _KINDS, model_from_spec
+from pathfk.models import _BLOCK_ROWS, _KINDS, model_from_spec, running_stats
 
 
 # -- helpers -------------------------------------------------------------
@@ -20,6 +20,52 @@ def test_running_integral_left_endpoint():
     assert running_integral(p)[0] == pytest.approx(0.75)
     single = Path(make_grid(1.0, 4), np.array([[5.0]]))
     assert running_integral(single)[0] == 0.0
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 1), (9, 50, 1), (17, 40, 3)])
+def test_running_stats_equal_block_reductions(shape):
+    # row j of each statistic is a reduction of the rows up to j: the
+    # running max bit for bit, signed zeros included, and a driver reads
+    # its row at a block's last time; the integral adds one row at a time,
+    # as a time-major block sum does (whose 0.0 start drops a lone -0.0's
+    # sign), while a path's running_integral sums pairwise, which moves the
+    # last bits once nine rows are summed
+    rng = np.random.default_rng(sum(shape))
+    X, dt = 3.0 * rng.normal(size=shape) - 1.0, 0.125
+    X[0, :2] = -0.0
+    assert (X < 0).any()
+    stats = running_stats(X, dt)
+    assert sorted(stats) == ["runint", "runmax"]
+    grid = make_grid(2.0, 16)
+    largest = 0.0
+    for j in range(shape[0]):
+        block = X[: j + 1].transpose(1, 0, 2)
+        assert_same_bits(stats["runmax"][j], X[: j + 1].max(axis=0), ("runmax", j))
+        assert_same_bits(stats["runmax"][j], _BLOCK_ROWS["runmax"](block), ("row", j))
+        assert np.array_equal(stats["runint"][j], X[:j].sum(axis=0) * dt), j
+        largest = max(largest, np.abs(stats["runint"][j, 0] - running_integral(
+            Path(grid, X[: j + 1, 0]))).max())
+    assert largest <= 1e-14 * (1.0 + np.abs(X).sum(axis=0).max() * dt), largest
+
+
+def test_only_block_statistics_are_read_by_f():
+    # eval_f derives a row from the block alone; the running integral needs
+    # dt, which only Phi is handed
+    with pytest.raises(ValueError, match="f can read the running statistics"):
+        Model(b=None, sigma=None, Phi=None, lip_C=0.0, growth_m=0.0, alpha=0.0,
+              f_reads=("runint",))
+
+
+def test_get_entry_builds_only_its_model(monkeypatch):
+    from pathfk import models
+    built, build = [], models.model_from_spec
+    monkeypatch.setattr(models, "model_from_spec",
+                        lambda spec: built.append(spec["name"]) or build(spec))
+    assert get_entry("heat").name == "heat" and built == ["heat"]
+    with pytest.raises(KeyError, match=r"unknown model 'nope'; known: \['heat', 'asian', "
+                                       r"'linear-g', 'nonlinear-f', 'z-in-g', 'path-f'\]"):
+        get_entry("nope")
+    assert built == ["heat"]
 
 
 # -- model construction --------------------------------------------------
@@ -178,7 +224,7 @@ def test_registry_coefficients_are_pinned_bit_for_bit():
             assert_same_bits(model.sigma(x), UNIT_SIGMA(x), label + ("sigma",))
             assert_same_bits(model.Phi(x, dt), pin["Phi"](x, dt), label + ("Phi",))
             if "f" in pin:
-                assert_same_bits(model.f(x, y, z), pin["f"](x, y, z), label + ("f",))
+                assert_same_bits(model.eval_f(x, y, z), pin["f"](x, y, z), label + ("f",))
             if "g" in pin:
                 assert_same_bits(model.g(x, y, z), pin["g"](x, y, z), label + ("g",))
 
@@ -223,6 +269,32 @@ def test_every_grammar_kind_reads_its_keys_as_numbers(section, kind):
         for bad in (True, "0.5"):
             with pytest.raises(ConfigError, match=rf"{section}\.{key} must be a number, got"):
                 model_from_spec({section: {**full, key: bad}})
+
+
+def test_grammar_numbers_are_finite_reals():
+    # json.loads parses NaN and Infinity, which built a NaN driver whose
+    # lip_C read 0.0 and an infinite terminal; numpy scalars are numbers,
+    # and a numpy bool is no more a number than a bool
+    for section, key, bad in (("g", "coef", float("nan")), ("Phi", "shift", float("inf")),
+                              ("f", "const", -float("inf")), ("Phi", "shift", np.bool_(True)),
+                              ("Phi", "shift", 10 ** 400)):
+        kind = {"g": "linear_y", "Phi": "endpoint", "f": "linear"}[section]
+        with pytest.raises(ConfigError, match=rf"{section}\.{key} must be a number, got"):
+            model_from_spec({section: {"kind": kind, key: bad}})
+    with pytest.raises(ConfigError, match=r"b\.affine\.slope must be a number, got nan"):
+        model_from_spec({"b": {"affine": {"slope": np.nan}}})
+    x = np.random.default_rng(23).normal(size=(5, 3, 1))
+    as_numpy = model_from_spec({"Phi": {"kind": "endpoint", "shift": np.float64(0.5)},
+                                "g": {"kind": "linear_y", "coef": np.float32(0.25)},
+                                "b": {"affine": {"slope": np.int64(2)}}})
+    as_json = model_from_spec({"Phi": {"kind": "endpoint", "shift": 0.5},
+                               "g": {"kind": "linear_y", "coef": 0.25},
+                               "b": {"affine": {"slope": 2}}})
+    y = np.ones((5, 1))
+    assert_same_bits(as_numpy.Phi(x, 0.1), as_json.Phi(x, 0.1), "Phi")
+    assert_same_bits(as_numpy.g(x, y, None), as_json.g(x, y, None), "g")
+    assert_same_bits(as_numpy.b(x), as_json.b(x), "b")
+    assert as_numpy.lip_C == as_json.lip_C == 2.0
 
 
 # -- derived constants ---------------------------------------------------

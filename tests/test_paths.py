@@ -176,7 +176,7 @@ def test_discretize_full_resolution_is_identity():
         dm = discretized_model(m, 8, 0.0, make_grid(1.0, 8))
         assert np.array_equal(dm.Phi(x, 0.125), m.Phi(x, 0.125))
         if m.f is not None:
-            assert np.array_equal(dm.f(x, y, z), m.f(x, y, z))
+            assert np.array_equal(dm.eval_f(x, y, z), m.eval_f(x, y, z))
 
 
 def test_discretize_idempotent():

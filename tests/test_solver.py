@@ -12,9 +12,9 @@ import pytest
 
 from pathfk import (BudgetError, Model, Path, RegressionBasis, SolverError,
                     field_from_engine, frozen_noise_increments, get_entry,
-                    get_model, make_grid, restrict, sample_drivers,
-                    simulate_forward, solve_nested, solve_regression,
-                    vertical_bump, vertical_derivative)
+                    get_model, make_grid, on_path, restrict, sample_drivers,
+                    shifted_model, simulate_forward, solve_nested,
+                    solve_regression, vertical_bump, vertical_derivative)
 from pathfk.models import model_from_spec
 from pathfk.simulation import BrownianPair, ScenarioEnsemble
 from pathfk import solver, verification
@@ -666,7 +666,7 @@ def _step_after_step(model, ens, basis, picard_iters):
         Z[i] = _project(U, z_target.reshape(n, k * d)).reshape(n, k, d)
         if model.f is not None:
             for _ in range(picard_iters):
-                fdt = model.f(x, Y[i], Z[i]) * dt
+                fdt = model.eval_f(x, Y[i], Z[i]) * dt
                 prev, Y[i] = Y[i].copy(), _project(U, cont + fdt)
             norms.insert(0, np.sqrt(np.mean((Y[i] - prev) ** 2)))
             rollout = rollout + fdt
@@ -764,6 +764,57 @@ def test_sweep_keeps_no_per_step_bases():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 48 * n * 10 * 8 / 2
+
+
+def runmax_reader(calls):
+    """A hand-built d = 2 model whose f declares the running max and checks,
+    at every call, that the row it is handed is its own block's."""
+    def f(x, y, z, runmax):
+        assert runmax.shape == (x.shape[0], 2)
+        assert np.array_equal(runmax, x.max(axis=1))
+        calls.append(x.shape[1])
+        return 0.5 * (runmax[:, :1] - runmax[:, 1:]) - y
+    return Model(b=lambda x: np.zeros((x.shape[0], 2)),
+                 sigma=lambda x: np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)),
+                 Phi=lambda x, dt: x[:, -1, :1] - x[:, -1, 1:], lip_C=1.0,
+                 growth_m=0.0, alpha=0.0, f=f, dims=(2, 1, 1),
+                 markovian_flag=False, f_reads=("runmax",), name="runmax-reader")
+
+
+@pytest.mark.parametrize("t_index", [0, 3])
+def test_driver_reads_its_blocks_running_max_on_every_path(t_index):
+    # the sweep hands f row i + 1 of the carried running max at step i, the
+    # last row of f's block: row i would differ wherever X[i + 1] is a new
+    # maximum.  The nested tree and single paths derive the row instead
+    calls = []
+    m = runmax_reader(calls)
+    ens = ensemble(m, N=8, n=1500, seed=31, x0=0.2, t_index=t_index)
+    solve_regression(m, ens, picard_iters=2)
+    assert sorted(set(calls)) == list(range(t_index + 2, 10))
+    calls.clear()
+    init = Path(make_grid(T, 4), np.array([[0.0, 0.3], [0.4, -0.1]]))
+    solve_nested(m, init, n_outer=1, seed=0, branching=3)
+    assert sorted(set(calls)) == [3, 4, 5]
+    calls.clear()
+    p = Path(make_grid(T, 4), np.array([[0.0, 0.3], [0.4, -0.1], [-0.2, 0.5]]))
+    on_path(m.eval_f, p, np.array([0.1]), np.zeros((1, 2)))
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_carried_running_max_keeps_path_f_bits(N):
+    # path-f's driver reads the carried row; a hand-built copy reduces the
+    # whole history at every step, as the grammar's driver did.  Max is
+    # exact, so every output keeps its bits, shifted or not
+    path_f = get_model("path-f")
+    whole = replace(path_f, f=lambda x, y, z: 0.0 + x[:, :, :1].max(axis=1) - y,
+                    f_reads=())
+    ens = ensemble(path_f, N=N, n=1000, seed=32, x0=0.3, t_index=2)
+    for got, want in ((path_f, whole),
+                      (shifted_model(path_f, shift_f=0.1), shifted_model(whole, shift_f=0.1))):
+        a, b = solve_regression(got, ens), solve_regression(want, ens)
+        for key in ("y", "z", "u_estimate", "u_stderr", "rollout"):
+            assert np.array_equal(getattr(a, key), getattr(b, key)), (got.name, key)
 
 
 def test_excluded_scenarios_are_recorded():

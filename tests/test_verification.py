@@ -14,6 +14,7 @@ from pathfk import (Path, PathFunctional, PreconditionError, RegressionBasis,
                     simulate_forward, solve_regression, spde_residual,
                     spde_residual_check, vertical_derivative,
                     vertical_hessian, z_growth_check, z_representation_check)
+from pathfk.paths import discretize_values
 from pathfk.simulation import BrownianPair, ScenarioEnsemble
 
 
@@ -389,7 +390,18 @@ def test_discretized_model_full_resolution_identity():
     vals = rng.normal(size=(3, 9, 1))
     y = rng.normal(size=(3, 1))
     z = rng.normal(size=(3, 1, 1))
-    assert np.allclose(dm.f(vals, y, z), m.f(vals, y, z))
+    assert np.allclose(dm.eval_f(vals, y, z), m.eval_f(vals, y, z))
+
+
+def test_discretized_driver_reads_its_frozen_path():
+    # the sweep carries the running max of the simulated histories; a
+    # driver frozen at two nodes reads the frozen histories' running max
+    m, ens = sampled("path-f", N=8, n=1000, seed=18)
+    dm = discretized_model(m, 2, 0.0, ens.initial.grid_times)
+    by_hand = replace(m, f=lambda x, y, z: 0.0 + discretize_values(
+        x, 0, 4)[:, :, :1].max(axis=1) - y, f_reads=())
+    assert np.array_equal(solve_regression(dm, ens).y, solve_regression(by_hand, ens).y)
+    assert not np.array_equal(solve_regression(dm, ens).y, solve_regression(m, ens).y)
 
 
 def test_discretization_convergence_path_dependent():

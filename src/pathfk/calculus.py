@@ -127,34 +127,26 @@ def _second(vals: np.ndarray, f0: np.ndarray, h: float, d: int) -> np.ndarray:
     return out
 
 
-def vertical_derivative(F: PathFunctional, p: Path, h: float | None = None) -> DerivativeEstimate:
-    """Central-difference endpoint sensitivity, shape output_shape + (d,)."""
-    if h is None:
-        h = default_bump(p)
+def _vertical(F: PathFunctional, p: Path, h: float | None, second: bool) -> DerivativeEstimate:
+    """Central differences of F in the endpoint at bump h (default_bump, ten
+    times that for the second order) and h/2, the pair's gap its error."""
+    h = (10.0 if second else 1.0) * default_bump(p) if h is None else h
     if h <= 0:
         raise ValueError(f"bump size must be positive, got {h}")
-    d = p.dimension
-    _, (full, half) = _bumped(F, p, [_stencil(d, h, False),
-                                     _stencil(d, h / 2.0, False)], False)
-    est = _first(full, h)
-    est_half = _first(half, h / 2.0)
-    err = float(np.max(np.abs(est - est_half)))
-    return DerivativeEstimate(est, h, est_half, err)
+    steps, d = (h, h / 2.0), p.dimension
+    f0, vals = _bumped(F, p, [_stencil(d, s, second) for s in steps], second)
+    est, half = ((_second(v, f0, s, d) if second else _first(v, s)) for v, s in zip(vals, steps))
+    return DerivativeEstimate(est, h, half, float(np.max(np.abs(est - half))))
+
+
+def vertical_derivative(F: PathFunctional, p: Path, h: float | None = None) -> DerivativeEstimate:
+    """Central-difference endpoint sensitivity, shape output_shape + (d,)."""
+    return _vertical(F, p, h, False)
 
 
 def vertical_hessian(F: PathFunctional, p: Path, h: float | None = None) -> DerivativeEstimate:
     """Symmetrized second-order endpoint sensitivity, output_shape + (d, d)."""
-    if h is None:
-        h = 10.0 * default_bump(p)
-    if h <= 0:
-        raise ValueError(f"bump size must be positive, got {h}")
-    d = p.dimension
-    f0, (full, half) = _bumped(F, p, [_stencil(d, h, True),
-                                      _stencil(d, h / 2.0, True)], True)
-    est = _second(full, f0, h, d)
-    est_half = _second(half, f0, h / 2.0, d)
-    err = float(np.max(np.abs(est - est_half)))
-    return DerivativeEstimate(est, h, est_half, err)
+    return _vertical(F, p, h, True)
 
 
 def horizontal_derivative(F: PathFunctional, p: Path, delta: float | None = None) -> DerivativeEstimate:

@@ -284,19 +284,22 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
     grid = make_grid(T, N)
     init_spec = _only_keys("initial_path", raw.get("initial_path"),
                            ("file", "values"))
-    if not init_spec:
-        initial = Path(grid, np.zeros((1, entry.model.dims[0])))
-    elif "file" in init_spec:
+    d = entry.model.dims[0]
+    if "file" in init_spec:
         # a header line, then one row per grid time from 0: time, x_1..x_d
         rows = np.loadtxt(init_spec["file"], delimiter=",", skiprows=1, ndmin=2)
         if not 1 <= rows.shape[0] <= N + 1 or not np.allclose(
                 rows[:, 0], grid[: rows.shape[0]], rtol=0.0, atol=1e-9 * T / N):
             raise ConfigError(f"the times in {init_spec['file']} are not the "
                               f"grid times 0, {T / N:g}, ... of grid.N = {N}")
-        initial = Path(grid, rows[:, 1:])
+        where, values = f"initial_path.file {init_spec['file']}", rows[:, 1:]
     else:
-        initial = Path(grid, np.array(
-            _typed("initial_path.values", init_spec["values"], ((float,),))))
+        where = "initial_path.values"
+        values = _typed(where, init_spec.get("values", [[0.0] * d]), ((float,),))
+    if not 1 <= len(values) <= N + 1 or any(len(row) != d for row in values):
+        raise ConfigError(f"{where} must hold 1 to grid.N + 1 = {N + 1} rows of the "
+                          f"model's d = {d} values, got rows of {[len(r) for r in values]}")
+    initial = Path(grid, np.array(values))
 
     specs = {}
     for cname, spec in _only_keys("checks", raw.get("checks"), CHECK_KEYS).items():

@@ -14,14 +14,16 @@ with y of shape (n, k) and z of shape (n, k, d).  f=None or g=None means
 the driver is zero; eval_f/eval_g apply that rule.  A single Path is
 evaluated as a block of one through on_path.
 
-A time driver may also read running path statistics (running_stats), named
-in the model's f_reads: f(x, y, z, *rows) then takes each one's row at the
-block's last time, (n, d), after y and z.  Of the grammar's kinds only
-runmax_minus_y does so (f_reads ("runmax",)); the regression sweep hands f
-the rows it carries for its design, and every other caller derives them
-from the block (f_rows: eval_f on a single path, the nested tree once per
-level).  Hand-built coefficients, with f_reads empty, keep the history
-block alone and are called as (x, y, z).
+The path enters the coefficients only through the running statistics they
+read (running_stats): each grammar kind names its own (_Kind.reads), and
+the model's reads holds their union (none: Markovian), which the regression
+design adds to the endpoint (RegressionBasis.for_model).  A time driver
+names those it reads in f_reads too: f(x, y, z, *rows) then takes each
+one's row at the block's last time, (n, d), after y and z.  Of the kinds
+only runmax_minus_y does so (f_reads ("runmax",)); the regression sweep
+hands f the rows it carries, and every other caller derives them from the
+block (f_rows: eval_f on a single path, the nested tree once per level).
+Hand-built models declare reads; with f_reads empty f is called as (x, y, z).
 
 The simulator and both engines store histories time-major and pass x as a
 read-only, possibly non-contiguous view: a coefficient must not write into
@@ -39,23 +41,30 @@ from .errors import ConfigError, _only_keys, _typed
 from .paths import Path
 
 
-def running_stats(X: np.ndarray, dt: float) -> dict:
-    """The running statistics of a time-major buffer X (T, n, d), by name,
-    each (T, n, d) and carried forward one row at a time: row j of "runmax"
-    is the maximum of X[:j+1], and row j of "runint" the left-endpoint
-    integral dt * (X[0] + ... + X[j-1]), exact for the piecewise-constant
-    path (running_integral)."""
-    runmax, runint = np.empty(X.shape), np.zeros(X.shape)
-    runmax[0] = X[0]
-    # row by row: numpy's accumulate along the time axis takes 3x as long
-    for j in range(1, X.shape[0]):
-        np.maximum(runmax[j - 1], X[j], out=runmax[j])
-        if j == 1:
-            runint[1] = X[0]        # not 0.0 + X[0], so -0.0 keeps its sign
-        else:
-            np.add(runint[j - 1], X[j - 1], out=runint[j])
-    runint *= dt
-    return {"runmax": runmax, "runint": runint}
+_STATS = ("runmax", "runint")
+
+
+def running_stats(X: np.ndarray, dt: float, names=_STATS) -> dict:
+    """The running statistics among names of a time-major buffer X (T, n, d),
+    by name, each (T, n, d) and carried forward one row at a time: row j of
+    "runmax" is the maximum of X[:j+1], and row j of "runint" the left-endpoint
+    integral dt * (X[0] + ... + X[j-1]), exact for the piecewise-constant path."""
+    stats = {}
+    if "runmax" in names:
+        stats["runmax"] = runmax = np.empty(X.shape)
+        runmax[0] = X[0]
+        # row by row: numpy's accumulate along the time axis takes 3x as long
+        for j in range(1, X.shape[0]):
+            np.maximum(runmax[j - 1], X[j], out=runmax[j])
+    if "runint" in names:
+        stats["runint"] = runint = np.zeros(X.shape)
+        for j in range(1, X.shape[0]):
+            if j == 1:
+                runint[1] = X[0]        # not 0.0 + X[0], so -0.0 keeps its sign
+            else:
+                np.add(runint[j - 1], X[j - 1], out=runint[j])
+        runint *= dt
+    return stats
 
 
 # the row a driver reads of each statistic, at a block's (n, m, d) last
@@ -82,18 +91,24 @@ class Model:
     f: Optional[Callable] = None
     g: Optional[Callable] = None
     dims: tuple = (1, 1, 1)   # (d, k, l)
-    markovian_flag: bool = True
+    reads: tuple = ()         # the running statistics the coefficients read
     name: str = ""
-    f_reads: tuple = ()       # the running statistics f reads, by name
+    f_reads: tuple = ()       # those f reads
 
     def __post_init__(self):
         if not (0.0 <= self.alpha < 1.0):
             raise ValueError(f"contraction constant must be in [0,1), got {self.alpha}")
         if self.lip_C < 0 or self.growth_m < 0:
             raise ValueError("lip_C and growth_m must be nonnegative")
-        if not set(self.f_reads) <= set(_BLOCK_ROWS):
-            raise ValueError(f"f can read the running statistics {tuple(_BLOCK_ROWS)}, "
-                             f"not {self.f_reads}")
+        if (self.reads != tuple(name for name in _STATS if name in self.reads)
+                or not set(self.f_reads) <= set(self.reads) & set(_BLOCK_ROWS)):
+            raise ValueError(f"reads names statistics in the order {_STATS}, and f can read "
+                             f"the running statistics {tuple(_BLOCK_ROWS)} among them; got "
+                             f"reads {self.reads}, f_reads {self.f_reads}")
+
+    @property
+    def markovian_flag(self) -> bool:
+        return not self.reads
 
     def f_rows(self, x: np.ndarray) -> list:
         """The row at the block's last time of each statistic f reads."""
@@ -224,8 +239,8 @@ def model_from_spec(spec: dict) -> Model:
     ConfigError.  Affine coefficients read the current endpoint; a constant
     b or sigma ignores x and stays finite on an overflowed scenario.  lip_C
     is the largest of |b slope| + |sigma slope| and each kind's constant,
-    growth_m and alpha the largest of the kinds', and the model is Markovian
-    when no kind reads a running statistic; f_reads names those f reads.
+    growth_m and alpha the largest of the kinds', reads the statistics any
+    kind reads and f_reads those f reads.
     """
     spec = _only_keys("model", spec, ("name", "b", "sigma", "Phi", "f", "g"))
     b0, b1 = _affine_coeff("b", spec.get("b"), 0.0)
@@ -241,7 +256,8 @@ def model_from_spec(spec: dict) -> Model:
                  lip_C=max(abs(b1) + abs(s1), *(k.lip_C for k in kinds)),
                  growth_m=max(k.growth_m for k in kinds),
                  alpha=max(k.alpha for k in kinds),
-                 markovian_flag=not any(k.reads for k in kinds), f_reads=kinds[1].reads)
+                 reads=tuple(name for name in _STATS if any(name in k.reads for k in kinds)),
+                 f_reads=kinds[1].reads)
 
 
 # -- registry ------------------------------------------------------------

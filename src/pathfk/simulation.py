@@ -40,14 +40,13 @@ def stream_seed(seed: int, *key: int) -> int:
 def _keyed_normals(seed: int, tag: int, shape,
                    out: Optional[np.ndarray] = None,
                    scale: float = 1.0) -> np.ndarray:
-    """Standard normals of the (seed, tag) stream in the C order of `shape`.
-    With `out` (any array of `shape`) they are drawn in chunks of _CHUNK
-    along the first axis through one contiguous buffer and written into it
-    times `scale`; the chunks continue one draw, so `out` equals the
-    one-shot draw times `scale` bit for bit."""
+    """Standard normals of the (seed, tag) stream in the C order of `shape`,
+    times `scale`, written into `out` (any array of `shape`; a new one when
+    None).  They are drawn in chunks of _CHUNK along the first axis through
+    one contiguous buffer; the chunks continue one draw, so the result
+    equals the one-shot draw times `scale` bit for bit."""
     rng = np.random.Generator(np.random.PCG64(_seed_sequence(seed, tag)))
-    if out is None:
-        return rng.standard_normal(shape)
+    out = np.empty(shape) if out is None else out
     buf = np.empty((min(shape[0], _CHUNK), *shape[1:]))
     for s in range(0, shape[0], _CHUNK):
         chunk = buf[: min(_CHUNK, shape[0] - s)]

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, SolverError
-from .models import Model, running_stats
+from .models import _STATS, Model, running_stats
 from .paths import Path
 from .simulation import ScenarioEnsemble, _history_view, _keyed_normals
 
@@ -51,10 +51,10 @@ class RegressionBasis:
     """Polynomial features of the forward history used by the projections.
 
     feature_set names the raw coordinates extracted from the history at the
-    projection time: "endpoint" uses the current state only;
-    "endpoint+runmax+runint" adds the running maximum and the running
-    integral, for path-dependent problems (for_model's choice for a model
-    that is not Markovian).  All monomials in the raw coordinates up to
+    projection time: "endpoint", the current state, followed by "+<name>"
+    for each running statistic (models.running_stats) the design reads, in
+    running_stats order; for_model's follows the model's reads, e.g.
+    "endpoint+runmax" for path-f.  All monomials in the raw coordinates up to
     degree 2 are used.  The remaining-horizon increment sums of the second
     driver join them as degree-one features when the solve passes them,
     which solve_regression does exactly when the model has g.
@@ -62,24 +62,23 @@ class RegressionBasis:
 
     feature_set: str = "endpoint"
 
-    # each feature set and its raw coordinates per history coordinate
-    _SETS = {"endpoint": 1, "endpoint+runmax+runint": 3}
-
     def __post_init__(self):
-        if self.feature_set not in self._SETS:
-            raise ValueError(f"unknown feature set {self.feature_set!r}; "
-                             f"choose from {tuple(self._SETS)}")
+        head, *names = self.feature_set.split("+")
+        if head != "endpoint" or names != [s for s in _STATS if s in names]:
+            raise ValueError(f"unknown feature set {self.feature_set!r}: 'endpoint', then "
+                             f"'+<name>' for each statistic of {_STATS} read, in that order")
+        self.stats = tuple(names)        # the running statistics the design reads
 
     @classmethod
     def for_model(cls, model: Model) -> "RegressionBasis":
-        """The path features exactly when the model is not Markovian."""
-        return cls("endpoint" if model.markovian_flag else "endpoint+runmax+runint")
+        """The endpoint and the running statistics the model reads."""
+        return cls("+".join(("endpoint",) + model.reads))
 
     def width(self, d: int, l: int = 0) -> int:
         """Columns of the design on d history coordinates and l noise sums:
         the constant, the raw coordinates, their pairwise products and the
         noise sums."""
-        r = self._SETS[self.feature_set] * d
+        r = (1 + len(self.stats)) * d
         return math.comb(r + 2, 2) + l
 
     def matrix(self, raw: np.ndarray,
@@ -89,7 +88,7 @@ class RegressionBasis:
         the remaining noise sums (n, l) when given."""
         n, r = raw.shape
         l = 0 if noise is None else noise.shape[1]
-        A = np.empty((n, self.width(r // self._SETS[self.feature_set], l)), order="F")
+        A = np.empty((n, self.width(r // (1 + len(self.stats)), l)), order="F")
         A[:, 0], A[:, 1:r + 1] = 1.0, raw
         pairs = itertools.combinations_with_replacement(range(1, r + 1), 2)
         for j, (a, b) in enumerate(pairs, r + 1):
@@ -98,32 +97,29 @@ class RegressionBasis:
             A[:, -l:] = noise
         return A
 
-    def designs(self, X: np.ndarray, t_index: int, dt: float,
-                dB: Optional[np.ndarray] = None, stats: Optional[dict] = None):
+    def designs(self, X: np.ndarray, t_index: int, stats: dict,
+                dB: Optional[np.ndarray] = None):
         """Yield (i, design matrix) for the steps i = N-1 down to t_index.
 
-        X holds the histories time-major, (N+1, n, d); dB, when given, the
-        second driver's increments time-major, (N, n, l), for the
-        future-noise features.  The path features read row i of the
-        running maximum and of the running integral: stats, the solve's
-        running_stats(X, dt), or computed here once when None.  Each step's
-        raw coordinates fill one reused column-major buffer, and the
-        remaining noise sum of dB[i:] is carried backward, so a step costs
-        the same however long the history is.
+        X holds the histories time-major, (N+1, n, d); stats, by name, the
+        running statistics over X (running_stats), of which the design reads
+        row i of each in self.stats; dB, when given, the second driver's
+        increments time-major, (N, n, l), for the future-noise features.
+        Each step's raw coordinates fill one reused column-major buffer (the
+        endpoint alone is read in place), and the remaining noise sum of
+        dB[i:] is carried backward, so a step costs the same however long
+        the history is.
         """
         n, d = X.shape[1], X.shape[2]
-        path = self.feature_set == "endpoint+runmax+runint"
-        if path:
-            stats = stats or running_stats(X, dt)
-            raw = np.empty((n, 3 * d), order="F")
+        sources = [X] + [stats[name] for name in self.stats] if self.stats else []
+        raw = np.empty((n, len(sources) * d), order="F")
         rest = None
         for i in range(X.shape[0] - 2, t_index - 1, -1):
             if dB is not None:
                 rest = dB[i] if rest is None else rest + dB[i]
-            if path:
-                raw[:, :d], raw[:, d:2 * d] = X[i], stats["runmax"][i]
-                raw[:, 2 * d:] = stats["runint"][i]
-            yield i, self.matrix(raw if path else X[i], rest)
+            for j, source in enumerate(sources):
+                raw[:, j * d:(j + 1) * d] = source[i]
+            yield i, self.matrix(raw if sources else X[i], rest)
 
 
 @functools.lru_cache(maxsize=None)
@@ -312,9 +308,9 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     which is also y's start, and with f, y iterates picard_iters times
     (_iterate_y; scheme_params["step_iterations"], 0 without f), raising
     SolverError at the first step whose update does not shrink.  The
-    running statistics (models.running_stats) are computed once per solve,
-    time-major, when f or the design reads them; at step i, f's block is
-    the history up to row i + 1, and it is handed row i + 1 of each
+    running statistics (models.running_stats) that f or the design reads,
+    and only those, are computed once per solve, time-major; at step i, f's
+    block is the history up to row i + 1, and it is handed row i + 1 of each
     statistic in model.f_reads, the design row i.
     scheme_params["update_norms"] holds each step's last update, from
     t_index on (empty without f).
@@ -345,8 +341,8 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     # without g no term and no feature reads dB, so it is never drawn
     dB = None if model.g is None else _time_major(drivers.dB, valid)
 
-    # the running statistics, carried once for f and for the path design
-    stats = running_stats(X, dt) if model.f_reads else None
+    # the running statistics, carried once for f and for the design
+    stats = running_stats(X, dt, basis.stats + model.f_reads)
 
     phi = model.Phi(history, dt)
     # z of the step solved last, which g reads: the terminal z first
@@ -362,7 +358,7 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     rollout = phi.copy()
     fit_se = np.zeros((N + 1, n, k)) if record_fit_se else None
 
-    for i, A in basis.designs(X, i_t, dt, dB, stats):
+    for i, A in basis.designs(X, i_t, stats, dB):
         try:
             U = _column_basis(A)
         except SolverError as exc:
@@ -556,10 +552,8 @@ def frozen_noise_increments(grid_times: np.ndarray, t_index: int, l: int,
     """Remaining-horizon increments of the second driver, (n_outer, N-t, l),
     from the (seed, frozen B) stream; a larger n_outer keeps the earlier
     outer samples."""
-    N = len(grid_times) - 1
-    dt = float(grid_times[1] - grid_times[0])
-    z = _keyed_normals(seed, _TAG_FROZEN_B, (n_outer, N - t_index, l))
-    return z * np.sqrt(dt)
+    shape = (n_outer, len(grid_times) - 1 - t_index, l)
+    return _keyed_normals(seed, _TAG_FROZEN_B, shape, scale=np.sqrt(grid_times[1] - grid_times[0]))
 
 
 def _nested_sweeps(model: Model, roots: Sequence[Path], n_outer: int,
@@ -621,8 +615,8 @@ def solve_nested(model: Model, initial: Path, n_outer: int, seed: int,
     """Nested quadrature estimate averaged over outer frozen-noise samples.
 
     frozen_B, when given, must be the (N - t_index, l) increment array of the
-    second driver; the solve then uses that single outer sample and reports a
-    zero spread.  A model without a backward driver never reads the frozen
+    second driver, or ValueError; the solve then uses that single outer
+    sample and reports a zero spread.  A model without a backward driver never reads the frozen
     noise, so every outer sample poses the same conditional problem: the
     tree is swept once, each of the n_outer rows of y and z repeats that
     sweep and the spread is zero.  With f, each level's y iterates
@@ -632,6 +626,9 @@ def solve_nested(model: Model, initial: Path, n_outer: int, seed: int,
     grid = initial.grid_times
     N = len(grid) - 1
     i_t = initial.t_index
+    if frozen_B is not None and np.shape(frozen_B) != (N - i_t, model.dims[2]):
+        raise ValueError(f"frozen_B must be one {(N - i_t, model.dims[2])} array of "
+                         f"the remaining increments, got shape {np.shape(frozen_B)}")
     roots, y_means, z_means = zip(*_nested_sweeps(
         model, [initial], n_outer, seed, branching, picard_iters, frozen_B,
         _root_and_means, scratch=[], drawn={}))

@@ -285,7 +285,7 @@ def test_scenario_path_checks_read_the_headline_solve(tmp_path, solves):
     pytest.param({"checks": {"discretization": {"node_counts": [2, 4],
                                                 "noise_only": "false"}}}, id="noise_only"),
     pytest.param({"checks": {"flow": {"s": 0.5, "n_resolve": 2.5}}}, id="n_resolve"),
-    pytest.param({"model": "path-f", "mc": {"seed": 3, "n_scenarios": 300},
+    pytest.param({"model": "path-f", "mc": {"seed": 3, "n_scenarios": 250},
                   "checks": {"z_growth": {}}}, id="floor"),
     pytest.param({"model": "nonlinear-f", "checks": {"regularity": {}}}, id="tree"),
     pytest.param({"engine": "nested", "checks": {"z_growth": {}}}, id="nested-z"),
@@ -306,12 +306,12 @@ def test_config_errors_exit_1_before_any_solve(tmp_path, solves, capsys, overrid
 
 
 def test_sweep_over_the_scenario_floor_exits_1_before_any_run(tmp_path, solves, capsys):
-    # 300 scenarios are below path-f's floor of 500, so 1,000 never runs
+    # 250 scenarios are below path-f's floor of 300, so 1,000 never runs
     cfg = write_config(tmp_path, model="path-f", checks={})
     out = tmp_path / "sw-floor"
-    assert main(["sweep", cfg, "--axis", "mc.n_scenarios", "--values", "1000,300",
+    assert main(["sweep", cfg, "--axis", "mc.n_scenarios", "--values", "1000,250",
                  "--output", str(out)]) == 1
-    assert "at least 500 scenarios" in capsys.readouterr().err
+    assert "at least 300 scenarios" in capsys.readouterr().err
     assert solves == [] and not out.exists()
 
 

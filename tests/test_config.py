@@ -37,10 +37,10 @@ def test_accepts_json_text_and_dict():
 
 
 def test_path_dependent_model_gets_path_basis():
-    # the config sets no basis; the solver picks the path features for a
-    # model that is not Markovian, and the endpoint ones for heat
+    # the config sets no basis; the solver picks the endpoint and the
+    # running statistics the model reads: the running integral for asian
     from pathfk.cli import _solve
-    for name, features in (("asian", "endpoint+runmax+runint"), ("heat", "endpoint")):
+    for name, features in (("asian", "endpoint+runint"), ("heat", "endpoint")):
         sol, _ = _solve(load_config(base_config(model=name)))
         assert sol.scheme_params["feature_set"] == features
 
@@ -255,6 +255,28 @@ def test_initial_values_are_typed(values):
         load_config(base_config(initial_path={"values": values}))
 
 
+@pytest.mark.parametrize("values", [
+    pytest.param([[0.0], [0.1, 0.2]], id="ragged"),
+    pytest.param([[0.0, 1.0]], id="too-wide"),
+    pytest.param([[0.0]] * 12, id="too-long"),
+    pytest.param([], id="empty"),
+])
+def test_initial_values_are_rows_of_the_models_width(values):
+    # heat at N = 8 (d = 1): the ragged rows failed inside numpy, the wide
+    # row in the headline solve and the long path in Path, naming no key
+    with pytest.raises(ConfigError, match=r"initial_path\.values must hold 1 to "
+                                          r"grid\.N \+ 1 = 9 rows of the model's d = 1"):
+        load_config(base_config(initial_path={"values": values}))
+
+
+def test_initial_path_file_rows_are_the_models_width(tmp_path):
+    # two coordinates for heat's one loaded and failed in the headline solve
+    f = tmp_path / "init.csv"
+    f.write_text("time,x_1,x_2\n0.0,0.3,0.1\n0.125,0.6,0.2\n")
+    with pytest.raises(ConfigError, match=r"initial_path\.file .* d = 1 values"):
+        load_config(base_config(initial_path={"file": str(f)}))
+
+
 def test_numpy_scalars_are_config_values():
     # a script that builds its config with numpy gets the values it wrote
     cfg = load_config(base_config(grid={"T": np.float64(1.0), "N": np.int64(8)},
@@ -432,8 +454,8 @@ def test_check_specs_are_stored_typed(monkeypatch):
 
 
 @pytest.mark.parametrize("model, n, floor", [
-    pytest.param("path-f", 300, 500, id="path-f"),
-    pytest.param("asian", 300, 500, id="asian"),
+    pytest.param("path-f", 250, 300, id="path-f"),
+    pytest.param("asian", 250, 300, id="asian"),
     pytest.param("linear-g", 150, 200, id="linear-g"),
     pytest.param("heat", 100, 150, id="heat"),
 ])
@@ -446,8 +468,10 @@ def test_scenario_floor_is_the_designs(model, n, floor):
 
 
 def test_scenario_floor_reads_the_moment_probes_and_the_regression_checks():
-    # an inline path terminal with g: a design of 11 columns, 550 scenarios
-    spec = {"Phi": {"kind": "running_integral"}, "g": {"kind": "linear_y", "coef": 0.3}}
+    # an inline model reading both statistics, with g: a design of 11
+    # columns, 550 scenarios
+    spec = {"Phi": {"kind": "running_integral"}, "f": {"kind": "runmax_minus_y"},
+            "g": {"kind": "linear_y", "coef": 0.3}}
     with pytest.raises(ConfigError, match="moments.n_scenarios is 500, .* at least 550"):
         load_config(base_config(model=spec, mc={"seed": 1, "n_scenarios": 10_000},
                                 checks={"moments": {}}))

@@ -48,6 +48,39 @@ def test_running_stats_equal_block_reductions(shape):
     assert largest <= 1e-14 * (1.0 + np.abs(X).sum(axis=0).max() * dt), largest
 
 
+@pytest.mark.parametrize("names", [("runmax",), ("runint",), ()])
+def test_running_stats_build_only_those_named(names):
+    # each statistic keeps the full call's bits, and no other is built
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(9, 30, 2))
+    X[0, :3] = -0.0
+    full, some = running_stats(X, 0.125), running_stats(X, 0.125, names)
+    assert sorted(some) == sorted(names)
+    for name in names:
+        assert_same_bits(some[name], full[name], name)
+
+
+@pytest.mark.parametrize("reads, f_reads", [
+    ((), ("runmax",)), (("runint",), ("runmax",)), (("runint", "runmax"), ()),
+    (("runmax", "runmax"), ()), (("runsum",), ())])
+def test_model_reads_are_known_ordered_and_hold_f_reads(reads, f_reads):
+    # reads is the one record of the statistics a model reads; a driver
+    # that reads one the model does not declare contradicts it
+    with pytest.raises(ValueError, match="reads names statistics in the order"):
+        Model(b=None, sigma=None, Phi=None, lip_C=0.0, growth_m=0.0, alpha=0.0,
+              reads=reads, f_reads=f_reads)
+
+
+def test_registry_reads_follow_the_kinds():
+    reads = {e.name: e.model.reads for e in registry()}
+    assert reads == {"heat": (), "asian": ("runint",), "linear-g": (),
+                     "nonlinear-f": (), "z-in-g": (), "path-f": ("runmax",)}
+    both = model_from_spec({"Phi": {"kind": "running_integral"},
+                            "f": {"kind": "runmax_minus_y"}})
+    assert both.reads == ("runmax", "runint") and both.f_reads == ("runmax",)
+    assert not both.markovian_flag and get_model("heat").markovian_flag
+
+
 def test_only_block_statistics_are_read_by_f():
     # eval_f derives a row from the block alone; the running integral needs
     # dt, which only Phi is handed

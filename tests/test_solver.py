@@ -15,7 +15,7 @@ from pathfk import (BudgetError, Model, Path, RegressionBasis, SolverError,
                     get_model, make_grid, on_path, restrict, sample_drivers,
                     shifted_model, simulate_forward, solve_nested,
                     solve_regression, vertical_bump, vertical_derivative)
-from pathfk.models import model_from_spec
+from pathfk.models import model_from_spec, running_stats
 from pathfk.simulation import BrownianPair, ScenarioEnsemble
 from pathfk import solver, verification
 from pathfk.solver import (_column_basis, _project, _time_major, _tree_backward,
@@ -62,8 +62,8 @@ def _designs(design, rng):
         ens = ensemble(m, N=N, n=n, seed=15)
         dB = None if m.g is None else ens.drivers.dB.transpose(1, 0, 2)
         basis = RegressionBasis(feature_set=feature_set)
-        return list(basis.designs(ens.x_values.transpose(1, 0, 2), 0,
-                                  ens.initial.dt, dB))
+        X = ens.x_values.transpose(1, 0, 2)
+        return list(basis.designs(X, 0, running_stats(X, ens.initial.dt), dB))
     B = rng.normal(size=(200, 6))
     if design == "scaled_column":
         # one column a million times the others: the triangle's singular
@@ -333,10 +333,10 @@ def test_budget_error_names_the_excluded_scenarios():
 
 
 def test_default_design_follows_the_model():
-    # no basis: the path features exactly when the model is not Markovian;
+    # no basis: the endpoint and the running statistics the model reads;
     # an explicit basis still overrides that choice
-    for name, features in (("path-f", "endpoint+runmax+runint"),
-                           ("asian", "endpoint+runmax+runint"),
+    for name, features in (("path-f", "endpoint+runmax"),
+                           ("asian", "endpoint+runint"),
                            ("heat", "endpoint"), ("linear-g", "endpoint")):
         m = get_model(name)
         sol = solve_regression(m, ensemble(m, N=4, n=600, seed=5, x0=0.3))
@@ -348,6 +348,38 @@ def test_default_design_follows_the_model():
     assert sol.scheme_params["feature_set"] == "endpoint"
 
 
+@pytest.mark.parametrize("name, feature_set, width, floor", [
+    ("heat", "endpoint", 3, 150), ("asian", "endpoint+runint", 6, 300),
+    ("linear-g", "endpoint", 4, 200), ("nonlinear-f", "endpoint", 3, 150),
+    ("z-in-g", "endpoint", 4, 200), ("path-f", "endpoint+runmax", 6, 300)])
+def test_default_design_widths_and_floors(name, feature_set, width, floor):
+    # the endpoint and the statistics the model reads, with the noise sum
+    # when it has g: path-f and asian have 6 columns, where the full path
+    # design had 10 and a floor of 500
+    m = get_model(name)
+    basis = RegressionBasis.for_model(m)
+    assert basis.feature_set == feature_set and basis.stats == m.reads
+    assert basis.width(1, 0 if m.g is None else 1) == width
+    assert solver.min_scenarios(m) == floor
+    ens = ensemble(m, N=4, n=floor, seed=9, x0=0.3)
+    assert solve_regression(m, ens).scheme_params["feature_set"] == feature_set
+    with pytest.raises(BudgetError, match=f"at least {floor} scenarios"):
+        solve_regression(m, ensemble(m, N=4, n=floor - 1, seed=9))
+
+
+@pytest.mark.parametrize("name", ["path-f", "asian"])
+@pytest.mark.parametrize("N", [16, 64])
+def test_default_design_keeps_u_of_the_full_design(name, N):
+    # every projection keeps the constant and these drivers are affine in
+    # y, so u is the mean of the rollout whatever the design
+    m = get_model(name)
+    ens = ensemble(m, N=N, n=1000, seed=33, x0=0.4)
+    narrow = solve_regression(m, ens)
+    full = solve_regression(m, ens, basis=RegressionBasis("endpoint+runmax+runint"))
+    assert narrow.scheme_params["feature_set"] != full.scheme_params["feature_set"]
+    assert abs(narrow.u_estimate[0] - full.u_estimate[0]) <= 1e-12
+
+
 @pytest.mark.parametrize("feature_set", ["endpoint", "endpoint+runmax+runint"])
 def test_design_width_is_the_designs_and_sets_the_floor(feature_set):
     # width() is the column count of every design the sweep builds, and
@@ -357,8 +389,9 @@ def test_design_width_is_the_designs_and_sets_the_floor(feature_set):
         d, _, l = m.dims
         ens = ensemble(m, N=4, n=2000, seed=9)
         dB = None if m.g is None else ens.drivers.dB.transpose(1, 0, 2)
+        X = ens.x_values.transpose(1, 0, 2)
         widths = {A.shape[1] for _, A in basis.designs(
-            ens.x_values.transpose(1, 0, 2), 0, ens.initial.dt, dB)}
+            X, 0, running_stats(X, ens.initial.dt), dB)}
         width = basis.width(d, 0 if m.g is None else l)
         assert widths == {width}
         assert solver.min_scenarios(m, basis) == 50 * width
@@ -375,10 +408,11 @@ def test_feature_budget_guard(monkeypatch):
     # the guard reads the design's width before the first step builds a
     # design or factors one
     assert factored == []
+    # asian's own design, endpoint+runint, has 6 columns
     built = []
     monkeypatch.setattr(RegressionBasis, "matrix", lambda *a: built.append(a))
-    with pytest.raises(BudgetError):
-        solve_regression(m, ens)
+    with pytest.raises(BudgetError, match="6 features need at least 300 scenarios"):
+        solve_regression(m, ensemble(m, N=4, n=250, seed=7))
     assert built == []
 
 
@@ -532,7 +566,7 @@ def test_streamed_designs_match_definition(feature_set, noise):
     basis = RegressionBasis(feature_set=feature_set)
     xs, bs = X.transpose(1, 0, 2), dB.transpose(1, 0, 2)
     steps = []
-    for i, A in basis.designs(X, i_t, dt, dB if noise else None):
+    for i, A in basis.designs(X, i_t, running_stats(X, dt), dB if noise else None):
         raw = xs[:, i]
         if feature_set != "endpoint":
             raw = np.concatenate([raw, xs[:, : i + 1].max(axis=1),
@@ -587,7 +621,7 @@ def test_designs_keep_their_bits(feature_set, d, t_index, noise):
     X[0, :10] = -0.0
     dB = rng.normal(size=(N, n, l)) if noise else None
     basis = RegressionBasis(feature_set=feature_set)
-    got = list(basis.designs(X, t_index, dt, dB))
+    got = list(basis.designs(X, t_index, running_stats(X, dt), dB))
     ref = list(_accumulated_designs(basis, X, t_index, dt, dB))
     assert [i for i, _ in got] == [i for i, _ in ref] == list(range(N - 1, t_index - 1, -1))
     for (_, A), (_, B) in zip(got, ref):
@@ -778,7 +812,7 @@ def runmax_reader(calls):
                  sigma=lambda x: np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)),
                  Phi=lambda x, dt: x[:, -1, :1] - x[:, -1, 1:], lip_C=1.0,
                  growth_m=0.0, alpha=0.0, f=f, dims=(2, 1, 1),
-                 markovian_flag=False, f_reads=("runmax",), name="runmax-reader")
+                 reads=("runmax", "runint"), f_reads=("runmax",), name="runmax-reader")
 
 
 @pytest.mark.parametrize("t_index", [0, 3])
@@ -1110,7 +1144,7 @@ def two_driver_model():
         f=lambda x, y, z: 0.3 * np.cos(y) + 0.2 * z[:, :, 0] - 0.1 * z[:, :, 1]
         + 0.1 * x[:, -1, :],
         g=lambda x, y, z: 0.3 * y[:, :, None] * mix[None] + 0.2 * z,
-        dims=(2, 2, 2), markovian_flag=False, name="two-driver")
+        dims=(2, 2, 2), reads=("runmax", "runint"), name="two-driver")
 
 
 @pytest.mark.parametrize("name", ["linear-g", "nonlinear-f", "path-f", "two-driver"])
@@ -1325,8 +1359,35 @@ def test_engine_field_quotient_zero_for_constant_terminal():
 
 
 def test_basis_validation():
-    with pytest.raises(ValueError):
-        RegressionBasis(feature_set="fourier")
+    # the endpoint, then each statistic it reads once, in running_stats order
+    for feature_set in ("fourier", "endpoint+runint+runmax", "endpoint+runmax+runmax",
+                        "runmax", ""):
+        with pytest.raises(ValueError, match="unknown feature set"):
+            RegressionBasis(feature_set=feature_set)
+
+
+def test_solve_nested_refuses_a_stack_of_frozen_increments():
+    # a (5, N, 1) stack returned 5 rows with n_outer 1 and a nonzero spread
+    m = get_model("linear-g")
+    init = Path(make_grid(T, 4), np.array([[0.5]]))
+    stack = frozen_noise_increments(init.grid_times, 0, 1, seed=3, n_outer=5)
+    for frozen_B in (stack, stack[:, :3], stack[0, :, 0]):
+        with pytest.raises(ValueError, match=r"frozen_B must be one \(4, 1\) array"):
+            solve_nested(m, init, n_outer=1, seed=0, branching=3, frozen_B=frozen_B)
+    sol = solve_nested(m, init, n_outer=1, seed=0, branching=3, frozen_B=stack[1])
+    assert sol.n_samples == 1 and sol.u_stderr.tolist() == [0.0]
+
+
+def test_frozen_noise_increments_are_the_keyed_stream():
+    # the chunked draw of the (seed, frozen B) stream, times sqrt(dt), bit
+    # for bit, whatever the shape
+    grid = make_grid(T, 8)
+    for t_index, l, n_outer in ((4, 1, 5), (1, 2, 5000)):
+        key = np.random.SeedSequence(17, spawn_key=(3,))
+        direct = np.random.Generator(np.random.PCG64(key)).standard_normal(
+            (n_outer, 8 - t_index, l)) * np.sqrt(grid[1] - grid[0])
+        got = frozen_noise_increments(grid, t_index, l, seed=17, n_outer=n_outer)
+        assert got.view(np.uint64).tolist() == direct.view(np.uint64).tolist()
 
 
 def test_tree_levels_match_concatenated_histories():

@@ -7,8 +7,9 @@
 (closed_form, z_growth and z_representation on that headline solve, in
 this process), and writes summary.json (byte-stable across reruns and
 worker counts), manifest.json, and one CSV of per-sample statistics per
-check.  Exit code 0 means every check passed, 2 that one failed, 1 that
-the run errored.
+check, and prints each check's line with its details indented below it.
+Exit code 0 means every check passed, 2 that one failed, 1 that the run
+errored.
 The environment variable PATHFK_SEED overrides the configured seed and is
 recorded in the manifest.
 """
@@ -23,6 +24,7 @@ import os
 import sys
 
 from .config import HEADLINE_CHECKS, ExperimentConfig, load_config
+from .errors import ConfigError
 from .simulation import _simulate
 from .solver import solve_nested, solve_regression
 
@@ -98,6 +100,8 @@ def run_experiment(raw: dict, output_dir: str, workers: int = 1,
         os.makedirs(checks_dir, exist_ok=True)
     for rep in flat:
         print(rep.one_line())
+        for line in rep.details:
+            print(f"    {line}")
         with open(os.path.join(checks_dir, f"{rep.name}.csv"), "w") as fh:
             fh.write(rep.samples_csv())
 
@@ -153,9 +157,13 @@ def run_sweep(raw: dict, output_dir: str, axis: str, values, workers: int,
     """Run the base config once per axis value; emits a long-format CSV
     axis,value,check,statistic for convergence plots.  Every value's config
     loads before the first run, so a bad value fails the sweep before any
-    solve.  An empty value list is a no-op."""
+    solve.  An empty value list is a no-op; a seed sweep under a seed
+    override, whose runs would all take the one overridden seed, is refused."""
     if not values:
         return 0
+    if axis == "mc.seed" and seed_override is not None:
+        raise ConfigError("PATHFK_SEED overrides every mc.seed of a seed sweep; "
+                          "unset it to sweep mc.seed")
     sub_raws = [copy.deepcopy(raw) for _ in values]
     for sub_raw, v in zip(sub_raws, values):
         _set_dotted(sub_raw, axis, v)
@@ -202,11 +210,12 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--workers", type=int, default=1)
 
     args = parser.parse_args(argv)
-    seed_override = os.environ.get("PATHFK_SEED")
-    if seed_override is not None:
-        seed_override = int(seed_override)
-
     try:
+        seed = os.environ.get("PATHFK_SEED")
+        try:
+            seed_override = None if seed is None else int(seed)
+        except ValueError:
+            raise ConfigError(f"PATHFK_SEED must be an integer, got {seed!r}") from None
         with open(args.config) as fh:
             raw = json.load(fh)
         out = args.output or raw.get("output_dir", "pathfk-out")

@@ -286,13 +286,21 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
                            ("file", "values"))
     d = entry.model.dims[0]
     if "file" in init_spec:
-        # a header line, then one row per grid time from 0: time, x_1..x_d
-        rows = np.loadtxt(init_spec["file"], delimiter=",", skiprows=1, ndmin=2)
+        # a header line, then one row per grid time from 0: time, x_1..x_d,
+        # every cell a finite number
+        where = f"initial_path.file {init_spec['file']}"
+        try:
+            rows = np.loadtxt(init_spec["file"], delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        if not np.isfinite(rows).all():
+            raise ConfigError(f"{where} must hold finite numbers, got "
+                              f"{rows[~np.isfinite(rows)][0]}")
         if not 1 <= rows.shape[0] <= N + 1 or not np.allclose(
                 rows[:, 0], grid[: rows.shape[0]], rtol=0.0, atol=1e-9 * T / N):
             raise ConfigError(f"the times in {init_spec['file']} are not the "
                               f"grid times 0, {T / N:g}, ... of grid.N = {N}")
-        where, values = f"initial_path.file {init_spec['file']}", rows[:, 1:]
+        values = rows[:, 1:]
     else:
         where = "initial_path.values"
         values = _typed(where, init_spec.get("values", [[0.0] * d]), ((float,),))

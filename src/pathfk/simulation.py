@@ -7,7 +7,8 @@ Normals are numpy's ziggurat, drawn scenario-major in chunks and stored
 time-major, (N, n, .), like the forward histories; the chunks continue one
 sequential draw, so enlarging a batch keeps its earlier scenarios.  The
 second driver is drawn on its first read, so solves of models without a
-backward integrand g never draw it.  `import pathfk` loads numpy only.
+backward integrand g never draw it.  An ensemble keeps only its finite
+scenarios and their driver rows.  `import pathfk` loads numpy only.
 """
 
 from __future__ import annotations
@@ -94,13 +95,25 @@ class BrownianPair:
         self._dB = dB
         self.seed = seed
         self.l = dB.shape[2] if dB is not None else int(l)
+        # the draw holds no self: a pair is no reference cycle, so its
+        # arrays go with its last reference, not at the next collection
+        args = (seed, _TAG_B, *dW.shape[:2], self.l, np.sqrt(self.dt))
+        self._draw_dB = lambda: _increments(*args)
 
     @property
     def dB(self) -> np.ndarray:
         if self._dB is None:
-            n, N, _ = self.dW.shape
-            self._dB = _increments(self.seed, _TAG_B, n, N, self.l, np.sqrt(self.dt))
+            self._dB = self._draw_dB()
         return self._dB
+
+    def _kept(self, keep: np.ndarray) -> "BrownianPair":
+        """The pair on the scenarios where `keep` holds, in new read-only
+        time-major storage; dB is cut from this pair's on its first read."""
+        cut = lambda a: _history_view(np.compress(keep, a.transpose(1, 0, 2), axis=1))
+        pair = BrownianPair(self.grid_times, cut(self.dW), None, self.seed, self.l)
+        dB, draw = self._dB, self._draw_dB
+        pair._draw_dB = lambda: cut(draw() if dB is None else dB)
+        return pair
 
     @property
     def dt(self) -> float:
@@ -124,24 +137,16 @@ def sample_drivers(grid_times: np.ndarray, n_scenarios: int, seed: int,
 
 @dataclass
 class ScenarioEnsemble:
-    """Forward paths continuing a shared initial path, one per scenario."""
+    """Forward paths continuing a shared initial path, one per finite scenario."""
 
     initial: Path
     drivers: BrownianPair
-    x_values: np.ndarray          # (n_scenarios, N+1, d)
-    valid_mask: np.ndarray = None
-
-    def __post_init__(self):
-        if self.valid_mask is None:
-            self.valid_mask = np.ones(self.x_values.shape[0], dtype=bool)
+    x_values: np.ndarray          # (n_scenarios - excluded_count, N+1, d)
+    excluded_count: int = 0       # scenarios that overflowed and were dropped
 
     @property
     def n_scenarios(self) -> int:
-        return self.x_values.shape[0]
-
-    @property
-    def excluded_count(self) -> int:
-        return int((~self.valid_mask).sum())
+        return self.x_values.shape[0] + self.excluded_count
 
 
 def simulate_forward(model, initial: Path, drivers: BrownianPair) -> ScenarioEnsemble:
@@ -151,6 +156,8 @@ def simulate_forward(model, initial: Path, drivers: BrownianPair) -> ScenarioEns
     The paths are filled into a time-major (N+1, n, d) buffer, so each step
     writes one contiguous row (and reads one of sampled dW); x_values is its
     (n, N+1, d) view and the coefficients read read-only (n, i+1, d) views.
+    Scenarios not finite throughout leave the buffer and the drivers
+    (BrownianPair._kept); only their count stays.
     """
     grid = initial.grid_times
     if grid is not drivers.grid_times and (
@@ -174,10 +181,10 @@ def simulate_forward(model, initial: Path, drivers: BrownianPair) -> ScenarioEns
         prefix = history[:, : i + 1]
         X[i + 1] = (X[i] + model.b(prefix) * dt
                     + np.einsum("nij,nj->ni", model.sigma(prefix), drivers.dW[:, i]))
-    valid = np.all(np.isfinite(X), axis=(0, 2))
-    if not valid.all():
-        X = np.where(valid[None, :, None], X, 0.0)
-    return ScenarioEnsemble(initial, drivers, X.transpose(1, 0, 2), valid)
+    keep = np.all(np.isfinite(X), axis=(0, 2))
+    if not keep.all():
+        X, drivers = np.compress(keep, X, axis=1), drivers._kept(keep)
+    return ScenarioEnsemble(initial, drivers, X.transpose(1, 0, 2), n - drivers.n_scenarios)
 
 
 def _simulate(model, initial: Path, n_scenarios: int, seed: int,

@@ -275,21 +275,12 @@ def _terminal_z(model: Model, X: np.ndarray, dt: float, copy: bool) -> np.ndarra
 # -- regression engine ---------------------------------------------------
 
 
-def _time_major(a: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """The valid scenarios of a scenario-major (n, time, .) array as a
-    contiguous time-major (time, n_valid, .) array, so every step reads
-    contiguous rows; no copy when every scenario is valid and the array is
-    already a view of time-major storage (as simulate_forward's x_values
-    and sample_drivers' dW and dB)."""
-    a = a.transpose(1, 0, 2)
-    return np.ascontiguousarray(a) if valid.all() else np.compress(valid, a, axis=1)
-
-
 def solve_regression(model: Model, ensemble: ScenarioEnsemble,
                      basis: Optional[RegressionBasis] = None,
                      picard_iters: int = 2,
                      record_fit_se: bool = False) -> BackwardSolution:
-    """Backward regression sweep over a simulated ensemble.
+    """Backward regression sweep over a simulated ensemble, read through
+    the time-major storage behind x_values, dW and dB without a copy.
 
     The features follow the model: basis's monomials of the history
     (RegressionBasis.for_model's when basis is None), and with g the
@@ -323,8 +314,7 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
     basis = basis or RegressionBasis.for_model(model)
     d, k, l = model.dims
     drivers = ensemble.drivers
-    valid = ensemble.valid_mask
-    X = _time_major(ensemble.x_values, valid)
+    X = ensemble.x_values.transpose(1, 0, 2)
     Np1, n, _ = X.shape
     need = min_scenarios(model, basis)
     if need > n:
@@ -332,14 +322,14 @@ def solve_regression(model: Model, ensemble: ScenarioEnsemble,
             f"{need // _MIN_SCENARIOS_PER_FEATURE} features need at least {need} "
             f"scenarios, got {n} of {ensemble.n_scenarios} "
             f"({ensemble.excluded_count} excluded as non-finite)")
-    dW = _time_major(drivers.dW, valid)
+    dW = drivers.dW.transpose(1, 0, 2)
     history = _history_view(X)
     N = Np1 - 1
     i_t = ensemble.initial.t_index
     dt = ensemble.initial.dt
 
     # without g no term and no feature reads dB, so it is never drawn
-    dB = None if model.g is None else _time_major(drivers.dB, valid)
+    dB = None if model.g is None else drivers.dB.transpose(1, 0, 2)
 
     # the running statistics, carried once for f and for the design
     stats = running_stats(X, dt, basis.stats + model.f_reads)

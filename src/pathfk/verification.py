@@ -123,11 +123,11 @@ def spde_residual(u: PathFunctional, model: Model,
     dt = ensemble.initial.dt
     i_t = ensemble.initial.t_index
     N = len(grid) - 1
-    X = ensemble.x_values[ensemble.valid_mask]
+    X = ensemble.x_values
     if not len(X):               # every scenario excluded: no path to score
         return np.zeros(0)
     # with g = None the g dB term is zero: dB is not read, so not drawn
-    dB = None if model.g is None else ensemble.drivers.dB[ensemble.valid_mask]
+    dB = None if model.g is None else ensemble.drivers.dB
 
     def jet(F: PathFunctional, p: Path, hessian: bool = True):
         # a prefix's field values and derivatives from one batch of paths,
@@ -204,8 +204,8 @@ def z_representation_check(model: Model, solution: BackwardSolution,
     grid = ensemble.initial.grid_times
     i_t = solution.t_index
     N = len(grid) - 1
-    X = ensemble.x_values[ensemble.valid_mask]
-    dB = None if model.g is None else ensemble.drivers.dB[ensemble.valid_mask]
+    X = ensemble.x_values
+    dB = None if model.g is None else ensemble.drivers.dB
     n_sub = min(n_sub, X.shape[0])
     rels = []
     excluded = 0
@@ -240,9 +240,8 @@ def z_growth_check(solution: BackwardSolution, ensemble: ScenarioEnsemble,
     """Fit the envelope constant for |z| against 1 + sup|X|^q at the bulk
     quantile and flag samples exceeding a multiple of it."""
     i_t = solution.t_index
-    X = ensemble.x_values[ensemble.valid_mask]
     z = solution.z[:, i_t:]
-    sup = 1.0 + np.max(np.linalg.norm(X, axis=2), axis=1) ** q
+    sup = 1.0 + np.max(np.linalg.norm(ensemble.x_values, axis=2), axis=1) ** q
     znorm = np.sqrt(np.sum(z ** 2, axis=(1, 2, 3)) / max(z.shape[1], 1))
     ratios = znorm / sup
     C = float(np.quantile(ratios, _BULK_QUANTILE)) + _EPS
@@ -279,8 +278,8 @@ def flow_check(model: Model, initial: Path, s: float,
             "time and the horizon")
     ens = _simulate(model, initial, n_scenarios, seed)
     sol = solve_regression(model, ens, basis=basis, record_fit_se=True)
-    X = ens.x_values[ens.valid_mask]
-    dB = None if model.g is None else ens.drivers.dB[ens.valid_mask]
+    X = ens.x_values
+    dB = None if model.g is None else ens.drivers.dB
 
     samples = []
     for j in range(min(n_resolve, X.shape[0])):

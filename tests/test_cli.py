@@ -171,6 +171,56 @@ def test_seed_env_override_recorded(tmp_path, monkeypatch):
     assert manifest["seed_overridden"] is True
 
 
+@pytest.mark.parametrize("seed", ["abc", "1.5", ""])
+def test_seed_env_that_is_no_integer_exits_1_before_any_output(tmp_path, monkeypatch,
+                                                               capsys, seed):
+    # int() raised before the error boundary, so main ended in a traceback
+    cfg = write_config(tmp_path, checks={})
+    monkeypatch.setenv("PATHFK_SEED", seed)
+    out = tmp_path / "out"
+    for command in (["run", cfg], ["sweep", cfg, "--axis", "grid.N", "--values", "4"]):
+        assert main(command + ["--output", str(out)]) == 1
+        assert f"PATHFK_SEED must be an integer, got {seed!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_seed_sweep_under_a_seed_override_exits_1(tmp_path, monkeypatch, capsys, solves):
+    # the override replaced every swept seed: three rows labelled 1, 2, 3
+    # carried one run's u, and every manifest said seed 9
+    cfg = write_config(tmp_path, checks={})
+    monkeypatch.setenv("PATHFK_SEED", "9")
+    out = tmp_path / "sw-seed"
+    assert main(["sweep", cfg, "--axis", "mc.seed", "--values", "1,2,3",
+                 "--output", str(out)]) == 1
+    assert "PATHFK_SEED overrides every mc.seed" in capsys.readouterr().err
+    assert not out.exists() and solves == []
+    monkeypatch.delenv("PATHFK_SEED")
+    assert main(["sweep", cfg, "--axis", "mc.seed", "--values", "1,2",
+                 "--output", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert len({row.split(",")[-1] for row in rows}) == 2
+
+
+def test_run_prints_each_checks_details_under_its_line(tmp_path, capsys):
+    # the reasons behind a statistic, such as z_growth's envelope constant,
+    # reached only the reports; summary.json and the CSVs stay as they were
+    cfg = write_config(tmp_path, checks={"closed_form": {"tol_rel": 0.05},
+                                         "z_growth": {}, "z_representation": {}})
+    assert main(["run", cfg, "--output", str(tmp_path / "out")]) in (0, 2)
+    printed = capsys.readouterr().out.splitlines()
+    headline = _solve(load_config(cfg))
+    reports = sorted((r for n in ("closed_form", "z_growth", "z_representation")
+                      for r in run_check(load_config(cfg), n, headline)),
+                     key=lambda r: r.name)
+    want = [line for r in reports
+            for line in [r.one_line()] + [f"    {d}" for d in r.details]]
+    assert printed[:len(want)] == want
+    assert any("excluded for unreliable derivatives" in line for line in want)
+    assert len(want) > len(reports)
+    for r in reports:
+        assert (tmp_path / "out" / "checks" / f"{r.name}.csv").read_text() == r.samples_csv()
+
+
 def test_sweep_long_format_csv(tmp_path):
     cfg = write_config(tmp_path, checks={"closed_form": {"tol_rel": 0.05}})
     out = str(tmp_path / "sw")

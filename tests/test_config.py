@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -274,6 +275,20 @@ def test_initial_path_file_rows_are_the_models_width(tmp_path):
     f = tmp_path / "init.csv"
     f.write_text("time,x_1,x_2\n0.0,0.3,0.1\n0.125,0.6,0.2\n")
     with pytest.raises(ConfigError, match=r"initial_path\.file .* d = 1 values"):
+        load_config(base_config(initial_path={"file": str(f)}))
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("nan", "must hold finite numbers, got nan"),
+    ("inf", "must hold finite numbers, got inf"),
+    ("abc", "could not convert string 'abc'"),
+])
+def test_initial_path_file_cells_are_finite_numbers(tmp_path, cell, message):
+    # a nan cell reached Path, whose error named no key, and abc failed in
+    # numpy; both now name the file, as initial_path.values names its key
+    f = tmp_path / "init.csv"
+    f.write_text(f"time,x_1\n0.0,0.3\n0.125,{cell}\n")
+    with pytest.raises(ConfigError, match=rf"initial_path\.file {re.escape(str(f))}:? {message}"):
         load_config(base_config(initial_path={"file": str(f)}))
 
 

@@ -1,5 +1,7 @@
 """Driver sampling and forward simulation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,12 @@ def _reference_normals(seed, tag, shape):
     generator: the reference the chunked draws must equal."""
     key = np.random.SeedSequence(seed, spawn_key=(tag,))
     return np.random.Generator(np.random.PCG64(key)).standard_normal(shape)
+
+
+def _overflowing(model, bound=1.5):
+    """`model` with a drift that is zero while a path's endpoint stays in
+    [-bound, bound] and infinite outside it."""
+    return replace(model, b=lambda x: np.where(np.abs(x[:, -1, :]) > bound, np.inf, 0.0))
 
 
 def _record_draws(monkeypatch):
@@ -132,14 +140,18 @@ def test_sampled_increments_are_read_only():
 @pytest.mark.parametrize("name, b_draws", [("heat", 0), ("asian", 0),
                                             ("path-f", 0), ("linear-g", 1)])
 def test_second_driver_drawn_only_when_read(monkeypatch, name, b_draws):
-    # a solve reads dB only when the model has a backward integrand g
+    # a solve reads dB only when the model has a backward integrand g, also
+    # on an ensemble whose overflowed scenarios were dropped with their dW;
+    # that ensemble's dB is cut from the pair's, drawn once
     calls = _record_draws(monkeypatch)
     m = get_model(name)
     d, _, l = m.dims
     grid = make_grid(1.0, 4)
     drv = sample_drivers(grid, 600, 11, d=d, l=l)
-    ens = simulate_forward(m, Path(grid, np.full((1, d), 0.3)), drv)
-    solve_regression(m, ens)
+    for model, excluded in ((m, 0), (_overflowing(m), 69)):
+        ens = simulate_forward(model, Path(grid, np.full((1, d), 0.3)), drv)
+        assert ens.excluded_count == excluded
+        solve_regression(model, ens)
     tags = [tag for tag, _ in calls]
     assert tags.count(1) == 1 and tags.count(2) == b_draws
 
@@ -185,3 +197,60 @@ def test_forward_moment_statistics():
     ens = simulate_forward(model, init, drv)
     m2 = np.mean(ens.x_values[:, -1, 0] ** 2)
     assert m2 == pytest.approx(2.0, rel=0.05)
+
+
+def test_overflowing_scenarios_leave_the_ensemble_with_their_driver_rows(monkeypatch):
+    # the drift is zero until a path leaves [-1.5, 1.5], so the kept paths
+    # are the plain model's that stay inside before the horizon; the
+    # ensemble holds their rows of x, dW and dB bit for bit, the drivers in
+    # read-only time-major storage, and dB cut from one full draw on its
+    # first read
+    calls = _record_draws(monkeypatch)
+    m = get_model("linear-g")
+    init = Path(GRID, np.full((1, 1), 0.4))
+    drv = sample_drivers(GRID, 3000, 21)
+    plain = simulate_forward(m, init, drv)
+    keep = np.all(np.abs(plain.x_values[:, :-1]) <= 1.5, axis=(1, 2))
+    ens = simulate_forward(_overflowing(m), init, drv)
+    assert ens.excluded_count == 588 == (~keep).sum() and ens.n_scenarios == 3000
+    kept = ens.drivers
+    assert kept.n_scenarios == 3000 - 588 and kept.seed == drv.seed and kept.l == 1
+    assert calls == [(1, (3000, 8, 1))]
+    assert kept.dB is kept.dB and calls[1:] == [(2, (3000, 8, 1))]
+    assert np.array_equal(ens.x_values, plain.x_values[keep])
+    for got, full in ((kept.dW, drv.dW), (kept.dB, drv.dB)):
+        assert np.array_equal(got, full[keep])
+        assert got.transpose(1, 0, 2).flags.c_contiguous
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+    # a pair with its own dB keeps its rows of that array, and a kept pair
+    # re-simulated under a tighter bound is cut again from the same draw
+    own = simulation.BrownianPair(GRID, drv.dW, drv.dB + 1.0, drv.seed)
+    assert np.array_equal(simulate_forward(_overflowing(m), init, own).drivers.dB,
+                          drv.dB[keep] + 1.0)
+    again = simulate_forward(_overflowing(m, 1.2), init, kept)
+    keep2 = np.all(np.abs(ens.x_values[:, :-1]) <= 1.2, axis=(1, 2))
+    assert again.excluded_count == (~keep2).sum() > 0 and again.n_scenarios == keep.sum()
+    assert np.array_equal(again.drivers.dB, drv.dB[keep][keep2])
+
+
+def test_pairs_are_freed_without_the_cycle_collector():
+    # a pair whose dB draw referenced the pair itself was a reference cycle,
+    # so its arrays waited for a full collection and a benchmark's peak
+    # memory grew with every op; a pair and its kept rows go with their
+    # last reference
+    import gc
+    import weakref
+
+    m = get_model("linear-g")
+    init = Path(GRID, np.full((1, 1), 0.4))
+    gc.collect()
+    gc.disable()
+    try:
+        drv = sample_drivers(GRID, 3000, 21)
+        kept = simulate_forward(_overflowing(m), init, drv).drivers
+        refs = [weakref.ref(drv), weakref.ref(kept)]
+        del drv, kept
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()

@@ -18,8 +18,7 @@ from pathfk import (BudgetError, Model, Path, RegressionBasis, SolverError,
 from pathfk.models import model_from_spec, running_stats
 from pathfk.simulation import BrownianPair, ScenarioEnsemble
 from pathfk import solver, verification
-from pathfk.solver import (_column_basis, _project, _time_major, _tree_backward,
-                          _tree_forward)
+from pathfk.solver import _column_basis, _project, _tree_backward, _tree_forward
 
 
 T = 1.0
@@ -35,6 +34,13 @@ def ensemble(model, N=16, n=4000, seed=0, x0=0.0, t_index=0):
     init = Path(grid, vals)
     drv = sample_drivers(grid, n, seed, d=model.dims[0], l=model.dims[2])
     return simulate_forward(model, init, drv)
+
+
+def overflowing(model, bound=1.5):
+    """`model` with a drift that is zero while a path's endpoint stays in
+    [-bound, bound] and infinite outside it, so the scenarios that leave
+    overflow and the rest keep the plain model's paths."""
+    return replace(model, b=lambda x: np.where(np.abs(x[:, -1, :]) > bound, np.inf, 0.0))
 
 
 # -- projection ----------------------------------------------------------
@@ -324,8 +330,7 @@ def test_future_noise_features_enabled_only_with_g():
 def test_budget_error_names_the_excluded_scenarios():
     # the drift of test_excluded_scenarios_are_recorded overflows 38 of 160
     # scenarios; the budget counts the 122 left and says where the rest went
-    m = replace(get_model("heat"),
-                b=lambda x: np.where(np.abs(x[:, -1, :]) > 1.5, np.inf, 0.0))
+    m = overflowing(get_model("heat"))
     ens = ensemble(m, N=16, n=160, seed=21)
     assert ens.excluded_count == 38
     with pytest.raises(BudgetError, match=r"got 122 of 160 \(38 excluded as non-finite\)"):
@@ -677,9 +682,9 @@ def _step_after_step(model, ens, basis, picard_iters):
     come from the centred continuation, and with f y takes picard_iters
     projections of the continuation plus f dt at the step's own (y, z)."""
     d, k, l = model.dims
-    X = _time_major(ens.x_values, ens.valid_mask)
-    dW = _time_major(ens.drivers.dW, ens.valid_mask)
-    dB = _time_major(ens.drivers.dB, ens.valid_mask)
+    X = ens.x_values.transpose(1, 0, 2)
+    dW = ens.drivers.dW.transpose(1, 0, 2)
+    dB = ens.drivers.dB.transpose(1, 0, 2)
     history = X.transpose(1, 0, 2)
     N, n = X.shape[0] - 1, X.shape[1]
     i_t, dt = ens.initial.t_index, ens.initial.dt
@@ -854,8 +859,7 @@ def test_carried_running_max_keeps_path_f_bits(N):
 def test_excluded_scenarios_are_recorded():
     # a drift that explodes once a path leaves [-1.5, 1.5] overflows a
     # share of the scenarios; the solve runs on the rest and says how many
-    m = replace(get_model("heat"),
-                b=lambda x: np.where(np.abs(x[:, -1, :]) > 1.5, np.inf, 0.0))
+    m = overflowing(get_model("heat"))
     ens = ensemble(m, N=8, n=2000, seed=21)
     assert 0 < ens.excluded_count < 2000
     sol = solve_regression(m, ens)
@@ -868,27 +872,28 @@ def test_excluded_scenarios_are_recorded():
 
 
 @pytest.mark.parametrize("name, feature_set", [("path-f", "endpoint+runmax+runint"),
-                                               ("linear-g", "endpoint")])
-def test_masked_solve_matches_valid_rows(name, feature_set):
-    # excluded scenarios take the masked-copy path; the solve must equal one
-    # on an ensemble holding only the valid rows
-    m = get_model(name)
+                                               ("linear-g", "endpoint"),
+                                               ("heat", "endpoint")])
+def test_solve_of_an_overflowing_ensemble_matches_its_kept_rows(name, feature_set):
+    # 588 of 3,000 scenarios overflow and leave the ensemble; the solve
+    # equals, bit for bit, one on an ensemble built by hand from the plain
+    # model's rows of the scenarios that stay finite
+    m = overflowing(get_model(name))
     basis = RegressionBasis(feature_set=feature_set)
-    ens = ensemble(m, N=8, n=3000, seed=13, x0=0.4, t_index=2)
-    valid = np.ones(ens.n_scenarios, dtype=bool)
-    valid[::7] = False
-    masked = ScenarioEnsemble(ens.initial, ens.drivers, ens.x_values, valid)
-    drv = ens.drivers
+    ens = ensemble(m, N=8, n=3000, seed=21, x0=0.4)
+    plain = ensemble(get_model(name), N=8, n=3000, seed=21, x0=0.4)
+    keep = np.all(np.abs(plain.x_values[:, :-1]) <= 1.5, axis=(1, 2))
+    drv = plain.drivers
     kept = ScenarioEnsemble(
-        ens.initial, BrownianPair(drv.grid_times, drv.dW[valid], drv.dB[valid], drv.seed),
-        ens.x_values[valid])
-    a = solve_regression(m, masked, basis=basis, record_fit_se=True)
+        ens.initial, BrownianPair(drv.grid_times, drv.dW[keep], drv.dB[keep], drv.seed),
+        plain.x_values[keep])
+    a = solve_regression(m, ens, basis=basis, record_fit_se=True)
     b = solve_regression(m, kept, basis=basis, record_fit_se=True)
-    assert a.n_samples == b.n_samples == valid.sum()
-    for x, y in ((a.y, b.y), (a.z, b.z), (a.fit_se, b.fit_se), (a.rollout, b.rollout),
-                 (a.u_estimate, b.u_estimate), (a.u_stderr, b.u_stderr)):
-        assert x.shape == y.shape
-        assert np.allclose(x, y, rtol=0.0, atol=1e-12)
+    assert ens.excluded_count == 588 and ens.n_scenarios == 3000
+    assert a.n_samples == b.n_samples == keep.sum() == 3000 - 588
+    assert a.scheme_params["excluded_scenarios"] == 588
+    for key in ("y", "z", "fit_se", "rollout", "u_estimate", "u_stderr"):
+        assert np.array_equal(getattr(a, key), getattr(b, key)), key
 
 
 def test_coefficients_receive_read_only_blocks():
@@ -907,20 +912,26 @@ def test_coefficients_receive_read_only_blocks():
                      seed=0, branching=2)
 
 
-def test_solves_read_the_drivers_without_a_copy():
-    # sampled increments are stored time-major, so with every scenario valid
-    # the solver's time-major dW and dB are the drivers' own read-only storage
-    m = get_model("linear-g")
-    ens = ensemble(m, N=4, n=500, seed=14, x0=0.5)
-    drv = ens.drivers
-    for inc in (drv.dW, drv.dB):
-        tm = _time_major(inc, ens.valid_mask)
-        assert np.shares_memory(tm, inc)
+def test_solves_read_the_drivers_without_a_copy(monkeypatch):
+    # an ensemble holds time-major storage, its finite scenarios' rows only,
+    # so the solver's time-major histories and dB are the ensemble's own,
+    # the driver read-only, whether scenarios were excluded or not
+    seen = {}
+    designs = RegressionBasis.designs
+
+    def spy(self, X, t_index, stats, dB=None):
+        seen.update(X=X, dB=dB)
+        return designs(self, X, t_index, stats, dB)
+
+    monkeypatch.setattr(RegressionBasis, "designs", spy)
+    for m, excluded in ((get_model("linear-g"), 0), (overflowing(get_model("linear-g")), 95)):
+        ens = ensemble(m, N=4, n=500, seed=14, x0=0.5)
+        assert ens.excluded_count == excluded
+        solve_regression(m, ens)
+        assert np.shares_memory(seen["X"], ens.x_values) and seen["X"].flags.c_contiguous
+        assert np.shares_memory(seen["dB"], ens.drivers.dB) and seen["dB"].flags.c_contiguous
         with pytest.raises(ValueError):
-            tm[0] = 0.0
-    valid = ens.valid_mask.copy()
-    valid[3] = False
-    assert not np.shares_memory(_time_major(drv.dW, valid), drv.dW)
+            seen["dB"][0] = 0.0
 
 
 # -- nested engine -------------------------------------------------------

@@ -128,7 +128,7 @@ def test_residual_reads_second_driver_only_with_g():
     nan = BrownianPair(drv.grid_times, drv.dW, np.full((3, 6, 1), np.nan), drv.seed)
     res = spde_residual(u, m, ens)
     assert drv._dB is None
-    nan_ens = ScenarioEnsemble(ens.initial, nan, ens.x_values, ens.valid_mask)
+    nan_ens = ScenarioEnsemble(ens.initial, nan, ens.x_values)
     assert np.array_equal(spde_residual(u, m, nan_ens), res)
 
 
@@ -216,7 +216,7 @@ def test_residual_shares_the_initial_tree_across_paths(monkeypatch):
     for s in range(n):
         one = ScenarioEnsemble(ens.initial, BrownianPair(
             drv.grid_times, drv.dW[s:s + 1], drv.dB[s:s + 1], drv.seed),
-            ens.x_values[s:s + 1], ens.valid_mask[s:s + 1])
+            ens.x_values[s:s + 1])
         own = PathFunctional(eval=lambda p, dB=drv.dB[s]: solve_nested(
             m, p, 1, 0, branching=3, frozen_B=dB[p.t_index:]).u_estimate,
             regularity_tag="C12")
@@ -225,14 +225,50 @@ def test_residual_shares_the_initial_tree_across_paths(monkeypatch):
 
 
 def test_residual_of_an_ensemble_with_no_valid_scenario_is_empty():
-    # no path to score: no jet is taken, of the averaged field or of one
-    # conditioned on an empty stack of increments
+    # a drift that overflows everywhere leaves no path to score: no jet is
+    # taken, of the averaged field or of one conditioned on an empty stack
+    # of increments
     for name in ("linear-g", "heat"):
-        m, ens = start_at_one(name, N=4, n=2)
-        none = ScenarioEnsemble(ens.initial, ens.drivers, ens.x_values,
-                                np.zeros(2, dtype=bool))
+        m = replace(get_model(name), b=lambda x: np.full(x[:, -1].shape, np.inf))
+        init = Path(make_grid(T, 4), np.array([[1.0]]))
+        none = simulate_forward(m, init, sample_drivers(init.grid_times, 2, 5))
+        assert none.excluded_count == none.n_scenarios == 2
+        assert none.x_values.shape == (0, 5, 1) and none.drivers.dB.shape == (0, 4, 1)
         u = field_from_engine(m, "nested", n_scenarios=2, branching=3)
         assert spde_residual(u, m, none).shape == (0,)
+
+
+def overflowing_and_kept(name, N, n):
+    """The model `name`, its ensemble from 0.4 under a drift that overflows
+    outside [-1.5, 1.5], and an ensemble built by hand from the model's
+    own rows of the scenarios that stay finite."""
+    m = get_model(name)
+    over = replace(m, b=lambda x: np.where(np.abs(x[:, -1, :]) > 1.5, np.inf, 0.0))
+    init = Path(make_grid(T, N), np.array([[0.4]]))
+    drv = sample_drivers(init.grid_times, n, 21)
+    plain = simulate_forward(m, init, drv)
+    keep = np.all(np.abs(plain.x_values[:, :-1]) <= 1.5, axis=(1, 2))
+    kept = ScenarioEnsemble(init, BrownianPair(
+        drv.grid_times, drv.dW[keep], drv.dB[keep], drv.seed), plain.x_values[keep])
+    ens = simulate_forward(over, init, drv)
+    assert 0 < ens.excluded_count == (~keep).sum() < n
+    return m, ens, kept
+
+
+@pytest.mark.parametrize("name", ["heat", "linear-g"])
+def test_checks_of_an_overflowing_ensemble_match_its_kept_rows(name):
+    # the checks read the ensemble's rows as they are: each report equals
+    # the same call on an ensemble built by hand from the kept rows
+    m, ens, kept = overflowing_and_kept(name, N=4, n=600)
+    u = (field_from_closed_form(get_entry("heat")) if name == "heat" else
+         field_from_engine(m, "nested", n_scenarios=2, branching=3, seed=5))
+    sols = [solve_regression(m, e) for e in (ens, kept)]
+    a, b = ([z_growth_check(sol, e),
+             z_representation_check(m, sol, e, u=u, n_sub=2),
+             spde_residual_check(u, m, replace(e, x_values=e.x_values[:3]), tol=0.05)]
+            for sol, e in zip(sols, (ens, kept)))
+    for x, y in zip(a, b):
+        assert (x.statistic, x.details, x.samples) == (y.statistic, y.details, y.samples)
 
 
 def test_residual_conditions_only_random_fields():

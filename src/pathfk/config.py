@@ -4,13 +4,15 @@ budget, the engine, the initial path, and the checks to run.
 
 Any key that load_config, model_from_spec or CHECK_KEYS does not list, a
 section that is neither an object nor null, a value that its type does not
-take (errors._typed, whose numbers are finite reals: the grid, mc, engine
-option, grammar and check values and the rows of initial_path.values),
-and a config whose regression solves or quadrature trees the solver's
-budgets would refuse raise ConfigError before the headline solve.
-load_config builds each check's call with the one function that knows
-what the check reads, _bind: it refuses every value the check would
-refuse after the headline solve, then binds the call.
+take or that lies below its least value (errors._typed, whose numbers are
+finite reals: the grid, mc, engine option, grammar and check values and the
+rows of initial_path.values; each least value is one _LEAST entry), and a
+config whose regression solves or quadrature trees the solver's budgets
+would refuse raise ConfigError before the headline solve.  load_config
+builds each check's call with the one function that knows what the check
+reads, _bind: it refuses every other value the check would refuse after
+the headline solve, or score as a pass with nothing to score, then binds
+the call.
 
 The inline model grammar and its builder, models.model_from_spec, live
 with the registry in models.py, whose entries are specs of that grammar.
@@ -40,8 +42,7 @@ from .verification import (MOMENT_SCENARIOS, NODE_COUNTS, comparison_check,
                            z_growth_check, z_representation_check)
 
 _ENGINES = ("regression", "nested")
-# the engine options and the least value of each
-_ENGINE_OPTIONS = {"n_outer": 1, "branching": 2, "picard_iters": 1}
+_ENGINE_OPTIONS = ("n_outer", "branching", "picard_iters")
 # each check and the keys its spec takes, with the type each is read as; a
 # list is (entry type,); _bind checks the values and builds the check's call
 CHECK_KEYS = {
@@ -55,6 +56,13 @@ CHECK_KEYS = {
     "regularity": {"q": float, "n_probes": int},
     "moments": {"n_probes": int, "n_scenarios": int, "p": (float,)},
 }
+# each config number's least value, which _read holds a number or each list entry to;
+# shifted_model dominates only with nonnegative shifts, and moments holds out 1 of 3 probes
+_LEAST = {"grid.N": 2, "mc.n_scenarios": 1, "engine_options.n_outer": 1,
+          "engine_options.branching": 2, "engine_options.picard_iters": 1,
+          "z_representation.n_sub": 1, "flow.n_resolve": 1, "field_equation.n_paths": 1,
+          "comparison.shift_phi": 0, "comparison.shift_f": 0, "discretization.node_counts": 1,
+          "regularity.n_probes": 10, "moments.n_probes": 3, "moments.p": 2}
 # the checks whose call scores the headline (solution, ensemble)
 HEADLINE_CHECKS = ("closed_form", "z_growth", "z_representation")
 
@@ -90,9 +98,8 @@ def _check_seed(base_seed: int, name: str) -> int:
     return stream_seed(base_seed, zlib.crc32(name.encode()))
 
 
-def _at_least(check: str, spec: dict, key: str, least) -> None:
-    if spec.get(key, least) < least:
-        raise ConfigError(f"{check}.{key} must be at least {least}, got {spec[key]}")
+def _read(key: str, value, kind):
+    return _typed(key, value, kind, _LEAST.get(key))
 
 
 def _floor(cfg: ExperimentConfig, key: str, n: int) -> None:
@@ -149,10 +156,16 @@ def _bind(cfg: ExperimentConfig, name: str, spec: dict):
     model, initial, n = cfg.model, cfg.initial, cfg.n_scenarios
     steps = len(cfg.grid_times) - 1 - initial.t_index
     seed = lambda: _check_seed(cfg.seed, name)
+    if steps == 0 and name in ("z_growth", "z_representation", "field_equation",
+                               "discretization"):
+        raise ConfigError(f"{name} reads the grid steps after the initial path, "
+                          f"but it ends at the horizon {initial.horizon:g}")
 
     if name == "closed_form":
         if cfg.entry.closed_form_u is None:
             raise ConfigError(f"model {model.name!r} has no closed form to check against")
+        if spec.get("tol_rel", 1.0) <= 0:
+            raise ConfigError(f"closed_form.tol_rel must be positive, got {spec['tol_rel']}")
         return lambda headline: [_closed_form_report(cfg, headline[0], **spec)]
 
     if name in ("z_growth", "z_representation") and cfg.engine == "nested":
@@ -160,7 +173,6 @@ def _bind(cfg: ExperimentConfig, name: str, spec: dict):
     if name == "z_growth":
         return lambda headline: [z_growth_check(*headline, **spec)]
     if name == "z_representation":
-        _at_least(name, spec, "n_sub", 1)
         u = None if cfg.entry.closed_form_Z is not None else _candidate_field(
             cfg, "the candidate field", steps)
         return lambda headline: [z_representation_check(
@@ -176,12 +188,10 @@ def _bind(cfg: ExperimentConfig, name: str, spec: dict):
                 "flow.s must be a grid time strictly between the initial time "
                 f"{initial.current_time:g} and the horizon {initial.horizon:g}, "
                 f"got {spec.get('s')!r}")
-        _at_least(name, spec, "n_resolve", 1)
         _floor(cfg, "mc.n_scenarios", n)
         return lambda _: [flow_check(model, initial, n_scenarios=n, seed=seed(), **spec)]
 
     if name == "field_equation":
-        _at_least(name, spec, "n_paths", 1)
         u = _candidate_field(cfg, "the candidate field", steps)
         return lambda _: [spde_residual_check(
             u, model, _simulate(model, initial, spec.get("n_paths", 10), seed()),
@@ -195,7 +205,7 @@ def _bind(cfg: ExperimentConfig, name: str, spec: dict):
 
     if name == "discretization":
         counts = spec.get("node_counts", NODE_COUNTS)
-        bad = [c for c in counts if c < 1 or steps % c]
+        bad = [c for c in counts if steps % c]
         if bad:
             raise ConfigError(f"discretization.node_counts {bad} do not divide the "
                               f"{steps} grid steps left after the initial path")
@@ -209,7 +219,6 @@ def _bind(cfg: ExperimentConfig, name: str, spec: dict):
     spec = dict(spec)
     if name == "regularity":
         growth_q = spec.pop("q", model.growth_m + 1.0)
-        _at_least(name, spec, "n_probes", 10)
         # the probes start at any time, so their trees are N deep
         u = _candidate_field(cfg, "the candidate field of the regularity probes",
                              len(cfg.grid_times) - 1)
@@ -217,10 +226,8 @@ def _bind(cfg: ExperimentConfig, name: str, spec: dict):
                                            growth_q=growth_q, seed=seed(), **spec)]
 
     orders = spec.pop("p", (2.0, 4.0))      # moments
-    if not orders or any(p < 2 for p in orders):
-        raise ConfigError("moments.p orders must be at least 2, and one or more, "
-                          f"got {list(orders)}")
-    _at_least(name, spec, "n_probes", 1)
+    if not orders or len(set(orders)) < len(orders):
+        raise ConfigError(f"moments.p needs one or more orders, none twice, got {list(orders)}")
     _floor(cfg, "moments.n_scenarios", spec.get("n_scenarios", MOMENT_SCENARIOS))
 
     def moments(_):
@@ -249,10 +256,7 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
     grid_spec = _only_keys("grid", raw.get("grid"), ("T", "N"))
     if "T" not in grid_spec or "N" not in grid_spec:
         raise ConfigError("config needs grid.T and grid.N")
-    T = _typed("grid.T", grid_spec["T"], float)
-    N = _typed("grid.N", grid_spec["N"], int)
-    if N < 2:
-        raise ConfigError(f"grid.N must be at least 2, got {N}")
+    T, N = _read("grid.T", grid_spec["T"], float), _read("grid.N", grid_spec["N"], int)
     if T <= 0:
         raise ConfigError(f"grid.T must be positive, got {T}")
 
@@ -268,17 +272,14 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
     mc = _only_keys("mc", raw.get("mc"), ("seed", "n_scenarios"))
     if "seed" not in mc:
         raise ConfigError("mc.seed is required for reproducibility")
-    seed = (_typed("mc.seed", mc["seed"], int) if seed_override is None
+    seed = (_read("mc.seed", mc["seed"], int) if seed_override is None
             else int(seed_override))
     engine = raw.get("engine", "regression")
     if engine not in _ENGINES:
         raise ConfigError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    options = {key: _typed(f"engine_options.{key}", v, int) for key, v in _only_keys(
+    options = {key: _read(f"engine_options.{key}", v, int) for key, v in _only_keys(
         "engine_options", raw.get("engine_options"), _ENGINE_OPTIONS).items()}
-    if not all(v >= _ENGINE_OPTIONS[key] for key, v in options.items()):
-        raise ConfigError("engine_options takes the integers n_outer >= 1, "
-                          f"branching >= 2 and picard_iters >= 1, got {options!r}")
-    n_scenarios = _typed("mc.n_scenarios", mc.get(
+    n_scenarios = _read("mc.n_scenarios", mc.get(
         "n_scenarios", 10_000 if engine == "regression" else 32), int)
 
     grid = make_grid(T, N)
@@ -303,7 +304,7 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
         values = rows[:, 1:]
     else:
         where = "initial_path.values"
-        values = _typed(where, init_spec.get("values", [[0.0] * d]), ((float,),))
+        values = _read(where, init_spec.get("values", [[0.0] * d]), ((float,),))
     if not 1 <= len(values) <= N + 1 or any(len(row) != d for row in values):
         raise ConfigError(f"{where} must hold 1 to grid.N + 1 = {N + 1} rows of the "
                           f"model's d = {d} values, got rows of {[len(r) for r in values]}")
@@ -312,7 +313,7 @@ def load_config(source, seed_override: Optional[int] = None) -> ExperimentConfig
     specs = {}
     for cname, spec in _only_keys("checks", raw.get("checks"), CHECK_KEYS).items():
         types = CHECK_KEYS[cname]
-        specs[cname] = {key: _typed(f"{cname}.{key}", v, types[key]) for key, v
+        specs[cname] = {key: _read(f"{cname}.{key}", v, types[key]) for key, v
                         in _only_keys(f"check {cname!r}", spec, types).items()}
     cfg = ExperimentConfig(
         entry=entry, n_scenarios=n_scenarios, seed=seed, engine=engine,

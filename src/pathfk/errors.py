@@ -53,16 +53,18 @@ _TAKES = {bool: ("true or false", lambda v: type(v) is bool),
           float: ("a number", _finite_real)}
 
 
-def _typed(where: str, value, kind):
+def _typed(where: str, value, kind, least=None):
     """value read as kind (bool, int, float, or (entry type,) for a list,
-    whose entries are rows when they are lists too), or ConfigError naming
-    where."""
+    whose entries are rows when they are lists too) and, for a number or
+    each entry of a list, at least least; or ConfigError naming where."""
     if isinstance(kind, tuple):
         if type(value) is not list:
             raise ConfigError(f"{where} must be a list, got {value!r}")
         entry = f"{where} {'row' if isinstance(kind[0], tuple) else 'entry'}"
-        return tuple(_typed(entry, v, kind[0]) for v in value)
+        return tuple(_typed(entry, v, kind[0], least) for v in value)
     name, takes = _TAKES[kind]
     if not takes(value):
         raise ConfigError(f"{where} must be {name}, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{where} must be at least {least}, got {value}")
     return kind(value)

@@ -42,6 +42,13 @@ NODE_COUNTS = (2, 4, 8, 16)     # discretization's, checked by config too
 MOMENT_SCENARIOS = 500          # scenarios per moment probe, checked by config too
 
 
+def _at_least_count(name: str, value: int, least: int) -> None:
+    """ValueError naming a check's count argument below its least value,
+    raised before the check's first solve."""
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 # -- field functionals ---------------------------------------------------
 
 
@@ -201,6 +208,7 @@ def z_representation_check(model: Model, solution: BackwardSolution,
     """
     if z_reference is None and u is None:
         raise ValueError("need either a closed-form z or a field functional")
+    _at_least_count("n_sub", n_sub, 1)
     grid = ensemble.initial.grid_times
     i_t = solution.t_index
     N = len(grid) - 1
@@ -276,6 +284,7 @@ def flow_check(model: Model, initial: Path, s: float,
         raise ValueError(
             f"intermediate time {s} must lie strictly between the initial "
             "time and the horizon")
+    _at_least_count("n_resolve", n_resolve, 1)
     ens = _simulate(model, initial, n_scenarios, seed)
     sol = solve_regression(model, ens, basis=basis, record_fit_se=True)
     X = ens.x_values
@@ -348,6 +357,7 @@ def comparison_check(m1: Model, m2: Model, initial: Path,
     """
     if m1.dims[1] != 1:
         raise ValueError("comparison requires a scalar backward component")
+    _at_least_count("n_initials", n_initials, 1)
     _precondition_probes(m1, m2, initial.grid_times, n_probes, seed)
     ens = _simulate(m1, initial, n_scenarios, seed)
     s1 = solve_regression(m1, ens)
@@ -425,6 +435,9 @@ def discretization_convergence_check(model: Model, initial: Path,
     With noise_only, the coefficients are insensitive to the freezing and
     the gaps must sit at the numerical noise floor instead.
     """
+    if min(node_counts, default=0) < 1 or len(node_counts) < (1 if noise_only else 2):
+        raise ValueError("node_counts must be two counts of at least 1, or one with "
+                         f"noise_only, got {list(node_counts)}")
     grid = initial.grid_times
     ens_full = _simulate(model, initial, n_scenarios, seed)
     sol_full = solve_regression(model, ens_full, basis=basis)
@@ -470,8 +483,7 @@ def regularity_check(u: Callable[[Path], np.ndarray], grid_times: np.ndarray,
     probes must stay below the fitted constant times a fixed headroom.  The
     statistic is the number of violations.
     """
-    if n_probes < 10:
-        raise ValueError("need at least 10 probe quadruples")
+    _at_least_count("n_probes", n_probes, 10)
     rng = np.random.default_rng(seed)
     N = len(grid_times) - 1
     ratios_diff, ratios_quot = [], []
@@ -524,7 +536,8 @@ def moment_probes(model: Model, grid_times: np.ndarray, n_probes: int = 100,
     """Solve the backward pair from random initial paths; per probe the
     per-scenario sup |y| and integrated squared z, and the probe's shape
     1 + sup-norm of its initial path.  Every moment order is scored from
-    the same probes."""
+    the same probes, at least three: two fit the envelope, one is held out."""
+    _at_least_count("n_probes", n_probes, 3)
     rng = np.random.default_rng(seed)
     N = len(grid_times) - 1
     dt = float(grid_times[1] - grid_times[0])
@@ -572,7 +585,7 @@ def moment_envelope_score(probes: list, p: float) -> CheckReport:
     test_se = np.asarray(ses)[1::2]
     violations = int(np.sum(test_m > envelope + 3.0 * test_se))
     return CheckReport.make(
-        f"moment_envelope_p{int(p)}", float(violations), 0.0, len(probes),
+        f"moment_envelope_p{p:g}", float(violations), 0.0, len(probes),
         details=[f"fitted envelope constant {C_fit:.4g}, exponent {q_fit:.3g}",
                  f"{violations} probes beyond {_HEADROOM}x envelope + 3 stderr"],
         samples=[("constant", C_fit), ("exponent", q_fit),

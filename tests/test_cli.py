@@ -346,6 +346,15 @@ def test_scenario_path_checks_read_the_headline_solve(tmp_path, solves):
     pytest.param({"checks": {"moments": {"n_probes": 0}}}, id="moments.n_probes-0"),
     pytest.param({"checks": {"regularity": {"n_probes": 5}}}, id="regularity.n_probes-5"),
     pytest.param({"checks": {"discretization": {"node_counts": []}}}, id="node_counts-empty"),
+    # each of these made the output directory, then failed or passed with
+    # nothing to score
+    pytest.param({"checks": {"closed_form": {"tol_rel": 0}}}, id="tol_rel-0"),
+    pytest.param({"checks": {"comparison": {"shift_phi": -0.5}}}, id="shift_phi-negative"),
+    pytest.param({"engine": "nested", "grid": {"T": 1.0, "N": 4},
+                  "mc": {"seed": 3, "n_scenarios": 0}, "checks": {}}, id="nested-0-scenarios"),
+    pytest.param({"grid": {"T": 1.0, "N": 4}, "initial_path": {"values": [[0.0]] * 5},
+                  "checks": {"z_representation": {}}}, id="initial-path-at-horizon"),
+    pytest.param({"checks": {"moments": {"p": [2, 2.5, 2]}}}, id="moments.p-twice"),
 ])
 def test_config_errors_exit_1_before_any_solve(tmp_path, solves, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)

@@ -406,10 +406,11 @@ def test_discretization_nodes_must_divide_the_remaining_steps(tmp_path):
 
 @pytest.mark.parametrize("check, key, least", [
     ("z_representation", "n_sub", 1), ("flow", "n_resolve", 1),
-    ("field_equation", "n_paths", 1), ("moments", "n_probes", 1),
+    ("field_equation", "n_paths", 1), ("moments", "n_probes", 3),
     ("regularity", "n_probes", 10)])
 def test_check_counts_have_least_values(check, key, least):
-    # below these the check raised only after the headline solve
+    # below these the check raised only after the headline solve; moments
+    # fits its envelope on two probes and needs a third to hold out
     spec = {"s": 0.5} if check == "flow" else {}
     with pytest.raises(ConfigError, match=f"{check}.{key} must be at least {least}, "
                                           f"got {least - 1}"):
@@ -423,11 +424,19 @@ def test_check_counts_have_least_values(check, key, least):
     pytest.param("moments", {"p": 3}, "moments.p must be a list", id="scalar-list"),
     pytest.param("moments", {"p": [2, "4"]}, "moments.p entry must be a number",
                  id="str-entry"),
-    pytest.param("moments", {"p": [1.5, 4]}, r"moments.p orders must be at least 2",
+    pytest.param("moments", {"p": [1.5, 4]}, r"moments.p entry must be at least 2, got 1.5",
                  id="order-below-2"),
     # no order scored nothing, so the run could pass with the check missing
-    pytest.param("moments", {"p": []}, r"moments.p orders must be at least 2, and one",
+    pytest.param("moments", {"p": []}, r"moments.p needs one or more orders",
                  id="no-order"),
+    # two orders of one name wrote one report and one summary entry
+    pytest.param("moments", {"p": [2, 4, 2.0]}, r"none twice, got \[2.0, 4.0, 2.0\]",
+                 id="order-twice"),
+    pytest.param("closed_form", {"tol_rel": 0}, "closed_form.tol_rel must be positive, got 0",
+                 id="tol_rel-0"),
+    # a negative tolerance dropped the relative bound, so the check passed
+    pytest.param("closed_form", {"tol_rel": -1}, "closed_form.tol_rel must be positive",
+                 id="tol_rel-negative"),
     pytest.param("discretization", {"noise_only": "false"},
                  "discretization.noise_only must be true or false", id="str-bool"),
     pytest.param("discretization", {"noise_only": 0},
@@ -444,6 +453,47 @@ def test_check_values_are_typed_at_load(check, spec, message):
     # misread: "false" as True and 2.5 as 2
     with pytest.raises(ConfigError, match=message):
         load_config(base_config(checks={check: spec}))
+
+
+def test_comparison_shifts_are_nonnegative():
+    # a negative shift leaves the shifted model below the original, which
+    # the comparison check refused only after the headline solve
+    for key in ("shift_phi", "shift_f"):
+        with pytest.raises(ConfigError, match=f"comparison.{key} must be at least 0, "
+                                              "got -0.5"):
+            load_config(base_config(checks={"comparison": {key: -0.5}}))
+        assert load_config(base_config(checks={"comparison": {key: 0}})).checks
+
+
+def test_nested_headline_needs_a_scenario():
+    # the nested headline takes no scenario floor, so 0 scenarios loaded
+    # and failed after the output directory was made
+    nested = base_config(engine="nested", grid={"T": 1.0, "N": 4})
+    with pytest.raises(ConfigError, match="mc.n_scenarios must be at least 1, got 0"):
+        load_config(dict(nested, mc={"seed": 1, "n_scenarios": 0}))
+    assert load_config(dict(nested, mc={"seed": 1, "n_scenarios": 1})).n_scenarios == 1
+
+
+@pytest.mark.parametrize("check, spec", [
+    pytest.param("z_growth", {}, id="z_growth"),
+    pytest.param("z_representation", {}, id="z_representation"),
+    pytest.param("field_equation", {}, id="field_equation"),
+    pytest.param("discretization", {"node_counts": [1, 2]}, id="discretization"),
+    pytest.param("discretization", {"node_counts": [1], "noise_only": True},
+                 id="discretization-noise_only"),
+])
+def test_checks_of_the_steps_after_an_initial_path_at_the_horizon(check, spec):
+    # with no step left, z_representation failed in numpy after the
+    # headline solve and the others passed with statistic 0
+    at_horizon = base_config(grid={"T": 1.0, "N": 4},
+                             initial_path={"values": [[0.0]] * 5})
+    with pytest.raises(ConfigError, match=f"{check} reads the grid steps after the "
+                                          "initial path, but it ends at the horizon 1"):
+        load_config(dict(at_horizon, checks={check: spec}))
+    two_steps = dict(at_horizon, initial_path={"values": [[0.0]] * 3})
+    assert load_config(dict(two_steps, checks={check: spec})).checks[check]
+    # the checks that read no step after it still load
+    load_config(dict(at_horizon, checks={"closed_form": {}, "comparison": {}}))
 
 
 def test_check_specs_are_stored_typed(monkeypatch):

@@ -9,7 +9,8 @@ from pathfk import (Path, PathFunctional, PreconditionError, RegressionBasis,
                     comparison_check, discretization_convergence_check,
                     discretized_model, field_from_closed_form,
                     field_from_engine, flow_check, get_entry, get_model, make_grid,
-                    moment_envelope_check, on_path,
+                    moment_envelope_check, moment_envelope_score, moment_probes,
+                    on_path,
                     regularity_check, restrict, sample_drivers, shifted_model,
                     simulate_forward, solve_regression, spde_residual,
                     spde_residual_check, vertical_derivative,
@@ -491,3 +492,51 @@ def test_moment_envelope_fits_and_holds():
 def test_moment_envelope_order_validation():
     with pytest.raises(ValueError):
         moment_envelope_check(get_model("heat"), make_grid(T, 8), p=1.0)
+
+
+def test_moment_reports_are_named_by_order():
+    # int(p) named the orders 2 and 2.5 alike; integer orders keep their names
+    probes = moment_probes(get_model("heat"), make_grid(T, 4), n_probes=3,
+                           n_scenarios=200, seed=1)
+    assert [moment_envelope_score(probes, p).name for p in (2.0, 2.5, 4.0)] == [
+        "moment_envelope_p2", "moment_envelope_p2.5", "moment_envelope_p4"]
+
+
+HEAT = get_model("heat")
+
+
+@pytest.mark.parametrize("check, name", [
+    pytest.param(lambda: flow_check(HEAT, origin(8), s=0.5, n_resolve=0),
+                 "n_resolve must be at least 1, got 0", id="flow-n_resolve"),
+    pytest.param(lambda: comparison_check(shifted_model(HEAT, shift_phi=0.5), HEAT,
+                                          origin(8), n_initials=0),
+                 "n_initials must be at least 1, got 0", id="comparison-n_initials"),
+    pytest.param(lambda: z_representation_check(
+        HEAT, None, None, z_reference=get_entry("heat").closed_form_Z, n_sub=0),
+                 "n_sub must be at least 1, got 0", id="z_representation-n_sub"),
+    pytest.param(lambda: discretization_convergence_check(HEAT, origin(8), node_counts=(4,)),
+                 r"node_counts must be two counts .*got \[4\]", id="discretization-one"),
+    pytest.param(lambda: discretization_convergence_check(HEAT, origin(8),
+                                                          node_counts=(0, 4)),
+                 r"node_counts must be two counts of at least 1", id="discretization-0"),
+    pytest.param(lambda: discretization_convergence_check(HEAT, origin(8), node_counts=(),
+                                                          noise_only=True),
+                 r"or one with noise_only, got \[\]", id="discretization-none"),
+    pytest.param(lambda: moment_envelope_check(HEAT, make_grid(T, 8), p=2.0, n_probes=0),
+                 "n_probes must be at least 3, got 0", id="moments-n_probes-0"),
+    # one fitted probe cannot fix the envelope's constant and exponent
+    pytest.param(lambda: moment_envelope_check(HEAT, make_grid(T, 8), p=2.0, n_probes=2),
+                 "n_probes must be at least 3, got 2", id="moments-n_probes-2"),
+])
+def test_check_arguments_are_refused_before_any_solve(monkeypatch, check, name):
+    # each of these failed only after its solves, inside numpy or on an
+    # empty max(), without naming the argument
+    import pathfk.verification as verification
+
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the arguments were checked")
+
+    for fn in ("_simulate", "simulate_forward", "solve_regression"):
+        monkeypatch.setattr(verification, fn, solve)
+    with pytest.raises(ValueError, match=name):
+        check()
